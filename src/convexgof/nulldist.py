@@ -4,7 +4,8 @@ Under the null the statistics are rank-based, so their law does not depend
 on the common continuous distribution; null tables are therefore simulated
 from standard uniforms.  Replicate i draws from its own RNG stream, a
 Philox generator keyed by (seed, i) -- tables are bit-identical no matter
-how replicates are partitioned across workers.
+how replicates are partitioned across workers.  Simulation, permutation and
+exact enumeration share one count-indexed kernel over pooled-rank labels.
 """
 
 from __future__ import annotations
@@ -98,57 +99,78 @@ def _uniform_block(seed: int, start: int, stop: int, count: int) -> np.ndarray:
     return out
 
 
-def _batch_statistic(kind, generator, sizes, weights, data) -> np.ndarray:
-    """Vectorized statistic over rows of continuous (tie-free) pooled draws.
+def _group_labels(sizes) -> np.ndarray:
+    """Group index of each pooled slot when the groups are laid end to end."""
+    return np.repeat(np.arange(len(sizes), dtype=np.min_scalar_type(len(sizes))), sizes)
 
-    Works on pooled ranks: after argsort, the running count of group-g
-    members gives every empirical CDF value needed.  The arithmetic mirrors
-    the observed-data path term for term.
+
+def _ragged_sums(terms, counts) -> np.ndarray:
+    """Sum of each row's terms, with ``terms`` holding the rows' entries end to end.
+
+    Rows of equal length are summed as one 2-d block, in ``np.sum``'s order for one row.
     """
-    nrep, total = data.shape
-    order = np.argsort(data, axis=1)
-    labels = np.repeat(np.arange(len(sizes)), sizes)
-    sl = labels[order]
-    if kind == TWO_SAMPLE:
-        n, m = sizes
-        is_x = sl == 0
-        is_y = ~is_x
-        cx = np.cumsum(is_x, axis=1)
-        cy = np.cumsum(is_y, axis=1)
-        f_at_y = cx[is_y].reshape(nrep, m) / n
-        g_at_x = cy[is_x].reshape(nrep, n) / m
-        t1 = np.sum(eval_on_array(generator.eval, f_at_y), axis=1) / m
-        t2 = np.sum(eval_on_array(generator.eval, g_at_x), axis=1) / n
-        raw = t1 + t2
-        return raw - 2.0 * generator.integral_0_1
+    if counts.min() == counts.max():
+        return terms.reshape(counts.size, -1).sum(axis=1)
+    owner = np.repeat(counts, counts)  # length of the row each term belongs to
+    out = np.empty(counts.size)
+    for c in np.unique(counts):
+        out[counts == c] = terms[owner == c].reshape(-1, c).sum(axis=1)
+    return out
+
+
+def _rank_statistic(kind, generator, sizes, weights, labels, ties=None,
+                    convention=RIGHT_CONTINUOUS) -> np.ndarray:
+    """Statistic of every row of a label matrix in pooled rank order.
+
+    ``labels[r, p]`` is the group of replicate r's p-th smallest pooled value,
+    so each ECDF value is a member count and each statistic a sum of lookups
+    into the grid h(i/n), i = 0..n (h(i/2n), i = 0..2n, under ``mid``).
+    ``ties`` holds each position's tie-block start and end, or None.  Terms
+    sum in the observed-data path's order: for elementwise generators the
+    values are bit-identical to it.  Grids are evaluated after the counts.
+    """
+    nrep, width = labels.shape
+    mid = convention != RIGHT_CONTINUOUS
+    member = [labels == g for g in range(len(sizes))]
+    through = [np.cumsum(mask, axis=1, dtype=np.int32) for mask in member]  # members at or before
+    padded = None if ties is None else [np.pad(c, ((0, 0), (1, 0))).ravel() for c in through]
+
+    def count(g, at, strict=False):  # members of g valued < (strict) or <= those at flat ``at``
+        if ties is None:
+            c = np.take(through[g], at)
+            return c - np.take(member[g], at) if strict else c
+        row, col = np.divmod(at, width)
+        return np.take(padded[g], row * (width + 1) + np.take(ties[0 if strict else 1], col))
+
+    places = [np.flatnonzero(mask) for mask in member]
+    if kind == TAU and ties is not None:  # one term per distinct value, at its last member
+        places = [at[np.take(through[g], at) == count(g, at)] for g, at in enumerate(places)]
+    pairs = [(j, l) for j in range(len(sizes)) for l in range(len(sizes)) if j != l]
+    # group j's ECDF at group l's observations, as grid indices
+    indices = [count(j, places[l]) + (count(j, places[l], strict=True) if mid else 0) for j, l in pairs]
+    steps = {s: 2 * s if mid else s for s in sizes}
+    grids = {s: eval_on_array(generator.eval, np.arange(n + 1) / n) for s, n in steps.items()}
+    integrals = []
+    for (j, l), index in zip(pairs, indices):
+        terms = np.take(grids[sizes[j]], index)
+        if kind == TAU:
+            anti, at = generator.antiderivative_grid(sizes[l]), places[l]
+            terms = terms * (np.take(anti, count(l, at)) - np.take(anti, count(l, at, strict=True)))
+            integrals.append(_ragged_sums(terms, np.bincount(at // width, minlength=nrep)))
+        else:
+            integrals.append(terms.reshape(nrep, -1).sum(axis=1) / sizes[l])
     if kind == K_SAMPLE:
-        k = len(sizes)
-        masks = [sl == g for g in range(k)]
-        cums = [np.cumsum(msk, axis=1) for msk in masks]
         w = weights.weights
-        raw = np.zeros(nrep)
-        for j in range(k):
-            for l in range(k):
-                if j == l:
-                    continue
-                vals = cums[j][masks[l]].reshape(nrep, sizes[l]) / sizes[j]
-                raw += w[j] * w[l] * (np.sum(eval_on_array(generator.eval, vals), axis=1) / sizes[l])
+        raw = sum((w[j] * w[l] * integral for (j, l), integral in zip(pairs, integrals)), 0.0)
         return raw - weights.equality_factor * generator.integral_0_1
-    if kind == TAU:
-        n, m = sizes
-        is_x = sl == 0
-        is_y = ~is_x
-        cx = np.cumsum(is_x, axis=1)
-        cy = np.cumsum(is_y, axis=1)
-        g_at_x = cy[is_x].reshape(nrep, n) / m
-        f_at_y = cx[is_y].reshape(nrep, m) / n
-        dxi_n = np.diff(generator.antiderivative_grid(n))
-        dxi_m = np.diff(generator.antiderivative_grid(m))
-        t1 = np.sum(eval_on_array(generator.eval, g_at_x) * dxi_n, axis=1)
-        t2 = np.sum(eval_on_array(generator.eval, f_at_y) * dxi_m, axis=1)
-        raw = t1 + t2
-        return raw - 2.0 * generator.integral_sq_0_1
-    raise InvalidParameterError(f"unknown statistic kind '{kind}'")
+    centering = generator.integral_sq_0_1 if kind == TAU else generator.integral_0_1
+    return integrals[0] + integrals[1] - 2.0 * centering
+
+
+def _batch_statistic(kind, generator, sizes, weights, data) -> np.ndarray:
+    """Statistic of every row of tie-free pooled draws: one argsort, then the kernel."""
+    labels = np.take(_group_labels(sizes), np.argsort(data, axis=1))
+    return _rank_statistic(kind, generator, sizes, weights, labels)
 
 
 def _check_kind_and_generator(kind, generator, sizes, weights):
@@ -194,47 +216,56 @@ def simulate_null(kind, generator, sizes, B: int, seed: int, weights=None,
     Deterministic for a fixed seed regardless of ``workers``.
     """
     sizes, weights = _check_kind_and_generator(kind, generator, sizes, weights)
-    if not isinstance(B, (int, np.integer)) or B < 1:
-        raise InvalidParameterError(f"replicate count B must be >= 1, got {B!r}")
     seed = _check_seed(seed)
-    B = int(B)
     total = int(sum(sizes))
-    if kind == TAU:
-        # warm the antiderivative cache before any worker threads share it
-        for s in set(sizes):
-            generator.antiderivative_grid(s)
 
-    def run_chunk(bounds):
-        start, stop = bounds
+    def run_chunk(start, stop):
         data = _uniform_block(seed, start, stop, total)
         if transform is not None:
             data = transform(data)
         return _batch_statistic(kind, generator, sizes, weights, data)
 
+    return _chunked_table(kind, generator, sizes, weights, B, seed, workers, run_chunk)
+
+
+def _chunked_table(kind, generator, sizes, weights, B, seed, workers, run_chunk) -> NullTable:
+    """Run ``run_chunk(start, stop)`` over fixed replicate ranges; sort into a table."""
+    if not isinstance(B, (int, np.integer)) or B < 1:
+        raise InvalidParameterError(f"replicate count B must be >= 1, got {B!r}")
+    if kind == TAU:
+        # warm the antiderivative cache before any worker threads share it
+        for s in set(sizes):
+            generator.antiderivative_grid(s)
     tasks = [(a, min(a + CHUNK, B)) for a in range(0, B, CHUNK)]
     if workers <= 1 or len(tasks) == 1:
-        parts = [run_chunk(t) for t in tasks]
+        parts = [run_chunk(*t) for t in tasks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_chunk, tasks))
+            parts = list(pool.map(lambda t: run_chunk(*t), tasks))
     replicates = np.sort(np.concatenate(parts))
     replicates.setflags(write=False)
-    return NullTable(
-        statistic_kind=kind,
-        generator_name=generator.name,
-        sample_sizes=sizes,
-        replicates=replicates,
-        seed=seed,
-        weights=None if weights is None else weights.weights,
-    )
+    return NullTable(kind, generator.name, sizes, replicates, seed,
+                     None if weights is None else weights.weights)
 
 
-def p_value(table: NullTable, observed: float) -> float:
-    """Add-one upper-tail Monte Carlo p-value: (1 + #{t >= observed}) / (B+1)."""
+def p_value(table: NullTable, observed) -> float:
+    """Add-one upper-tail Monte Carlo p-value: (1 + #{t >= observed - tol}) / (B+1).
+
+    ``observed`` is a :class:`StatisticValue` or a bare value.  Equal exact
+    values summed in different orders land ulps apart; ``tol`` keeps the whole
+    observed atom.  It bounds the error of summing non-negative terms,
+    ``L * eps * |raw_functional|`` with ``L = (k - 1) * N + 2`` terms over k
+    groups of N pooled observations; a bare value uses ``max(1, |value|)``.
+    """
     reps = table.replicates
     if reps.size == 0:
         raise InvalidParameterError("null table is empty")
-    count_ge = reps.size - int(np.searchsorted(reps, observed, side="left"))
+    stat = isinstance(observed, StatisticValue)
+    value = observed.value if stat else float(observed)
+    scale = abs(observed.raw_functional) if stat else max(1.0, abs(value))
+    terms = (len(table.sample_sizes) - 1) * sum(table.sample_sizes) + 2
+    tol = terms * np.finfo(float).eps * scale if math.isfinite(scale) else 0.0
+    count_ge = reps.size - int(np.searchsorted(reps, value - tol, side="left"))
     return (1 + count_ge) / (reps.size + 1)
 
 
@@ -269,43 +300,34 @@ _OBSERVED = {
 }
 
 
+def _tie_blocks(sorted_values):
+    """Start and end (exclusive) of each position's tie block; None without ties."""
+    lo = np.searchsorted(sorted_values, sorted_values, side="left")
+    hi = np.searchsorted(sorted_values, sorted_values, side="right")
+    return None if np.all(hi - lo == 1) else (lo, hi)
+
+
 def _permutation_null(kind, generator, samples, weights, B, seed, workers, convention):
     """Null table from permutations of the pooled observed data.
 
-    Fallback for tied data, where simulating continuous uniforms does not
-    reflect the discrete step functions actually observed.  Same stream
-    contract as the simulation path.
+    Fallback for tied data, where continuous uniforms miss the observed step
+    functions.  Replicate i splits ``replicate_stream(seed, i).permutation(pooled)``
+    into the groups; chunks go to the kernel with the pooled tie blocks.
     """
     pooled = np.concatenate([s.values for s in samples])
-    sizes = tuple(s.n for s in samples)
-    splits = np.cumsum(sizes)[:-1]
+    sizes, total = tuple(s.n for s in samples), pooled.size
+    order = np.argsort(pooled, kind="stable")
+    ties, slot_group = _tie_blocks(pooled[order]), _group_labels(sizes)
 
-    def run_chunk(bounds):
-        start, stop = bounds
-        vals = np.empty(stop - start)
-        for row, index in enumerate(range(start, stop)):
-            perm = replicate_stream(seed, index).permutation(pooled)
-            parts = np.split(perm, splits)
-            resampled = [Sample(p, label=f"perm{g}") for g, p in enumerate(parts)]
-            vals[row] = _OBSERVED[kind](generator, resampled, weights, convention).value
-        return vals
+    def run_chunk(start, stop):
+        # permutation(pooled) == pooled[permutation(total)]: pooled value perm[q] lands in slot q
+        perms = np.array([replicate_stream(seed, i).permutation(total) for i in range(start, stop)])
+        slot = np.empty_like(perms)
+        np.put_along_axis(slot, perms, np.arange(total), axis=1)
+        labels = slot_group[slot[:, order]]
+        return _rank_statistic(kind, generator, sizes, weights, labels, ties, convention)
 
-    tasks = [(a, min(a + CHUNK, B)) for a in range(0, B, CHUNK)]
-    if workers <= 1 or len(tasks) == 1:
-        parts = [run_chunk(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_chunk, tasks))
-    replicates = np.sort(np.concatenate(parts))
-    replicates.setflags(write=False)
-    return NullTable(
-        statistic_kind=kind,
-        generator_name=generator.name,
-        sample_sizes=sizes,
-        replicates=replicates,
-        seed=seed,
-        weights=None if weights is None else weights.weights,
-    )
+    return _chunked_table(kind, generator, sizes, weights, B, seed, workers, run_chunk)
 
 
 def run_test(kind, generator, samples, weights=None, B: int = DEFAULT_B, seed: int = 0,
@@ -317,9 +339,9 @@ def run_test(kind, generator, samples, weights=None, B: int = DEFAULT_B, seed: i
     The null table is simulated at the data's sample sizes (or built from
     permutations of the pooled data when ``method="permutation"``).  A
     pre-built ``table`` -- for example one loaded from a cache, which is
-    bit-identical to regeneration -- skips the simulation.  Warnings surface
-    cross-sample ties, unvalidated generators and levels the table is too
-    small to resolve.
+    bit-identical to regeneration -- skips the simulation; its kind, sizes,
+    generator and weights must match.  Warnings surface cross-sample ties,
+    unvalidated generators and levels the table is too small to resolve.
     """
     samples = [s if isinstance(s, Sample) else Sample(np.asarray(s, dtype=float)) for s in samples]
     sizes = tuple(s.n for s in samples)
@@ -328,23 +350,19 @@ def run_test(kind, generator, samples, weights=None, B: int = DEFAULT_B, seed: i
         raise InvalidParameterError(f"unknown method '{method}'; expected simulation or permutation")
     observed = _OBSERVED[kind](generator, samples, weights, convention)
     if table is not None:
-        if table.statistic_kind != kind or tuple(table.sample_sizes) != sizes:
+        built = (table.statistic_kind, tuple(table.sample_sizes), table.generator_name,
+                 None if table.weights is None else tuple(table.weights))
+        wanted = (kind, sizes, generator.name, None if weights is None else weights.weights)
+        if built != wanted:
             raise InvalidParameterError(
-                f"null table is for {table.statistic_kind} at sizes {table.sample_sizes}, "
-                f"but the data is {kind} at sizes {sizes}"
-            )
-        if table.generator_name != generator.name:
-            raise InvalidParameterError(
-                f"null table was built for generator '{table.generator_name}', "
-                f"not '{generator.name}'"
+                f"null table is for (kind, sizes, generator, weights) = {built}, "
+                f"but the data needs {wanted}"
             )
     elif method == "simulation":
         table = simulate_null(kind, generator, sizes, B=B, seed=seed,
                               weights=weights, workers=workers)
     else:
-        if not isinstance(B, (int, np.integer)) or B < 1:
-            raise InvalidParameterError(f"replicate count B must be >= 1, got {B!r}")
-        table = _permutation_null(kind, generator, samples, weights, int(B),
+        table = _permutation_null(kind, generator, samples, weights, B,
                                   _check_seed(seed), workers, convention)
     notes = []
     if observed.tie_count > 0:
@@ -369,7 +387,7 @@ def run_test(kind, generator, samples, weights=None, B: int = DEFAULT_B, seed: i
         cvs[float(alpha)] = float(table.replicates[rank - 1])
     return TestReport(
         statistic=observed,
-        p_value=p_value(table, observed.value),
+        p_value=p_value(table, observed),
         critical_values=cvs,
         table=table,
         warnings=tuple(notes),

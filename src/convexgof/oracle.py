@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Callable
 
 import numpy as np
 
-from .ecdf import RIGHT_CONTINUOUS, Sample
 from .errors import EnumerationTooLargeError, InvalidParameterError
 from .generators import adaptive_quad
-from .nulldist import _OBSERVED, _check_kind_and_generator
+from .nulldist import CHUNK, _check_kind_and_generator, _rank_statistic
 from .statistics import WeightVector
 
 POP_TOL = 1e-9
@@ -178,70 +177,53 @@ class ExactNullDistribution:
 
     @property
     def configurations(self) -> int:
-        sizes = self.sample_sizes
-        total = sum(sizes)
-        count = 1
-        rem = total
-        for s in sizes:
-            count *= math.comb(rem, s)
-            rem -= s
-        return count
+        return _configurations(self.sample_sizes)
 
 
-def _label_assignments(total, sizes):
-    """Yield every assignment of pooled ranks to groups, lexicographically."""
+def _configurations(sizes) -> int:
+    """Number of rank interleavings: the multinomial coefficient of the sizes."""
+    return math.prod(math.comb(sum(sizes[g:]), s) for g, s in enumerate(sizes))
+
+
+def _label_batches(sizes):
+    """Every assignment of pooled ranks to groups, as label matrices of <= ``CHUNK`` rows.
+
+    Row r, column p holds the group of pooled rank p in assignment r.
+    """
+    total = sum(sizes)
     if len(sizes) == 1:
-        yield (tuple(range(total)),)
+        yield np.zeros((1, total), dtype=np.int8)
         return
-
-    def rec(free, remaining_sizes):
-        if len(remaining_sizes) == 1:
-            yield (tuple(free),)
-            return
-        head, *tail = remaining_sizes
-        for chosen in combinations(free, head):
-            chosen_set = set(chosen)
-            rest = [p for p in free if p not in chosen_set]
-            for sub in rec(rest, tail):
-                yield (chosen,) + sub
-
-    yield from rec(list(range(total)), list(sizes))
+    rest = np.concatenate(list(_label_batches(sizes[1:]))) + 1  # the other groups' assignments
+    combos = combinations(range(total), sizes[0])
+    for chosen in iter(lambda: list(islice(combos, max(1, CHUNK // len(rest)))), []):
+        free = np.ones((len(chosen), total), dtype=bool)  # ranks left for the other groups
+        free[np.arange(len(chosen))[:, None], chosen] = False
+        for lo in range(0, len(rest), CHUNK):
+            part = rest[lo:lo + CHUNK]
+            batch = np.zeros((len(chosen), total, len(part)), dtype=np.int8)
+            batch[free] = np.tile(part.T, (len(chosen), 1))
+            yield batch.transpose(0, 2, 1).reshape(-1, total)
 
 
 def enumerate_null(kind, generator, sizes, weights=None) -> ExactNullDistribution:
     """Exact null distribution by enumerating all rank interleavings.
 
     Under the null with a continuous common distribution every interleaving
-    of the pooled sample is equally likely; the statistic is computed for
-    each via the same code path as for observed data.
+    of the pooled sample is equally likely.  Batches of interleavings go
+    through the count-indexed kernel that simulation and permutation use.
     """
     sizes, weights = _check_kind_and_generator(kind, generator, sizes, weights)
-    total = int(sum(sizes))
-    count = 1
-    rem = total
-    for s in sizes:
-        count *= math.comb(rem, s)
-        rem -= s
+    count = _configurations(sizes)
     if count > ENUMERATION_BUDGET:
         raise EnumerationTooLargeError(
             f"{count} rank interleavings at sizes {sizes} exceed the "
             f"budget of {ENUMERATION_BUDGET}"
         )
-    accum: dict = {}
-    for assignment in _label_assignments(total, sizes):
-        samples = [Sample(np.asarray(pos, dtype=float), label=f"group{g}")
-                   for g, pos in enumerate(assignment)]
-        value = _OBSERVED[kind](generator, samples, weights, RIGHT_CONTINUOUS).value
-        accum[value] = accum.get(value, 0) + 1
-    values = np.array(sorted(accum))
-    probs = np.array([accum[v] / count for v in values])
-    return ExactNullDistribution(
-        statistic_kind=kind,
-        generator_name=generator.name,
-        sample_sizes=sizes,
-        values=values,
-        probabilities=probs,
-    )
+    stats = np.concatenate([_rank_statistic(kind, generator, sizes, weights, labels)
+                            for labels in _label_batches(sizes)])
+    values, counts = np.unique(stats, return_counts=True)
+    return ExactNullDistribution(kind, generator.name, sizes, values, counts / count)
 
 
 # ---------------------------------------------------------------------------

@@ -75,3 +75,49 @@ def brute_tau(xi_fn, anti_fn, sq_integral, xs, ys):
 
     raw = one_side(xs, ys) + one_side(ys, xs)
     return raw - 2.0 * sq_integral
+
+
+def reference_ecdf(sorted_sample, points, convention):
+    """ECDF of a sorted sample at points, by binary search (both conventions)."""
+    n = len(sorted_sample)
+    right = np.searchsorted(sorted_sample, points, side="right")
+    if convention == "right-continuous":
+        return right / n
+    left = np.searchsorted(sorted_sample, points, side="left")
+    return (left + right) / (2.0 * n)
+
+
+def reference_statistic(kind, gen, groups, weights, convention):
+    """Statistic of observed groups by per-group searchsorted and array evaluation.
+
+    The summation order is the observed-data path's: each integral sums its
+    terms over the evaluated group's sorted values (tau: over its distinct
+    values) with ``np.sum``.  ``gen.eval`` is called on whole arrays, so
+    generators must evaluate elementwise.
+    """
+    groups = [np.sort(np.asarray(g, dtype=float)) for g in groups]
+
+    def h_integral(f_sample, at_sample):
+        vals = reference_ecdf(f_sample, at_sample, convention)
+        return float(np.sum(np.asarray(gen.eval(vals), dtype=float)) / len(at_sample))
+
+    def xi_integral(g_sample, f_sample):
+        uniq, counts = np.unique(f_sample, return_counts=True)
+        cum = np.cumsum(counts)
+        grid = gen.antiderivative_grid(len(f_sample))
+        jumps = grid[cum] - grid[np.concatenate([[0], cum[:-1]])]
+        gvals = np.asarray(gen.eval(reference_ecdf(g_sample, uniq, convention)), dtype=float)
+        return float(np.sum(gvals * jumps))
+
+    if kind == "two_sample":
+        x, y = groups
+        return h_integral(x, y) + h_integral(y, x) - 2.0 * gen.integral_0_1
+    if kind == "tau":
+        x, y = groups
+        return xi_integral(y, x) + xi_integral(x, y) - 2.0 * gen.integral_sq_0_1
+    raw = 0.0
+    for j in range(len(groups)):
+        for l in range(len(groups)):
+            if j != l:
+                raw += weights[j] * weights[l] * h_integral(groups[j], groups[l])
+    return raw - (1.0 - sum(w * w for w in weights)) * gen.integral_0_1

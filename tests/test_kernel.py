@@ -1,0 +1,170 @@
+"""The count-indexed statistic kernel shared by simulation, permutation and enumeration."""
+
+import hashlib
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats as sps
+
+from convexgof import (
+    K_SAMPLE,
+    MID,
+    RIGHT_CONTINUOUS,
+    TAU,
+    TWO_SAMPLE,
+    Sample,
+    WeightVector,
+    enumerate_null,
+    parse_generator_spec,
+    power_generator,
+    two_sample_statistic,
+)
+from convexgof.nulldist import CHUNK, _group_labels, _permutation_null, _rank_statistic, _tie_blocks
+from convexgof.oracle import _label_batches
+
+from oracle_helpers import reference_statistic
+
+# generators whose eval is elementwise, so a grid lookup equals evaluating in place
+GENERATORS = {
+    TWO_SAMPLE: ("power:2", "power:3", "poly:0.5,1.5"),
+    K_SAMPLE: ("power:2", "poly:0,1,1"),
+    TAU: ("expsq:1", "expsq:0.5"),
+}
+
+
+@st.composite
+def kernel_cases(draw):
+    kind = draw(st.sampled_from((TWO_SAMPLE, K_SAMPLE, TAU)))
+    k = draw(st.integers(3, 4)) if kind == K_SAMPLE else 2
+    sizes = tuple(draw(st.lists(st.integers(1, 9), min_size=k, max_size=k)))
+    total = sum(sizes)
+    if draw(st.booleans()):  # tied: values on a coarse grid
+        pooled = draw(st.lists(st.integers(0, 4), min_size=total, max_size=total))
+    else:
+        pooled = draw(st.permutations(range(total)))
+    rows = draw(st.lists(st.permutations(range(total)), min_size=1, max_size=4))
+    weights = None
+    if kind == K_SAMPLE:
+        raw = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+        weights = WeightVector(tuple(v / sum(raw) for v in raw))
+    return (kind, draw(st.sampled_from(GENERATORS[kind])), sizes, np.asarray(pooled, dtype=float),
+            rows, weights, draw(st.sampled_from((RIGHT_CONTINUOUS, MID))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases())
+def test_kernel_equals_reference_bit_for_bit(case):
+    kind, spec, sizes, pooled, rows, weights, convention = case
+    gen = parse_generator_spec(spec)
+    order = np.argsort(pooled, kind="stable")
+    slot_group = _group_labels(sizes)
+    labels, expected = [], []
+    for perm in rows:  # each row splits pooled[perm] into the groups in order
+        slot = np.empty(len(perm), dtype=np.intp)
+        slot[list(perm)] = np.arange(len(perm))
+        labels.append(slot_group[slot[order]])
+        groups = np.split(pooled[list(perm)], np.cumsum(sizes)[:-1])
+        w = None if weights is None else weights.weights
+        expected.append(reference_statistic(kind, gen, groups, w, convention))
+    got = _rank_statistic(kind, gen, sizes, weights, np.array(labels),
+                          _tie_blocks(pooled[order]), convention)
+    assert list(got) == expected
+
+
+def test_tie_blocks():
+    lo, hi = _tie_blocks(np.array([1.0, 2.0, 2.0, 2.0, 5.0, 7.0, 7.0]))
+    assert list(lo) == [0, 1, 1, 1, 4, 5, 5]
+    assert list(hi) == [1, 4, 4, 4, 5, 7, 7]
+    assert _tie_blocks(np.array([1.0, 2.0, 3.0])) is None
+
+
+@pytest.mark.parametrize("sizes", [(3, 4), (2, 2, 3), (1, 1, 4, 7)])
+def test_label_batches_cover_every_assignment_once(sizes):
+    batches = list(_label_batches(sizes))
+    assert all(len(b) <= CHUNK for b in batches)
+    rows = np.concatenate(batches)
+    expected = math.prod(math.comb(sum(sizes[g:]), s) for g, s in enumerate(sizes))
+    assert len(np.unique(rows, axis=0)) == len(rows) == expected
+    assert all(np.array_equal(np.bincount(row, minlength=len(sizes)), sizes) for row in rows[:50])
+
+
+# sha256 digests of results computed by the per-replicate observed-data
+# statistic path that the kernel replaced; the kernel must reproduce them.
+
+def _table_digest(values):
+    return hashlib.sha256(np.ascontiguousarray(values, dtype="<f8").tobytes()).hexdigest()
+
+
+def _pmf_digest(dist):
+    h = hashlib.sha256(np.ascontiguousarray(dist.values, dtype="<f8").tobytes())
+    h.update(np.ascontiguousarray(dist.probabilities, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("kind, spec, sizes, digest", [
+    (TWO_SAMPLE, "power:2", (8, 8), "d53bf49f28c304d9e209e6903a2e184d188c6fb13ad31e1cf8d16d6d2fb28161"),
+    (TAU, "expsq:1", (7, 7), "ad1f0728813f94574b929df309b6a0d9433bbcbd403aa381275be4de73793002"),
+    (K_SAMPLE, "poly:0,1,1", (3, 3, 3), "3d34399e4bb8a8675bd4bccca8bed7554e986840e906bf5a3b5846e488b162a6"),
+    (K_SAMPLE, "power:3", (2, 3, 2, 2), "ff37bb3ff810a203faa718c4b54178d4d550c6ad975a2bc11f845830e583407e"),
+    (TWO_SAMPLE, "power:2", (10, 10), "c88dd7269f1827afe355a45548d98d39f01f580e6f5acfb3fc98bd7edfb4d816"),
+])
+def test_enumerated_pmf_digests(kind, spec, sizes, digest):
+    assert _pmf_digest(enumerate_null(kind, parse_generator_spec(spec), sizes)) == digest
+
+
+PERMUTATION_DIGESTS = {
+    (TWO_SAMPLE, RIGHT_CONTINUOUS): "4f9a28df48b6ff74045ca67d7f56d7ffe274f67c6d59a37494750a6247855ee6",
+    (K_SAMPLE, RIGHT_CONTINUOUS): "9672faa926f8b29235cf30d0ba298e3c917212cc1490f740aaa0c40f9cd407fa",
+    (TAU, RIGHT_CONTINUOUS): "af1f31b293abee8b95aca0c257fa7618bfdf0cf3269e539b102908367dbba66c",
+    (TWO_SAMPLE, MID): "9e8f5ba9d867366ad79914e40c596480c7e46a984ac9921383c338f0be09fa1c",
+    (K_SAMPLE, MID): "cffb554701e804b5ab616805b55c5d4d6dccdf2515941bac91e6abed385b190b",
+    (TAU, MID): "e51fb646a5100f3aada25a90ccd96d2aa524df4e249447929049731485bc85b7",
+}
+
+
+@pytest.mark.parametrize("kind, convention", sorted(PERMUTATION_DIGESTS))
+def test_permutation_table_digests(kind, convention):
+    rng = np.random.default_rng(2024)
+    x = np.round(rng.normal(0.0, 1.0, 25), 1)
+    y = np.round(rng.normal(0.3, 1.0, 30), 1)
+    groups = [np.round(rng.normal(0.2 * g, 1.0, 12 + g), 1) for g in range(3)]
+    spec, samples, weights = {
+        TWO_SAMPLE: ("power:2", [x, y], None),
+        K_SAMPLE: ("poly:0,1,1", groups, WeightVector((0.2, 0.3, 0.5))),
+        TAU: ("expsq:1", [x, y], None),
+    }[kind]
+    table = _permutation_null(kind, parse_generator_spec(spec), [Sample(s) for s in samples],
+                              weights, 300, 11, 1, convention)
+    assert _table_digest(table.replicates) == PERMUTATION_DIGESTS[(kind, convention)]
+
+
+def test_permutation_worker_count_invariance():
+    rng = np.random.default_rng(3)
+    samples = [Sample(np.round(rng.normal(0.0, 1.0, 12), 1)) for _ in range(2)]
+    one, many = (_permutation_null(TWO_SAMPLE, power_generator(2), samples, None, 2 * CHUNK + 5,
+                                   4, workers, MID) for workers in (1, 4))
+    assert np.array_equal(one.replicates, many.replicates)
+
+
+def _enumerated_tail(x, y):
+    dist = enumerate_null(TWO_SAMPLE, power_generator(2), (len(x), len(y)))
+    observed = two_sample_statistic(power_generator(2), Sample(x), Sample(y)).value
+    return float(dist.probabilities[dist.values >= observed - 1e-12].sum())
+
+
+def test_enumerated_tail_matches_scipy_exact_cvm_6_7():
+    x = [-0.25, -0.28, 1.54, 1.12, 0.82, -0.84]
+    y = [0.4, 0.43, -1.65, 0.29, 0.66, 0.55, 0.22]
+    exact = sps.cramervonmises_2samp(x, y, method="exact").pvalue
+    assert abs(exact - 0.311771561771) < 1e-12
+    assert abs(_enumerated_tail(x, y) - exact) < 1e-12
+
+
+def test_enumerated_tail_matches_scipy_exact_cvm_8_8():
+    rng = np.random.default_rng(8)
+    x, y = rng.normal(0.0, 1.0, 8), rng.normal(0.5, 1.0, 8)
+    exact = sps.cramervonmises_2samp(x, y, method="exact").pvalue
+    assert abs(_enumerated_tail(x, y) - exact) < 1e-12

@@ -22,6 +22,7 @@ from convexgof import (
     run_test,
     save_table,
     simulate_null,
+    two_sample_statistic,
 )
 from convexgof.nulldist import _uniform_block, parse_alternative
 
@@ -102,7 +103,7 @@ class TestSimulateNull:
         assert t.weights == WeightVector.uniform(3).weights
 
     def test_simulated_k_sample_matches_observed_path(self):
-        # the vectorized rank path and the ECDF path must agree on the same data
+        # the count-indexed kernel and the ECDF path must agree bit for bit
         from convexgof import k_sample_statistic
         from convexgof.nulldist import _batch_statistic
 
@@ -115,7 +116,7 @@ class TestSimulateNull:
         for row in range(50):
             parts = np.split(data[row], splits)
             observed = k_sample_statistic(SQUARE, [Sample(p) for p in parts], w).value
-            assert abs(batch[row] - observed) < 1e-14
+            assert batch[row] == observed
 
     def test_simulated_tau_matches_observed_path(self):
         from convexgof import tau_statistic
@@ -129,7 +130,7 @@ class TestSimulateNull:
         for row in range(40):
             x, y = data[row, :6], data[row, 6:]
             observed = tau_statistic(xi, Sample(x), Sample(y)).value
-            assert abs(batch[row] - observed) < 1e-14
+            assert batch[row] == observed
 
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameterError):
@@ -162,6 +163,29 @@ class TestPValue:
     def test_ties_count_as_greater_or_equal(self):
         table = toy_table(np.arange(1.0, 100.0))
         assert p_value(table, 50.0) == (1 + 50) / 100.0
+
+    def test_atom_reached_by_two_summation_orders_is_counted_whole(self):
+        # at (6, 7) configurations with one exact power:2 value sum their
+        # terms in different orders and land a few ulps apart; every copy of
+        # the observed atom must count as >= observed
+        from fractions import Fraction
+        from itertools import combinations
+
+        n, m = 6, 7
+        exact, stats = [], []
+        for xs in combinations(range(n + m), n):
+            ys = [p for p in range(n + m) if p not in xs]
+            exact.append(sum(Fraction(sum(x < v for x in xs), n) ** 2 for v in ys) / m
+                         + sum(Fraction(sum(v < x for v in ys), m) ** 2 for x in xs) / n)
+            stats.append(two_sample_statistic(SQUARE, Sample(np.array(xs, float)),
+                                              Sample(np.array(ys, float))))
+        table = toy_table([s.value for s in stats], sample_sizes=(n, m))
+        split = [i for i, e in enumerate(exact)
+                 if any(e == f and s.value < stats[i].value for f, s in zip(exact, stats))]
+        assert split  # the defect's precondition: some atom has several floats
+        for i in split:
+            atom = sum(e >= exact[i] for e in exact)
+            assert p_value(table, stats[i]) == (1 + atom) / (table.B + 1)
 
     def test_bounds_and_monotonicity(self):
         table = toy_table(np.random.default_rng(0).normal(size=99))
@@ -252,6 +276,16 @@ class TestRunTest:
         with pytest.raises(InvalidParameterError):
             run_test(TWO_SAMPLE, SQUARE, [Sample([1.0, 3.0]), Sample([2.0, 4.0])],
                      table=table)
+
+    def test_prebuilt_table_weights_mismatch_rejected(self):
+        rng = np.random.default_rng(5)
+        groups = [Sample(rng.random(6)) for _ in range(3)]
+        table = simulate_null(K_SAMPLE, SQUARE, (6, 6, 6), B=99, seed=1,
+                              weights=WeightVector((0.2, 0.3, 0.5)))
+        with pytest.raises(InvalidParameterError, match="weights"):
+            run_test(K_SAMPLE, SQUARE, groups, table=table)
+        report = run_test(K_SAMPLE, SQUARE, groups, weights=(0.2, 0.3, 0.5), table=table)
+        assert report.table is table
 
     def test_k_sample_end_to_end(self):
         rng = np.random.default_rng(2)
