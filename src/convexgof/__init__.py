@@ -13,12 +13,8 @@ __version__ = "0.1.0"
 from .ecdf import (
     MID,
     RIGHT_CONTINUOUS,
-    EmpiricalCdf,
     Sample,
-    cdf_eval,
     cross_tie_count,
-    integral_h_f_dg,
-    integral_xi_dxi,
     read_sample,
 )
 from .errors import (
@@ -95,8 +91,7 @@ __all__ = [
     "log_convex_generator_from_callable", "validate_generator",
     "parse_generator_spec",
     # ecdf
-    "Sample", "EmpiricalCdf", "RIGHT_CONTINUOUS", "MID", "cdf_eval",
-    "cross_tie_count", "integral_h_f_dg", "integral_xi_dxi", "read_sample",
+    "Sample", "RIGHT_CONTINUOUS", "MID", "cross_tie_count", "read_sample",
     # statistics
     "WeightVector", "StatisticValue", "two_sample_statistic",
     "k_sample_statistic", "tau_statistic",

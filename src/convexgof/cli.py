@@ -17,6 +17,7 @@ from pathlib import Path
 from . import __version__
 from .ecdf import CONVENTIONS, RIGHT_CONTINUOUS, read_sample
 from .errors import (
+    ConvexGofError,
     DataIngestionError,
     EnumerationTooLargeError,
     GeneratorSpecError,
@@ -178,10 +179,14 @@ def _cache_path(args, kind, sizes, weights):
     return Path(base) / f"{digest}.csv"
 
 
-def _table_via_cache(args, kind, generator, sizes, weights):
+def _table_via_cache(args, kind, generator, sizes, weights, err):
+    """The requested table from the cache, or simulated and cached; a bad file is a miss."""
     path = _cache_path(args, kind, sizes, weights)
     if path is not None and path.exists():
-        return load_table(path), True
+        try:
+            return load_table(path), True
+        except ConvexGofError as exc:
+            err.write(f"warning: {exc}; rebuilding it\n")
     table = simulate_null(kind, generator, sizes, B=args.B, seed=args.seed,
                           weights=weights, workers=args.workers)
     if path is not None:
@@ -247,7 +252,7 @@ def _emit_report(args, doc, out):
     writer.writerow(row)
 
 
-def _cmd_test(args, out):
+def _cmd_test(args, out, err):
     if args.command == "test2":
         kind, paths = TWO_SAMPLE, [args.x, args.y]
         weights = None
@@ -265,7 +270,7 @@ def _cmd_test(args, out):
     if args.method == "simulation":
         # cache hits are bit-identical to regeneration, so reports are too
         table, _ = _table_via_cache(args, kind, generator,
-                                    tuple(s.n for s in samples), weights)
+                                    tuple(s.n for s in samples), weights, err)
         report = run_test(kind, generator, samples, weights=weights, levels=levels,
                           convention=args.convention, table=table)
     else:
@@ -276,12 +281,12 @@ def _cmd_test(args, out):
     return EXIT_OK
 
 
-def _cmd_null_table(args, out):
+def _cmd_null_table(args, out, err):
     kind = args.kind
     generator = _generator_for(kind, args.generator_spec)
     sizes = _parse_sizes(args.sizes)
     weights = _parse_weights(args.weights)
-    table, cached = _table_via_cache(args, kind, generator, sizes, weights)
+    table, cached = _table_via_cache(args, kind, generator, sizes, weights, err)
     if args.out is not None:
         save_table(table, args.out)
         location = args.out
@@ -384,9 +389,9 @@ def run(argv=None, out=None, err=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
     try:
         if args.command in ("test2", "testk", "tau"):
-            return _cmd_test(args, out)
+            return _cmd_test(args, out, err)
         if args.command == "null-table":
-            return _cmd_null_table(args, out)
+            return _cmd_null_table(args, out, err)
         if args.command == "power":
             return _cmd_power(args, out)
         return _cmd_verify(args, out)

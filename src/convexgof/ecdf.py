@@ -1,10 +1,10 @@
-"""Samples, empirical CDFs and the empirical Stieltjes integrals.
+"""Samples, empirical-CDF conventions, cross-sample ties and sample files.
 
-The two integral forms consumed by the test statistics are
-``integral_h_f_dg`` (integral of h(F_n) against the jump measure of G_m) and
-``integral_xi_dxi`` (integral of xi(G_m) against the jumps of Xi(F_n)).
-Everything here is rank-based: applying the same strictly increasing map to
-both samples leaves every value bit-identical.
+An empirical CDF is a count of observations over the sample size.
+``right-continuous`` counts observations <= x; ``mid`` averages the left
+and right limits, which softens the effect of ties on the step function.
+The statistics evaluate these counts from pooled ranks, so applying the same
+strictly increasing map to every sample leaves every value bit-identical.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataIngestionError, InvalidParameterError
-from .generators import eval_on_array
 
 RIGHT_CONTINUOUS = "right-continuous"
 MID = "mid"
@@ -50,47 +49,6 @@ class Sample:
         return self.values.size
 
 
-@dataclass(frozen=True)
-class EmpiricalCdf:
-    """Step-function CDF of a sample.
-
-    ``right-continuous`` counts observations <= x; ``mid`` averages the left
-    and right limits, which softens the effect of ties on the step function.
-    """
-
-    source: Sample
-    convention: str = RIGHT_CONTINUOUS
-
-    def __post_init__(self):
-        if self.convention not in CONVENTIONS:
-            raise InvalidParameterError(
-                f"unknown CDF convention '{self.convention}'; expected one of {CONVENTIONS}"
-            )
-
-    @property
-    def n(self) -> int:
-        return self.source.n
-
-    def evaluate(self, x):
-        """CDF value(s) at x via binary search on the sorted sample."""
-        scalar = np.ndim(x) == 0
-        arr = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(arr)):
-            raise InvalidParameterError("cdf evaluation requires finite x")
-        right = np.searchsorted(self.source.sorted_values, arr, side="right")
-        if self.convention == RIGHT_CONTINUOUS:
-            out = right / self.n
-        else:
-            left = np.searchsorted(self.source.sorted_values, arr, side="left")
-            out = (left + right) / (2.0 * self.n)
-        return float(out) if scalar else out
-
-
-def cdf_eval(cdf: EmpiricalCdf, x):
-    """Free-function alias for :meth:`EmpiricalCdf.evaluate`."""
-    return cdf.evaluate(x)
-
-
 def cross_tie_count(a: Sample, b: Sample) -> int:
     """Number of tied cross-sample pairs (x_i == y_j).
 
@@ -105,33 +63,6 @@ def cross_tie_count(a: Sample, b: Sample) -> int:
     cb = np.searchsorted(b.sorted_values, common, side="right") - np.searchsorted(
         b.sorted_values, common, side="left")
     return int(np.sum(ca * cb))
-
-
-def integral_h_f_dg(h, f: EmpiricalCdf, g: EmpiricalCdf) -> float:
-    """Empirical Stieltjes integral of h(F_n) against the jumps of G_m.
-
-    Equals the average of h(F_n(y)) over g's observations; evaluation runs
-    over g's sorted values so the summation order is reproducible.
-    """
-    vals = f.evaluate(g.source.sorted_values)
-    return float(np.sum(eval_on_array(h.eval, vals)) / g.n)
-
-
-def integral_xi_dxi(xi, g: EmpiricalCdf, f: EmpiricalCdf) -> float:
-    """Empirical Stieltjes integral of xi(G_m) against the jumps of Xi(F_n).
-
-    Xi(F_n) jumps by Xi(i/n) - Xi((i-1)/n) at the i-th order statistic of
-    f's sample; a value repeated r times starting at rank i contributes one
-    term with weight Xi((i+r-1)/n) - Xi((i-1)/n).
-    """
-    n = f.n
-    uniq, counts = np.unique(f.source.sorted_values, return_counts=True)
-    cum = np.cumsum(counts)
-    grid = xi.antiderivative_grid(n)
-    upper = grid[cum]
-    lower = grid[np.concatenate([[0], cum[:-1]])]
-    gvals = eval_on_array(xi.eval, g.evaluate(uniq))
-    return float(np.sum(gvals * (upper - lower)))
 
 
 def read_sample(path, label: str | None = None) -> Sample:

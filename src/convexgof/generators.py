@@ -123,6 +123,12 @@ class ValidationReport:
     first_violation: str | None = None
 
 
+def _name_token(v: float) -> str:
+    """``v`` for a generator name: ``:g`` when that reads back exactly, else ``repr``."""
+    short = f"{v:g}"
+    return short if float(short) == v else repr(float(v))
+
+
 def power_generator(m: int) -> ConvexGenerator:
     """h(u) = u^m for integer m >= 2; integral over [0,1] is 1/(m+1)."""
     if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 2:
@@ -162,7 +168,7 @@ def polynomial_generator(coeffs) -> ConvexGenerator:
         return out if np.ndim(u) else float(out)
 
     integral = float(np.sum(c / (np.arange(1, c.size + 1) + 1.0)))
-    name = "poly:" + ",".join(f"{v:g}" for v in c)
+    name = "poly:" + ",".join(_name_token(v) for v in c)
     return ConvexGenerator(name=name, eval=_eval, integral_0_1=integral)
 
 
@@ -219,7 +225,7 @@ def exp_sq_generator(alpha: float) -> LogConvexGenerator:
 
     integral_sq = adaptive_quad(lambda v: np.exp(2.0 * alpha * v * v), 0.0, 1.0)
     return LogConvexGenerator(
-        name=f"expsq:{alpha:g}",
+        name=f"expsq:{_name_token(alpha)}",
         eval=_eval,
         antiderivative=_anti,
         integral_sq_0_1=integral_sq,

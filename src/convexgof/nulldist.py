@@ -4,13 +4,14 @@ Under the null the statistics are rank-based, so their law does not depend
 on the common continuous distribution; null tables are therefore simulated
 from standard uniforms.  Replicate i draws from its own RNG stream, a
 Philox generator keyed by (seed, i) -- tables are bit-identical no matter
-how replicates are partitioned across workers.  Simulation, permutation and
-exact enumeration share one count-indexed kernel over pooled-rank labels.
+how replicates are partitioned across workers.  Tables come from the same
+count-indexed kernel that computes observed statistics (``statistics``).
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -19,19 +20,22 @@ import numpy as np
 
 from .ecdf import RIGHT_CONTINUOUS, Sample
 from .errors import ConvexGofError, InvalidParameterError
-from .generators import ConvexGenerator, LogConvexGenerator, eval_on_array
 from .statistics import (
+    K_SAMPLE,
+    KINDS,
+    TAU,
+    TWO_SAMPLE,
     StatisticValue,
     WeightVector,
+    _centering,
+    _check_kind_and_generator,
+    _group_labels,
+    _rank_statistic,
+    _tie_blocks,
     k_sample_statistic,
     tau_statistic,
     two_sample_statistic,
 )
-
-TWO_SAMPLE = "two_sample"
-K_SAMPLE = "k_sample"
-TAU = "tau"
-KINDS = (TWO_SAMPLE, K_SAMPLE, TAU)
 
 DEFAULT_B = 9999
 CHUNK = 1024  # replicates per work unit; fixed so chunking never affects values
@@ -99,107 +103,10 @@ def _uniform_block(seed: int, start: int, stop: int, count: int) -> np.ndarray:
     return out
 
 
-def _group_labels(sizes) -> np.ndarray:
-    """Group index of each pooled slot when the groups are laid end to end."""
-    return np.repeat(np.arange(len(sizes), dtype=np.min_scalar_type(len(sizes))), sizes)
-
-
-def _ragged_sums(terms, counts) -> np.ndarray:
-    """Sum of each row's terms, with ``terms`` holding the rows' entries end to end.
-
-    Rows of equal length are summed as one 2-d block, in ``np.sum``'s order for one row.
-    """
-    if counts.min() == counts.max():
-        return terms.reshape(counts.size, -1).sum(axis=1)
-    owner = np.repeat(counts, counts)  # length of the row each term belongs to
-    out = np.empty(counts.size)
-    for c in np.unique(counts):
-        out[counts == c] = terms[owner == c].reshape(-1, c).sum(axis=1)
-    return out
-
-
-def _rank_statistic(kind, generator, sizes, weights, labels, ties=None,
-                    convention=RIGHT_CONTINUOUS) -> np.ndarray:
-    """Statistic of every row of a label matrix in pooled rank order.
-
-    ``labels[r, p]`` is the group of replicate r's p-th smallest pooled value,
-    so each ECDF value is a member count and each statistic a sum of lookups
-    into the grid h(i/n), i = 0..n (h(i/2n), i = 0..2n, under ``mid``).
-    ``ties`` holds each position's tie-block start and end, or None.  Terms
-    sum in the observed-data path's order: for elementwise generators the
-    values are bit-identical to it.  Grids are evaluated after the counts.
-    """
-    nrep, width = labels.shape
-    mid = convention != RIGHT_CONTINUOUS
-    member = [labels == g for g in range(len(sizes))]
-    through = [np.cumsum(mask, axis=1, dtype=np.int32) for mask in member]  # members at or before
-    padded = None if ties is None else [np.pad(c, ((0, 0), (1, 0))).ravel() for c in through]
-
-    def count(g, at, strict=False):  # members of g valued < (strict) or <= those at flat ``at``
-        if ties is None:
-            c = np.take(through[g], at)
-            return c - np.take(member[g], at) if strict else c
-        row, col = np.divmod(at, width)
-        return np.take(padded[g], row * (width + 1) + np.take(ties[0 if strict else 1], col))
-
-    places = [np.flatnonzero(mask) for mask in member]
-    if kind == TAU and ties is not None:  # one term per distinct value, at its last member
-        places = [at[np.take(through[g], at) == count(g, at)] for g, at in enumerate(places)]
-    pairs = [(j, l) for j in range(len(sizes)) for l in range(len(sizes)) if j != l]
-    # group j's ECDF at group l's observations, as grid indices
-    indices = [count(j, places[l]) + (count(j, places[l], strict=True) if mid else 0) for j, l in pairs]
-    steps = {s: 2 * s if mid else s for s in sizes}
-    grids = {s: eval_on_array(generator.eval, np.arange(n + 1) / n) for s, n in steps.items()}
-    integrals = []
-    for (j, l), index in zip(pairs, indices):
-        terms = np.take(grids[sizes[j]], index)
-        if kind == TAU:
-            anti, at = generator.antiderivative_grid(sizes[l]), places[l]
-            terms = terms * (np.take(anti, count(l, at)) - np.take(anti, count(l, at, strict=True)))
-            integrals.append(_ragged_sums(terms, np.bincount(at // width, minlength=nrep)))
-        else:
-            integrals.append(terms.reshape(nrep, -1).sum(axis=1) / sizes[l])
-    if kind == K_SAMPLE:
-        w = weights.weights
-        raw = sum((w[j] * w[l] * integral for (j, l), integral in zip(pairs, integrals)), 0.0)
-        return raw - weights.equality_factor * generator.integral_0_1
-    centering = generator.integral_sq_0_1 if kind == TAU else generator.integral_0_1
-    return integrals[0] + integrals[1] - 2.0 * centering
-
-
 def _batch_statistic(kind, generator, sizes, weights, data) -> np.ndarray:
-    """Statistic of every row of tie-free pooled draws: one argsort, then the kernel."""
+    """Raw functional of every row of tie-free pooled draws: one argsort, then the kernel."""
     labels = np.take(_group_labels(sizes), np.argsort(data, axis=1))
     return _rank_statistic(kind, generator, sizes, weights, labels)
-
-
-def _check_kind_and_generator(kind, generator, sizes, weights):
-    if kind not in KINDS:
-        raise InvalidParameterError(f"unknown statistic kind '{kind}'; expected one of {KINDS}")
-    sizes = tuple(int(s) for s in sizes)
-    if len(sizes) == 0 or any(s < 1 for s in sizes):
-        raise InvalidParameterError(f"sample sizes must all be >= 1, got {sizes}")
-    if kind in (TWO_SAMPLE, TAU) and len(sizes) != 2:
-        raise InvalidParameterError(f"{kind} needs exactly 2 sample sizes, got {len(sizes)}")
-    if kind == K_SAMPLE:
-        if len(sizes) < 2:
-            raise InvalidParameterError("k_sample needs at least 2 sample sizes")
-        if weights is None:
-            weights = WeightVector.uniform(len(sizes))
-        elif not isinstance(weights, WeightVector):
-            weights = WeightVector(tuple(weights))
-        if len(weights) != len(sizes):
-            raise InvalidParameterError(
-                f"weight count {len(weights)} does not match sample count {len(sizes)}"
-            )
-    elif weights is not None:
-        raise InvalidParameterError(f"weights are only meaningful for {K_SAMPLE}")
-    if kind == TAU:
-        if not isinstance(generator, LogConvexGenerator):
-            raise InvalidParameterError("tau needs a log-convex generator (e.g. expsq:alpha)")
-    elif not isinstance(generator, ConvexGenerator):
-        raise InvalidParameterError(f"{kind} needs a convex generator (e.g. power:2)")
-    return sizes, weights
 
 
 def simulate_null(kind, generator, sizes, B: int, seed: int, weights=None,
@@ -229,7 +136,10 @@ def simulate_null(kind, generator, sizes, B: int, seed: int, weights=None,
 
 
 def _chunked_table(kind, generator, sizes, weights, B, seed, workers, run_chunk) -> NullTable:
-    """Run ``run_chunk(start, stop)`` over fixed replicate ranges; sort into a table."""
+    """Run ``run_chunk(start, stop)`` over fixed replicate ranges; center and sort into a table.
+
+    ``run_chunk`` returns the raw functional of its replicates.
+    """
     if not isinstance(B, (int, np.integer)) or B < 1:
         raise InvalidParameterError(f"replicate count B must be >= 1, got {B!r}")
     if kind == TAU:
@@ -242,7 +152,7 @@ def _chunked_table(kind, generator, sizes, weights, B, seed, workers, run_chunk)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(lambda t: run_chunk(*t), tasks))
-    replicates = np.sort(np.concatenate(parts))
+    replicates = np.sort(np.concatenate(parts) - _centering(kind, generator, weights))
     replicates.setflags(write=False)
     return NullTable(kind, generator.name, sizes, replicates, seed,
                      None if weights is None else weights.weights)
@@ -298,13 +208,6 @@ _OBSERVED = {
     K_SAMPLE: lambda gen, samples, w, conv: k_sample_statistic(gen, samples, w, conv),
     TAU: lambda gen, samples, w, conv: tau_statistic(gen, samples[0], samples[1], conv),
 }
-
-
-def _tie_blocks(sorted_values):
-    """Start and end (exclusive) of each position's tie block; None without ties."""
-    lo = np.searchsorted(sorted_values, sorted_values, side="left")
-    hi = np.searchsorted(sorted_values, sorted_values, side="right")
-    return None if np.all(hi - lo == 1) else (lo, hi)
 
 
 def _permutation_null(kind, generator, samples, weights, B, seed, workers, convention):
@@ -496,52 +399,73 @@ def save_table(table: NullTable, path) -> None:
     """Write a null table as a versioned CSV cache file.
 
     Metadata travels in ``# key=value`` header comments; replicates are
-    stored as hex floats so loading is bit-identical to regeneration.
+    stored as hex floats so loading is bit-identical to regeneration.  The
+    file is written beside ``path`` and renamed into place, so readers never
+    see a partial table.
     """
-    weights = "-" if table.weights is None else ",".join(repr(w) for w in table.weights)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# format_version={TABLE_FORMAT_VERSION}\n")
-        fh.write(f"# statistic_kind={table.statistic_kind}\n")
-        fh.write(f"# generator_name={table.generator_name}\n")
-        fh.write(f"# sample_sizes={','.join(str(s) for s in table.sample_sizes)}\n")
-        fh.write(f"# weights={weights}\n")
-        fh.write(f"# seed={table.seed}\n")
-        fh.write(f"# B={table.B}\n")
-        fh.write("replicate_hex\n")
-        for v in table.replicates:
-            fh.write(float(v).hex() + "\n")
+    header = {
+        "format_version": TABLE_FORMAT_VERSION,
+        "statistic_kind": table.statistic_kind,
+        "generator_name": table.generator_name,
+        "sample_sizes": ",".join(str(s) for s in table.sample_sizes),
+        "weights": "-" if table.weights is None else ",".join(repr(w) for w in table.weights),
+        "seed": table.seed,
+        "B": table.B,
+    }
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(f"# {key}={value}\n" for key, value in header.items())
+            fh.write("replicate_hex\n")
+            fh.writelines(float(v).hex() + "\n" for v in table.replicates)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_table(path) -> NullTable:
-    """Load a table written by :func:`save_table`."""
-    meta = {}
-    values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
+    """Load a table written by :func:`save_table`.
+
+    A truncated or unparsable file, a missing metadata key, or replicates
+    that are miscounted, non-finite or unsorted raise :class:`ConvexGofError`
+    naming the file.
+    """
+    meta, values = {}, []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        if not text.endswith("\n"):
+            raise ValueError("its last line is cut off")
+        for line in filter(None, map(str.strip, text.splitlines())):
             if line.startswith("#"):
                 key, _, value = line[1:].strip().partition("=")
                 meta[key.strip()] = value.strip()
             elif line != "replicate_hex":
                 values.append(float.fromhex(line))
-    version = meta.get("format_version")
-    if version != str(TABLE_FORMAT_VERSION):
-        raise ConvexGofError(
-            f"null table file '{path}' has format version {version!r}, "
-            f"expected {TABLE_FORMAT_VERSION}"
+        version = meta.get("format_version")
+        if version != str(TABLE_FORMAT_VERSION):
+            raise ConvexGofError(
+                f"null table file '{path}' has format version {version!r}, "
+                f"expected {TABLE_FORMAT_VERSION}"
+            )
+        replicates = np.asarray(values)
+        if replicates.size != int(meta["B"]):
+            raise ValueError("replicate count mismatch")
+        if not np.all(np.isfinite(replicates)) or np.any(replicates[1:] < replicates[:-1]):
+            raise ValueError("replicates are not finite and sorted")
+        weights = meta["weights"]
+        table = NullTable(
+            statistic_kind=meta["statistic_kind"],
+            generator_name=meta["generator_name"],
+            sample_sizes=tuple(int(s) for s in meta["sample_sizes"].split(",")),
+            replicates=replicates,
+            seed=int(meta["seed"]),
+            weights=None if weights == "-" else tuple(float(w) for w in weights.split(",")),
         )
-    replicates = np.asarray(values)
-    if replicates.size != int(meta["B"]):
-        raise ConvexGofError(f"null table file '{path}' is corrupt: replicate count mismatch")
+    except KeyError as exc:
+        raise ConvexGofError(f"null table file '{path}' lacks metadata key {exc}") from None
+    except ValueError as exc:
+        raise ConvexGofError(f"null table file '{path}' is corrupt: {exc}") from None
     replicates.setflags(write=False)
-    weights = meta.get("weights", "-")
-    return NullTable(
-        statistic_kind=meta["statistic_kind"],
-        generator_name=meta["generator_name"],
-        sample_sizes=tuple(int(s) for s in meta["sample_sizes"].split(",")),
-        replicates=replicates,
-        seed=int(meta["seed"]),
-        weights=None if weights == "-" else tuple(float(w) for w in weights.split(",")),
-    )
+    return table

@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import EnumerationTooLargeError, InvalidParameterError
 from .generators import adaptive_quad
-from .nulldist import CHUNK, _check_kind_and_generator, _rank_statistic
-from .statistics import WeightVector
+from .nulldist import CHUNK
+from .statistics import WeightVector, _centering, _check_kind_and_generator, _rank_statistic
 
 POP_TOL = 1e-9
 ENUMERATION_BUDGET = 10**6
@@ -221,7 +221,7 @@ def enumerate_null(kind, generator, sizes, weights=None) -> ExactNullDistributio
             f"budget of {ENUMERATION_BUDGET}"
         )
     stats = np.concatenate([_rank_statistic(kind, generator, sizes, weights, labels)
-                            for labels in _label_batches(sizes)])
+                            for labels in _label_batches(sizes)]) - _centering(kind, generator, weights)
     values, counts = np.unique(stats, return_counts=True)
     return ExactNullDistribution(kind, generator.name, sizes, values, counts / count)
 

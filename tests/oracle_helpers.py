@@ -90,7 +90,7 @@ def reference_ecdf(sorted_sample, points, convention):
 def reference_statistic(kind, gen, groups, weights, convention):
     """Statistic of observed groups by per-group searchsorted and array evaluation.
 
-    The summation order is the observed-data path's: each integral sums its
+    The summation order is the kernel's: each integral sums its
     terms over the evaluated group's sorted values (tau: over its distinct
     values) with ``np.sum``.  ``gen.eval`` is called on whole arrays, so
     generators must evaluate elementwise.

@@ -197,6 +197,27 @@ class TestNullTableCommand:
         assert cold == warm == bypass
 
 
+class TestCacheFiles:
+    @pytest.mark.parametrize("damage", [
+        lambda text: text[:-7],            # cut inside the last hex token
+        lambda text: "not a table\n",      # garbage
+    ], ids=["truncated", "garbage"])
+    def test_damaged_cache_file_is_rebuilt(self, data_files, damage):
+        tmp, x, y, _ = data_files
+        argv = ["test2", "--h", "power:2", "--x", x, "--y", y, "--B", "149",
+                "--seed", "9", "--deterministic"]
+        _, cold, _ = run_cli(argv)
+        (path,) = (tmp / "cache").glob("*.csv")
+        intact = path.read_text()
+        path.write_text(damage(intact))
+        code, rebuilt, err = run_cli(argv)
+        assert code == 0 and rebuilt == cold
+        assert err.startswith("warning:") and str(path) in err and err.count("\n") == 1
+        assert path.read_text() == intact
+        code, warm, err = run_cli(argv)
+        assert code == 0 and warm == cold and err == ""
+
+
 class TestPowerCommand:
     def test_null_power_near_level(self, data_files):
         code, out, _ = run_cli(["power", "--generator", "power:2",

@@ -2,21 +2,25 @@ import numpy as np
 import pytest
 
 from convexgof import (
+    MID,
+    RIGHT_CONTINUOUS,
+    TWO_SAMPLE,
     DataIngestionError,
-    EmpiricalCdf,
     InvalidParameterError,
     Sample,
-    cdf_eval,
     cross_tie_count,
     exp_sq_generator,
-    integral_h_f_dg,
-    integral_xi_dxi,
+    k_sample_statistic,
     log_convex_generator_from_callable,
     power_generator,
     read_sample,
+    run_test,
+    tau_statistic,
+    two_sample_statistic,
 )
 
 MONOTONE_MAPS = (np.exp, np.arctan, lambda t: t**3 + t)
+SQUARE = power_generator(2)
 
 
 def unit_xi():
@@ -48,116 +52,113 @@ class TestSample:
 
 
 class TestEmpiricalCdf:
+    """ECDF values under each convention, read off the statistics that use them."""
+
     def test_right_continuous_worked(self):
-        f = EmpiricalCdf(Sample([1.0, 3.0]))
-        assert f.evaluate(2.0) == 0.5
-        assert f.evaluate(3.0) == 1.0
-        assert f.evaluate(0.5) == 0.0
-        assert f.evaluate(10.0) == 1.0
+        # with y = {p} and h(u) = u^2: raw = h(F_x(p)) + mean of h(G_y(x_i))
+        x = Sample([1.0, 3.0])
+        for p, f_at_p, g_at_x in ((2.0, 0.5, (0.0, 1.0)), (3.0, 1.0, (0.0, 1.0)),
+                                  (0.5, 0.0, (1.0, 1.0)), (10.0, 1.0, (0.0, 0.0))):
+            raw = two_sample_statistic(SQUARE, x, Sample([p])).raw_functional
+            assert raw == f_at_p**2 + (g_at_x[0]**2 + g_at_x[1]**2) / 2
 
     def test_mid_convention_with_ties(self):
-        f = EmpiricalCdf(Sample([1.0, 2.0, 2.0, 5.0]), convention="mid")
-        assert f.evaluate(2.0) == 0.5  # (0.25 + 0.75) / 2
-
-    def test_free_function_alias(self):
-        f = EmpiricalCdf(Sample([1.0, 3.0]))
-        assert cdf_eval(f, 2.0) == f.evaluate(2.0)
-
-    def test_monotone_in_x(self):
-        rng = np.random.default_rng(42)
-        f = EmpiricalCdf(Sample(rng.normal(size=40)))
-        probes = np.sort(rng.normal(size=200))
-        vals = f.evaluate(probes)
-        assert np.all(np.diff(vals) >= 0)
-        assert np.all((vals >= 0) & (vals <= 1))
-
-    def test_rejects_non_finite_probe(self):
-        f = EmpiricalCdf(Sample([1.0]))
-        with pytest.raises(InvalidParameterError):
-            f.evaluate(float("nan"))
+        x, y = Sample([1.0, 2.0, 2.0, 5.0]), Sample([2.0])
+        # F_x(2) = (0.25 + 0.75) / 2; G_y at x is 0, 1/2, 1/2, 1
+        assert two_sample_statistic(SQUARE, x, y, "mid").raw_functional == 0.5**2 + 1.5 / 4
+        # right-continuous: F_x(2) = 3/4; G_y at x is 0, 1, 1, 1
+        assert two_sample_statistic(SQUARE, x, y).raw_functional == 0.75**2 + 3.0 / 4
 
     def test_rejects_unknown_convention(self):
-        with pytest.raises(InvalidParameterError):
-            EmpiricalCdf(Sample([1.0]), convention="left")
+        x, y = Sample([1.0, 2.0]), Sample([1.5, 3.0])
+        calls = (
+            lambda: two_sample_statistic(SQUARE, x, y, "left"),
+            lambda: k_sample_statistic(SQUARE, [x, y], convention="left"),
+            lambda: tau_statistic(exp_sq_generator(1.0), x, y, "left"),
+            lambda: run_test(TWO_SAMPLE, SQUARE, [x, y], B=9, convention="left",
+                             method="permutation"),
+        )
+        for call in calls:
+            with pytest.raises(InvalidParameterError, match="convention"):
+                call()
 
 
 class TestIntegralHFdg:
+    """The integral of h(F_n) against the jumps of G_m, as the two-sample statistic sums it."""
+
     def test_worked_values(self):
-        h = power_generator(2)
-        f = EmpiricalCdf(Sample([1.0, 3.0]))
-        g = EmpiricalCdf(Sample([2.0, 4.0]))
-        assert integral_h_f_dg(h, f, g) == 5.0 / 8.0
-        assert integral_h_f_dg(h, g, f) == 1.0 / 8.0
+        x, y = Sample([1.0, 2.0]), Sample([2.0, 3.0])
+        # right-continuous: F_x at y is 1, 1; G_y at x is 0, 1/2
+        assert two_sample_statistic(SQUARE, x, y).raw_functional == 1.0 + 0.25 / 2
+        # mid: F_x at y is 3/4, 1; G_y at x is 0, 1/4
+        assert two_sample_statistic(SQUARE, x, y, "mid").raw_functional == (
+            (0.5625 + 1.0) / 2 + 0.0625 / 2)
 
     def test_self_integral_identity(self):
-        # F integrated against its own jumps with distinct values: mean of h(i/n)
+        # a sample against itself: each side is the mean of h(i/n), or h((2i-1)/2n) under mid
         h = power_generator(3)
         rng = np.random.default_rng(0)
         for n in (1, 5, 17):
             s = Sample(rng.normal(size=n))
-            f = EmpiricalCdf(s)
-            expected = np.sum(h.eval(np.arange(1, n + 1) / n)) / n
-            assert integral_h_f_dg(h, f, f) == expected
+            right = np.sum(h.eval(np.arange(1, n + 1) / n)) / n
+            mid = np.sum(h.eval(np.arange(1, 2 * n, 2) / (2 * n))) / n
+            assert two_sample_statistic(h, s, s).raw_functional == 2.0 * right
+            assert two_sample_statistic(h, s, s, "mid").raw_functional == 2.0 * mid
 
     def test_bounded_by_h_at_one(self):
-        h = power_generator(2)
         rng = np.random.default_rng(3)
         for _ in range(20):
-            f = EmpiricalCdf(Sample(rng.normal(size=rng.integers(1, 30))))
-            g = EmpiricalCdf(Sample(rng.normal(size=rng.integers(1, 30))))
-            val = integral_h_f_dg(h, f, g)
-            assert 0.0 <= val <= h.eval(1.0)
+            x = Sample(np.round(rng.normal(size=rng.integers(1, 30)), 1))
+            y = Sample(np.round(rng.normal(size=rng.integers(1, 30)), 1))
+            for convention in (RIGHT_CONTINUOUS, MID):
+                raw = two_sample_statistic(SQUARE, x, y, convention).raw_functional
+                assert 0.0 <= raw <= 2.0 * SQUARE.eval(1.0)
 
     @pytest.mark.parametrize("transform", MONOTONE_MAPS)
     def test_monotone_transform_invariance(self, transform):
-        h = power_generator(2)
         rng = np.random.default_rng(7)
-        xs = rng.normal(size=25)
-        ys = rng.normal(size=19)
-        before = integral_h_f_dg(h, EmpiricalCdf(Sample(xs)), EmpiricalCdf(Sample(ys)))
-        after = integral_h_f_dg(
-            h, EmpiricalCdf(Sample(transform(xs))), EmpiricalCdf(Sample(transform(ys))))
-        assert before == after  # ranks unchanged, bit-identical
+        xs = np.round(rng.normal(size=25), 1)  # tied within and across samples
+        ys = np.round(rng.normal(size=19), 1)
+        for convention in (RIGHT_CONTINUOUS, MID):
+            before = two_sample_statistic(SQUARE, Sample(xs), Sample(ys), convention)
+            after = two_sample_statistic(
+                SQUARE, Sample(transform(xs)), Sample(transform(ys)), convention)
+            assert before == after  # ranks and ties unchanged, bit-identical
 
 
 class TestIntegralXiDxi:
+    """The integral of xi(G_m) against the jumps of Xi(F_n), as tau sums it."""
+
     def test_constant_xi_telescopes_to_one(self):
         xi = unit_xi()
         rng = np.random.default_rng(11)
         for n, m in ((1, 1), (4, 9), (20, 7)):
-            f = EmpiricalCdf(Sample(rng.normal(size=n)))
-            g = EmpiricalCdf(Sample(rng.normal(size=m)))
-            assert abs(integral_xi_dxi(xi, g, f) - 1.0) < 1e-12
+            for digits in (None, 0):  # tie-free, then tied
+                x, y = (rng.normal(size=k) for k in (n, m))
+                if digits is not None:
+                    x, y = np.round(x, digits), np.round(y, digits)
+                raw = tau_statistic(xi, Sample(x), Sample(y)).raw_functional
+                assert abs(raw - 2.0) < 1e-12
 
     def test_single_point_samples(self):
         xi = exp_sq_generator(1.0)
-        f = EmpiricalCdf(Sample([0.0]))
-        g = EmpiricalCdf(Sample([0.0]))
-        expected = xi.eval(1.0) * xi.antiderivative_grid(1)[1]
-        assert abs(integral_xi_dxi(xi, g, f) - expected) < 1e-14
+        # the tied pair: each ECDF is 1 at the other's point, Xi jumps by Xi(1)
+        expected = 2.0 * xi.eval(1.0) * xi.antiderivative_grid(1)[1]
+        raw = tau_statistic(xi, Sample([0.0]), Sample([0.0])).raw_functional
+        assert abs(raw - expected) < 1e-14
 
     def test_worked_example(self):
-        # xi = exp(u^2), X = {1,3}, Y = {2,4}; assembled from the erfi oracle
+        # xi = exp(u^2), X = {1,3}, Y = {2,4}; both sides assembled from the erfi oracle
         from oracle_helpers import expsq_antiderivative
 
-        xi = exp_sq_generator(1.0)
-        f = EmpiricalCdf(Sample([1.0, 3.0]))
-        g = EmpiricalCdf(Sample([2.0, 4.0]))
         xi_half = expsq_antiderivative(1.0, 0.5)
         xi_one = expsq_antiderivative(1.0, 1.0)
-        expected = 1.0 * xi_half + np.exp(0.25) * (xi_one - xi_half)
-        got = integral_xi_dxi(xi, g, f)
-        assert abs(got - expected) < 1e-9
-        assert abs(got - 1.7232918281523226) < 1e-9
-
-    def test_tied_values_collapse_to_one_jump(self):
-        xi = exp_sq_generator(1.0)
-        f = EmpiricalCdf(Sample([1.0, 1.0, 2.0]))
-        g = EmpiricalCdf(Sample([0.5, 1.5]))
-        grid = xi.antiderivative_grid(3)
-        expected = xi.eval(g.evaluate(1.0)) * (grid[2] - grid[0]) + xi.eval(
-            g.evaluate(2.0)) * (grid[3] - grid[2])
-        assert abs(integral_xi_dxi(xi, g, f) - expected) < 1e-14
+        x_jumps = 1.0 * xi_half + np.exp(0.25) * (xi_one - xi_half)  # xi(G) at 1, 3
+        y_jumps = np.exp(0.25) * xi_half + np.exp(1.0) * (xi_one - xi_half)  # xi(F) at 2, 4
+        assert abs(x_jumps - 1.7232918281523226) < 1e-9
+        raw = tau_statistic(exp_sq_generator(1.0), Sample([1.0, 3.0]),
+                            Sample([2.0, 4.0])).raw_functional
+        assert abs(raw - (x_jumps + y_jumps)) < 1e-9
 
 
 class TestCrossTieCount:

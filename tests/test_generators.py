@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from convexgof import (
+    TAU,
+    TWO_SAMPLE,
     GeneratorSpecError,
     InvalidParameterError,
     LogConvexGenerator,
     NotStrictlyConvexError,
+    Sample,
     bernstein_generator,
     convex_generator_from_callable,
     exp_sq_generator,
@@ -15,6 +18,8 @@ from convexgof import (
     parse_generator_spec,
     polynomial_generator,
     power_generator,
+    run_test,
+    simulate_null,
     validate_generator,
 )
 from convexgof.generators import adaptive_quad
@@ -249,6 +254,20 @@ class TestSpecGrammar:
         g = parse_generator_spec("bernstein:bernstein:power:2:4:8")
         assert g.name == "bernstein:bernstein:power:2:4:8"
         assert g.eval(0.0) == 0.0
+
+    def test_names_are_lossless(self):
+        for spec in ("power:2", "poly:0,1,1", "expsq:1", "bernstein:power:2:8", "poly:0.5,1.5"):
+            assert parse_generator_spec(spec).name == spec
+        for near, exact in (("poly:0,1.0000001", "poly:0,1"), ("expsq:1.0000001", "expsq:1")):
+            assert parse_generator_spec(near).name == near != parse_generator_spec(exact).name
+
+    def test_table_for_a_nearby_generator_is_rejected(self):
+        samples = [Sample([0.1, 0.5, 0.9]), Sample([0.2, 0.3, 0.7])]
+        for near, exact, kind in (("poly:0,1.0000001", "poly:0,1", TWO_SAMPLE),
+                                  ("expsq:1.0000001", "expsq:1", TAU)):
+            table = simulate_null(kind, parse_generator_spec(exact), (3, 3), B=20, seed=0)
+            with pytest.raises(InvalidParameterError, match="generator"):
+                run_test(kind, parse_generator_spec(near), samples, table=table)
 
     def test_expsq_spec_is_log_convex(self):
         g = parse_generator_spec("expsq:1.0")

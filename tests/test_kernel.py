@@ -1,4 +1,4 @@
-"""The count-indexed statistic kernel shared by simulation, permutation and enumeration."""
+"""The count-indexed statistic kernel shared by observed data, simulation, permutation and enumeration."""
 
 import hashlib
 import math
@@ -22,7 +22,8 @@ from convexgof import (
     power_generator,
     two_sample_statistic,
 )
-from convexgof.nulldist import CHUNK, _group_labels, _permutation_null, _rank_statistic, _tie_blocks
+from convexgof.nulldist import CHUNK, _permutation_null
+from convexgof.statistics import _centering, _group_labels, _rank_statistic, _tie_blocks
 from convexgof.oracle import _label_batches
 
 from oracle_helpers import reference_statistic
@@ -70,7 +71,7 @@ def test_kernel_equals_reference_bit_for_bit(case):
         w = None if weights is None else weights.weights
         expected.append(reference_statistic(kind, gen, groups, w, convention))
     got = _rank_statistic(kind, gen, sizes, weights, np.array(labels),
-                          _tie_blocks(pooled[order]), convention)
+                          _tie_blocks(pooled[order]), convention) - _centering(kind, gen, weights)
     assert list(got) == expected
 
 

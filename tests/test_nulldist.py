@@ -103,7 +103,7 @@ class TestSimulateNull:
         assert t.weights == WeightVector.uniform(3).weights
 
     def test_simulated_k_sample_matches_observed_path(self):
-        # the count-indexed kernel and the ECDF path must agree bit for bit
+        # tie-free simulated draws and observed samples must reach the kernel alike
         from convexgof import k_sample_statistic
         from convexgof.nulldist import _batch_statistic
 
@@ -115,7 +115,7 @@ class TestSimulateNull:
         splits = np.cumsum(sizes)[:-1]
         for row in range(50):
             parts = np.split(data[row], splits)
-            observed = k_sample_statistic(SQUARE, [Sample(p) for p in parts], w).value
+            observed = k_sample_statistic(SQUARE, [Sample(p) for p in parts], w).raw_functional
             assert batch[row] == observed
 
     def test_simulated_tau_matches_observed_path(self):
@@ -129,7 +129,7 @@ class TestSimulateNull:
         batch = _batch_statistic(TAU, xi, sizes, None, data)
         for row in range(40):
             x, y = data[row, :6], data[row, 6:]
-            observed = tau_statistic(xi, Sample(x), Sample(y)).value
+            observed = tau_statistic(xi, Sample(x), Sample(y)).raw_functional
             assert batch[row] == observed
 
     def test_invalid_parameters(self):
@@ -355,3 +355,39 @@ class TestTableSerialization:
 
         with pytest.raises(ConvexGofError, match="format version"):
             load_table(path)
+
+    def test_truncated_file_rejected_at_every_cut(self, tmp_path):
+        from convexgof import ConvexGofError
+
+        path = tmp_path / "table.csv"
+        save_table(simulate_null(TWO_SAMPLE, SQUARE, (3, 3), B=10, seed=0), path)
+        text = path.read_text()
+        for cut in range(1, 3 * len(text.splitlines()[-1])):
+            path.write_text(text[:-cut])
+            with pytest.raises(ConvexGofError, match="table.csv"):
+                load_table(path)
+
+    @pytest.mark.parametrize("damage", [
+        lambda lines: lines[:-1] + ["0x1.zz"],             # not a hex float
+        lambda lines: [l for l in lines if not l.startswith("# seed=")],  # missing key
+        lambda lines: lines[:-1],                          # count mismatch
+        lambda lines: lines[:-2] + lines[-1:] + lines[-2:-1],  # unsorted
+        lambda lines: lines[:-1] + ["inf"],                # non-finite
+        lambda lines: ["garbage"] * 5,
+    ], ids=["token", "key", "count", "unsorted", "non_finite", "garbage"])
+    def test_damaged_file_rejected(self, tmp_path, damage):
+        from convexgof import ConvexGofError
+
+        path = tmp_path / "table.csv"
+        save_table(simulate_null(TWO_SAMPLE, SQUARE, (3, 3), B=10, seed=0), path)
+        path.write_text("\n".join(damage(path.read_text().splitlines())) + "\n")
+        with pytest.raises(ConvexGofError, match="table.csv"):
+            load_table(path)
+
+    def test_save_replaces_in_place(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("stale\n")
+        table = simulate_null(TWO_SAMPLE, SQUARE, (3, 3), B=10, seed=0)
+        save_table(table, path)
+        assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+        assert np.array_equal(load_table(path).replicates, table.replicates)

@@ -1,13 +1,18 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from convexgof import (
+    TWO_SAMPLE,
     InvalidParameterError,
     Sample,
     WeightVector,
+    enumerate_null,
     exp_sq_generator,
     k_sample_statistic,
     log_convex_generator_from_callable,
+    parse_generator_spec,
     power_generator,
     tau_statistic,
     two_sample_statistic,
@@ -86,6 +91,18 @@ class TestTwoSampleStatistic:
     def test_tie_count_reported(self):
         s = two_sample_statistic(power_generator(2), Sample([1.0, 2.0]), Sample([2.0, 3.0]))
         assert s.tie_count == 1
+
+    @pytest.mark.parametrize("sizes", [(6, 6), (5, 7)])
+    def test_bernstein_observed_values_are_exact_pmf_atoms(self, sizes):
+        # Bernstein eval rounds differently by array shape; the observed path
+        # must share the enumeration's grid so its values hit the atoms exactly
+        h = parse_generator_spec("bernstein:power:2:8")
+        atoms = set(enumerate_null(TWO_SAMPLE, h, sizes).values.tolist())
+        ranks = range(sum(sizes))
+        for chosen in combinations(ranks, sizes[0]):
+            rest = [r for r in ranks if r not in chosen]
+            value = two_sample_statistic(h, Sample(chosen), Sample(rest)).value
+            assert value in atoms
 
 
 class TestKSampleStatistic:
@@ -166,6 +183,16 @@ class TestTauStatistic:
                 lambda u: expsq_antiderivative(1.0, u),
                 expsq_square_integral(1.0), xs, ys)
             assert abs(got - want) < 1e-9
+
+    def test_tied_values_collapse_to_one_jump(self):
+        xi = exp_sq_generator(1.0)
+        s = tau_statistic(xi, Sample([1.0, 1.0, 2.0]), Sample([0.5, 1.5]))
+        x_grid, y_grid = xi.antiderivative_grid(3), xi.antiderivative_grid(2)
+        # x's tied pair is one jump Xi(2/3) - Xi(0), weighted by xi(G_y(1)) = xi(1/2)
+        expected = (xi.eval(0.5) * (x_grid[2] - x_grid[0]) + xi.eval(1.0) * (x_grid[3] - x_grid[2])
+                    + xi.eval(0.0) * (y_grid[1] - y_grid[0]) + xi.eval(2.0 / 3.0) * (y_grid[2] - y_grid[1]))
+        assert abs(s.raw_functional - expected) < 1e-14
+        assert abs(s.raw_functional - 4.833200104750235) < 1e-12
 
     def test_monotone_transform_invariance(self):
         xi = exp_sq_generator(1.0)
