@@ -174,19 +174,32 @@ def _cache_path(args, kind, sizes, weights):
         base = Path(os.environ.get("XDG_CACHE_HOME", Path.home() / ".cache")) / "convexgof"
     wtxt = "-" if weights is None else ",".join(repr(w) for w in weights.weights)
     key = "|".join([kind, args.generator_spec, ",".join(map(str, sizes)), wtxt,
-                    str(args.B), str(args.seed), "v1"])
+                    str(args.B), str(args.seed), "v2"])
     digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
     return Path(base) / f"{digest}.csv"
 
 
 def _table_via_cache(args, kind, generator, sizes, weights, err):
-    """The requested table from the cache, or simulated and cached; a bad file is a miss."""
+    """The requested table from the cache, or simulated and cached.
+
+    A file that fails to load, or holds a table built for another request,
+    is a miss.
+    """
     path = _cache_path(args, kind, sizes, weights)
     if path is not None and path.exists():
         try:
-            return load_table(path), True
+            cached = load_table(path)
         except ConvexGofError as exc:
             err.write(f"warning: {exc}; rebuilding it\n")
+        else:
+            found = (cached.statistic_kind, cached.generator_name, cached.sample_sizes,
+                     cached.weights, cached.B, cached.seed)
+            wanted = (kind, generator.name, tuple(sizes),
+                      None if weights is None else weights.weights, args.B, args.seed)
+            if found == wanted:
+                return cached, True
+            err.write(f"warning: null table file '{path}' holds (kind, generator, sizes, "
+                      f"weights, B, seed) = {found}, not {wanted}; rebuilding it\n")
     table = simulate_null(kind, generator, sizes, B=args.B, seed=args.seed,
                           weights=weights, workers=args.workers)
     if path is not None:

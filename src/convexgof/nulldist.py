@@ -2,10 +2,12 @@
 
 Under the null the statistics are rank-based, so their law does not depend
 on the common continuous distribution; null tables are therefore simulated
-from standard uniforms.  Replicate i draws from its own RNG stream, a
-Philox generator keyed by (seed, i) -- tables are bit-identical no matter
-how replicates are partitioned across workers.  Tables come from the same
-count-indexed kernel that computes observed statistics (``statistics``).
+from standard uniforms.  A table is built in chunks whose length depends
+only on the pooled sample size; chunk c draws its whole block from its own
+RNG stream, a Philox generator keyed by (seed, c), so tables are
+bit-identical however the chunks are spread across workers.  Tables come
+from the same count-indexed kernel that computes observed statistics
+(``statistics``).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 
 from .ecdf import RIGHT_CONTINUOUS, Sample
 from .errors import ConvexGofError, InvalidParameterError
+from .generators import _name_token
 from .statistics import (
     K_SAMPLE,
     KINDS,
@@ -38,8 +41,9 @@ from .statistics import (
 )
 
 DEFAULT_B = 9999
-CHUNK = 1024  # replicates per work unit; fixed so chunking never affects values
-TABLE_FORMAT_VERSION = 1
+CHUNK = 1024  # most replicates per work unit
+CHUNK_ELEMENTS = 2**22  # most pooled draws per work unit, which bounds its memory
+TABLE_FORMAT_VERSION = 2
 MAX_SEED = 2**64
 
 
@@ -72,7 +76,11 @@ class TestReport:
 
 
 def replicate_stream(seed: int, index: int) -> np.random.Generator:
-    """The RNG stream owned by replicate ``index`` of a table seeded ``seed``."""
+    """The RNG stream of work unit ``index`` under ``seed``.
+
+    A work unit is one chunk of a null table (see :func:`_chunk_rows`) or the
+    data of one power-study trial.
+    """
     return np.random.Generator(np.random.Philox(key=[seed, index]))
 
 
@@ -82,25 +90,13 @@ def _check_seed(seed) -> int:
     return int(seed)
 
 
-def _uniform_block(seed: int, start: int, stop: int, count: int) -> np.ndarray:
-    """Uniform draws for replicates [start, stop), one row per replicate.
+def _chunk_rows(total: int) -> int:
+    """Replicates per table chunk at ``total`` pooled observations.
 
-    Row i reproduces ``replicate_stream(seed, i).random(count)`` exactly;
-    the Philox state is reassigned in place to skip per-replicate generator
-    construction.
+    A pure function of the sizes, so the chunk that holds a replicate, and
+    with it the stream it draws from, never depends on ``workers``.
     """
-    bitgen = np.random.Philox(key=[seed, 0])
-    gen = np.random.Generator(bitgen)
-    out = np.empty((stop - start, count))
-    for row, index in enumerate(range(start, stop)):
-        state = bitgen.state
-        state["state"]["key"][0] = seed
-        state["state"]["key"][1] = index
-        state["state"]["counter"][:] = 0
-        state["buffer_pos"] = 4
-        bitgen.state = state
-        out[row] = gen.random(count)
-    return out
+    return min(CHUNK, max(1, CHUNK_ELEMENTS // total))
 
 
 def _batch_statistic(kind, generator, sizes, weights, data) -> np.ndarray:
@@ -126,8 +122,8 @@ def simulate_null(kind, generator, sizes, B: int, seed: int, weights=None,
     seed = _check_seed(seed)
     total = int(sum(sizes))
 
-    def run_chunk(start, stop):
-        data = _uniform_block(seed, start, stop, total)
+    def run_chunk(chunk, rows):
+        data = replicate_stream(seed, chunk).random((rows, total))
         if transform is not None:
             data = transform(data)
         return _batch_statistic(kind, generator, sizes, weights, data)
@@ -136,8 +132,9 @@ def simulate_null(kind, generator, sizes, B: int, seed: int, weights=None,
 
 
 def _chunked_table(kind, generator, sizes, weights, B, seed, workers, run_chunk) -> NullTable:
-    """Run ``run_chunk(start, stop)`` over fixed replicate ranges; center and sort into a table.
+    """Run ``run_chunk(chunk, rows)`` over the table's chunks; center and sort into a table.
 
+    Every chunk but the last holds ``_chunk_rows`` of the pooled size;
     ``run_chunk`` returns the raw functional of its replicates.
     """
     if not isinstance(B, (int, np.integer)) or B < 1:
@@ -146,7 +143,8 @@ def _chunked_table(kind, generator, sizes, weights, B, seed, workers, run_chunk)
         # warm the antiderivative cache before any worker threads share it
         for s in set(sizes):
             generator.antiderivative_grid(s)
-    tasks = [(a, min(a + CHUNK, B)) for a in range(0, B, CHUNK)]
+    rows = _chunk_rows(sum(sizes))
+    tasks = [(a // rows, min(rows, B - a)) for a in range(0, B, rows)]
     if workers <= 1 or len(tasks) == 1:
         parts = [run_chunk(*t) for t in tasks]
     else:
@@ -214,20 +212,17 @@ def _permutation_null(kind, generator, samples, weights, B, seed, workers, conve
     """Null table from permutations of the pooled observed data.
 
     Fallback for tied data, where continuous uniforms miss the observed step
-    functions.  Replicate i splits ``replicate_stream(seed, i).permutation(pooled)``
-    into the groups; chunks go to the kernel with the pooled tie blocks.
+    functions.  Chunk c shuffles each row of a group-label matrix with
+    ``replicate_stream(seed, c).permuted``; a row gives the group of each
+    pooled value in sorted order.  Chunks go to the kernel with the pooled
+    tie blocks.
     """
-    pooled = np.concatenate([s.values for s in samples])
-    sizes, total = tuple(s.n for s in samples), pooled.size
-    order = np.argsort(pooled, kind="stable")
-    ties, slot_group = _tie_blocks(pooled[order]), _group_labels(sizes)
+    sizes = tuple(s.n for s in samples)
+    ties = _tie_blocks(np.sort(np.concatenate([s.values for s in samples])))
+    slot_group = _group_labels(sizes)
 
-    def run_chunk(start, stop):
-        # permutation(pooled) == pooled[permutation(total)]: pooled value perm[q] lands in slot q
-        perms = np.array([replicate_stream(seed, i).permutation(total) for i in range(start, stop)])
-        slot = np.empty_like(perms)
-        np.put_along_axis(slot, perms, np.arange(total), axis=1)
-        labels = slot_group[slot[:, order]]
+    def run_chunk(chunk, rows):
+        labels = replicate_stream(seed, chunk).permuted(np.tile(slot_group, (rows, 1)), axis=1)
         return _rank_statistic(kind, generator, sizes, weights, labels, ties, convention)
 
     return _chunked_table(kind, generator, sizes, weights, B, seed, workers, run_chunk)
@@ -386,7 +381,7 @@ def power_study(kind, generator, alternative, sizes, B_null: int, B_power: int,
     return PowerStudyResult(
         statistic_kind=kind,
         generator_name=generator.name,
-        alternative=alt[0] + f":{alt[1]:g}",
+        alternative=f"{alt[0]}:{_name_token(alt[1])}",
         sample_sizes=sizes,
         B_null=int(B_null),
         B_power=int(B_power),

@@ -217,6 +217,25 @@ class TestCacheFiles:
         code, warm, err = run_cli(argv)
         assert code == 0 and warm == cold and err == ""
 
+    @pytest.mark.parametrize("changed", ["sizes", "seed"])
+    def test_cache_file_of_another_request_is_rebuilt(self, data_files, changed):
+        tmp, x, _, z = data_files
+
+        def argv(y=z, seed="9"):
+            return ["test2", "--h", "power:2", "--x", z, "--y", y, "--B", "149",
+                    "--seed", seed, "--deterministic"]
+
+        _, cold, _ = run_cli(argv())
+        (path,) = (tmp / "cache").glob("*.csv")
+        intact = path.read_text()
+        assert run_cli(argv(y=x) if changed == "sizes" else argv(seed="10"))[0] == 0
+        (foreign,) = set((tmp / "cache").glob("*.csv")) - {path}
+        path.write_text(foreign.read_text())
+        code, rebuilt, err = run_cli(argv())
+        assert code == 0 and rebuilt == cold
+        assert err.startswith("warning:") and str(path) in err and err.count("\n") == 1
+        assert path.read_text() == intact
+
 
 class TestPowerCommand:
     def test_null_power_near_level(self, data_files):

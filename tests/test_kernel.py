@@ -22,7 +22,7 @@ from convexgof import (
     power_generator,
     two_sample_statistic,
 )
-from convexgof.nulldist import CHUNK, _permutation_null
+from convexgof.nulldist import CHUNK, _chunk_rows, _permutation_null, replicate_stream
 from convexgof.statistics import _centering, _group_labels, _rank_statistic, _tie_blocks
 from convexgof.oracle import _label_batches
 
@@ -92,8 +92,9 @@ def test_label_batches_cover_every_assignment_once(sizes):
     assert all(np.array_equal(np.bincount(row, minlength=len(sizes)), sizes) for row in rows[:50])
 
 
-# sha256 digests of results computed by the per-replicate observed-data
-# statistic path that the kernel replaced; the kernel must reproduce them.
+# sha256 digests of enumerated pmfs, computed by the per-replicate
+# observed-data statistic path that the kernel replaced; the kernel must
+# reproduce them.  Permutation digests pin the (seed, chunk) stream contract.
 
 def _table_digest(values):
     return hashlib.sha256(np.ascontiguousarray(values, dtype="<f8").tobytes()).hexdigest()
@@ -117,12 +118,12 @@ def test_enumerated_pmf_digests(kind, spec, sizes, digest):
 
 
 PERMUTATION_DIGESTS = {
-    (TWO_SAMPLE, RIGHT_CONTINUOUS): "4f9a28df48b6ff74045ca67d7f56d7ffe274f67c6d59a37494750a6247855ee6",
-    (K_SAMPLE, RIGHT_CONTINUOUS): "9672faa926f8b29235cf30d0ba298e3c917212cc1490f740aaa0c40f9cd407fa",
-    (TAU, RIGHT_CONTINUOUS): "af1f31b293abee8b95aca0c257fa7618bfdf0cf3269e539b102908367dbba66c",
-    (TWO_SAMPLE, MID): "9e8f5ba9d867366ad79914e40c596480c7e46a984ac9921383c338f0be09fa1c",
-    (K_SAMPLE, MID): "cffb554701e804b5ab616805b55c5d4d6dccdf2515941bac91e6abed385b190b",
-    (TAU, MID): "e51fb646a5100f3aada25a90ccd96d2aa524df4e249447929049731485bc85b7",
+    (TWO_SAMPLE, RIGHT_CONTINUOUS): "08655d7f51d2073c0071b2f15305e00b3015192448bc3cda32eb6c0050e6afbd",
+    (K_SAMPLE, RIGHT_CONTINUOUS): "30bcbe3f4f57c124365b4702ee699b086c883dd97bc07cef4352abbf9e8af74e",
+    (TAU, RIGHT_CONTINUOUS): "0ca1038ea2dd828737ea540aaeddcd6f40169ae1d82fba6a3bacee57347639ec",
+    (TWO_SAMPLE, MID): "dadadd89278c55930d3ebaf05f57564bb2d93f4de1042f7bdd082dbc238957cf",
+    (K_SAMPLE, MID): "731ac58f25bad77f3910d1ba26cc11b07e73eaaa4096eeffc5ddccd38c6eab51",
+    (TAU, MID): "6e4ef265e38910abfc8af0941753d11b4bcc4101bf5cbc369afb3b3019cf18e5",
 }
 
 
@@ -137,8 +138,17 @@ def test_permutation_table_digests(kind, convention):
         K_SAMPLE: ("poly:0,1,1", groups, WeightVector((0.2, 0.3, 0.5))),
         TAU: ("expsq:1", [x, y], None),
     }[kind]
-    table = _permutation_null(kind, parse_generator_spec(spec), [Sample(s) for s in samples],
-                              weights, 300, 11, 1, convention)
+    gen, sizes = parse_generator_spec(spec), tuple(len(s) for s in samples)
+    table = _permutation_null(kind, gen, [Sample(s) for s in samples], weights, 300, 11, 1,
+                              convention)
+    # one chunk; row r of its shuffled label matrix assigns the sorted pooled values to groups
+    assert _chunk_rows(sum(sizes)) >= 300
+    pooled = np.sort(np.concatenate(samples))
+    labels = replicate_stream(11, 0).permuted(np.tile(_group_labels(sizes), (300, 1)), axis=1)
+    w = None if weights is None else weights.weights
+    expected = sorted(reference_statistic(kind, gen, [pooled[row == g] for g in range(len(sizes))],
+                                          w, convention) for row in labels)
+    assert list(table.replicates) == expected
     assert _table_digest(table.replicates) == PERMUTATION_DIGESTS[(kind, convention)]
 
 

@@ -24,7 +24,7 @@ from convexgof import (
     simulate_null,
     two_sample_statistic,
 )
-from convexgof.nulldist import _uniform_block, parse_alternative
+from convexgof.nulldist import CHUNK, TABLE_FORMAT_VERSION, parse_alternative
 
 SQUARE = power_generator(2)
 
@@ -44,9 +44,12 @@ class TestReplicateStreams:
         assert np.array_equal(a, b)
 
     def test_block_matches_streams(self):
-        block = _uniform_block(42, 3, 9, 11)
-        for row, index in enumerate(range(3, 9)):
-            assert np.array_equal(block[row], replicate_stream(42, index).random(11))
+        # at 10 pooled observations a chunk holds CHUNK rows; chunk c draws one block
+        values = [two_sample_statistic(SQUARE, Sample(row[:5]), Sample(row[5:])).value
+                  for c, rows in enumerate((CHUNK, CHUNK, 5))
+                  for row in replicate_stream(42, c).random((rows, 10))]
+        table = simulate_null(TWO_SAMPLE, SQUARE, (5, 5), B=2 * CHUNK + 5, seed=42)
+        assert np.array_equal(table.replicates, np.sort(values))
 
     def test_distinct_indices_distinct_draws(self):
         assert not np.array_equal(replicate_stream(1, 0).random(8),
@@ -77,6 +80,19 @@ class TestSimulateNull:
         base = simulate_null(TWO_SAMPLE, SQUARE, (10, 10), B=2500, seed=5, workers=1)
         other = simulate_null(TWO_SAMPLE, SQUARE, (10, 10), B=2500, seed=5, workers=workers)
         assert np.array_equal(base.replicates, other.replicates)
+
+    def test_chunk_memory_is_bounded(self):
+        shapes = []
+
+        def record(block):
+            shapes.append(block.shape)
+            return block
+
+        one, two = (simulate_null(TWO_SAMPLE, SQUARE, (3000, 3000), B=1500, seed=3,
+                                  workers=workers, transform=record) for workers in (1, 2))
+        assert sum(rows for rows, _ in shapes) == 2 * 1500
+        assert all(rows * cols <= 2**22 for rows, cols in shapes)
+        assert np.array_equal(one.replicates, two.replicates)
 
     @pytest.mark.parametrize("transform", [np.exp, np.arctan])
     def test_distribution_freeness(self, transform):
@@ -323,6 +339,13 @@ class TestPowerStudy:
             power_study(TWO_SAMPLE, SQUARE, "wiggle:1", (10, 10),
                         B_null=9, B_power=5, seed=0)
 
+    def test_alternative_name_is_lossless(self):
+        names = {spec: power_study(TWO_SAMPLE, SQUARE, spec, (3, 3), B_null=9, B_power=1,
+                                   seed=0).alternative
+                 for spec in ("shift:0.5", "shift:0.50000001")}
+        assert names["shift:0.5"] == "shift:0.5"
+        assert parse_alternative(names["shift:0.50000001"]) == ("shift", 0.50000001)
+
     def test_lehmann_alternative_parses(self):
         assert parse_alternative("lehmann:2") == ("lehmann", 2.0)
 
@@ -349,12 +372,14 @@ class TestTableSerialization:
         table = simulate_null(TWO_SAMPLE, SQUARE, (3, 3), B=10, seed=0)
         path = tmp_path / "table.csv"
         save_table(table, path)
-        tampered = path.read_text().replace("format_version=1", "format_version=99")
-        path.write_text(tampered)
+        intact = path.read_text()
         from convexgof import ConvexGofError
 
-        with pytest.raises(ConvexGofError, match="format version"):
-            load_table(path)
+        for version in (1, 99):  # a file from an older stream contract, and a future one
+            path.write_text(intact.replace(f"format_version={TABLE_FORMAT_VERSION}",
+                                           f"format_version={version}"))
+            with pytest.raises(ConvexGofError, match="format version"):
+                load_table(path)
 
     def test_truncated_file_rejected_at_every_cut(self, tmp_path):
         from convexgof import ConvexGofError
