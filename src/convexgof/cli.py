@@ -31,6 +31,7 @@ from .nulldist import (
     KINDS,
     TAU,
     TWO_SAMPLE,
+    _request_identity,
     load_table,
     power_study,
     run_test,
@@ -192,10 +193,8 @@ def _table_via_cache(args, kind, generator, sizes, weights, err):
         except ConvexGofError as exc:
             err.write(f"warning: {exc}; rebuilding it\n")
         else:
-            found = (cached.statistic_kind, cached.generator_name, cached.sample_sizes,
-                     cached.weights, cached.B, cached.seed)
-            wanted = (kind, generator.name, tuple(sizes),
-                      None if weights is None else weights.weights, args.B, args.seed)
+            found = cached.identity
+            wanted = _request_identity(kind, generator, sizes, weights, args.B, args.seed)
             if found == wanted:
                 return cached, True
             err.write(f"warning: null table file '{path}' holds (kind, generator, sizes, "

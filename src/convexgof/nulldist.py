@@ -62,6 +62,18 @@ class NullTable:
     def B(self) -> int:
         return self.replicates.size
 
+    @property
+    def identity(self) -> tuple:
+        """(kind, generator name, sizes, weights, B, seed): the request it answers."""
+        return (self.statistic_kind, self.generator_name, tuple(self.sample_sizes),
+                self.weights, self.B, self.seed)
+
+
+def _request_identity(kind, generator, sizes, weights=None, B=None, seed=None) -> tuple:
+    """``NullTable.identity`` of the table a request builds (default weights: uniform)."""
+    sizes, weights = _check_kind_and_generator(kind, generator, sizes, weights)
+    return (kind, generator.name, sizes, None if weights is None else weights.weights, B, seed)
+
 
 @dataclass(frozen=True)
 class TestReport:
@@ -248,14 +260,10 @@ def run_test(kind, generator, samples, weights=None, B: int = DEFAULT_B, seed: i
         raise InvalidParameterError(f"unknown method '{method}'; expected simulation or permutation")
     observed = _OBSERVED[kind](generator, samples, weights, convention)
     if table is not None:
-        built = (table.statistic_kind, tuple(table.sample_sizes), table.generator_name,
-                 None if table.weights is None else tuple(table.weights))
-        wanted = (kind, sizes, generator.name, None if weights is None else weights.weights)
+        built, wanted = table.identity[:4], _request_identity(kind, generator, sizes, weights)[:4]
         if built != wanted:
-            raise InvalidParameterError(
-                f"null table is for (kind, sizes, generator, weights) = {built}, "
-                f"but the data needs {wanted}"
-            )
+            raise InvalidParameterError(f"null table is for (kind, generator, sizes, weights) "
+                                        f"= {built}, but the data needs {wanted}")
     elif method == "simulation":
         table = simulate_null(kind, generator, sizes, B=B, seed=seed,
                               weights=weights, workers=workers)
@@ -378,16 +386,8 @@ def power_study(kind, generator, alternative, sizes, B_null: int, B_power: int,
     for a, count in rejections.items():
         est = count / B_power
         power[a] = (est, math.sqrt(est * (1.0 - est) / B_power))
-    return PowerStudyResult(
-        statistic_kind=kind,
-        generator_name=generator.name,
-        alternative=f"{alt[0]}:{_name_token(alt[1])}",
-        sample_sizes=sizes,
-        B_null=int(B_null),
-        B_power=int(B_power),
-        seed=seed,
-        power=power,
-    )
+    return PowerStudyResult(kind, generator.name, f"{alt[0]}:{_name_token(alt[1])}", sizes,
+                            int(B_null), int(B_power), seed, power)
 
 
 def save_table(table: NullTable, path) -> None:

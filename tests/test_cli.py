@@ -237,6 +237,19 @@ class TestCacheFiles:
         assert path.read_text() == intact
 
 
+    def test_default_weight_k_sample_table_is_a_hit(self, data_files):
+        tmp, x, y, z = data_files
+        argv = ["testk", "--h", "power:2", "--inputs", x, y, z, "--B", "149",
+                "--seed", "9", "--deterministic"]
+        code, cold, err = run_cli(argv)
+        assert code == 0 and err == ""
+        (path,) = (tmp / "cache").glob("*.csv")
+        stamp = path.stat().st_mtime_ns
+        code, warm, err = run_cli(argv)
+        assert code == 0 and warm == cold and err == ""
+        assert path.stat().st_mtime_ns == stamp
+
+
 class TestPowerCommand:
     def test_null_power_near_level(self, data_files):
         code, out, _ = run_cli(["power", "--generator", "power:2",
