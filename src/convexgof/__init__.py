@@ -24,6 +24,7 @@ from .errors import (
     GeneratorSpecError,
     InvalidParameterError,
     NotStrictlyConvexError,
+    NumericalError,
     QuadratureError,
 )
 from .generators import (
@@ -107,6 +108,6 @@ __all__ = [
     "ExactNullDistribution", "run_battery", "battery_to_csv", "BatteryCase",
     # errors
     "ConvexGofError", "InvalidParameterError", "NotStrictlyConvexError",
-    "GeneratorSpecError", "DataIngestionError", "QuadratureError",
+    "GeneratorSpecError", "DataIngestionError", "NumericalError", "QuadratureError",
     "EnumerationTooLargeError",
 ]

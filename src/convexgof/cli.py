@@ -1,12 +1,14 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification battery failure, 2 configuration
-error, 3 data error, 4 numerical failure.
+error (including a path that cannot be read or written), 3 data error,
+4 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import datetime
 import hashlib
 import json
@@ -22,13 +24,14 @@ from .errors import (
     EnumerationTooLargeError,
     GeneratorSpecError,
     InvalidParameterError,
-    QuadratureError,
+    NumericalError,
 )
 from .generators import ConvexGenerator, LogConvexGenerator, parse_generator_spec
 from .nulldist import (
     DEFAULT_B,
     K_SAMPLE,
     KINDS,
+    TABLE_FORMAT_VERSION,
     TAU,
     TWO_SAMPLE,
     _request_identity,
@@ -93,7 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="RNG seed (unsigned 64-bit)")
         if levels:
             p.add_argument("--levels", default="0.05,0.01", help="comma-separated test levels")
-        p.add_argument("--workers", type=int, default=1, help="worker threads for simulation")
         p.add_argument("--format", choices=("json", "csv"), default="json", dest="output_format")
         p.add_argument("--deterministic", action="store_true",
                        help="suppress the timestamp so output is byte-reproducible")
@@ -147,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--B-power", type=int, default=500, dest="B_power")
     pp.add_argument("--seed", type=int, default=0)
     pp.add_argument("--levels", default="0.05")
-    pp.add_argument("--workers", type=int, default=1)
     pp.add_argument("--format", choices=("json", "csv"), default="json", dest="output_format")
     pp.add_argument("--deterministic", action="store_true")
 
@@ -167,44 +168,40 @@ def _generator_for(kind, spec):
     return generator
 
 
-def _cache_path(args, kind, sizes, weights):
-    if getattr(args, "no_cache", False):
+def _cache_path(args, identity):
+    """Cache file of the table with ``NullTable.identity`` ``identity``; None with --no-cache."""
+    if args.no_cache:
         return None
-    base = getattr(args, "cache_dir", None) or os.environ.get(CACHE_ENV)
+    base = args.cache_dir or os.environ.get(CACHE_ENV)
     if base is None:
         base = Path(os.environ.get("XDG_CACHE_HOME", Path.home() / ".cache")) / "convexgof"
-    wtxt = "-" if weights is None else ",".join(repr(w) for w in weights.weights)
-    key = "|".join([kind, args.generator_spec, ",".join(map(str, sizes)), wtxt,
-                    str(args.B), str(args.seed), "v2"])
-    digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
-    return Path(base) / f"{digest}.csv"
+    key = repr((identity, TABLE_FORMAT_VERSION))
+    return Path(base) / f"{hashlib.sha256(key.encode('utf-8')).hexdigest()}.csv"
 
 
 def _table_via_cache(args, kind, generator, sizes, weights, err):
-    """The requested table from the cache, or simulated and cached.
+    """The requested table, whether it came from the cache, and its cache file.
 
-    A file that fails to load, or holds a table built for another request,
-    is a miss.
+    A missing table is simulated and cached.  A file that fails to load, or
+    holds a table built for another request, is a miss.
     """
-    path = _cache_path(args, kind, sizes, weights)
+    wanted = _request_identity(kind, generator, sizes, weights, args.B, args.seed)
+    path = _cache_path(args, wanted)
     if path is not None and path.exists():
         try:
             cached = load_table(path)
         except ConvexGofError as exc:
             err.write(f"warning: {exc}; rebuilding it\n")
         else:
-            found = cached.identity
-            wanted = _request_identity(kind, generator, sizes, weights, args.B, args.seed)
-            if found == wanted:
-                return cached, True
+            if cached.identity == wanted:
+                return cached, True, path
             err.write(f"warning: null table file '{path}' holds (kind, generator, sizes, "
-                      f"weights, B, seed) = {found}, not {wanted}; rebuilding it\n")
-    table = simulate_null(kind, generator, sizes, B=args.B, seed=args.seed,
-                          weights=weights, workers=args.workers)
+                      f"weights, B, seed) = {cached.identity}, not {wanted}; rebuilding it\n")
+    table = simulate_null(kind, generator, sizes, B=args.B, seed=args.seed, weights=weights)
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
         save_table(table, path)
-    return table, False
+    return table, False, path
 
 
 def _report_dict(args, kind, report, inputs):
@@ -237,18 +234,24 @@ def _report_dict(args, kind, report, inputs):
         },
         "warnings": list(report.warnings),
     }
-    if not args.deterministic:
-        doc["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     return doc
 
 
-def _emit_report(args, doc, out):
+def _emit(args, out, doc, csv_rows):
+    """Write ``doc`` as JSON, or the rows ``csv_rows(doc)`` as CSV.
+
+    ``doc`` gets a timestamp unless ``--deterministic``.
+    """
+    if not args.deterministic:
+        doc["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     if args.output_format == "json":
         json.dump(doc, out, indent=2)
         out.write("\n")
-        return
-    import csv
+    else:
+        csv.writer(out).writerows(csv_rows(doc))
 
+
+def _report_csv(doc):
     stat = doc["statistic"]
     header = ["command", "generator", "value", "raw_functional", "centering_constant",
               "tie_count", "p_value"]
@@ -259,9 +262,7 @@ def _emit_report(args, doc, out):
         row.append(repr(cv))
     header += ["B", "seed", "warnings"]
     row += [doc["null_table"]["B"], doc["null_table"]["seed"], ";".join(doc["warnings"])]
-    writer = csv.writer(out)
-    writer.writerow(header)
-    writer.writerow(row)
+    return [header, row]
 
 
 def _cmd_test(args, out, err):
@@ -281,15 +282,15 @@ def _cmd_test(args, out, err):
     levels = _parse_levels(args.levels)
     if args.method == "simulation":
         # cache hits are bit-identical to regeneration, so reports are too
-        table, _ = _table_via_cache(args, kind, generator,
-                                    tuple(s.n for s in samples), weights, err)
+        table = _table_via_cache(args, kind, generator,
+                                 tuple(s.n for s in samples), weights, err)[0]
         report = run_test(kind, generator, samples, weights=weights, levels=levels,
                           convention=args.convention, table=table)
     else:
         report = run_test(kind, generator, samples, weights=weights, B=args.B,
                           seed=args.seed, levels=levels, convention=args.convention,
-                          workers=args.workers, method="permutation")
-    _emit_report(args, _report_dict(args, kind, report, paths), out)
+                          method="permutation")
+    _emit(args, out, _report_dict(args, kind, report, paths), _report_csv)
     return EXIT_OK
 
 
@@ -298,14 +299,13 @@ def _cmd_null_table(args, out, err):
     generator = _generator_for(kind, args.generator_spec)
     sizes = _parse_sizes(args.sizes)
     weights = _parse_weights(args.weights)
-    table, cached = _table_via_cache(args, kind, generator, sizes, weights, err)
+    table, cached, path = _table_via_cache(args, kind, generator, sizes, weights, err)
     if args.out is not None:
         save_table(table, args.out)
         location = args.out
+    elif path is None:
+        raise InvalidParameterError("--no-cache requires --out to store the table")
     else:
-        path = _cache_path(args, kind, sizes, weights)
-        if path is None:
-            raise InvalidParameterError("--no-cache requires --out to store the table")
         location = str(path)
     doc = {
         "command": "null-table",
@@ -319,19 +319,11 @@ def _cmd_null_table(args, out, err):
         "cache_hit": cached,
         "path": location,
     }
-    if not args.deterministic:
-        doc["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    if args.output_format == "json":
-        json.dump(doc, out, indent=2)
-        out.write("\n")
-    else:
-        import csv
 
-        flat = {k: ",".join(map(str, v)) if isinstance(v, list) else v
-                for k, v in doc.items()}
-        writer = csv.writer(out)
-        writer.writerow(list(flat))
-        writer.writerow([flat[k] for k in flat])
+    def csv_rows(doc):  # one column per key, lists joined by commas
+        return [list(doc), [",".join(map(str, v)) if isinstance(v, list) else v for v in doc.values()]]
+
+    _emit(args, out, doc, csv_rows)
     return EXIT_OK
 
 
@@ -343,7 +335,7 @@ def _cmd_power(args, out):
     levels = _parse_levels(args.levels)
     result = power_study(kind, generator, args.alternative, sizes,
                          B_null=args.B_null, B_power=args.B_power, seed=args.seed,
-                         levels=levels, weights=weights, workers=args.workers)
+                         levels=levels, weights=weights)
     doc = {
         "command": "power",
         "version": __version__,
@@ -357,19 +349,10 @@ def _cmd_power(args, out):
         "power": {f"{a:g}": {"estimate": est, "std_error": se}
                   for a, (est, se) in sorted(result.power.items())},
     }
-    if not args.deterministic:
-        doc["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    if args.output_format == "json":
-        json.dump(doc, out, indent=2)
-        out.write("\n")
-    else:
-        import csv
-
-        writer = csv.writer(out)
-        writer.writerow(["level", "power", "std_error", "alternative", "B_null", "B_power", "seed"])
-        for a, (est, se) in sorted(result.power.items()):
-            writer.writerow([a, repr(est), repr(se), result.alternative,
-                             result.B_null, result.B_power, result.seed])
+    rows = [["level", "power", "std_error", "alternative", "B_null", "B_power", "seed"]]
+    rows += [[a, repr(est), repr(se), result.alternative, result.B_null, result.B_power, result.seed]
+             for a, (est, se) in sorted(result.power.items())]
+    _emit(args, out, doc, lambda doc: rows)
     return EXIT_OK
 
 
@@ -407,13 +390,13 @@ def run(argv=None, out=None, err=None) -> int:
         if args.command == "power":
             return _cmd_power(args, out)
         return _cmd_verify(args, out)
-    except (GeneratorSpecError, InvalidParameterError, EnumerationTooLargeError) as exc:
+    except (GeneratorSpecError, InvalidParameterError, EnumerationTooLargeError, OSError) as exc:
         err.write(f"error: {exc}\n")
         return EXIT_CONFIG
     except DataIngestionError as exc:
         err.write(f"error: {exc}\n")
         return EXIT_DATA
-    except QuadratureError as exc:
+    except NumericalError as exc:
         err.write(f"error: {exc}\n")
         return EXIT_NUMERICAL
 

@@ -21,7 +21,11 @@ class DataIngestionError(ConvexGofError, ValueError):
     """An input file could not be parsed into a sample."""
 
 
-class QuadratureError(ConvexGofError, RuntimeError):
+class NumericalError(ConvexGofError, ArithmeticError):
+    """A computation produced a number that cannot be used, such as an overflow."""
+
+
+class QuadratureError(NumericalError, RuntimeError):
     """Adaptive quadrature could not reach the requested tolerance."""
 
 

@@ -4,9 +4,9 @@ Under the null the statistics are rank-based, so their law does not depend
 on the common continuous distribution; null tables are therefore simulated
 from standard uniforms.  A table is built in chunks whose length depends
 only on the pooled sample size; chunk c draws its whole block from its own
-RNG stream, a Philox generator keyed by (seed, c), so tables are
-bit-identical however the chunks are spread across workers.  Tables come
-from the same count-indexed kernel that computes observed statistics
+RNG stream, a Philox generator keyed by (seed, c), so a chunk's memory is
+bounded and a table is reproducible from its seed.  Tables come from the
+same count-indexed kernel that computes observed statistics
 (``statistics``).
 """
 
@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,8 +104,8 @@ def _check_seed(seed) -> int:
 def _chunk_rows(total: int) -> int:
     """Replicates per table chunk at ``total`` pooled observations.
 
-    A pure function of the sizes, so the chunk that holds a replicate, and
-    with it the stream it draws from, never depends on ``workers``.
+    A pure function of the sizes: it bounds a chunk's memory, and with the
+    seed it fixes the stream each replicate draws from.
     """
     return min(CHUNK, max(1, CHUNK_ELEMENTS // total))
 
@@ -118,7 +117,7 @@ def _batch_statistic(kind, generator, sizes, weights, data) -> np.ndarray:
 
 
 def simulate_null(kind, generator, sizes, B: int, seed: int, weights=None,
-                  workers: int = 1, transform=None) -> NullTable:
+                  transform=None) -> NullTable:
     """Simulate the null distribution of a statistic at the given sizes.
 
     Draws B independent replicate sets of standard uniforms (distribution-
@@ -126,9 +125,7 @@ def simulate_null(kind, generator, sizes, B: int, seed: int, weights=None,
     and returns the sorted table.  ``transform`` applies a strictly
     increasing map to the draws before ranking; because the statistics are
     rank-based this must not change the table, which is the checkable form
-    of distribution-freeness.
-
-    Deterministic for a fixed seed regardless of ``workers``.
+    of distribution-freeness.  Deterministic for a fixed seed.
     """
     sizes, weights = _check_kind_and_generator(kind, generator, sizes, weights)
     seed = _check_seed(seed)
@@ -140,10 +137,10 @@ def simulate_null(kind, generator, sizes, B: int, seed: int, weights=None,
             data = transform(data)
         return _batch_statistic(kind, generator, sizes, weights, data)
 
-    return _chunked_table(kind, generator, sizes, weights, B, seed, workers, run_chunk)
+    return _chunked_table(kind, generator, sizes, weights, B, seed, run_chunk)
 
 
-def _chunked_table(kind, generator, sizes, weights, B, seed, workers, run_chunk) -> NullTable:
+def _chunked_table(kind, generator, sizes, weights, B, seed, run_chunk) -> NullTable:
     """Run ``run_chunk(chunk, rows)`` over the table's chunks; center and sort into a table.
 
     Every chunk but the last holds ``_chunk_rows`` of the pooled size;
@@ -151,17 +148,8 @@ def _chunked_table(kind, generator, sizes, weights, B, seed, workers, run_chunk)
     """
     if not isinstance(B, (int, np.integer)) or B < 1:
         raise InvalidParameterError(f"replicate count B must be >= 1, got {B!r}")
-    if kind == TAU:
-        # warm the antiderivative cache before any worker threads share it
-        for s in set(sizes):
-            generator.antiderivative_grid(s)
     rows = _chunk_rows(sum(sizes))
-    tasks = [(a // rows, min(rows, B - a)) for a in range(0, B, rows)]
-    if workers <= 1 or len(tasks) == 1:
-        parts = [run_chunk(*t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda t: run_chunk(*t), tasks))
+    parts = [run_chunk(a // rows, min(rows, B - a)) for a in range(0, B, rows)]
     replicates = np.sort(np.concatenate(parts) - _centering(kind, generator, weights))
     replicates.setflags(write=False)
     return NullTable(kind, generator.name, sizes, replicates, seed,
@@ -220,7 +208,7 @@ _OBSERVED = {
 }
 
 
-def _permutation_null(kind, generator, samples, weights, B, seed, workers, convention):
+def _permutation_null(kind, generator, samples, weights, B, seed, convention):
     """Null table from permutations of the pooled observed data.
 
     Fallback for tied data, where continuous uniforms miss the observed step
@@ -237,13 +225,12 @@ def _permutation_null(kind, generator, samples, weights, B, seed, workers, conve
         labels = replicate_stream(seed, chunk).permuted(np.tile(slot_group, (rows, 1)), axis=1)
         return _rank_statistic(kind, generator, sizes, weights, labels, ties, convention)
 
-    return _chunked_table(kind, generator, sizes, weights, B, seed, workers, run_chunk)
+    return _chunked_table(kind, generator, sizes, weights, B, seed, run_chunk)
 
 
 def run_test(kind, generator, samples, weights=None, B: int = DEFAULT_B, seed: int = 0,
              levels=(0.05, 0.01), convention: str = RIGHT_CONTINUOUS,
-             workers: int = 1, method: str = "simulation",
-             table: NullTable | None = None) -> TestReport:
+             method: str = "simulation", table: NullTable | None = None) -> TestReport:
     """Compute the observed statistic, calibrate its null, and report.
 
     The null table is simulated at the data's sample sizes (or built from
@@ -265,11 +252,10 @@ def run_test(kind, generator, samples, weights=None, B: int = DEFAULT_B, seed: i
             raise InvalidParameterError(f"null table is for (kind, generator, sizes, weights) "
                                         f"= {built}, but the data needs {wanted}")
     elif method == "simulation":
-        table = simulate_null(kind, generator, sizes, B=B, seed=seed,
-                              weights=weights, workers=workers)
+        table = simulate_null(kind, generator, sizes, B=B, seed=seed, weights=weights)
     else:
         table = _permutation_null(kind, generator, samples, weights, B,
-                                  _check_seed(seed), workers, convention)
+                                  _check_seed(seed), convention)
     notes = []
     if observed.tie_count > 0:
         notes.append(
@@ -351,7 +337,7 @@ class PowerStudyResult:
 
 
 def power_study(kind, generator, alternative, sizes, B_null: int, B_power: int,
-                seed: int, levels=(0.05,), weights=None, workers: int = 1) -> PowerStudyResult:
+                seed: int, levels=(0.05,), weights=None) -> PowerStudyResult:
     """Estimate rejection rates against a uniform-baseline alternative.
 
     All groups draw standard uniforms; the last group is pushed through the
@@ -378,7 +364,7 @@ def power_study(kind, generator, alternative, sizes, B_null: int, B_power: int,
         samples = [Sample(p, label=f"group{g}") for g, p in enumerate(parts)]
         report = run_test(kind, generator, samples, weights=weights, B=B_null,
                           seed=_derive_seed(table_seed_base, trial),
-                          levels=levels, workers=workers)
+                          levels=levels)
         for a in levels:
             if report.p_value <= a:
                 rejections[float(a)] += 1

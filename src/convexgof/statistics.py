@@ -19,7 +19,7 @@ from itertools import combinations
 import numpy as np
 
 from .ecdf import CONVENTIONS, RIGHT_CONTINUOUS, Sample, cross_tie_count
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, NumericalError
 from .generators import ConvexGenerator, LogConvexGenerator, eval_on_array
 
 TWO_SAMPLE = "two_sample"
@@ -109,7 +109,8 @@ def _rank_statistic(kind, generator, sizes, weights, labels, ties=None,
     into the grid h(i/n), i = 0..n (h(i/2n), i = 0..2n, under ``mid``).
     ``ties`` holds each position's tie-block start and end, or None.  Each
     integral sums its terms over the integrating group's sorted values (tau:
-    its distinct values).  Grids are evaluated after the counts.
+    its distinct values).  Grids are evaluated after the counts.  A
+    non-finite result raises :class:`NumericalError`.
     """
     if convention not in CONVENTIONS:
         raise InvalidParameterError(
@@ -148,8 +149,13 @@ def _rank_statistic(kind, generator, sizes, weights, labels, ties=None,
             integrals.append(terms.reshape(nrep, -1).sum(axis=1) / sizes[l])
     if kind == K_SAMPLE:
         w = weights.weights
-        return sum((w[j] * w[l] * integral for (j, l), integral in zip(pairs, integrals)), 0.0)
-    return integrals[0] + integrals[1]
+        raw = sum((w[j] * w[l] * integral for (j, l), integral in zip(pairs, integrals)), 0.0)
+    else:
+        raw = integrals[0] + integrals[1]
+    if not np.all(np.isfinite(raw)):
+        raise NumericalError(f"generator '{generator.name}' gives a non-finite statistic "
+                             f"at sample sizes {tuple(sizes)}")
+    return raw
 
 
 def _centering(kind, generator, weights) -> float:

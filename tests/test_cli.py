@@ -144,6 +144,34 @@ class TestErrorPaths:
         assert code == cli.EXIT_NUMERICAL
         assert "quadrature" in err
 
+    def test_non_finite_statistic_is_numerical_error(self, data_files):
+        tmp, _, _, z = data_files
+        w = tmp / "w.csv"
+        w.write_text("0.7\n1.7\n2.7\n")
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # numpy overflow chatter
+            code, out, err = run_cli(["test2", "--h", "poly:0,1e308", "--x", z, "--y", str(w),
+                                      "--B", "99"])
+        assert code == cli.EXIT_NUMERICAL and out == ""
+        assert err.startswith("error:") and "non-finite" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("case", ["out_is_directory", "cache_dir_is_file", "csv_dir_missing"])
+    def test_unusable_path_is_config_error(self, data_files, case):
+        tmp, x, y, _ = data_files
+        (tmp / "taken").write_text("")
+        argv = {
+            "out_is_directory": ["null-table", "--kind", "two_sample", "--generator", "power:2",
+                                 "--sizes", "2,2", "--B", "9", "--out", str(tmp)],
+            "cache_dir_is_file": ["test2", "--h", "power:2", "--x", x, "--y", y, "--B", "9",
+                                  "--cache-dir", str(tmp / "taken")],
+            "csv_dir_missing": ["verify", "--csv", str(tmp / "absent" / "battery.csv")],
+        }[case]
+        code, _, err = run_cli(argv)
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestTauAndKSample:
     def test_tau_command(self, data_files):
@@ -248,6 +276,16 @@ class TestCacheFiles:
         code, warm, err = run_cli(argv)
         assert code == 0 and warm == cold and err == ""
         assert path.stat().st_mtime_ns == stamp
+
+    def test_default_and_explicit_uniform_weights_share_a_cache_file(self, data_files):
+        tmp, x, y, _ = data_files
+        argv = ["testk", "--h", "power:2", "--inputs", x, y, "--B", "149", "--seed", "9",
+                "--deterministic"]
+        code, default, _ = run_cli(argv)
+        assert code == 0
+        code, explicit, err = run_cli(argv + ["--weights", "0.5,0.5"])
+        assert code == 0 and explicit == default and err == ""
+        assert len(list((tmp / "cache").glob("*.csv"))) == 1
 
 
 class TestPowerCommand:

@@ -12,6 +12,7 @@ from scipy import stats as sps
 from convexgof import (
     K_SAMPLE,
     MID,
+    NumericalError,
     RIGHT_CONTINUOUS,
     TAU,
     TWO_SAMPLE,
@@ -20,6 +21,7 @@ from convexgof import (
     enumerate_null,
     parse_generator_spec,
     power_generator,
+    simulate_null,
     two_sample_statistic,
 )
 from convexgof.nulldist import CHUNK, _chunk_rows, _permutation_null, replicate_stream
@@ -139,8 +141,7 @@ def test_permutation_table_digests(kind, convention):
         TAU: ("expsq:1", [x, y], None),
     }[kind]
     gen, sizes = parse_generator_spec(spec), tuple(len(s) for s in samples)
-    table = _permutation_null(kind, gen, [Sample(s) for s in samples], weights, 300, 11, 1,
-                              convention)
+    table = _permutation_null(kind, gen, [Sample(s) for s in samples], weights, 300, 11, convention)
     # one chunk; row r of its shuffled label matrix assigns the sorted pooled values to groups
     assert _chunk_rows(sum(sizes)) >= 300
     pooled = np.sort(np.concatenate(samples))
@@ -152,12 +153,33 @@ def test_permutation_table_digests(kind, convention):
     assert _table_digest(table.replicates) == PERMUTATION_DIGESTS[(kind, convention)]
 
 
-def test_permutation_worker_count_invariance():
+def test_permutation_chunks_match_streams():
+    # at 24 pooled values a chunk holds CHUNK rows; chunk c shuffles its label rows with stream (4, c)
     rng = np.random.default_rng(3)
     samples = [Sample(np.round(rng.normal(0.0, 1.0, 12), 1)) for _ in range(2)]
-    one, many = (_permutation_null(TWO_SAMPLE, power_generator(2), samples, None, 2 * CHUNK + 5,
-                                   4, workers, MID) for workers in (1, 4))
-    assert np.array_equal(one.replicates, many.replicates)
+    gen, sizes = power_generator(2), (12, 12)
+    table = _permutation_null(TWO_SAMPLE, gen, samples, None, 2 * CHUNK + 5, 4, MID)
+    ties = _tie_blocks(np.sort(np.concatenate([s.values for s in samples])))
+    assert ties is not None
+    values = np.concatenate([
+        _rank_statistic(TWO_SAMPLE, gen, sizes, None, replicate_stream(4, c).permuted(
+            np.tile(_group_labels(sizes), (rows, 1)), axis=1), ties, MID)
+        for c, rows in enumerate((CHUNK, CHUNK, 5))])
+    assert np.array_equal(table.replicates, np.sort(values - _centering(TWO_SAMPLE, gen, None)))
+
+
+@pytest.mark.parametrize("path", ["observed", "simulation", "permutation", "enumeration"])
+def test_non_finite_statistic_raises(path):
+    huge = parse_generator_spec("poly:0,1e308")  # sums of h(1) = 1e308 overflow
+    x, y = Sample([1.0, 2.0, 3.0]), Sample([4.0, 5.0, 6.0])
+    build = {
+        "observed": lambda: two_sample_statistic(huge, x, y),
+        "simulation": lambda: simulate_null(TWO_SAMPLE, huge, (3, 3), B=99, seed=0),
+        "permutation": lambda: _permutation_null(TWO_SAMPLE, huge, [x, y], None, 99, 0, MID),
+        "enumeration": lambda: enumerate_null(TWO_SAMPLE, huge, (3, 3)),
+    }[path]
+    with np.errstate(over="ignore"), pytest.raises(NumericalError, match="non-finite"):
+        build()
 
 
 def _enumerated_tail(x, y):
