@@ -8,6 +8,7 @@ error (including a path that cannot be read or written), 3 data error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import datetime
 import hashlib
@@ -26,7 +27,7 @@ from .errors import (
     InvalidParameterError,
     NumericalError,
 )
-from .generators import ConvexGenerator, LogConvexGenerator, parse_generator_spec
+from .generators import parse_generator_spec
 from .nulldist import (
     DEFAULT_B,
     K_SAMPLE,
@@ -158,14 +159,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _generator_for(kind, spec):
-    generator = parse_generator_spec(spec)
-    if kind == TAU and not isinstance(generator, LogConvexGenerator):
+    """Parse ``spec`` once its family fits ``kind``; building an expsq generator runs quadrature."""
+    family = str(spec).strip().partition(":")[0]
+    if kind == TAU and family in ("power", "poly", "bernstein"):
         raise GeneratorSpecError(
             f"generator spec '{spec}' is not log-convex; tau needs e.g. expsq:alpha")
-    if kind != TAU and not isinstance(generator, ConvexGenerator):
+    if kind != TAU and family == "expsq":
         raise GeneratorSpecError(
             f"generator spec '{spec}' is not a convex generator; use power/poly/bernstein")
-    return generator
+    return parse_generator_spec(spec)
 
 
 def _cache_path(args, identity):
@@ -179,6 +181,15 @@ def _cache_path(args, identity):
     return Path(base) / f"{hashlib.sha256(key.encode('utf-8')).hexdigest()}.csv"
 
 
+@contextlib.contextmanager
+def _naming(flag, path):
+    """Re-raise an ``OSError`` as one that names ``flag`` and the user's ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(f"{flag} '{path}': {exc.strerror or exc}") from None
+
+
 def _table_via_cache(args, kind, generator, sizes, weights, err):
     """The requested table, whether it came from the cache, and its cache file.
 
@@ -187,20 +198,21 @@ def _table_via_cache(args, kind, generator, sizes, weights, err):
     """
     wanted = _request_identity(kind, generator, sizes, weights, args.B, args.seed)
     path = _cache_path(args, wanted)
-    if path is not None and path.exists():
-        try:
-            cached = load_table(path)
-        except ConvexGofError as exc:
-            err.write(f"warning: {exc}; rebuilding it\n")
-        else:
-            if cached.identity == wanted:
-                return cached, True, path
-            err.write(f"warning: null table file '{path}' holds (kind, generator, sizes, "
-                      f"weights, B, seed) = {cached.identity}, not {wanted}; rebuilding it\n")
-    table = simulate_null(kind, generator, sizes, B=args.B, seed=args.seed, weights=weights)
-    if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        save_table(table, path)
+    with _naming("--cache-dir" if args.cache_dir else "cache directory", path and path.parent):
+        if path is not None and path.exists():
+            try:
+                cached = load_table(path)
+            except ConvexGofError as exc:
+                err.write(f"warning: {exc}; rebuilding it\n")
+            else:
+                if cached.identity == wanted:
+                    return cached, True, path
+                err.write(f"warning: null table file '{path}' holds (kind, generator, sizes, "
+                          f"weights, B, seed) = {cached.identity}, not {wanted}; rebuilding it\n")
+        table = simulate_null(kind, generator, sizes, B=args.B, seed=args.seed, weights=weights)
+        if path is not None:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            save_table(table, path)
     return table, False, path
 
 
@@ -266,17 +278,14 @@ def _report_csv(doc):
 
 
 def _cmd_test(args, out, err):
-    if args.command == "test2":
-        kind, paths = TWO_SAMPLE, [args.x, args.y]
-        weights = None
-    elif args.command == "tau":
-        kind, paths = TAU, [args.x, args.y]
-        weights = None
-    else:
-        kind, paths = K_SAMPLE, list(args.inputs)
+    kind = {"test2": TWO_SAMPLE, "tau": TAU, "testk": K_SAMPLE}[args.command]
+    if kind == K_SAMPLE:
+        paths = list(args.inputs)
         if len(paths) < 2:
             raise InvalidParameterError("testk requires at least two samples")
         weights = _parse_weights(args.weights)
+    else:
+        paths, weights = [args.x, args.y], None
     generator = _generator_for(kind, args.generator_spec)
     samples = [read_sample(p) for p in paths]
     levels = _parse_levels(args.levels)
@@ -301,7 +310,8 @@ def _cmd_null_table(args, out, err):
     weights = _parse_weights(args.weights)
     table, cached, path = _table_via_cache(args, kind, generator, sizes, weights, err)
     if args.out is not None:
-        save_table(table, args.out)
+        with _naming("--out", args.out):
+            save_table(table, args.out)
         location = args.out
     elif path is None:
         raise InvalidParameterError("--no-cache requires --out to store the table")
@@ -368,7 +378,8 @@ def _cmd_verify(args, out):
         out.write(f"[{status}] {case.case_id} value={case.value:.6e} tolerance={case.tolerance:g}\n")
     out.write(f"{len(cases) - failed}/{len(cases)} oracle checks passed\n")
     if args.csv is not None:
-        battery_to_csv(cases, args.csv)
+        with _naming("--csv", args.csv):
+            battery_to_csv(cases, args.csv)
     return EXIT_OK if failed == 0 else EXIT_BATTERY_FAIL
 
 

@@ -9,6 +9,7 @@ strictly increasing map to every sample leaves every value bit-identical.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,32 +73,32 @@ def read_sample(path, label: str | None = None) -> Sample:
     must hold exactly one real number.  Parse failures name the file and
     line number.
     """
-    values = []
     try:
-        fh = open(path, "r", encoding="utf-8")
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
     except OSError as exc:
         raise DataIngestionError(f"cannot read '{path}': {exc.strerror or exc}") from None
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            tokens = text.replace(",", " ").split()
-            if len(tokens) != 1:
-                raise DataIngestionError(
-                    f"{path}:{lineno}: expected one value per line, got {len(tokens)} tokens"
-                )
-            try:
-                v = float(tokens[0])
-            except ValueError:
-                raise DataIngestionError(
-                    f"{path}:{lineno}: cannot parse '{tokens[0]}' as a number"
-                ) from None
-            if not np.isfinite(v):
-                raise DataIngestionError(f"{path}:{lineno}: non-finite value '{tokens[0]}'")
-            values.append(v)
+    except UnicodeDecodeError as exc:
+        raise DataIngestionError(f"cannot read '{path}': not UTF-8 text ({exc.reason})") from None
+    values = []
+    for lineno, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        tokens = text.replace(",", " ").split()
+        if len(tokens) != 1:
+            raise DataIngestionError(
+                f"{path}:{lineno}: expected one value per line, got {len(tokens)} tokens"
+            )
+        try:
+            v = float(tokens[0])
+        except ValueError:
+            raise DataIngestionError(
+                f"{path}:{lineno}: cannot parse '{tokens[0]}' as a number"
+            ) from None
+        if not np.isfinite(v):
+            raise DataIngestionError(f"{path}:{lineno}: non-finite value '{tokens[0]}'")
+        values.append(v)
     if not values:
         raise DataIngestionError(f"{path}: no data rows found")
-    import os
-
     return Sample(np.asarray(values), label=label if label is not None else os.path.basename(str(path)))

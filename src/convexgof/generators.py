@@ -35,6 +35,7 @@ CONVEXITY_EPS = 1e-12
 DEFAULT_GRID = 128
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite result raises below
 def adaptive_quad(fn, a: float, b: float, tol: float = QUAD_TOL) -> float:
     """Adaptive quadrature of ``fn`` over [a, b]; raises instead of degrading."""
     out = integrate.quad(fn, a, b, epsabs=tol, epsrel=1e-12, limit=QUAD_LIMIT, full_output=1)

@@ -1,13 +1,15 @@
 """Monte Carlo null calibration: tables, p-values, critical values, power.
 
-Under the null the statistics are rank-based, so their law does not depend
-on the common continuous distribution; null tables are therefore simulated
-from standard uniforms.  A table is built in chunks whose length depends
-only on the pooled sample size; chunk c draws its whole block from its own
-RNG stream, a Philox generator keyed by (seed, c), so a chunk's memory is
-bounded and a table is reproducible from its seed.  Tables come from the
-same count-indexed kernel that computes observed statistics
-(``statistics``).
+Under the null the statistics are rank-based, so every assignment of the
+pooled ranks to the groups is equally likely.  Every Monte Carlo table draws
+those assignments one way: a table is built in chunks whose length depends
+only on the pooled sample size, and chunk c argsorts a block of standard
+uniforms from its own RNG stream, a Philox generator keyed by (seed, c), into
+rows of group labels.  So a chunk's memory is bounded and a table is
+reproducible from its seed.  The permutation null sends those rows to the
+count-indexed kernel (``statistics``) with the pooled data's tie blocks and
+ECDF convention; a simulated table is the permutation null without ties,
+under the right-continuous convention.
 """
 
 from __future__ import annotations
@@ -110,49 +112,49 @@ def _chunk_rows(total: int) -> int:
     return min(CHUNK, max(1, CHUNK_ELEMENTS // total))
 
 
-def _batch_statistic(kind, generator, sizes, weights, data) -> np.ndarray:
-    """Raw functional of every row of tie-free pooled draws: one argsort, then the kernel."""
-    labels = np.take(_group_labels(sizes), np.argsort(data, axis=1))
-    return _rank_statistic(kind, generator, sizes, weights, labels)
+def _label_blocks(sizes, B, seed, transform=None):
+    """Label rows of ``B`` null replicates in pooled rank order, one block per chunk.
+
+    Chunk c draws a block of standard uniforms from ``replicate_stream(seed, c)``
+    and argsorts each row, so row r assigns the pooled ranks to groups
+    uniformly at random.  ``transform`` maps each block right after its draw.
+    """
+    if not isinstance(B, (int, np.integer)) or B < 1:
+        raise InvalidParameterError(f"replicate count B must be >= 1, got {B!r}")
+    total, slot_group = sum(sizes), _group_labels(sizes)
+    rows = _chunk_rows(total)
+    for chunk, start in enumerate(range(0, B, rows)):
+        data = replicate_stream(seed, chunk).random((min(rows, B - start), total))
+        if transform is not None:
+            data = transform(data)
+        yield slot_group[np.argsort(data, axis=1)]
+
+
+def _table_values(kind, generator, sizes, weights, blocks, ties=None,
+                  convention=RIGHT_CONTINUOUS) -> np.ndarray:
+    """Sorted, centered statistics of every label row in ``blocks``; read-only."""
+    raw = np.concatenate([_rank_statistic(kind, generator, sizes, weights, labels, ties, convention)
+                          for labels in blocks])
+    values = np.sort(raw - _centering(kind, generator, weights))
+    values.setflags(write=False)
+    return values
 
 
 def simulate_null(kind, generator, sizes, B: int, seed: int, weights=None,
                   transform=None) -> NullTable:
     """Simulate the null distribution of a statistic at the given sizes.
 
-    Draws B independent replicate sets of standard uniforms (distribution-
-    freeness makes the choice immaterial), computes the statistic for each
-    and returns the sorted table.  ``transform`` applies a strictly
-    increasing map to the draws before ranking; because the statistics are
-    rank-based this must not change the table, which is the checkable form
-    of distribution-freeness.  Deterministic for a fixed seed.
+    Draws B replicate sets of standard uniforms (distribution-freeness makes
+    the choice immaterial) and returns their sorted statistics: the
+    permutation null of tie-free data.  ``transform`` maps each chunk's draws
+    before ranking; a strictly increasing map must not change the table,
+    which is the checkable form of distribution-freeness.  Deterministic
+    for a fixed seed.
     """
     sizes, weights = _check_kind_and_generator(kind, generator, sizes, weights)
     seed = _check_seed(seed)
-    total = int(sum(sizes))
-
-    def run_chunk(chunk, rows):
-        data = replicate_stream(seed, chunk).random((rows, total))
-        if transform is not None:
-            data = transform(data)
-        return _batch_statistic(kind, generator, sizes, weights, data)
-
-    return _chunked_table(kind, generator, sizes, weights, B, seed, run_chunk)
-
-
-def _chunked_table(kind, generator, sizes, weights, B, seed, run_chunk) -> NullTable:
-    """Run ``run_chunk(chunk, rows)`` over the table's chunks; center and sort into a table.
-
-    Every chunk but the last holds ``_chunk_rows`` of the pooled size;
-    ``run_chunk`` returns the raw functional of its replicates.
-    """
-    if not isinstance(B, (int, np.integer)) or B < 1:
-        raise InvalidParameterError(f"replicate count B must be >= 1, got {B!r}")
-    rows = _chunk_rows(sum(sizes))
-    parts = [run_chunk(a // rows, min(rows, B - a)) for a in range(0, B, rows)]
-    replicates = np.sort(np.concatenate(parts) - _centering(kind, generator, weights))
-    replicates.setflags(write=False)
-    return NullTable(kind, generator.name, sizes, replicates, seed,
+    values = _table_values(kind, generator, sizes, weights, _label_blocks(sizes, B, seed, transform))
+    return NullTable(kind, generator.name, sizes, values, seed,
                      None if weights is None else weights.weights)
 
 
@@ -208,26 +210,6 @@ _OBSERVED = {
 }
 
 
-def _permutation_null(kind, generator, samples, weights, B, seed, convention):
-    """Null table from permutations of the pooled observed data.
-
-    Fallback for tied data, where continuous uniforms miss the observed step
-    functions.  Chunk c shuffles each row of a group-label matrix with
-    ``replicate_stream(seed, c).permuted``; a row gives the group of each
-    pooled value in sorted order.  Chunks go to the kernel with the pooled
-    tie blocks.
-    """
-    sizes = tuple(s.n for s in samples)
-    ties = _tie_blocks(np.sort(np.concatenate([s.values for s in samples])))
-    slot_group = _group_labels(sizes)
-
-    def run_chunk(chunk, rows):
-        labels = replicate_stream(seed, chunk).permuted(np.tile(slot_group, (rows, 1)), axis=1)
-        return _rank_statistic(kind, generator, sizes, weights, labels, ties, convention)
-
-    return _chunked_table(kind, generator, sizes, weights, B, seed, run_chunk)
-
-
 def run_test(kind, generator, samples, weights=None, B: int = DEFAULT_B, seed: int = 0,
              levels=(0.05, 0.01), convention: str = RIGHT_CONTINUOUS,
              method: str = "simulation", table: NullTable | None = None) -> TestReport:
@@ -253,9 +235,12 @@ def run_test(kind, generator, samples, weights=None, B: int = DEFAULT_B, seed: i
                                         f"= {built}, but the data needs {wanted}")
     elif method == "simulation":
         table = simulate_null(kind, generator, sizes, B=B, seed=seed, weights=weights)
-    else:
-        table = _permutation_null(kind, generator, samples, weights, B,
-                                  _check_seed(seed), convention)
+    else:  # the pooled data's ranks, tie blocks included, shuffled by the same label draw
+        seed, pooled = _check_seed(seed), np.sort(np.concatenate([s.values for s in samples]))
+        values = _table_values(kind, generator, sizes, weights, _label_blocks(sizes, B, seed),
+                               _tie_blocks(pooled), convention)
+        table = NullTable(kind, generator.name, sizes, values, seed,
+                          None if weights is None else weights.weights)
     notes = []
     if observed.tie_count > 0:
         notes.append(

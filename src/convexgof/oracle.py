@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import EnumerationTooLargeError, InvalidParameterError
 from .generators import adaptive_quad
-from .nulldist import CHUNK
-from .statistics import WeightVector, _centering, _check_kind_and_generator, _rank_statistic
+from .nulldist import CHUNK, _table_values
+from .statistics import WeightVector, _check_kind_and_generator
 
 POP_TOL = 1e-9
 ENUMERATION_BUDGET = 10**6
@@ -211,7 +211,7 @@ def enumerate_null(kind, generator, sizes, weights=None) -> ExactNullDistributio
 
     Under the null with a continuous common distribution every interleaving
     of the pooled sample is equally likely.  Batches of interleavings go
-    through the count-indexed kernel that simulation and permutation use.
+    through the table executor that simulation and permutation use.
     """
     sizes, weights = _check_kind_and_generator(kind, generator, sizes, weights)
     count = _configurations(sizes)
@@ -220,9 +220,8 @@ def enumerate_null(kind, generator, sizes, weights=None) -> ExactNullDistributio
             f"{count} rank interleavings at sizes {sizes} exceed the "
             f"budget of {ENUMERATION_BUDGET}"
         )
-    stats = np.concatenate([_rank_statistic(kind, generator, sizes, weights, labels)
-                            for labels in _label_batches(sizes)]) - _centering(kind, generator, weights)
-    values, counts = np.unique(stats, return_counts=True)
+    values, counts = np.unique(_table_values(kind, generator, sizes, weights, _label_batches(sizes)),
+                               return_counts=True)
     return ExactNullDistribution(kind, generator.name, sizes, values, counts / count)
 
 

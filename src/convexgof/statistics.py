@@ -100,6 +100,7 @@ def _ragged_sums(terms, counts) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite result raises below
 def _rank_statistic(kind, generator, sizes, weights, labels, ties=None,
                     convention=RIGHT_CONTINUOUS) -> np.ndarray:
     """Raw functional of every row of a label matrix in pooled rank order.

@@ -134,13 +134,23 @@ class TestErrorPaths:
         code, _, _ = run_cli(["test2"])  # missing required flags
         assert code == cli.EXIT_CONFIG
 
+    def test_non_utf8_file_is_data_error(self, data_files):
+        tmp, x, _, _ = data_files
+        bad = tmp / "utf16.csv"
+        bad.write_bytes(b"\xff\xfe")
+        code, _, err = run_cli(["test2", "--h", "power:2", "--x", x, "--y", str(bad)])
+        assert code == cli.EXIT_DATA
+        assert err.startswith("error:") and str(bad) in err and err.count("\n") == 1
+
+    def test_generator_of_the_wrong_family_is_config_error(self, data_files):
+        _, x, y, _ = data_files
+        code, _, err = run_cli(["test2", "--h", "expsq:1e308", "--x", x, "--y", y])  # no quadrature
+        assert code == cli.EXIT_CONFIG
+        assert "not a convex generator" in err
+
     def test_quadrature_overflow_is_numerical_error(self, data_files):
         _, x, y, _ = data_files
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # numpy overflow chatter
-            code, _, err = run_cli(["tau", "--xi", "expsq:400", "--x", x, "--y", y])
+        code, _, err = run_cli(["tau", "--xi", "expsq:400", "--x", x, "--y", y])
         assert code == cli.EXIT_NUMERICAL
         assert "quadrature" in err
 
@@ -148,14 +158,26 @@ class TestErrorPaths:
         tmp, _, _, z = data_files
         w = tmp / "w.csv"
         w.write_text("0.7\n1.7\n2.7\n")
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # numpy overflow chatter
-            code, out, err = run_cli(["test2", "--h", "poly:0,1e308", "--x", z, "--y", str(w),
-                                      "--B", "99"])
+        code, out, err = run_cli(["test2", "--h", "poly:0,1e308", "--x", z, "--y", str(w),
+                                  "--B", "99"])
         assert code == cli.EXIT_NUMERICAL and out == ""
         assert err.startswith("error:") and "non-finite" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["test2", "--h", "poly:0,1e308"],  # the kernel's sums overflow
+        ["tau", "--xi", "expsq:800"],  # quadrature of xi^2 overflows
+        ["test2", "--h", "bernstein:power:2:1100"],  # the Bernstein basis gives NaN
+    ], ids=["poly_overflow", "expsq_quadrature", "bernstein_nan"])
+    def test_numerical_failure_writes_no_warning(self, data_files, argv):
+        _, x, y, _ = data_files
+        import warnings
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(argv + ["--x", x, "--y", y, "--B", "99"])
+        assert code == cli.EXIT_NUMERICAL
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert [str(w.message) for w in caught] == []
 
     @pytest.mark.parametrize("case", ["out_is_directory", "cache_dir_is_file", "csv_dir_missing"])
     def test_unusable_path_is_config_error(self, data_files, case):
@@ -171,6 +193,12 @@ class TestErrorPaths:
         code, _, err = run_cli(argv)
         assert code == cli.EXIT_CONFIG
         assert err.startswith("error:") and err.count("\n") == 1
+        flag, path = {
+            "out_is_directory": ("--out", tmp),
+            "cache_dir_is_file": ("--cache-dir", tmp / "taken"),
+            "csv_dir_missing": ("--csv", tmp / "absent" / "battery.csv"),
+        }[case]
+        assert f"{flag} '{path}'" in err
 
 
 class TestTauAndKSample:

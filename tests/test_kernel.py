@@ -21,10 +21,11 @@ from convexgof import (
     enumerate_null,
     parse_generator_spec,
     power_generator,
+    run_test,
     simulate_null,
     two_sample_statistic,
 )
-from convexgof.nulldist import CHUNK, _chunk_rows, _permutation_null, replicate_stream
+from convexgof.nulldist import CHUNK, _chunk_rows, replicate_stream
 from convexgof.statistics import _centering, _group_labels, _rank_statistic, _tie_blocks
 from convexgof.oracle import _label_batches
 
@@ -94,6 +95,12 @@ def test_label_batches_cover_every_assignment_once(sizes):
     assert all(np.array_equal(np.bincount(row, minlength=len(sizes)), sizes) for row in rows[:50])
 
 
+def _hand_labels(sizes, seed, chunk, rows):
+    """Chunk ``chunk``'s label rows drawn by hand: argsorted uniforms from its stream."""
+    draws = replicate_stream(seed, chunk).random((rows, sum(sizes)))
+    return _group_labels(sizes)[np.argsort(draws, axis=1)]
+
+
 # sha256 digests of enumerated pmfs, computed by the per-replicate
 # observed-data statistic path that the kernel replaced; the kernel must
 # reproduce them.  Permutation digests pin the (seed, chunk) stream contract.
@@ -120,12 +127,12 @@ def test_enumerated_pmf_digests(kind, spec, sizes, digest):
 
 
 PERMUTATION_DIGESTS = {
-    (TWO_SAMPLE, RIGHT_CONTINUOUS): "08655d7f51d2073c0071b2f15305e00b3015192448bc3cda32eb6c0050e6afbd",
-    (K_SAMPLE, RIGHT_CONTINUOUS): "30bcbe3f4f57c124365b4702ee699b086c883dd97bc07cef4352abbf9e8af74e",
-    (TAU, RIGHT_CONTINUOUS): "0ca1038ea2dd828737ea540aaeddcd6f40169ae1d82fba6a3bacee57347639ec",
-    (TWO_SAMPLE, MID): "dadadd89278c55930d3ebaf05f57564bb2d93f4de1042f7bdd082dbc238957cf",
-    (K_SAMPLE, MID): "731ac58f25bad77f3910d1ba26cc11b07e73eaaa4096eeffc5ddccd38c6eab51",
-    (TAU, MID): "6e4ef265e38910abfc8af0941753d11b4bcc4101bf5cbc369afb3b3019cf18e5",
+    (TWO_SAMPLE, RIGHT_CONTINUOUS): "c4fed87227372c9ed879c7b530f43972e8f43d7ab9c8a1206c9267480283321a",
+    (K_SAMPLE, RIGHT_CONTINUOUS): "4f5774c72a63065f2a2439d8724c4f6e00c17b8e18371a2c509497676fe4ee49",
+    (TAU, RIGHT_CONTINUOUS): "494f2d23e5315fc2789307eb0a3ec8d95f8e35ddfa69a0647bb6bed03093285d",
+    (TWO_SAMPLE, MID): "049e5eb2d60e06ca44872f2f313d6a3854ea1c99c8f853b45d329cd609aa707d",
+    (K_SAMPLE, MID): "d7281df940a7c5510a2730c47e36053453a6fe8573df6233c48d19d64f13242a",
+    (TAU, MID): "bb85c78efc12faa2b3d34baff5ba89875e4b12a54dc3387320eaa100fd4547ab",
 }
 
 
@@ -141,11 +148,12 @@ def test_permutation_table_digests(kind, convention):
         TAU: ("expsq:1", [x, y], None),
     }[kind]
     gen, sizes = parse_generator_spec(spec), tuple(len(s) for s in samples)
-    table = _permutation_null(kind, gen, [Sample(s) for s in samples], weights, 300, 11, convention)
-    # one chunk; row r of its shuffled label matrix assigns the sorted pooled values to groups
+    table = run_test(kind, gen, samples, weights=weights, B=300, seed=11, convention=convention,
+                     method="permutation").table
+    # one chunk; row r of its label block assigns the sorted pooled values to groups
     assert _chunk_rows(sum(sizes)) >= 300
     pooled = np.sort(np.concatenate(samples))
-    labels = replicate_stream(11, 0).permuted(np.tile(_group_labels(sizes), (300, 1)), axis=1)
+    labels = _hand_labels(sizes, 11, 0, 300)
     w = None if weights is None else weights.weights
     expected = sorted(reference_statistic(kind, gen, [pooled[row == g] for g in range(len(sizes))],
                                           w, convention) for row in labels)
@@ -154,18 +162,33 @@ def test_permutation_table_digests(kind, convention):
 
 
 def test_permutation_chunks_match_streams():
-    # at 24 pooled values a chunk holds CHUNK rows; chunk c shuffles its label rows with stream (4, c)
+    # at 24 pooled values a chunk holds CHUNK rows; chunk c draws its label rows from stream (4, c)
     rng = np.random.default_rng(3)
     samples = [Sample(np.round(rng.normal(0.0, 1.0, 12), 1)) for _ in range(2)]
     gen, sizes = power_generator(2), (12, 12)
-    table = _permutation_null(TWO_SAMPLE, gen, samples, None, 2 * CHUNK + 5, 4, MID)
+    table = run_test(TWO_SAMPLE, gen, samples, B=2 * CHUNK + 5, seed=4, convention=MID,
+                     method="permutation").table
     ties = _tie_blocks(np.sort(np.concatenate([s.values for s in samples])))
     assert ties is not None
     values = np.concatenate([
-        _rank_statistic(TWO_SAMPLE, gen, sizes, None, replicate_stream(4, c).permuted(
-            np.tile(_group_labels(sizes), (rows, 1)), axis=1), ties, MID)
+        _rank_statistic(TWO_SAMPLE, gen, sizes, None, _hand_labels(sizes, 4, c, rows), ties, MID)
         for c, rows in enumerate((CHUNK, CHUNK, 5))])
     assert np.array_equal(table.replicates, np.sort(values - _centering(TWO_SAMPLE, gen, None)))
+
+
+@pytest.mark.parametrize("kind, spec, sizes, weights", [
+    (TWO_SAMPLE, "power:2", (5, 7), None),
+    (K_SAMPLE, "poly:0,1,1", (3, 4, 5), WeightVector((0.2, 0.3, 0.5))),
+    (TAU, "expsq:1", (6, 4), None),
+])
+def test_permutation_null_of_tie_free_data_is_the_simulated_table(kind, spec, sizes, weights):
+    # both draw the same label rows; without ties the kernel sees the same input
+    gen, B = parse_generator_spec(spec), 2 * CHUNK + 5
+    pooled = np.random.default_rng(5).permutation(sum(sizes)).astype(float)
+    samples = np.split(pooled, np.cumsum(sizes)[:-1])
+    permuted = run_test(kind, gen, samples, weights=weights, B=B, seed=6, method="permutation").table
+    simulated = simulate_null(kind, gen, sizes, B=B, seed=6, weights=weights)
+    assert np.array_equal(permuted.replicates, simulated.replicates)
 
 
 @pytest.mark.parametrize("path", ["observed", "simulation", "permutation", "enumeration"])
@@ -175,10 +198,11 @@ def test_non_finite_statistic_raises(path):
     build = {
         "observed": lambda: two_sample_statistic(huge, x, y),
         "simulation": lambda: simulate_null(TWO_SAMPLE, huge, (3, 3), B=99, seed=0),
-        "permutation": lambda: _permutation_null(TWO_SAMPLE, huge, [x, y], None, 99, 0, MID),
+        "permutation": lambda: run_test(TWO_SAMPLE, huge, [x, y], B=99, convention=MID,
+                                        method="permutation"),
         "enumeration": lambda: enumerate_null(TWO_SAMPLE, huge, (3, 3)),
     }[path]
-    with np.errstate(over="ignore"), pytest.raises(NumericalError, match="non-finite"):
+    with pytest.raises(NumericalError, match="non-finite"):
         build()
 
 

@@ -113,32 +113,23 @@ class TestSimulateNull:
     def test_simulated_k_sample_matches_observed_path(self):
         # tie-free simulated draws and observed samples must reach the kernel alike
         from convexgof import k_sample_statistic
-        from convexgof.nulldist import _batch_statistic
 
-        rng = np.random.default_rng(77)
         sizes = (4, 7, 5)
         w = WeightVector((0.25, 0.4, 0.35))
-        data = rng.random((50, sum(sizes)))
-        batch = _batch_statistic(K_SAMPLE, SQUARE, sizes, w, data)
+        table = simulate_null(K_SAMPLE, SQUARE, sizes, B=50, seed=77, weights=w)  # one chunk
         splits = np.cumsum(sizes)[:-1]
-        for row in range(50):
-            parts = np.split(data[row], splits)
-            observed = k_sample_statistic(SQUARE, [Sample(p) for p in parts], w).raw_functional
-            assert batch[row] == observed
+        observed = [k_sample_statistic(SQUARE, [Sample(p) for p in np.split(row, splits)], w).value
+                    for row in replicate_stream(77, 0).random((50, sum(sizes)))]
+        assert np.array_equal(table.replicates, np.sort(observed))
 
     def test_simulated_tau_matches_observed_path(self):
         from convexgof import tau_statistic
-        from convexgof.nulldist import _batch_statistic
 
         xi = exp_sq_generator(1.0)
-        rng = np.random.default_rng(78)
-        sizes = (6, 9)
-        data = rng.random((40, sum(sizes)))
-        batch = _batch_statistic(TAU, xi, sizes, None, data)
-        for row in range(40):
-            x, y = data[row, :6], data[row, 6:]
-            observed = tau_statistic(xi, Sample(x), Sample(y)).raw_functional
-            assert batch[row] == observed
+        table = simulate_null(TAU, xi, (6, 9), B=40, seed=78)  # one chunk
+        observed = [tau_statistic(xi, Sample(row[:6]), Sample(row[6:])).value
+                    for row in replicate_stream(78, 0).random((40, 15))]
+        assert np.array_equal(table.replicates, np.sort(observed))
 
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameterError):
