@@ -44,7 +44,7 @@ from .statistics import (
 DEFAULT_B = 9999
 CHUNK = 1024  # most replicates per work unit
 CHUNK_ELEMENTS = 2**22  # most pooled draws per work unit, which bounds its memory
-TABLE_FORMAT_VERSION = 2
+TABLE_FORMAT_VERSION = 3
 MAX_SEED = 2**64
 
 

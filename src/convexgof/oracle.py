@@ -1,10 +1,11 @@
 """Population-level verification oracles.
 
 Everything here is independent of the empirical machinery: population
-functionals are computed by adaptive quadrature in the quantile domain
-(substituting u = F(x) turns every integral into a smooth integral over
-[0,1]), and small-sample null distributions are enumerated exhaustively
-over rank interleavings.  Centering constants are recomputed by quadrature
+functionals are computed by tanh-sinh quadrature in the quantile domain
+(substituting u = F(x) turns every integral into one over [0,1], singular at
+worst at the ends, where the rule's nodes cluster; integrands take arrays),
+and small-sample null distributions are enumerated exhaustively over rank
+interleavings.  Centering constants are recomputed by quadrature
 rather than trusted from the generator objects.
 """
 
@@ -80,13 +81,13 @@ def exponential_cdf(rate: float = 1.0) -> AnalyticCdf:
 
 def generator_integral(h) -> float:
     """Quadrature of a generator over [0,1], independent of its stored constant."""
-    return adaptive_quad(lambda u: float(h.eval(u)), 0.0, 1.0, tol=POP_TOL)
+    return adaptive_quad(h.eval, 0.0, 1.0, tol=POP_TOL)
 
 
 def population_functional(h, f: AnalyticCdf, g: AnalyticCdf) -> float:
     """Integral of h(F) dG plus h(G) dF, in the quantile domain."""
-    term1 = adaptive_quad(lambda u: float(h.eval(float(f.eval(g.quantile(u))))), 0.0, 1.0, tol=POP_TOL)
-    term2 = adaptive_quad(lambda u: float(h.eval(float(g.eval(f.quantile(u))))), 0.0, 1.0, tol=POP_TOL)
+    term1 = adaptive_quad(lambda u: h.eval(f.eval(g.quantile(u))), 0.0, 1.0, tol=POP_TOL)
+    term2 = adaptive_quad(lambda u: h.eval(g.eval(f.quantile(u))), 0.0, 1.0, tol=POP_TOL)
     return term1 + term2
 
 
@@ -97,10 +98,8 @@ def population_gap(h, f: AnalyticCdf, g: AnalyticCdf) -> float:
 
 def cvm_distance(f: AnalyticCdf, g: AnalyticCdf) -> float:
     """Integral of (F - G)^2 against the mixture (F + G)/2."""
-    half1 = adaptive_quad(
-        lambda u: (u - float(g.eval(f.quantile(u)))) ** 2, 0.0, 1.0, tol=POP_TOL)
-    half2 = adaptive_quad(
-        lambda u: (float(f.eval(g.quantile(u))) - u) ** 2, 0.0, 1.0, tol=POP_TOL)
+    half1 = adaptive_quad(lambda u: (u - g.eval(f.quantile(u))) ** 2, 0.0, 1.0, tol=POP_TOL)
+    half2 = adaptive_quad(lambda u: (f.eval(g.quantile(u)) - u) ** 2, 0.0, 1.0, tol=POP_TOL)
     return 0.5 * (half1 + half2)
 
 
@@ -143,9 +142,8 @@ def jensen_gap(h, cdfs, weights: WeightVector) -> float:
         for l in range(k):
             if j == l:
                 continue
-            term = adaptive_quad(
-                lambda u, _j=j, _l=l: float(h.eval(float(cdfs[_j].eval(cdfs[_l].quantile(u))))),
-                0.0, 1.0, tol=POP_TOL)
+            term = adaptive_quad(lambda u, _j=j, _l=l: h.eval(cdfs[_j].eval(cdfs[_l].quantile(u))),
+                                 0.0, 1.0, tol=POP_TOL)
             total += w[j] * w[l] * term
     return total - weights.equality_factor * generator_integral(h)
 
@@ -156,12 +154,8 @@ def log_convex_functional(xi, f: AnalyticCdf, g: AnalyticCdf) -> float:
     Substituting dXi(F(x)) = xi(F(x)) dF(x) gives two smooth [0,1]
     integrals; equality with 2*int(xi^2) holds only at F = G.
     """
-    term1 = adaptive_quad(
-        lambda u: float(xi.eval(float(g.eval(f.quantile(u))))) * float(xi.eval(u)),
-        0.0, 1.0, tol=POP_TOL)
-    term2 = adaptive_quad(
-        lambda u: float(xi.eval(float(f.eval(g.quantile(u))))) * float(xi.eval(u)),
-        0.0, 1.0, tol=POP_TOL)
+    term1 = adaptive_quad(lambda u: xi.eval(g.eval(f.quantile(u))) * xi.eval(u), 0.0, 1.0, tol=POP_TOL)
+    term2 = adaptive_quad(lambda u: xi.eval(f.eval(g.quantile(u))) * xi.eval(u), 0.0, 1.0, tol=POP_TOL)
     return term1 + term2
 
 
@@ -317,7 +311,7 @@ def run_battery():
         ))
 
     xi = exp_sq_generator(1.0)
-    xi_sq = 2.0 * adaptive_quad(lambda u: float(xi.eval(u)) ** 2, 0.0, 1.0, tol=POP_TOL)
+    xi_sq = 2.0 * adaptive_quad(lambda u: xi.eval(u) ** 2, 0.0, 1.0, tol=POP_TOL)
     seen = set()
     for f, g in pairs:
         excess = log_convex_functional(xi, f, g) - xi_sq

@@ -166,8 +166,8 @@ class TestErrorPaths:
     @pytest.mark.parametrize("argv", [
         ["test2", "--h", "poly:0,1e308"],  # the kernel's sums overflow
         ["tau", "--xi", "expsq:800"],  # quadrature of xi^2 overflows
-        ["test2", "--h", "bernstein:power:2:1100"],  # the Bernstein basis gives NaN
-    ], ids=["poly_overflow", "expsq_quadrature", "bernstein_nan"])
+        ["test2", "--h", "bernstein:poly:0,1e308:2"],  # sums of finite Bernstein values overflow
+    ], ids=["poly_overflow", "expsq_quadrature", "bernstein_overflow"])
     def test_numerical_failure_writes_no_warning(self, data_files, argv):
         _, x, y, _ = data_files
         import warnings

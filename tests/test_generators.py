@@ -10,6 +10,7 @@ from convexgof import (
     InvalidParameterError,
     LogConvexGenerator,
     NotStrictlyConvexError,
+    QuadratureError,
     Sample,
     bernstein_generator,
     convex_generator_from_callable,
@@ -131,6 +132,21 @@ class TestBernsteinGenerator:
         ]
         assert all(a > b for a, b in zip(errors, errors[1:]))
 
+    def test_high_degree_matches_closed_form(self):
+        # C(2000, k) overflows a double; the log-space basis does not
+        bm = bernstein_generator(power_generator(2), 2000)
+        u = np.array([0.0, 0.3, 0.5, 1.0])
+        assert np.max(np.abs(bm.eval(u) - (u**2 + u * (1.0 - u) / 2000))) < 1e-14
+
+    @pytest.mark.parametrize("m", [8, 300])
+    def test_value_does_not_depend_on_the_array(self, m):
+        bm = bernstein_generator(power_generator(2), m)
+        u = np.linspace(0.0, 1.0, 301)
+        values = bm.eval(u)
+        assert [bm.eval(float(t)) for t in u] == list(values)
+        assert np.array_equal(bm.eval(u[:7]), values[:7])
+        assert np.array_equal(bm.eval(u.reshape(7, 43)), values.reshape(7, 43))
+
     def test_rejects_low_degree(self):
         with pytest.raises(InvalidParameterError):
             bernstein_generator(power_generator(2), 1)
@@ -170,6 +186,14 @@ class TestExpSqGenerator:
         for i, value in enumerate(grid):
             assert abs(value - xi.antiderivative(i / 16)) < 1e-10
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 4.0])
+    @pytest.mark.parametrize("n", [1, 7, 50, 5000])
+    def test_grid_matches_closed_form(self, alpha, n):
+        grid = exp_sq_generator(alpha).antiderivative_grid(n)
+        exact = expsq_antiderivative(alpha, np.arange(n + 1) / n)
+        assert grid[0] == 0.0
+        assert np.max(np.abs(grid[1:] / exact[1:] - 1.0)) < 2e-14
+
     def test_grid_is_cached(self):
         xi = exp_sq_generator(1.0)
         assert xi.antiderivative_grid(8) is xi.antiderivative_grid(8)
@@ -178,6 +202,43 @@ class TestExpSqGenerator:
     def test_rejects_bad_alpha(self, alpha):
         with pytest.raises(InvalidParameterError):
             exp_sq_generator(alpha)
+
+
+class TestAdaptiveQuad:
+    def test_array_ends_match_scalar_calls(self):
+        a = np.array([[0.0, 0.1, 0.25], [0.5, 0.9, 1.0]])
+        b = np.array([[0.1, 0.6, 0.25], [0.75, 1.0, 0.3]])  # one empty panel, one reversed
+        values = adaptive_quad(lambda u: np.exp(u * u) / (1.0 + u), a, b, tol=1e-13)
+        assert values.shape == a.shape
+        for idx in np.ndindex(a.shape):
+            scalar = adaptive_quad(lambda u: np.exp(u * u) / (1.0 + u), a[idx], b[idx], tol=1e-13)
+            assert isinstance(scalar, float)
+            assert abs(values[idx] - scalar) <= 1e-13
+
+    def test_scalar_only_callable(self):
+        edges = np.linspace(0.0, 1.0, 5)
+        values = adaptive_quad(math.exp, edges[:-1], edges[1:])
+        assert np.max(np.abs(values - np.diff(np.exp(edges)))) < 1e-14
+        assert abs(adaptive_quad(math.exp, 0.0, 1.0) - (math.e - 1.0)) < 1e-14
+
+    def test_interior_kink_falls_back_to_quadpack(self):
+        value = adaptive_quad(lambda u: np.abs(u - 0.3), 0.0, 1.0)
+        assert abs(value - 0.29) < 1e-12
+
+    def test_integrable_end_singularities(self):
+        assert abs(adaptive_quad(np.log, 0.0, 1.0) + 1.0) < 1e-12
+        assert abs(adaptive_quad(lambda u: 1.0 / np.sqrt(1.0 - u), 0.0, 1.0) - 2.0) < 1e-10
+
+    @pytest.mark.parametrize("fn", [lambda u: 1.0 / u, lambda u: np.exp(800.0 * u * u)],
+                             ids=["divergent", "overflow"])
+    def test_failure_raises_without_warnings(self, fn):
+        import warnings
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(QuadratureError, match="quadrature failed"):
+                adaptive_quad(fn, 0.0, 1.0)
+        assert [str(w.message) for w in caught] == []
 
 
 class TestValidateGenerator:

@@ -104,6 +104,8 @@ def _hand_labels(sizes, seed, chunk, rows):
 # sha256 digests of enumerated pmfs, computed by the per-replicate
 # observed-data statistic path that the kernel replaced; the kernel must
 # reproduce them.  Permutation digests pin the (seed, chunk) stream contract.
+# The tau digests are those of table format 3, whose tanh-sinh Xi(i/n) grid
+# differs from the earlier per-panel QUADPACK grid by a few ulps.
 
 def _table_digest(values):
     return hashlib.sha256(np.ascontiguousarray(values, dtype="<f8").tobytes()).hexdigest()
@@ -117,7 +119,7 @@ def _pmf_digest(dist):
 
 @pytest.mark.parametrize("kind, spec, sizes, digest", [
     (TWO_SAMPLE, "power:2", (8, 8), "d53bf49f28c304d9e209e6903a2e184d188c6fb13ad31e1cf8d16d6d2fb28161"),
-    (TAU, "expsq:1", (7, 7), "ad1f0728813f94574b929df309b6a0d9433bbcbd403aa381275be4de73793002"),
+    (TAU, "expsq:1", (7, 7), "014781949b218002a22bf9a63de631a563cef6bb8ade841cf230b913cea247f9"),
     (K_SAMPLE, "poly:0,1,1", (3, 3, 3), "3d34399e4bb8a8675bd4bccca8bed7554e986840e906bf5a3b5846e488b162a6"),
     (K_SAMPLE, "power:3", (2, 3, 2, 2), "ff37bb3ff810a203faa718c4b54178d4d550c6ad975a2bc11f845830e583407e"),
     (TWO_SAMPLE, "power:2", (10, 10), "c88dd7269f1827afe355a45548d98d39f01f580e6f5acfb3fc98bd7edfb4d816"),
@@ -129,10 +131,10 @@ def test_enumerated_pmf_digests(kind, spec, sizes, digest):
 PERMUTATION_DIGESTS = {
     (TWO_SAMPLE, RIGHT_CONTINUOUS): "c4fed87227372c9ed879c7b530f43972e8f43d7ab9c8a1206c9267480283321a",
     (K_SAMPLE, RIGHT_CONTINUOUS): "4f5774c72a63065f2a2439d8724c4f6e00c17b8e18371a2c509497676fe4ee49",
-    (TAU, RIGHT_CONTINUOUS): "494f2d23e5315fc2789307eb0a3ec8d95f8e35ddfa69a0647bb6bed03093285d",
+    (TAU, RIGHT_CONTINUOUS): "eb6a19c8bfb555d8a2e56bfed78c7a23051039d3d4467cca732295f36af38577",
     (TWO_SAMPLE, MID): "049e5eb2d60e06ca44872f2f313d6a3854ea1c99c8f853b45d329cd609aa707d",
     (K_SAMPLE, MID): "d7281df940a7c5510a2730c47e36053453a6fe8573df6233c48d19d64f13242a",
-    (TAU, MID): "bb85c78efc12faa2b3d34baff5ba89875e4b12a54dc3387320eaa100fd4547ab",
+    (TAU, MID): "dd4760a6309e905a6f5be5135b8f87e71ca6b84462c1d34d446869422f024886",
 }
 
 

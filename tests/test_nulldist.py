@@ -358,7 +358,7 @@ class TestTableSerialization:
         intact = path.read_text()
         from convexgof import ConvexGofError
 
-        for version in (1, 99):  # a file from an older stream contract, and a future one
+        for version in (1, 2, 99):  # files from older contracts, and a future one
             path.write_text(intact.replace(f"format_version={TABLE_FORMAT_VERSION}",
                                            f"format_version={version}"))
             with pytest.raises(ConvexGofError, match="format version"):

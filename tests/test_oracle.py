@@ -225,6 +225,34 @@ class TestBattery:
         pair_cases = [c for c in cases if c.check == "strict-inequality"]
         assert len(pair_cases) == len(battery_generators()) * len(battery_cdf_pairs())
 
+    def test_values_match_quadpack(self):
+        # every case recomputed with scalar integrands and scipy's QUADPACK
+        from scipy import integrate
+
+        def quad(fn):
+            return integrate.quad(lambda u: float(fn(u)), 0.0, 1.0, epsabs=1e-13, epsrel=1e-13,
+                                  limit=200)[0]
+
+        gens = {h.name: h for h in battery_generators()}
+        cdfs = {c.name: c for pair in battery_cdf_pairs() for c in pair}
+        xi = exp_sq_generator(1.0)
+        cases = run_battery()
+        assert len(cases) == 43
+        for case in cases:
+            f, g = cdfs[case.f_name], cdfs[case.g_name]
+            if case.check.startswith("log-convex"):
+                expected = (quad(lambda u: xi.eval(g.eval(f.quantile(u))) * xi.eval(u))
+                            + quad(lambda u: xi.eval(f.eval(g.quantile(u))) * xi.eval(u))
+                            - 2.0 * quad(lambda u: xi.eval(u) ** 2))
+            else:
+                h = gens[case.generator_name]
+                expected = (quad(lambda u: h.eval(f.eval(g.quantile(u))))
+                            + quad(lambda u: h.eval(g.eval(f.quantile(u)))) - 2.0 * quad(h.eval))
+                if case.check == "cvm-identity":
+                    expected -= 0.5 * (quad(lambda u: (u - g.eval(f.quantile(u))) ** 2)
+                                       + quad(lambda u: (f.eval(g.quantile(u)) - u) ** 2))
+            assert abs(case.value - expected) < 1e-11, case.case_id
+
     def test_csv_export(self, tmp_path):
         import csv
 
