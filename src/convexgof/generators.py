@@ -244,7 +244,8 @@ def bernstein_generator(h: ConvexGenerator, m: int) -> ConvexGenerator:
         out = np.sum(basis * _w, axis=-1) / np.sum(basis, axis=-1)
         return out if np.ndim(u) else float(out)
 
-    integral = float(np.sum(weights[1:]) / (m + 1))
+    with np.errstate(over="ignore"):  # an overflowing sum fails as a non-finite statistic
+        integral = float(np.sum(weights[1:]) / (m + 1))
     return ConvexGenerator(name=f"bernstein:{h.name}:{m}", eval=_eval, integral_0_1=integral)
 
 

@@ -287,6 +287,8 @@ def parse_alternative(spec: str):
         value = float(arg)
     except ValueError:
         raise InvalidParameterError(f"offending token '{arg}' in alternative spec '{spec}'") from None
+    if not math.isfinite(value):
+        raise InvalidParameterError(f"alternative spec '{spec}' needs a finite value")
     if head == "scale" and value <= 0:
         raise InvalidParameterError("scale alternative needs a positive factor")
     if head == "lehmann" and value <= 0:

@@ -8,7 +8,8 @@ Carlo calibration of the null absorbs it.
 Every ECDF value the functionals need is a member count over a sample size,
 so one count-indexed kernel, :func:`_rank_statistic`, computes the raw
 functional for observed data, simulated tables, permutations and exact
-enumeration alike.
+enumeration alike.  Its counts come from column arithmetic in tie-free rows
+of two groups, and from prefix sums of bit-packed counts otherwise.
 """
 
 from __future__ import annotations
@@ -110,49 +111,78 @@ def _rank_statistic(kind, generator, sizes, weights, labels, ties=None,
     into the grid h(i/n), i = 0..n (h(i/2n), i = 0..2n, under ``mid``).
     ``ties`` holds each position's tie-block start and end, or None.  Each
     integral sums its terms over the integrating group's sorted values (tau:
-    its distinct values).  Grids are evaluated after the counts.  A
-    non-finite result raises :class:`NumericalError`.
+    its distinct values), one ordered pair of groups at a time; a grid is
+    evaluated when a pair first needs it.  In tie-free rows of two groups the
+    other group's count before a member is the member's column minus its
+    index in its own group.  Otherwise every group's running count is a
+    ``bits``-wide field of an int64 word, ``63 // bits`` groups per word: one
+    cumsum per word and one gather per (integrating group, word) give every
+    count.  A non-finite result raises :class:`NumericalError`.
     """
     if convention not in CONVENTIONS:
         raise InvalidParameterError(
             f"unknown CDF convention '{convention}'; expected one of {CONVENTIONS}"
         )
     nrep, width = labels.shape
-    mid = convention != RIGHT_CONTINUOUS
-    member = [labels == g for g in range(len(sizes))]
-    through = [np.cumsum(mask, axis=1, dtype=np.int32) for mask in member]  # members at or before
-    padded = None if ties is None else [
-        np.concatenate((np.zeros((nrep, 1), np.int32), c), axis=1).ravel() for c in through]
+    k, mid = len(sizes), convention != RIGHT_CONTINUOUS
+    grids, integrals = {}, {}
 
-    def count(g, at, strict=False):  # members of g valued < (strict) or <= those at flat ``at``
-        if ties is None:
-            c = np.take(through[g], at)
-            return c - np.take(member[g], at) if strict else c
-        row, col = np.divmod(at, width)
-        return np.take(padded[g], row * (width + 1) + np.take(ties[0 if strict else 1], col))
-
-    places = [np.flatnonzero(mask) for mask in member]
-    if kind == TAU and ties is not None:  # one term per distinct value, at its last member
-        places = [at[np.take(through[g], at) == count(g, at)] for g, at in enumerate(places)]
-    pairs = [(j, l) for j in range(len(sizes)) for l in range(len(sizes)) if j != l]
-    # group j's ECDF at group l's observations, as grid indices
-    indices = [count(j, places[l]) + (count(j, places[l], strict=True) if mid else 0) for j, l in pairs]
-    steps = {s: 2 * s if mid else s for s in sizes}
-    grids = {s: eval_on_array(generator.eval, np.arange(n + 1) / n) for s, n in steps.items()}
-    integrals = []
-    for (j, l), index in zip(pairs, indices):
+    def integral(j, l, index, jump=None, rows=None):  # group j's ECDF over group l's values
+        if sizes[j] not in grids:
+            n = 2 * sizes[j] if mid else sizes[j]
+            grids[sizes[j]] = eval_on_array(generator.eval, np.arange(n + 1) / n)
         terms = np.take(grids[sizes[j]], index)
-        if kind == TAU:
-            anti, at = generator.antiderivative_grid(sizes[l]), places[l]
-            terms = terms * (np.take(anti, count(l, at)) - np.take(anti, count(l, at, strict=True)))
-            integrals.append(_ragged_sums(terms, np.bincount(at // width, minlength=nrep)))
-        else:
-            integrals.append(terms.reshape(nrep, -1).sum(axis=1) / sizes[l])
-    if kind == K_SAMPLE:
-        w = weights.weights
-        raw = sum((w[j] * w[l] * integral for (j, l), integral in zip(pairs, integrals)), 0.0)
+        if kind != TAU:
+            return terms.reshape(nrep, -1).sum(axis=1) / sizes[l]
+        terms = terms * jump
+        return terms.reshape(nrep, -1).sum(axis=1) if rows is None else _ragged_sums(terms, rows)
+
+    if ties is None and k == 2:
+        for l in (0, 1):
+            count = np.flatnonzero(labels == l).reshape(nrep, -1)
+            count -= np.arange(0, nrep * width, width)[:, None]
+            count -= np.arange(sizes[l])
+            jump = np.diff(generator.antiderivative_grid(sizes[l])) if kind == TAU else None
+            integrals[1 - l, l] = integral(1 - l, l, 2 * count if mid else count, jump)
     else:
-        raw = integrals[0] + integrals[1]
+        bits = max(sizes).bit_length()
+        per, mask = 63 // bits, (1 << bits) - 1
+        g = np.arange(k)
+        code = np.where(np.arange(-(-k // per))[:, None] == g // per, 1 << bits * (g % per), 0)
+        words = np.zeros((len(code), nrep, width + 1), np.int64)  # members before each column
+        for word, c in zip(words, code):
+            np.cumsum(c[labels], axis=1, out=word[:, 1:])
+        words = words.reshape(len(code), -1)
+        row_start = np.arange(0, nrep * (width + 1), width + 1)[:, None]
+
+        def counts(col, end):  # packed members valued < (not end) or <= (end) those at ``col``
+            bound = col + 1 if ties is None else np.take(ties[end], col)
+            return np.take(words, (row_start + bound).ravel(), axis=1)
+
+        def field(group, packed):
+            return (packed[group // per] >> bits * (group % per)) & mask
+
+        for l in range(k):
+            col = np.flatnonzero(labels == l).reshape(nrep, -1)
+            col -= np.arange(0, nrep * width, width)[:, None]
+            through = counts(col, True)
+            before = through if ties is None or not (mid or kind == TAU) else counts(col, False)
+            jump = rows = None
+            if kind == TAU:  # one term per distinct value, at its last member
+                last = field(l, through).reshape(nrep, -1) == np.arange(1, sizes[l] + 1)
+                keep, rows = np.flatnonzero(last), np.count_nonzero(last, axis=1)
+                through, before = np.take(through, keep, axis=1), np.take(before, keep, axis=1)
+                anti = generator.antiderivative_grid(sizes[l])
+                jump = np.take(anti, field(l, through)) - np.take(anti, field(l, before))
+            for j in range(k):
+                if j != l:
+                    integrals[j, l] = integral(j, l, field(j, through) + field(j, before) if mid
+                                               else field(j, through), jump, rows)
+    if kind == K_SAMPLE:
+        w = weights.weights  # summed in (j, l) order, whatever order the pairs were computed in
+        raw = sum((w[j] * w[l] * integrals[j, l] for j, l in sorted(integrals)), 0.0)
+    else:
+        raw = integrals[0, 1] + integrals[1, 0]
     if not np.all(np.isfinite(raw)):
         raise NumericalError(f"generator '{generator.name}' gives a non-finite statistic "
                              f"at sample sizes {tuple(sizes)}")

@@ -167,7 +167,8 @@ class TestErrorPaths:
         ["test2", "--h", "poly:0,1e308"],  # the kernel's sums overflow
         ["tau", "--xi", "expsq:800"],  # quadrature of xi^2 overflows
         ["test2", "--h", "bernstein:poly:0,1e308:2"],  # sums of finite Bernstein values overflow
-    ], ids=["poly_overflow", "expsq_quadrature", "bernstein_overflow"])
+        ["test2", "--h", "bernstein:poly:0,1e308:8"],  # the knot values' sum overflows
+    ], ids=["poly_overflow", "expsq_quadrature", "bernstein_overflow", "bernstein_knot_sum"])
     def test_numerical_failure_writes_no_warning(self, data_files, argv):
         _, x, y, _ = data_files
         import warnings

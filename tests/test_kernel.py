@@ -227,3 +227,55 @@ def test_enumerated_tail_matches_scipy_exact_cvm_8_8():
     x, y = rng.normal(0.0, 1.0, 8), rng.normal(0.5, 1.0, 8)
     exact = sps.cramervonmises_2samp(x, y, method="exact").pvalue
     assert abs(_enumerated_tail(x, y) - exact) < 1e-12
+
+
+# Tables whose counts the small property cases above never reach: sizes past
+# one chunk, wide bit fields, and a 7-group k-sample whose 10-bit fields (its
+# group of 600) fill two packed words.  Digests computed by the per-group
+# prefix-sum kernel that the packed and two-group count paths replaced.
+SEVEN_GROUPS = (600, 3, 8, 1, 20, 5, 12)
+
+
+@pytest.mark.parametrize("kind, spec, sizes, weights, B, seed, digest", [
+    (TWO_SAMPLE, "power:2", (1000, 1000), None, 2048, 31,
+     "b40b3b7bc1ceaac2c5b652d62eb8cc7c50506c22483384a241bd4f90678ef682"),
+    (TAU, "expsq:1", (300, 200), None, 1500, 32,
+     "581e7554efc68107f975d1c049bc092af6b772da99484eb7ff1defc3e504dd5d"),
+    (K_SAMPLE, "poly:0,1,1", (250, 250, 250, 250), (0.1, 0.2, 0.3, 0.4), 1100, 33,
+     "f4eeff0652724e368e3b9d789444a599d0057e6c0086754ed66da69a69119bfe"),
+    (K_SAMPLE, "power:2", SEVEN_GROUPS, None, 1100, 34,
+     "29b1cac041930fe9163354a981129f413e1912e0e46deab3866a2daa8543515e"),
+], ids=["two_sample_1000x1000", "tau_300x200", "k_sample_4x250", "k_sample_7_groups"])
+def test_large_table_digests(kind, spec, sizes, weights, B, seed, digest):
+    assert B > _chunk_rows(sum(sizes))  # at least two chunks
+    table = simulate_null(kind, parse_generator_spec(spec), sizes, B=B, seed=seed,
+                          weights=None if weights is None else WeightVector(weights))
+    assert _table_digest(table.replicates) == digest
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["tie_free", "tied"])
+@pytest.mark.parametrize("convention", [RIGHT_CONTINUOUS, MID])
+def test_two_packed_words_match_reference(tied, convention):
+    gen, sizes = power_generator(2), SEVEN_GROUPS
+    weights = WeightVector(tuple(s / sum(sizes) for s in sizes))
+    pooled = np.sort(np.random.default_rng(12).normal(0.0, 1.0, sum(sizes)))
+    if tied:
+        pooled = np.round(pooled, 1)
+    labels = _hand_labels(sizes, 13, 0, 3)
+    got = _rank_statistic(K_SAMPLE, gen, sizes, weights, labels, _tie_blocks(pooled), convention)
+    expected = [reference_statistic(K_SAMPLE, gen, [pooled[row == g] for g in range(len(sizes))],
+                                    weights.weights, convention) for row in labels]
+    assert list(got - _centering(K_SAMPLE, gen, weights)) == expected
+
+
+@pytest.mark.parametrize("convention", [RIGHT_CONTINUOUS, MID])
+@pytest.mark.parametrize("kind, spec", [(TWO_SAMPLE, "power:2"), (TAU, "expsq:1")])
+def test_tie_free_counts_equal_singleton_tie_blocks(kind, spec, convention):
+    # the two-group path (column minus own index) against the packed path, which
+    # any ``ties`` selects; singleton blocks describe the same tie-free rows
+    gen, sizes = parse_generator_spec(spec), (1000, 1000)
+    labels = _hand_labels(sizes, 14, 0, _chunk_rows(sum(sizes)))
+    lo = np.arange(sum(sizes))
+    tie_free = _rank_statistic(kind, gen, sizes, None, labels, None, convention)
+    singleton = _rank_statistic(kind, gen, sizes, None, labels, (lo, lo + 1), convention)
+    assert np.array_equal(tie_free, singleton)

@@ -318,6 +318,9 @@ class TestPowerStudy:
     def test_unknown_alternative_rejected(self):
         with pytest.raises(InvalidParameterError):
             parse_alternative("wiggle:1")
+        for spec in ("shift:nan", "scale:inf", "lehmann:inf"):
+            with pytest.raises(InvalidParameterError, match=spec):
+                parse_alternative(spec)
         with pytest.raises(InvalidParameterError):
             power_study(TWO_SAMPLE, SQUARE, "wiggle:1", (10, 10),
                         B_null=9, B_power=5, seed=0)
