@@ -1,11 +1,15 @@
 """Generator functions that drive the divergence functionals.
 
 Two families are supported: strictly convex generators h on [0,1] with
-h(0) = 0, and positive log-strictly-convex generators xi on [0,1] carrying
-their antiderivative Xi(u) = integral of xi from 0 to u.  Builders cover the
-concrete families (powers, non-negative polynomials, Bernstein smoothing of
-a convex generator, exp(alpha*u^2)); ``validate_generator`` probes the
-defining strict inequalities on a finite grid.
+h(0) = 0, and positive log-strictly-convex generators xi on [0,1].  A
+generator is a name, an ``eval``, one centering constant (the integral of
+h, or of xi^2, over [0,1]) and a ``validated`` flag.  The antiderivative Xi
+of xi is only ever needed at the grid i/n of a sample size n, so it exists
+only as the cached quadrature grid ``LogConvexGenerator.antiderivative_grid(n)``.
+Builders cover the concrete families (powers, non-negative polynomials,
+Bernstein smoothing of a convex generator, exp(alpha*u^2));
+``validate_generator`` checks what the statistics consume: the defining
+strict inequality on a finite grid and the centering constant.
 
 Strictness is only checkable at finite resolution: the validator demands the
 midpoint (log-)convexity gap to exceed 1e-12 on every grid pair, which
@@ -129,13 +133,13 @@ class ConvexGenerator:
 class LogConvexGenerator:
     """Positive, log-strictly-convex generator xi on [0,1].
 
-    Carries the antiderivative Xi(u) and the constant integral of xi^2 over
-    [0,1] used to center the tau statistic.
+    ``integral_sq_0_1``, the integral of xi^2 over [0,1], centres the tau
+    statistic.  The antiderivative Xi is the cached grid of
+    :meth:`antiderivative_grid`, integrated from ``eval``.
     """
 
     name: str
     eval: Callable
-    antiderivative: Callable
     integral_sq_0_1: float
     validated: bool = True
     _grid_cache: dict = field(default_factory=dict, repr=False, compare=False)
@@ -250,35 +254,39 @@ def bernstein_generator(h: ConvexGenerator, m: int) -> ConvexGenerator:
 
 
 def exp_sq_generator(alpha: float) -> LogConvexGenerator:
-    """xi(u) = exp(alpha * u^2) for alpha > 0.
+    """xi(u) = exp(alpha * u^2), strictly log-convex for alpha > 0.
 
-    log xi = alpha u^2 is strictly convex; alpha = 0 would give a constant
-    xi, which is rejected.  Antiderivative and the integral of xi^2 are
+    The validator's log-convexity gap at (0, 1), exp(alpha) - exp(alpha/2),
+    grows with alpha; alpha is rejected unless that gap exceeds
+    ``CONVEXITY_EPS`` (about alpha > 2e-12), since a smaller alpha rounds xi
+    to a constant and every statistic to 0.  The integral of xi^2 is
     computed by adaptive quadrature.
     """
     alpha = float(alpha)
-    if not np.isfinite(alpha) or alpha <= 0:
-        raise InvalidParameterError(f"expsq generator needs alpha > 0, got {alpha!r}")
+    capped = min(alpha, 1.0)  # the gap at alpha = 1 already exceeds the bound; exp(alpha) may overflow
+    if not np.isfinite(alpha) or np.exp(capped) - np.exp(capped / 2) <= CONVEXITY_EPS:
+        raise InvalidParameterError(f"expsq generator needs alpha with exp(alpha) - exp(alpha/2) > "
+                                    f"{CONVEXITY_EPS:g} (about alpha > 2e-12), got {alpha!r}")
 
     def _eval(u, _a=alpha):
         arr = np.asarray(u, dtype=float)
         out = np.exp(_a * arr * arr)
         return out if np.ndim(u) else float(out)
 
-    def _anti(u, _fn=_eval):
-        return adaptive_quad(_fn, 0.0, u)
-
     integral_sq = adaptive_quad(lambda v: np.exp(2.0 * alpha * v * v), 0.0, 1.0)
-    return LogConvexGenerator(
-        name=f"expsq:{_name_token(alpha)}",
-        eval=_eval,
-        antiderivative=_anti,
-        integral_sq_0_1=integral_sq,
-    )
+    return LogConvexGenerator(name=f"expsq:{_name_token(alpha)}", eval=_eval, integral_sq_0_1=integral_sq)
 
 
-def convex_generator_from_callable(name, fn, integral=None, validate=True,
-                                   grid_size=DEFAULT_GRID) -> ConvexGenerator:
+def _checked(g):
+    """``g`` unchanged if it is flagged unvalidated or passes :func:`validate_generator`."""
+    if g.validated:
+        report = validate_generator(g)
+        if not report.passed:
+            raise InvalidParameterError(f"generator '{g.name}' failed validation: {report.first_violation}")
+    return g
+
+
+def convex_generator_from_callable(name, fn, integral=None, validate=True) -> ConvexGenerator:
     """Wrap an arbitrary function as a ConvexGenerator.
 
     With ``validate=False`` the generator is constructed as-is and flagged
@@ -287,106 +295,56 @@ def convex_generator_from_callable(name, fn, integral=None, validate=True,
     """
     if integral is None:
         integral = adaptive_quad(fn, 0.0, 1.0)
-    g = ConvexGenerator(name=name, eval=fn, integral_0_1=float(integral), validated=validate)
-    if validate:
-        report = validate_generator(g, grid_size)
-        if not report.passed:
-            raise InvalidParameterError(f"generator '{name}' failed validation: {report.first_violation}")
-    return g
+    return _checked(ConvexGenerator(name=name, eval=fn, integral_0_1=float(integral), validated=validate))
 
 
-def log_convex_generator_from_callable(name, fn, antiderivative=None, integral_sq=None,
-                                       validate=True, grid_size=DEFAULT_GRID) -> LogConvexGenerator:
-    """Wrap an arbitrary positive function as a LogConvexGenerator."""
-    if antiderivative is None:
-        def antiderivative(u, _fn=fn):
-            return adaptive_quad(_fn, 0.0, u)
+def log_convex_generator_from_callable(name, fn, integral_sq=None, validate=True) -> LogConvexGenerator:
+    """Wrap an arbitrary positive function as a LogConvexGenerator; ``validate`` as for h."""
     if integral_sq is None:
         integral_sq = adaptive_quad(lambda v: eval_on_array(fn, v) ** 2, 0.0, 1.0)
-    g = LogConvexGenerator(
-        name=name,
-        eval=fn,
-        antiderivative=antiderivative,
-        integral_sq_0_1=float(integral_sq),
-        validated=validate,
-    )
-    if validate:
-        report = validate_generator(g, grid_size)
-        if not report.passed:
-            raise InvalidParameterError(f"generator '{name}' failed validation: {report.first_violation}")
-    return g
-
-
-def _validate_convex(g: ConvexGenerator, grid_size: int) -> ValidationReport:
-    u = np.linspace(0.0, 1.0, grid_size + 1)
-    vals = eval_on_array(g.eval, u)
-    if abs(vals[0]) > CONVEXITY_EPS:
-        return ValidationReport(g.name, grid_size, False, f"h(0) = {vals[0]:.3e}, expected 0")
-    iu, iv = np.triu_indices(u.size, k=1)
-    mids = 0.5 * (u[iu] + u[iv])
-    gap = 0.5 * (vals[iu] + vals[iv]) - eval_on_array(g.eval, mids)
-    worst = int(np.argmin(gap))
-    if gap[worst] <= CONVEXITY_EPS:
-        return ValidationReport(
-            g.name, grid_size, False,
-            f"midpoint convexity not strict at (u, v) = ({u[iu[worst]]:g}, {u[iv[worst]]:g}): "
-            f"gap = {gap[worst]:.3e}",
-        )
-    quad = adaptive_quad(g.eval, 0.0, 1.0)
-    if abs(quad - g.integral_0_1) > 1e-10:
-        return ValidationReport(
-            g.name, grid_size, False,
-            f"integral_0_1 = {g.integral_0_1!r} but quadrature gives {quad!r}",
-        )
-    return ValidationReport(g.name, grid_size, True)
-
-
-def _validate_log_convex(g: LogConvexGenerator, grid_size: int) -> ValidationReport:
-    u = np.linspace(0.0, 1.0, grid_size + 1)
-    vals = eval_on_array(g.eval, u)
-    if np.any(vals <= 0):
-        bad = int(np.argmax(vals <= 0))
-        return ValidationReport(g.name, grid_size, False, f"xi({u[bad]:g}) = {vals[bad]:.3e} is not positive")
-    iu, iv = np.triu_indices(u.size, k=1)
-    mids = 0.5 * (u[iu] + u[iv])
-    gap = vals[iu] * vals[iv] - eval_on_array(g.eval, mids) ** 2
-    worst = int(np.argmin(gap))
-    if gap[worst] <= CONVEXITY_EPS:
-        return ValidationReport(
-            g.name, grid_size, False,
-            f"log-convexity not strict at (u, v) = ({u[iu[worst]]:g}, {u[iv[worst]]:g}): "
-            f"gap = {gap[worst]:.3e}",
-        )
-    if abs(float(g.antiderivative(0.0))) > CONVEXITY_EPS:
-        return ValidationReport(g.name, grid_size, False, "antiderivative(0) != 0")
-    # antiderivative: monotone on the grid, consistent with quadrature at probes
-    probes = u[:: max(1, grid_size // 8)]
-    anti = np.array([float(g.antiderivative(t)) for t in probes])
-    if np.any(np.diff(anti) < -CONVEXITY_EPS):
-        return ValidationReport(g.name, grid_size, False, "antiderivative is not nondecreasing")
-    quad = adaptive_quad(g.eval, 0.0, probes)
-    for t, a, q in zip(probes, anti, quad):
-        if abs(a - q) > 1e-10:
-            return ValidationReport(
-                g.name, grid_size, False,
-                f"antiderivative({t:g}) = {a!r} but quadrature gives {q!r}",
-            )
-    return ValidationReport(g.name, grid_size, True)
+    return _checked(LogConvexGenerator(name=name, eval=fn, integral_sq_0_1=float(integral_sq),
+                                       validated=validate))
 
 
 def validate_generator(g, grid_size: int = DEFAULT_GRID) -> ValidationReport:
-    """Probe a generator's invariants on a uniform grid of [0,1].
+    """Probe what the statistics consume of a generator, on a uniform grid of [0,1].
 
-    Violations are reported, not raised; the report carries the first
-    violated probe.
+    h(0) = 0 for a convex h, or xi > 0 for a log-convex xi; a strict
+    midpoint gap at every grid pair, arithmetic for h and geometric for xi;
+    and the centering constant (``integral_0_1``, or ``integral_sq_0_1``)
+    within 1e-10 of quadrature (relative to the integral once it exceeds 1,
+    since quadrature resolves 1e-12 of it).  Violations are reported, not
+    raised; the report carries the first violated probe.
     """
     if not isinstance(grid_size, (int, np.integer)) or grid_size < 3:
         raise InvalidParameterError(f"grid_size must be an integer >= 3, got {grid_size!r}")
-    if isinstance(g, ConvexGenerator):
-        return _validate_convex(g, int(grid_size))
-    if isinstance(g, LogConvexGenerator):
-        return _validate_log_convex(g, int(grid_size))
-    raise InvalidParameterError(f"cannot validate object of type {type(g).__name__}")
+    if not isinstance(g, (ConvexGenerator, LogConvexGenerator)):
+        raise InvalidParameterError(f"cannot validate object of type {type(g).__name__}")
+    grid_size, convex = int(grid_size), isinstance(g, ConvexGenerator)
+
+    def report(violation=None):
+        return ValidationReport(g.name, grid_size, violation is None, violation)
+
+    u = np.linspace(0.0, 1.0, grid_size + 1)
+    vals = eval_on_array(g.eval, u)
+    if convex and abs(vals[0]) > CONVEXITY_EPS:
+        return report(f"h(0) = {vals[0]:.3e}, expected 0")
+    if not convex and np.any(vals <= 0):
+        bad = int(np.argmax(vals <= 0))
+        return report(f"xi({u[bad]:g}) = {vals[bad]:.3e} is not positive")
+    iu, iv = np.triu_indices(u.size, k=1)
+    mids = eval_on_array(g.eval, 0.5 * (u[iu] + u[iv]))
+    gap = 0.5 * (vals[iu] + vals[iv]) - mids if convex else vals[iu] * vals[iv] - mids ** 2
+    worst = int(np.argmin(gap))
+    if gap[worst] <= CONVEXITY_EPS:
+        return report(f"{'midpoint convexity' if convex else 'log-convexity'} not strict at "
+                      f"(u, v) = ({u[iu[worst]]:g}, {u[iv[worst]]:g}): gap = {gap[worst]:.3e}")
+    key, integrand = (("integral_0_1", g.eval) if convex else
+                      ("integral_sq_0_1", lambda v: eval_on_array(g.eval, v) ** 2))
+    quad, constant = adaptive_quad(integrand, 0.0, 1.0), getattr(g, key)
+    if abs(quad - constant) > 1e-10 * max(1.0, abs(quad)):
+        return report(f"{key} = {constant!r} but quadrature gives {quad!r}")
+    return report()
 
 
 def parse_generator_spec(spec: str):

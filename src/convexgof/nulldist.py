@@ -219,14 +219,18 @@ def run_test(kind, generator, samples, weights=None, B: int = DEFAULT_B, seed: i
     permutations of the pooled data when ``method="permutation"``).  A
     pre-built ``table`` -- for example one loaded from a cache, which is
     bit-identical to regeneration -- skips the simulation; its kind, sizes,
-    generator and weights must match.  Warnings surface cross-sample ties,
-    unvalidated generators and levels the table is too small to resolve.
+    generator and weights must match.  A permutation null depends on the
+    data's ties, so it never comes from a pre-built table.  Warnings surface
+    cross-sample ties, unvalidated generators and levels the table is too
+    small to resolve.
     """
     samples = [s if isinstance(s, Sample) else Sample(np.asarray(s, dtype=float)) for s in samples]
     sizes = tuple(s.n for s in samples)
     sizes, weights = _check_kind_and_generator(kind, generator, sizes, weights)
     if method not in ("simulation", "permutation"):
         raise InvalidParameterError(f"unknown method '{method}'; expected simulation or permutation")
+    if method == "permutation" and table is not None:
+        raise InvalidParameterError("method='permutation' builds its table from the data, not a pre-built one")
     observed = _OBSERVED[kind](generator, samples, weights, convention)
     if table is not None:
         built, wanted = table.identity[:4], _request_identity(kind, generator, sizes, weights)[:4]

@@ -105,9 +105,11 @@ class TestErrorPaths:
 
     def test_wrong_generator_kind_for_tau(self, data_files):
         _, x, y, _ = data_files
-        code, _, err = run_cli(["tau", "--xi", "power:2", "--x", x, "--y", y])
-        assert code == cli.EXIT_CONFIG
-        assert "power:2" in err
+        # expsq:1e-20 rounds xi to 1: a log-linear xi whose every statistic is 0
+        for spec, named in (("power:2", "power:2"), ("expsq:1e-20", "alpha")):
+            code, out, err = run_cli(["tau", "--xi", spec, "--x", x, "--y", y])
+            assert code == cli.EXIT_CONFIG and out == ""
+            assert named in err
 
     def test_missing_file_is_data_error(self, data_files):
         tmp, x, _, _ = data_files

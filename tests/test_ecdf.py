@@ -24,10 +24,10 @@ SQUARE = power_generator(2)
 
 
 def unit_xi():
-    """Constant xi forced past validation; its antiderivative is the identity."""
+    """Constant xi forced past validation; its grid antiderivative_grid(n) is i/n."""
     return log_convex_generator_from_callable(
         "one", lambda u: np.ones_like(np.asarray(u, dtype=float)),
-        antiderivative=lambda u: float(u), integral_sq=1.0, validate=False)
+        integral_sq=1.0, validate=False)
 
 
 class TestSample:

@@ -264,6 +264,12 @@ class TestRunTest:
         report = run_test(TWO_SAMPLE, SQUARE, [x, y], table=table)
         assert report.table is table
 
+    def test_prebuilt_table_cannot_answer_permutation(self):
+        table = simulate_null(TWO_SAMPLE, SQUARE, (3, 3), B=99, seed=1)
+        tied = [Sample([1.0, 1.0, 5.0]), Sample([1.0, 4.0, 6.0])]
+        with pytest.raises(InvalidParameterError, match="permutation"):
+            run_test(TWO_SAMPLE, SQUARE, tied, method="permutation", table=table)
+
     def test_prebuilt_table_size_mismatch_rejected(self):
         table = simulate_null(TWO_SAMPLE, SQUARE, (3, 3), B=99, seed=1)
         with pytest.raises(InvalidParameterError):

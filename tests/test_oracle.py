@@ -156,7 +156,7 @@ class TestLogConvexFunctional:
 
         one = log_convex_generator_from_callable(
             "one", lambda u: np.ones_like(np.asarray(u, dtype=float)),
-            antiderivative=lambda u: float(u), integral_sq=1.0, validate=False)
+            integral_sq=1.0, validate=False)
         assert abs(log_convex_functional(one, UNIFORM, SQUARE_CDF) - 2.0) < 1e-9
 
 

@@ -152,7 +152,7 @@ class TestTauStatistic:
     def test_constant_xi_gives_zero(self):
         xi = log_convex_generator_from_callable(
             "one", lambda u: np.ones_like(np.asarray(u, dtype=float)),
-            antiderivative=lambda u: float(u), integral_sq=1.0, validate=False)
+            integral_sq=1.0, validate=False)
         s = tau_statistic(xi, X_WORKED, Y_WORKED)
         assert abs(s.raw_functional - 2.0) < 1e-12
         assert abs(s.value) < 1e-12
