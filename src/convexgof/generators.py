@@ -11,10 +11,12 @@ Bernstein smoothing of a convex generator, exp(alpha*u^2));
 ``validate_generator`` checks what the statistics consume: the defining
 strict inequality on a finite grid and the centering constant.
 
-Strictness is only checkable at finite resolution: the validator demands the
-midpoint (log-)convexity gap to exceed 1e-12 on every grid pair, which
-rejects linear/log-linear generators that would break the equality
-characterization of the tests.
+Strictness is only checkable at finite resolution: on every grid pair the
+validator demands the midpoint (log-)convexity gap mean - mid to exceed
+1e-12 (|mean| + |mid|), where mean is (h(u) + h(v))/2 or xi(u) xi(v) and mid
+is h or xi^2 at the midpoint.  The relative bound accepts high powers, whose
+gaps near 0 are tiny, and rejects linear/log-linear generators, which would
+break the equality characterization of the tests.  Non-finite values fail first.
 
 Integrals use ``adaptive_quad``, a vectorised tanh-sinh rule with a QUADPACK fallback.
 """
@@ -258,15 +260,16 @@ def exp_sq_generator(alpha: float) -> LogConvexGenerator:
 
     The validator's log-convexity gap at (0, 1), exp(alpha) - exp(alpha/2),
     grows with alpha; alpha is rejected unless that gap exceeds
-    ``CONVEXITY_EPS`` (about alpha > 2e-12), since a smaller alpha rounds xi
-    to a constant and every statistic to 0.  The integral of xi^2 is
-    computed by adaptive quadrature.
+    ``CONVEXITY_EPS`` (exp(alpha) + exp(alpha/2)) (about alpha > 4e-12),
+    since a smaller alpha rounds xi to a constant and every statistic to 0.
+    The integral of xi^2 is computed by adaptive quadrature.
     """
     alpha = float(alpha)
-    capped = min(alpha, 1.0)  # the gap at alpha = 1 already exceeds the bound; exp(alpha) may overflow
-    if not np.isfinite(alpha) or np.exp(capped) - np.exp(capped / 2) <= CONVEXITY_EPS:
-        raise InvalidParameterError(f"expsq generator needs alpha with exp(alpha) - exp(alpha/2) > "
-                                    f"{CONVEXITY_EPS:g} (about alpha > 2e-12), got {alpha!r}")
+    # the gap at alpha = 1 already exceeds the bound; exp(alpha) may overflow
+    mean, mid = np.exp(min(alpha, 1.0)), np.exp(min(alpha, 1.0) / 2)
+    if not np.isfinite(alpha) or mean - mid <= CONVEXITY_EPS * (mean + mid):
+        raise InvalidParameterError(f"expsq generator needs alpha with exp(alpha) - exp(alpha/2) > {CONVEXITY_EPS:g} "
+                                    f"(exp(alpha) + exp(alpha/2)) (about alpha > 4e-12), got {alpha!r}")
 
     def _eval(u, _a=alpha):
         arr = np.asarray(u, dtype=float)
@@ -309,9 +312,10 @@ def log_convex_generator_from_callable(name, fn, integral_sq=None, validate=True
 def validate_generator(g, grid_size: int = DEFAULT_GRID) -> ValidationReport:
     """Probe what the statistics consume of a generator, on a uniform grid of [0,1].
 
-    h(0) = 0 for a convex h, or xi > 0 for a log-convex xi; a strict
-    midpoint gap at every grid pair, arithmetic for h and geometric for xi;
-    and the centering constant (``integral_0_1``, or ``integral_sq_0_1``)
+    Finite values on the grid and at every midpoint; h(0) = 0 for a convex
+    h, or xi > 0 for a log-convex xi; a strict midpoint gap at every grid pair
+    (see the module docstring), arithmetic for h and geometric for xi; and the
+    centering constant (``integral_0_1``, or ``integral_sq_0_1``)
     within 1e-10 of quadrature (relative to the integral once it exceeds 1,
     since quadrature resolves 1e-12 of it).  Violations are reported, not
     raised; the report carries the first violated probe.
@@ -326,19 +330,24 @@ def validate_generator(g, grid_size: int = DEFAULT_GRID) -> ValidationReport:
         return ValidationReport(g.name, grid_size, violation is None, violation)
 
     u = np.linspace(0.0, 1.0, grid_size + 1)
-    vals = eval_on_array(g.eval, u)
+    iu, iv = np.triu_indices(u.size, k=1)
+    points = np.concatenate([u, 0.5 * (u[iu] + u[iv])])
+    values = eval_on_array(g.eval, points)
+    if not np.all(np.isfinite(values)):
+        bad = int(np.argmin(np.isfinite(values)))
+        return report(f"{'h' if convex else 'xi'}({points[bad]:g}) = {values[bad]} is not finite")
+    vals, mids = values[:u.size], values[u.size:]
     if convex and abs(vals[0]) > CONVEXITY_EPS:
         return report(f"h(0) = {vals[0]:.3e}, expected 0")
     if not convex and np.any(vals <= 0):
         bad = int(np.argmax(vals <= 0))
         return report(f"xi({u[bad]:g}) = {vals[bad]:.3e} is not positive")
-    iu, iv = np.triu_indices(u.size, k=1)
-    mids = eval_on_array(g.eval, 0.5 * (u[iu] + u[iv]))
-    gap = 0.5 * (vals[iu] + vals[iv]) - mids if convex else vals[iu] * vals[iv] - mids ** 2
-    worst = int(np.argmin(gap))
-    if gap[worst] <= CONVEXITY_EPS:
-        return report(f"{'midpoint convexity' if convex else 'log-convexity'} not strict at "
-                      f"(u, v) = ({u[iu[worst]]:g}, {u[iv[worst]]:g}): gap = {gap[worst]:.3e}")
+    mean, mid = (0.5 * (vals[iu] + vals[iv]), mids) if convex else (vals[iu] * vals[iv], mids ** 2)
+    slack = mean - mid - CONVEXITY_EPS * (np.abs(mean) + np.abs(mid))
+    worst = int(np.argmin(slack))
+    if slack[worst] <= 0:
+        return report(f"{'midpoint convexity' if convex else 'log-convexity'} not strict at (u, v) = "
+                      f"({u[iu[worst]]:g}, {u[iv[worst]]:g}): gap = {mean[worst] - mid[worst]:.3e}")
     key, integrand = (("integral_0_1", g.eval) if convex else
                       ("integral_sq_0_1", lambda v: eval_on_array(g.eval, v) ** 2))
     quad, constant = adaptive_quad(integrand, 0.0, 1.0), getattr(g, key)

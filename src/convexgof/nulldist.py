@@ -179,28 +179,23 @@ def p_value(table: NullTable, observed) -> float:
     return (1 + count_ge) / (reps.size + 1)
 
 
-def _critical_rank(B: int, alpha: float):
-    """Order-statistic rank for the empirical (1-alpha) quantile, with clamping."""
+def _critical(table: NullTable, alpha: float):
+    """Empirical (1-alpha) quantile of the table, and whether its rank was clamped to 1..B."""
     if not (isinstance(alpha, (int, float, np.floating)) and 0.0 < alpha < 1.0):
         raise InvalidParameterError(f"alpha must lie in (0, 1), got {alpha!r}")
     # rank = ceil((1-alpha)(B+1)) computed as (B+1) - floor(alpha(B+1)); the
     # nudge keeps float rounding from shifting ranks at exact multiples
-    rank = (B + 1) - math.floor(alpha * (B + 1) + 1e-9)
-    clamped = rank > B or rank < 1
-    return min(max(rank, 1), B), clamped
+    rank = (table.B + 1) - math.floor(alpha * (table.B + 1) + 1e-9)
+    return float(table.replicates[min(max(rank, 1), table.B) - 1]), not 1 <= rank <= table.B
 
 
 def critical_value(table: NullTable, alpha: float) -> float:
     """Empirical (1-alpha) quantile of the null table (upper-tail test)."""
-    rank, clamped = _critical_rank(table.B, alpha)
+    value, clamped = _critical(table, alpha)
     if clamped:
-        warnings.warn(
-            f"null table of size {table.B} is too small for level {alpha:g}; "
-            f"critical value clamped to order statistic {rank}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return float(table.replicates[rank - 1])
+        warnings.warn(f"null table of size {table.B} is too small for level {alpha:g}; "
+                      f"critical value clamped", RuntimeWarning, stacklevel=2)
+    return value
 
 
 _OBSERVED = {
@@ -260,12 +255,9 @@ def run_test(kind, generator, samples, weights=None, B: int = DEFAULT_B, seed: i
         )
     cvs = {}
     for alpha in levels:
-        rank, clamped = _critical_rank(table.B, alpha)
+        cvs[float(alpha)], clamped = _critical(table, alpha)
         if clamped:
-            notes.append(
-                f"null table too small for level {alpha:g}; critical value clamped"
-            )
-        cvs[float(alpha)] = float(table.replicates[rank - 1])
+            notes.append(f"null table too small for level {alpha:g}; critical value clamped")
     return TestReport(
         statistic=observed,
         p_value=p_value(table, observed),
@@ -332,14 +324,14 @@ def power_study(kind, generator, alternative, sizes, B_null: int, B_power: int,
     """Estimate rejection rates against a uniform-baseline alternative.
 
     All groups draw standard uniforms; the last group is pushed through the
-    alternative (location shift, scale factor, or Lehmann exponent).  Each
-    trial computes its own fresh null table, so the per-level rejection
-    indicator is exactly Bernoulli at the nominal level when the alternative
-    is degenerate.  The data uniforms do not depend on the alternative's
+    alternative, a :func:`parse_alternative` spec string (location shift,
+    scale factor, or Lehmann exponent).  Each trial computes its own fresh
+    null table, so the per-level rejection indicator is exactly Bernoulli at
+    the nominal level when the alternative is degenerate.  The data uniforms do not depend on the alternative's
     parameter, so power curves over the parameter share one seed lattice.
     """
     sizes, weights = _check_kind_and_generator(kind, generator, sizes, weights)
-    alt = parse_alternative(alternative) if isinstance(alternative, str) else alternative
+    alt = parse_alternative(alternative)
     if not isinstance(B_power, (int, np.integer)) or B_power < 1:
         raise InvalidParameterError(f"B_power must be >= 1, got {B_power!r}")
     seed = _check_seed(seed)

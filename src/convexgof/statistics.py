@@ -9,7 +9,8 @@ Every ECDF value the functionals need is a member count over a sample size,
 so one count-indexed kernel, :func:`_rank_statistic`, computes the raw
 functional for observed data, simulated tables, permutations and exact
 enumeration alike.  Its counts come from column arithmetic in tie-free rows
-of two groups, and from prefix sums of bit-packed counts otherwise.
+of two groups, and from prefix sums of bit-packed counts otherwise.  Every
+integral, tau's included, has one term per member of the integrating group.
 """
 
 from __future__ import annotations
@@ -87,20 +88,6 @@ def _tie_blocks(sorted_values):
     return lo, hi
 
 
-def _ragged_sums(terms, counts) -> np.ndarray:
-    """Sum of each row's terms, with ``terms`` holding the rows' entries end to end.
-
-    Rows of equal length are summed as one 2-d block, in ``np.sum``'s order for one row.
-    """
-    if counts.min() == counts.max():
-        return terms.reshape(counts.size, -1).sum(axis=1)
-    owner = np.repeat(counts, counts)  # length of the row each term belongs to
-    out = np.empty(counts.size)
-    for c in np.unique(counts):
-        out[counts == c] = terms[owner == c].reshape(-1, c).sum(axis=1)
-    return out
-
-
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite result raises below
 def _rank_statistic(kind, generator, sizes, weights, labels, ties=None,
                     convention=RIGHT_CONTINUOUS) -> np.ndarray:
@@ -108,42 +95,41 @@ def _rank_statistic(kind, generator, sizes, weights, labels, ties=None,
 
     ``labels[r, p]`` is the group of replicate r's p-th smallest pooled value,
     so each ECDF value is a member count and each functional a sum of lookups
-    into the grid h(i/n), i = 0..n (h(i/2n), i = 0..2n, under ``mid``).
-    ``ties`` holds each position's tie-block start and end, or None.  Each
-    integral sums its terms over the integrating group's sorted values (tau:
-    its distinct values), one ordered pair of groups at a time; a grid is
-    evaluated when a pair first needs it.  In tie-free rows of two groups the
-    other group's count before a member is the member's column minus its
-    index in its own group.  Otherwise every group's running count is a
-    ``bits``-wide field of an int64 word, ``63 // bits`` groups per word: one
-    cumsum per word and one gather per (integrating group, word) give every
-    count.  A non-finite result raises :class:`NumericalError`.
+    into the grid h(i/n), i = 0..n.  ``ties`` holds each position's tie-block
+    start and end, or None; only with ties does ``mid`` change a count, to the
+    sum of those below and through its block, looked up in h(i/2n).  Each
+    integral sums one term per member of the integrating group l in sorted
+    order, one ordered pair of groups at a time; a grid is evaluated when a
+    pair first needs it.  A tau term is weighted by its member's jump
+    Xi((i+1)/n_l) - Xi(i/n_l); a tie block's members share one count of the
+    other group, so their jumps add up to the block's jump.  In tie-free rows
+    of two groups the other group's count before a member is the member's
+    column minus its index in its own group.  Otherwise every group's running
+    count is a ``bits``-wide field of an int64 word, ``63 // bits`` groups per
+    word: one cumsum per word and one gather per (integrating group, word)
+    give every count.  A non-finite result raises :class:`NumericalError`.
     """
     if convention not in CONVENTIONS:
-        raise InvalidParameterError(
-            f"unknown CDF convention '{convention}'; expected one of {CONVENTIONS}"
-        )
+        raise InvalidParameterError(f"unknown CDF convention '{convention}'; expected one of {CONVENTIONS}")
     nrep, width = labels.shape
-    k, mid = len(sizes), convention != RIGHT_CONTINUOUS
+    k, mid = len(sizes), convention != RIGHT_CONTINUOUS and ties is not None
     grids, integrals = {}, {}
 
-    def integral(j, l, index, jump=None, rows=None):  # group j's ECDF over group l's values
+    def integral(j, l, index):  # group j's ECDF over group l's values
         if sizes[j] not in grids:
             n = 2 * sizes[j] if mid else sizes[j]
             grids[sizes[j]] = eval_on_array(generator.eval, np.arange(n + 1) / n)
-        terms = np.take(grids[sizes[j]], index)
-        if kind != TAU:
-            return terms.reshape(nrep, -1).sum(axis=1) / sizes[l]
-        terms = terms * jump
-        return terms.reshape(nrep, -1).sum(axis=1) if rows is None else _ragged_sums(terms, rows)
+        terms = np.take(grids[sizes[j]], index).reshape(nrep, sizes[l])
+        if kind == TAU:
+            return (terms * np.diff(generator.antiderivative_grid(sizes[l]))).sum(axis=1)
+        return terms.sum(axis=1) / sizes[l]
 
     if ties is None and k == 2:
         for l in (0, 1):
             count = np.flatnonzero(labels == l).reshape(nrep, -1)
             count -= np.arange(0, nrep * width, width)[:, None]
             count -= np.arange(sizes[l])
-            jump = np.diff(generator.antiderivative_grid(sizes[l])) if kind == TAU else None
-            integrals[1 - l, l] = integral(1 - l, l, 2 * count if mid else count, jump)
+            integrals[1 - l, l] = integral(1 - l, l, count)
     else:
         bits = max(sizes).bit_length()
         per, mask = 63 // bits, (1 << bits) - 1
@@ -166,18 +152,11 @@ def _rank_statistic(kind, generator, sizes, weights, labels, ties=None,
             col = np.flatnonzero(labels == l).reshape(nrep, -1)
             col -= np.arange(0, nrep * width, width)[:, None]
             through = counts(col, True)
-            before = through if ties is None or not (mid or kind == TAU) else counts(col, False)
-            jump = rows = None
-            if kind == TAU:  # one term per distinct value, at its last member
-                last = field(l, through).reshape(nrep, -1) == np.arange(1, sizes[l] + 1)
-                keep, rows = np.flatnonzero(last), np.count_nonzero(last, axis=1)
-                through, before = np.take(through, keep, axis=1), np.take(before, keep, axis=1)
-                anti = generator.antiderivative_grid(sizes[l])
-                jump = np.take(anti, field(l, through)) - np.take(anti, field(l, before))
+            before = counts(col, False) if mid else through
             for j in range(k):
                 if j != l:
                     integrals[j, l] = integral(j, l, field(j, through) + field(j, before) if mid
-                                               else field(j, through), jump, rows)
+                                               else field(j, through))
     if kind == K_SAMPLE:
         w = weights.weights  # summed in (j, l) order, whatever order the pairs were computed in
         raw = sum((w[j] * w[l] * integrals[j, l] for j, l in sorted(integrals)), 0.0)

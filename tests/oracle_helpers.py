@@ -90,10 +90,12 @@ def reference_ecdf(sorted_sample, points, convention):
 def reference_statistic(kind, gen, groups, weights, convention):
     """Statistic of observed groups by per-group searchsorted and array evaluation.
 
-    The summation order is the kernel's: each integral sums its
-    terms over the evaluated group's sorted values (tau: over its distinct
-    values) with ``np.sum``.  ``gen.eval`` is called on whole arrays, so
-    generators must evaluate elementwise.
+    The summation order is the kernel's: each integral sums one term per
+    member of the evaluated group, in sorted order, with ``np.sum``; a tau
+    term is xi at the other group's ECDF times the member's own jump
+    Xi((i+1)/n) - Xi(i/n), so a tie block's jump is split among its members.
+    ``gen.eval`` is called on whole arrays, so generators must evaluate
+    elementwise.
     """
     groups = [np.sort(np.asarray(g, dtype=float)) for g in groups]
 
@@ -102,11 +104,8 @@ def reference_statistic(kind, gen, groups, weights, convention):
         return float(np.sum(np.asarray(gen.eval(vals), dtype=float)) / len(at_sample))
 
     def xi_integral(g_sample, f_sample):
-        uniq, counts = np.unique(f_sample, return_counts=True)
-        cum = np.cumsum(counts)
-        grid = gen.antiderivative_grid(len(f_sample))
-        jumps = grid[cum] - grid[np.concatenate([[0], cum[:-1]])]
-        gvals = np.asarray(gen.eval(reference_ecdf(g_sample, uniq, convention)), dtype=float)
+        jumps = np.diff(gen.antiderivative_grid(len(f_sample)))
+        gvals = np.asarray(gen.eval(reference_ecdf(g_sample, f_sample, convention)), dtype=float)
         return float(np.sum(gvals * jumps))
 
     if kind == "two_sample":

@@ -250,6 +250,25 @@ class TestValidateGenerator:
         assert not report.passed
         assert "midpoint" in report.first_violation
 
+    @pytest.mark.parametrize("m", [7, 12])
+    def test_high_powers_pass(self, m):
+        # gaps near 0 are of order 128^-m; the bound is relative to the values compared
+        g = convex_generator_from_callable(f"p{m}", lambda u: u ** m)
+        assert g.validated
+        assert validate_generator(g, 128).passed
+
+    def test_non_finite_value_is_a_violation(self):
+        def fn(u):
+            u = np.asarray(u, dtype=float)
+            return np.where(u == 0.5, np.nan, u * u)
+
+        forced = convex_generator_from_callable("nan", fn, integral=1.0 / 3.0, validate=False)
+        report = validate_generator(forced, 128)
+        assert not report.passed
+        assert report.first_violation == "h(0.5) = nan is not finite"
+        with pytest.raises(InvalidParameterError, match="not finite"):
+            convex_generator_from_callable("nan", fn, integral=1.0 / 3.0)
+
     def test_nonzero_origin_fails(self):
         shifted = convex_generator_from_callable(
             "shifted", lambda u: u * u + 0.5, integral=1.0 / 3.0 + 0.5, validate=False)

@@ -131,10 +131,10 @@ def test_enumerated_pmf_digests(kind, spec, sizes, digest):
 PERMUTATION_DIGESTS = {
     (TWO_SAMPLE, RIGHT_CONTINUOUS): "c4fed87227372c9ed879c7b530f43972e8f43d7ab9c8a1206c9267480283321a",
     (K_SAMPLE, RIGHT_CONTINUOUS): "4f5774c72a63065f2a2439d8724c4f6e00c17b8e18371a2c509497676fe4ee49",
-    (TAU, RIGHT_CONTINUOUS): "eb6a19c8bfb555d8a2e56bfed78c7a23051039d3d4467cca732295f36af38577",
+    (TAU, RIGHT_CONTINUOUS): "aae126291726f929e344530e4cadc475f6e2ed1b98d13d5d2f5f1b140d2e189a",
     (TWO_SAMPLE, MID): "049e5eb2d60e06ca44872f2f313d6a3854ea1c99c8f853b45d329cd609aa707d",
     (K_SAMPLE, MID): "d7281df940a7c5510a2730c47e36053453a6fe8573df6233c48d19d64f13242a",
-    (TAU, MID): "dd4760a6309e905a6f5be5135b8f87e71ca6b84462c1d34d446869422f024886",
+    (TAU, MID): "b1f94bb563abd693790fb79e6d067267cc9b5660b75c876a3299c97d625b867d",
 }
 
 
@@ -269,13 +269,19 @@ def test_two_packed_words_match_reference(tied, convention):
 
 
 @pytest.mark.parametrize("convention", [RIGHT_CONTINUOUS, MID])
-@pytest.mark.parametrize("kind, spec", [(TWO_SAMPLE, "power:2"), (TAU, "expsq:1")])
+@pytest.mark.parametrize("kind, spec", [(TWO_SAMPLE, "power:2"), (TAU, "expsq:1"),
+                                        (K_SAMPLE, "poly:0,1,1")])
 def test_tie_free_counts_equal_singleton_tie_blocks(kind, spec, convention):
     # the two-group path (column minus own index) against the packed path, which
-    # any ``ties`` selects; singleton blocks describe the same tie-free rows
-    gen, sizes = parse_generator_spec(spec), (1000, 1000)
+    # any ``ties`` selects; singleton blocks describe the same tie-free rows, on
+    # which ``mid`` gives the right-continuous floats (k_sample has no two-group path)
+    gen = parse_generator_spec(spec)
+    sizes, weights = (((300, 400, 500), WeightVector((0.2, 0.3, 0.5))) if kind == K_SAMPLE
+                      else ((1000, 1000), None))
     labels = _hand_labels(sizes, 14, 0, _chunk_rows(sum(sizes)))
     lo = np.arange(sum(sizes))
-    tie_free = _rank_statistic(kind, gen, sizes, None, labels, None, convention)
-    singleton = _rank_statistic(kind, gen, sizes, None, labels, (lo, lo + 1), convention)
+    tie_free = _rank_statistic(kind, gen, sizes, weights, labels, None, convention)
+    singleton = _rank_statistic(kind, gen, sizes, weights, labels, (lo, lo + 1), convention)
     assert np.array_equal(tie_free, singleton)
+    right = _rank_statistic(kind, gen, sizes, weights, labels, None, RIGHT_CONTINUOUS)
+    assert np.array_equal(tie_free, right)

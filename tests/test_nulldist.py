@@ -331,6 +331,11 @@ class TestPowerStudy:
             power_study(TWO_SAMPLE, SQUARE, "wiggle:1", (10, 10),
                         B_null=9, B_power=5, seed=0)
 
+    def test_tuple_alternative_is_validated(self):
+        # only spec strings are accepted, so a (name, value) pair cannot skip parse_alternative's checks
+        with pytest.raises(InvalidParameterError):
+            power_study(TWO_SAMPLE, SQUARE, ("scale", -1.0), (3, 3), B_null=9, B_power=1, seed=0)
+
     def test_alternative_name_is_lossless(self):
         names = {spec: power_study(TWO_SAMPLE, SQUARE, spec, (3, 3), B_null=9, B_power=1,
                                    seed=0).alternative
