@@ -7,16 +7,17 @@ h, or of xi^2, over [0,1]) and a ``validated`` flag.  The antiderivative Xi
 of xi is only ever needed at the grid i/n of a sample size n, so it exists
 only as the cached quadrature grid ``LogConvexGenerator.antiderivative_grid(n)``.
 Builders cover the concrete families (powers, non-negative polynomials,
-Bernstein smoothing of a convex generator, exp(alpha*u^2));
-``validate_generator`` checks what the statistics consume: the defining
-strict inequality on a finite grid and the centering constant.
+Bernstein smoothing of a convex generator, exp(alpha*u^2)) and all return
+through ``validate_generator``, which checks what the statistics consume:
+the defining strict inequality on a finite grid and the centering constant.
 
-Strictness is only checkable at finite resolution: on every grid pair the
-validator demands the midpoint (log-)convexity gap mean - mid to exceed
-1e-12 (|mean| + |mid|), where mean is (h(u) + h(v))/2 or xi(u) xi(v) and mid
-is h or xi^2 at the midpoint.  The relative bound accepts high powers, whose
-gaps near 0 are tiny, and rejects linear/log-linear generators, which would
-break the equality characterization of the tests.  Non-finite values fail first.
+Strictness is only checkable at finite resolution: at every k/256 the
+validator demands the midpoint (log-)convexity gap mean - mid of the pair
+(u, v) = ((k-1)/256, (k+1)/256) to exceed 1e-12 (|mean| + |mid|), where mean
+is (h(u) + h(v))/2 or xi(u) xi(v) and mid is h or xi^2 at k/256; the gap of a
+wider pair of that grid is a positive sum of these.  The relative bound
+accepts high powers, whose gaps near 0 are tiny, and rejects linear/log-linear
+generators, which would break the equality characterization of the tests.
 
 Integrals use ``adaptive_quad``, a vectorised tanh-sinh rule with a QUADPACK fallback.
 """
@@ -34,6 +35,7 @@ from .errors import (
     GeneratorSpecError,
     InvalidParameterError,
     NotStrictlyConvexError,
+    NumericalError,
     QuadratureError,
 )
 
@@ -84,7 +86,7 @@ def adaptive_quad(fn, a, b, tol: float = QUAD_TOL):
         scale = width[:, 0] * h
         est = sums * scale
         bound = np.maximum(tol, 1e-12 * np.abs(est))
-        done = (np.abs(est - prev) <= bound) & (ends * np.abs(scale) <= bound)
+        done = np.isfinite(est) & (np.abs(est - prev) <= bound) & (ends * np.abs(scale) <= bound)
         prev[:] = est
         value[index[done].astype(int)] = est[done]
         state = state[:, ~done]
@@ -189,7 +191,7 @@ def power_generator(m: int) -> ConvexGenerator:
     def _eval(u, _m=m):
         return np.asarray(u, dtype=float) ** _m if np.ndim(u) else float(u) ** _m
 
-    return ConvexGenerator(name=f"power:{m}", eval=_eval, integral_0_1=1.0 / (m + 1))
+    return _checked(ConvexGenerator(name=f"power:{m}", eval=_eval, integral_0_1=1.0 / (m + 1)))
 
 
 def polynomial_generator(coeffs) -> ConvexGenerator:
@@ -220,7 +222,7 @@ def polynomial_generator(coeffs) -> ConvexGenerator:
 
     integral = float(np.sum(c / (np.arange(1, c.size + 1) + 1.0)))
     name = "poly:" + ",".join(_name_token(v) for v in c)
-    return ConvexGenerator(name=name, eval=_eval, integral_0_1=integral)
+    return _checked(ConvexGenerator(name=name, eval=_eval, integral_0_1=integral))
 
 
 def bernstein_generator(h: ConvexGenerator, m: int) -> ConvexGenerator:
@@ -233,12 +235,11 @@ def bernstein_generator(h: ConvexGenerator, m: int) -> ConvexGenerator:
     if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 2:
         raise InvalidParameterError(f"Bernstein degree must be an integer >= 2, got {m!r}")
     m = int(m)
-    probes = eval_on_array(h.eval, np.linspace(0.0, 1.0, DEFAULT_GRID + 1))
+    u = np.linspace(0.0, 1.0, DEFAULT_GRID + 1)
+    probes = eval_on_array(h.eval, u)
     if np.any(probes < -CONVEXITY_EPS):
-        u_bad = np.linspace(0.0, 1.0, DEFAULT_GRID + 1)[int(np.argmin(probes))]
-        raise InvalidParameterError(
-            f"Bernstein smoothing needs h >= 0 on [0,1]; h({u_bad:g}) = {probes.min():g}"
-        )
+        raise InvalidParameterError(f"Bernstein smoothing needs h >= 0 on [0,1]; "
+                                    f"h({u[np.argmin(probes)]:g}) = {probes.min():g}")
     k = np.arange(m + 1)
     weights = eval_on_array(h.eval, k / m) * (k > 0)
     log_comb = gammaln(m + 1) - gammaln(k + 1) - gammaln(m - k + 1)
@@ -250,26 +251,25 @@ def bernstein_generator(h: ConvexGenerator, m: int) -> ConvexGenerator:
         out = np.sum(basis * _w, axis=-1) / np.sum(basis, axis=-1)
         return out if np.ndim(u) else float(out)
 
-    with np.errstate(over="ignore"):  # an overflowing sum fails as a non-finite statistic
+    with np.errstate(over="ignore"):
         integral = float(np.sum(weights[1:]) / (m + 1))
-    return ConvexGenerator(name=f"bernstein:{h.name}:{m}", eval=_eval, integral_0_1=integral)
+    if not np.isfinite(integral):
+        raise NumericalError(f"Bernstein knot values of '{h.name}' at degree {m} sum to {integral}")
+    return _checked(ConvexGenerator(name=f"bernstein:{h.name}:{m}", eval=_eval, integral_0_1=integral))
 
 
 def exp_sq_generator(alpha: float) -> LogConvexGenerator:
     """xi(u) = exp(alpha * u^2), strictly log-convex for alpha > 0.
 
-    The validator's log-convexity gap at (0, 1), exp(alpha) - exp(alpha/2),
-    grows with alpha; alpha is rejected unless that gap exceeds
-    ``CONVEXITY_EPS`` (exp(alpha) + exp(alpha/2)) (about alpha > 4e-12),
-    since a smaller alpha rounds xi to a constant and every statistic to 0.
-    The integral of xi^2 is computed by adaptive quadrature.
+    alpha must be finite and positive.  The log-convexity gap of xi between
+    neighbouring probe points is about alpha/32768 of their values, so
+    :func:`validate_generator` rejects alpha below about 7e-8, where xi is
+    log-linear to within rounding.  The integral of xi^2 is computed by
+    adaptive quadrature.
     """
     alpha = float(alpha)
-    # the gap at alpha = 1 already exceeds the bound; exp(alpha) may overflow
-    mean, mid = np.exp(min(alpha, 1.0)), np.exp(min(alpha, 1.0) / 2)
-    if not np.isfinite(alpha) or mean - mid <= CONVEXITY_EPS * (mean + mid):
-        raise InvalidParameterError(f"expsq generator needs alpha with exp(alpha) - exp(alpha/2) > {CONVEXITY_EPS:g} "
-                                    f"(exp(alpha) + exp(alpha/2)) (about alpha > 4e-12), got {alpha!r}")
+    if not (np.isfinite(alpha) and alpha > 0):
+        raise InvalidParameterError(f"expsq generator needs a finite alpha > 0, got {alpha!r}")
 
     def _eval(u, _a=alpha):
         arr = np.asarray(u, dtype=float)
@@ -277,7 +277,8 @@ def exp_sq_generator(alpha: float) -> LogConvexGenerator:
         return out if np.ndim(u) else float(out)
 
     integral_sq = adaptive_quad(lambda v: np.exp(2.0 * alpha * v * v), 0.0, 1.0)
-    return LogConvexGenerator(name=f"expsq:{_name_token(alpha)}", eval=_eval, integral_sq_0_1=integral_sq)
+    return _checked(LogConvexGenerator(name=f"expsq:{_name_token(alpha)}", eval=_eval,
+                                       integral_sq_0_1=integral_sq))
 
 
 def _checked(g):
@@ -309,45 +310,43 @@ def log_convex_generator_from_callable(name, fn, integral_sq=None, validate=True
                                        validated=validate))
 
 
-def validate_generator(g, grid_size: int = DEFAULT_GRID) -> ValidationReport:
-    """Probe what the statistics consume of a generator, on a uniform grid of [0,1].
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing gap is a NaN slack: a violation
+def validate_generator(g) -> ValidationReport:
+    """Probe what the statistics consume of a generator, on the grid k/256 of [0,1].
 
-    Finite values on the grid and at every midpoint; h(0) = 0 for a convex
-    h, or xi > 0 for a log-convex xi; a strict midpoint gap at every grid pair
-    (see the module docstring), arithmetic for h and geometric for xi; and the
-    centering constant (``integral_0_1``, or ``integral_sq_0_1``)
-    within 1e-10 of quadrature (relative to the integral once it exceeds 1,
-    since quadrature resolves 1e-12 of it).  Violations are reported, not
-    raised; the report carries the first violated probe.
+    Finite values; h(0) = 0 for a convex h, or xi > 0 for a log-convex xi; a
+    strict midpoint gap at every k/256 (see the module docstring), arithmetic
+    for h and geometric for xi; and the centering constant (``integral_0_1``,
+    or ``integral_sq_0_1``) within 1e-10 of quadrature (relative to the
+    integral once it exceeds 1, since quadrature resolves 1e-12 of it).
+    Violations are reported, not raised: the smallest gap, or the first other
+    failed probe.
     """
-    if not isinstance(grid_size, (int, np.integer)) or grid_size < 3:
-        raise InvalidParameterError(f"grid_size must be an integer >= 3, got {grid_size!r}")
     if not isinstance(g, (ConvexGenerator, LogConvexGenerator)):
         raise InvalidParameterError(f"cannot validate object of type {type(g).__name__}")
-    grid_size, convex = int(grid_size), isinstance(g, ConvexGenerator)
+    convex = isinstance(g, ConvexGenerator)
 
     def report(violation=None):
-        return ValidationReport(g.name, grid_size, violation is None, violation)
+        return ValidationReport(g.name, DEFAULT_GRID, violation is None, violation)
 
-    u = np.linspace(0.0, 1.0, grid_size + 1)
-    iu, iv = np.triu_indices(u.size, k=1)
-    points = np.concatenate([u, 0.5 * (u[iu] + u[iv])])
-    values = eval_on_array(g.eval, points)
+    u = np.arange(2 * DEFAULT_GRID + 1) / (2 * DEFAULT_GRID)
+    values = eval_on_array(g.eval, u)
     if not np.all(np.isfinite(values)):
         bad = int(np.argmin(np.isfinite(values)))
-        return report(f"{'h' if convex else 'xi'}({points[bad]:g}) = {values[bad]} is not finite")
-    vals, mids = values[:u.size], values[u.size:]
-    if convex and abs(vals[0]) > CONVEXITY_EPS:
-        return report(f"h(0) = {vals[0]:.3e}, expected 0")
-    if not convex and np.any(vals <= 0):
-        bad = int(np.argmax(vals <= 0))
-        return report(f"xi({u[bad]:g}) = {vals[bad]:.3e} is not positive")
-    mean, mid = (0.5 * (vals[iu] + vals[iv]), mids) if convex else (vals[iu] * vals[iv], mids ** 2)
-    slack = mean - mid - CONVEXITY_EPS * (np.abs(mean) + np.abs(mid))
-    worst = int(np.argmin(slack))
-    if slack[worst] <= 0:
+        return report(f"{'h' if convex else 'xi'}({u[bad]:g}) = {values[bad]} is not finite")
+    if convex and abs(values[0]) > CONVEXITY_EPS:
+        return report(f"h(0) = {values[0]:.3e}, expected 0")
+    if not convex and np.any(values <= 0):
+        bad = int(np.argmax(values <= 0))
+        return report(f"xi({u[bad]:g}) = {values[bad]:.3e} is not positive")
+    # the pair (u[k], u[k + 2]) around u[k + 1]
+    lo, mid, hi = values[:-2], values[1:-1], values[2:]
+    mean, mid = (0.5 * lo + 0.5 * hi, mid) if convex else (lo * hi, mid * mid)
+    slack = mean - mid - CONVEXITY_EPS * np.abs(mean) - CONVEXITY_EPS * np.abs(mid)
+    worst = int(np.argmin(np.where(np.isnan(slack), -np.inf, slack)))
+    if not slack[worst] > 0:
         return report(f"{'midpoint convexity' if convex else 'log-convexity'} not strict at (u, v) = "
-                      f"({u[iu[worst]]:g}, {u[iv[worst]]:g}): gap = {mean[worst] - mid[worst]:.3e}")
+                      f"({u[worst]:g}, {u[worst + 2]:g}): gap = {mean[worst] - mid[worst]:.3e}")
     key, integrand = (("integral_0_1", g.eval) if convex else
                       ("integral_sq_0_1", lambda v: eval_on_array(g.eval, v) ** 2))
     quad, constant = adaptive_quad(integrand, 0.0, 1.0), getattr(g, key)

@@ -31,6 +31,30 @@ def expsq_square_integral(alpha):
     return math.sqrt(math.pi) / (2.0 * r) * special.erfi(r)
 
 
+def all_pairs_strict(fn, convex, grid=128, eps=1e-12):
+    """Strictness verdict from every pair of the grid i/grid, not just neighbours.
+
+    A reference for ``validate_generator``, which probes only the pairs of
+    neighbours of each point of the half-step grid: finite values at the grid
+    and every pair midpoint, h(0) = 0 (or xi > 0), and a midpoint gap
+    mean - mid above eps (|mean| + |mid|) on all (grid + 1) grid / 2 pairs.
+    A NaN gap counts as a violation.
+    """
+    u = np.linspace(0.0, 1.0, grid + 1)
+    iu, iv = np.triu_indices(u.size, k=1)
+    points = np.concatenate([u, 0.5 * (u[iu] + u[iv])])
+    values = np.array([float(fn(t)) for t in points])
+    if not np.all(np.isfinite(values)):
+        return False
+    vals, mids = values[:u.size], values[u.size:]
+    if (abs(vals[0]) > eps) if convex else np.any(vals <= 0):
+        return False
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, mid = (0.5 * (vals[iu] + vals[iv]), mids) if convex else (vals[iu] * vals[iv], mids ** 2)
+        slack = mean - mid - eps * (np.abs(mean) + np.abs(mid))
+    return bool(np.min(slack) > 0)
+
+
 def brute_ecdf(sample, x):
     """Right-continuous ECDF by direct counting."""
     return sum(1 for v in sample if v <= x) / len(sample)

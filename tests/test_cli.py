@@ -106,10 +106,20 @@ class TestErrorPaths:
     def test_wrong_generator_kind_for_tau(self, data_files):
         _, x, y, _ = data_files
         # expsq:1e-20 rounds xi to 1: a log-linear xi whose every statistic is 0
-        for spec, named in (("power:2", "power:2"), ("expsq:1e-20", "alpha")):
+        for spec, named in (("power:2", "power:2"), ("expsq:1e-20", "failed validation")):
             code, out, err = run_cli(["tau", "--xi", spec, "--x", x, "--y", y])
             assert code == cli.EXIT_CONFIG and out == ""
             assert named in err
+
+    @pytest.mark.parametrize("command, flag, spec", [
+        ("tau", "--xi", "expsq:1e-8"), ("tau", "--xi", "expsq:6e-8"),
+        ("test2", "--h", "power:160"), ("test2", "--h", "poly:1,1e-14"),
+    ])
+    def test_generator_failing_validation_is_config_error(self, data_files, command, flag, spec):
+        _, x, y, _ = data_files
+        code, out, err = run_cli([command, flag, spec, "--x", x, "--y", y, "--B", "99"])
+        assert code == cli.EXIT_CONFIG and out == ""
+        assert err.startswith("error:") and "failed validation" in err and err.count("\n") == 1
 
     def test_missing_file_is_data_error(self, data_files):
         tmp, x, _, _ = data_files

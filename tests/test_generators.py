@@ -10,6 +10,7 @@ from convexgof import (
     InvalidParameterError,
     LogConvexGenerator,
     NotStrictlyConvexError,
+    NumericalError,
     QuadratureError,
     Sample,
     bernstein_generator,
@@ -25,9 +26,22 @@ from convexgof import (
 )
 from convexgof.generators import adaptive_quad
 
-from oracle_helpers import expsq_antiderivative, expsq_square_integral, simpson
+from oracle_helpers import all_pairs_strict, expsq_antiderivative, expsq_square_integral, simpson
 
 GRID = np.linspace(0.0, 1.0, 129)
+
+# (name, callable, convex): the verdicts straddle every cutoff of the strictness bound
+AGREEMENT_CASES = (
+    [(f"u^{m}", lambda u, m=m: np.asarray(u, dtype=float) ** m, True)
+     for m in (2, 3, 5, 7, 12, 30, 60, 100, 140, 150, 153, 154, 160)]
+    + [(f"u+{c:g}u^2", lambda u, c=c: u + c * u * u, True)
+       for c in (1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 2e-7, 1e-6)]
+    + [("sqrt", np.sqrt, True), ("kink", lambda u: np.abs(u - 0.3) - 0.3, True),
+       ("square+kink", lambda u: u * u + np.abs(u - 0.3) - 0.3, True), ("exp-1", lambda u: np.expm1(u), True),
+       ("exp", np.exp, False), ("one", lambda u: np.ones_like(np.asarray(u, dtype=float)), False)]
+    + [(f"exp({a:g}u^2)", lambda u, a=a: np.exp(a * np.asarray(u, dtype=float) ** 2), False)
+       for a in (1e-12, 1e-10, 1e-8, 3e-8, 6e-8, 6.5e-8, 7e-8, 1e-7, 1e-6, 1e-4, 0.01, 0.25, 1.0, 4.0, 20.0)]
+)
 
 
 class TestPowerGenerator:
@@ -186,10 +200,10 @@ class TestExpSqGenerator:
         xi = exp_sq_generator(1.0)
         assert xi.antiderivative_grid(8) is xi.antiderivative_grid(8)
 
-    # below about 2e-12, exp(alpha) - exp(alpha/2), the log-convexity gap at (0, 1), is under 1e-12
+    # a positive alpha this small rounds xi to log-linear on the validator's grid
     @pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), 2e-12, 1e-20])
     def test_rejects_bad_alpha(self, alpha):
-        with pytest.raises(InvalidParameterError, match="alpha"):
+        with pytest.raises(InvalidParameterError, match="failed validation" if alpha > 0 else "alpha"):
             exp_sq_generator(alpha)
 
 
@@ -229,6 +243,16 @@ class TestAdaptiveQuad:
                 adaptive_quad(fn, 0.0, 1.0)
         assert [str(w.message) for w in caught] == []
 
+    def test_overflowing_rule_sum_is_not_accepted(self):
+        # the tanh-sinh sums overflow to inf, which must not count as converged
+        import warnings
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            value = adaptive_quad(lambda u: np.where(u < 0.9, 0.0, 1e308 * ((u - 0.9) / 0.1) ** 2), 0.0, 1.0)
+        assert abs(value / (1e308 / 30.0) - 1.0) < 1e-10
+        assert [str(w.message) for w in caught] == []
+
 
 class TestValidateGenerator:
     def test_builders_pass_at_default_grid(self):
@@ -241,12 +265,13 @@ class TestValidateGenerator:
             exp_sq_generator(0.25),
             exp_sq_generator(1e-6),
         ):
-            report = validate_generator(g, 128)
+            report = validate_generator(g)
             assert report.passed, report.first_violation
+            assert report.grid_size == 128
 
     def test_linear_function_fails(self):
         linear = convex_generator_from_callable("line", lambda u: u, integral=0.5, validate=False)
-        report = validate_generator(linear, 128)
+        report = validate_generator(linear)
         assert not report.passed
         assert "midpoint" in report.first_violation
 
@@ -255,7 +280,7 @@ class TestValidateGenerator:
         # gaps near 0 are of order 128^-m; the bound is relative to the values compared
         g = convex_generator_from_callable(f"p{m}", lambda u: u ** m)
         assert g.validated
-        assert validate_generator(g, 128).passed
+        assert validate_generator(g).passed
 
     def test_non_finite_value_is_a_violation(self):
         def fn(u):
@@ -263,7 +288,7 @@ class TestValidateGenerator:
             return np.where(u == 0.5, np.nan, u * u)
 
         forced = convex_generator_from_callable("nan", fn, integral=1.0 / 3.0, validate=False)
-        report = validate_generator(forced, 128)
+        report = validate_generator(forced)
         assert not report.passed
         assert report.first_violation == "h(0.5) = nan is not finite"
         with pytest.raises(InvalidParameterError, match="not finite"):
@@ -272,20 +297,20 @@ class TestValidateGenerator:
     def test_nonzero_origin_fails(self):
         shifted = convex_generator_from_callable(
             "shifted", lambda u: u * u + 0.5, integral=1.0 / 3.0 + 0.5, validate=False)
-        report = validate_generator(shifted, 16)
+        report = validate_generator(shifted)
         assert not report.passed
         assert "h(0)" in report.first_violation
 
     def test_wrong_integral_fails(self):
         wrong = convex_generator_from_callable("off", lambda u: u * u, integral=0.4, validate=False)
-        report = validate_generator(wrong, 16)
+        report = validate_generator(wrong)
         assert not report.passed
         assert "integral" in report.first_violation
 
     def test_log_linear_xi_fails(self):
         # exp(u) is log-linear: strict log-convexity must reject it
         loglin = log_convex_generator_from_callable("exp", lambda u: math.exp(u), validate=False)
-        report = validate_generator(loglin, 64)
+        report = validate_generator(loglin)
         assert not report.passed
         assert "log-convexity" in report.first_violation
 
@@ -296,18 +321,49 @@ class TestValidateGenerator:
         with pytest.raises(InvalidParameterError, match="integral_sq_0_1"):
             log_convex_generator_from_callable("e", fn, integral_sq=5.0)
         forced = log_convex_generator_from_callable("e", fn, integral_sq=5.0, validate=False)
-        report = validate_generator(forced, 32)
+        report = validate_generator(forced)
         assert not report.passed
         assert "integral" in report.first_violation
-        assert validate_generator(log_convex_generator_from_callable("e", fn), 32).passed
+        assert validate_generator(log_convex_generator_from_callable("e", fn)).passed
 
     def test_constant_xi_fails(self):
         const = log_convex_generator_from_callable("one", lambda u: 1.0, validate=False)
-        assert not validate_generator(const, 32).passed
+        assert not validate_generator(const).passed
 
-    def test_grid_size_precondition(self):
-        with pytest.raises(InvalidParameterError):
-            validate_generator(power_generator(2), 2)
+    def test_overflowing_pair_mean_is_no_pass(self):
+        # concave on [0, 0.9]; h(u) + h(v) overflows for u, v near 1
+        def fn(u):
+            u = np.asarray(u, dtype=float)
+            return 0.01 * np.sqrt(u) + np.where(u < 0.9, 0.0, 1e308 * ((u - 0.9) / 0.1) ** 2)
+
+        forced = convex_generator_from_callable("steep", fn, integral=0.0, validate=False)
+        report = validate_generator(forced)
+        assert not report.passed
+        assert "midpoint convexity" in report.first_violation
+
+    @pytest.mark.parametrize("name, fn, convex", AGREEMENT_CASES, ids=[c[0] for c in AGREEMENT_CASES])
+    def test_agrees_with_all_pairs_probe(self, name, fn, convex):
+        build = convex_generator_from_callable if convex else log_convex_generator_from_callable
+        g = build(name, fn, validate=False)
+        assert validate_generator(g).passed == all_pairs_strict(fn, convex)
+
+    @pytest.mark.parametrize("spec", ["expsq:1e-8", "expsq:6e-8", "power:160", "poly:1,1e-14"])
+    def test_builders_reject_what_the_validator_rejects(self, spec):
+        with pytest.raises(InvalidParameterError, match="failed validation"):
+            parse_generator_spec(spec)
+
+    @pytest.mark.parametrize("spec", [
+        "expsq:7e-8", "power:140", "power:2", "power:3", "poly:0,1", "poly:0,1,1", "poly:0.5,1.5",
+        "poly:0,1.0000001", "poly:0,1e308", "expsq:0.5", "expsq:1", "expsq:1.0000001", "bernstein:power:2:4",
+        "bernstein:power:2:8", "bernstein:power:2:300", "bernstein:bernstein:power:2:4:8",
+        "bernstein:poly:0,1e308:2",
+    ])
+    def test_specs_in_use_are_validated(self, spec):
+        assert parse_generator_spec(spec).validated
+
+    def test_bernstein_knot_sum_overflow_is_numerical(self):
+        with pytest.raises(NumericalError, match="knot values"):
+            parse_generator_spec("bernstein:poly:0,1e308:8")
 
     def test_from_callable_validates_by_default(self):
         with pytest.raises(InvalidParameterError):
