@@ -32,9 +32,7 @@ from .generators import (
     LogConvexGenerator,
     ValidationReport,
     bernstein_generator,
-    convex_generator_from_callable,
     exp_sq_generator,
-    log_convex_generator_from_callable,
     parse_generator_spec,
     polynomial_generator,
     power_generator,
@@ -88,9 +86,7 @@ __all__ = [
     # generators
     "ConvexGenerator", "LogConvexGenerator", "ValidationReport",
     "power_generator", "polynomial_generator", "bernstein_generator",
-    "exp_sq_generator", "convex_generator_from_callable",
-    "log_convex_generator_from_callable", "validate_generator",
-    "parse_generator_spec",
+    "exp_sq_generator", "validate_generator", "parse_generator_spec",
     # ecdf
     "Sample", "RIGHT_CONTINUOUS", "MID", "cross_tie_count", "read_sample",
     # statistics

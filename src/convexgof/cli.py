@@ -42,6 +42,7 @@ from .nulldist import (
     save_table,
     simulate_null,
 )
+from .oracle import battery_to_csv, run_battery
 from .statistics import WeightVector
 
 EXIT_OK = 0
@@ -367,8 +368,6 @@ def _cmd_power(args, out):
 
 
 def _cmd_verify(args, out):
-    from .oracle import battery_to_csv, run_battery
-
     cases = run_battery()
     failed = 0
     for case in cases:

@@ -56,7 +56,7 @@ def cross_tie_count(a: Sample, b: Sample) -> int:
     Nonzero counts mean the continuous-distribution assumption behind the
     theory is violated on this data; reports surface a warning.
     """
-    common, ia, ib = np.intersect1d(a.sorted_values, b.sorted_values, return_indices=True)
+    common = np.intersect1d(a.sorted_values, b.sorted_values)
     if common.size == 0:
         return 0
     ca = np.searchsorted(a.sorted_values, common, side="right") - np.searchsorted(
@@ -74,7 +74,7 @@ def read_sample(path, label: str | None = None) -> Sample:
     line number.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise DataIngestionError(f"cannot read '{path}': {exc.strerror or exc}") from None

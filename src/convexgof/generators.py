@@ -6,10 +6,11 @@ generator is a name, an ``eval``, one centering constant (the integral of
 h, or of xi^2, over [0,1]) and a ``validated`` flag.  The antiderivative Xi
 of xi is only ever needed at the grid i/n of a sample size n, so it exists
 only as the cached quadrature grid ``LogConvexGenerator.antiderivative_grid(n)``.
-Builders cover the concrete families (powers, non-negative polynomials,
-Bernstein smoothing of a convex generator, exp(alpha*u^2)) and all return
-through ``validate_generator``, which checks what the statistics consume:
-the defining strict inequality on a finite grid and the centering constant.
+The two types check themselves: unless ``validated=False``, construction
+runs ``validate_generator``, which checks what the statistics consume (the
+defining strict inequality on a finite grid and the centering constant), and
+an omitted constant is integrated once.  Builders cover the concrete families
+(powers, non-negative polynomials, Bernstein smoothing, exp(alpha*u^2)).
 
 Strictness is only checkable at finite resolution: at every k/256 the
 validator demands the midpoint (log-)convexity gap mean - mid of the pair
@@ -118,16 +119,22 @@ def eval_on_array(fn, x):
 class ConvexGenerator:
     """Strictly convex generator h on [0,1] with h(0) = 0.
 
-    ``integral_0_1`` is the centering constant of the tests; builders fill it
-    in closed form where possible.  ``validated`` is False for generators
-    force-constructed with validation disabled; reports then warn that the
-    equality characterization is not guaranteed.
+    ``integral_0_1`` centres the tests; builders give it in closed form where
+    possible, and an omitted one is integrated from ``eval`` once.  With
+    ``validated=True`` construction raises ``InvalidParameterError`` unless
+    :func:`validate_generator` passes; ``validated=False`` skips that, and
+    reports then warn that the equality characterization is not guaranteed.
+    A non-finite constant is always rejected.
     """
 
     name: str
     eval: Callable
-    integral_0_1: float
+    integral_0_1: float | None = None
     validated: bool = True
+    _constant_key = "integral_0_1"  # a class attribute, not a field
+
+    def __post_init__(self):
+        _check_on_construction(self)
 
     def __call__(self, u):
         return self.eval(u)
@@ -138,15 +145,20 @@ class LogConvexGenerator:
     """Positive, log-strictly-convex generator xi on [0,1].
 
     ``integral_sq_0_1``, the integral of xi^2 over [0,1], centres the tau
-    statistic.  The antiderivative Xi is the cached grid of
-    :meth:`antiderivative_grid`, integrated from ``eval``.
+    statistic; it is omitted, integrated and checked as ``integral_0_1`` is
+    for :class:`ConvexGenerator`.  The antiderivative Xi is the cached grid
+    of :meth:`antiderivative_grid`, integrated from ``eval``.
     """
 
     name: str
     eval: Callable
-    integral_sq_0_1: float
+    integral_sq_0_1: float | None = None
     validated: bool = True
+    _constant_key = "integral_sq_0_1"
     _grid_cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        _check_on_construction(self)
 
     def __call__(self, u):
         return self.eval(u)
@@ -191,7 +203,7 @@ def power_generator(m: int) -> ConvexGenerator:
     def _eval(u, _m=m):
         return np.asarray(u, dtype=float) ** _m if np.ndim(u) else float(u) ** _m
 
-    return _checked(ConvexGenerator(name=f"power:{m}", eval=_eval, integral_0_1=1.0 / (m + 1)))
+    return ConvexGenerator(name=f"power:{m}", eval=_eval, integral_0_1=1.0 / (m + 1))
 
 
 def polynomial_generator(coeffs) -> ConvexGenerator:
@@ -222,7 +234,7 @@ def polynomial_generator(coeffs) -> ConvexGenerator:
 
     integral = float(np.sum(c / (np.arange(1, c.size + 1) + 1.0)))
     name = "poly:" + ",".join(_name_token(v) for v in c)
-    return _checked(ConvexGenerator(name=name, eval=_eval, integral_0_1=integral))
+    return ConvexGenerator(name=name, eval=_eval, integral_0_1=integral)
 
 
 def bernstein_generator(h: ConvexGenerator, m: int) -> ConvexGenerator:
@@ -255,7 +267,7 @@ def bernstein_generator(h: ConvexGenerator, m: int) -> ConvexGenerator:
         integral = float(np.sum(weights[1:]) / (m + 1))
     if not np.isfinite(integral):
         raise NumericalError(f"Bernstein knot values of '{h.name}' at degree {m} sum to {integral}")
-    return _checked(ConvexGenerator(name=f"bernstein:{h.name}:{m}", eval=_eval, integral_0_1=integral))
+    return ConvexGenerator(name=f"bernstein:{h.name}:{m}", eval=_eval, integral_0_1=integral)
 
 
 def exp_sq_generator(alpha: float) -> LogConvexGenerator:
@@ -277,40 +289,9 @@ def exp_sq_generator(alpha: float) -> LogConvexGenerator:
         return out if np.ndim(u) else float(out)
 
     integral_sq = adaptive_quad(lambda v: np.exp(2.0 * alpha * v * v), 0.0, 1.0)
-    return _checked(LogConvexGenerator(name=f"expsq:{_name_token(alpha)}", eval=_eval,
-                                       integral_sq_0_1=integral_sq))
+    return LogConvexGenerator(name=f"expsq:{_name_token(alpha)}", eval=_eval, integral_sq_0_1=integral_sq)
 
 
-def _checked(g):
-    """``g`` unchanged if it is flagged unvalidated or passes :func:`validate_generator`."""
-    if g.validated:
-        report = validate_generator(g)
-        if not report.passed:
-            raise InvalidParameterError(f"generator '{g.name}' failed validation: {report.first_violation}")
-    return g
-
-
-def convex_generator_from_callable(name, fn, integral=None, validate=True) -> ConvexGenerator:
-    """Wrap an arbitrary function as a ConvexGenerator.
-
-    With ``validate=False`` the generator is constructed as-is and flagged
-    unvalidated; downstream reports warn that the equality characterization
-    is not guaranteed.
-    """
-    if integral is None:
-        integral = adaptive_quad(fn, 0.0, 1.0)
-    return _checked(ConvexGenerator(name=name, eval=fn, integral_0_1=float(integral), validated=validate))
-
-
-def log_convex_generator_from_callable(name, fn, integral_sq=None, validate=True) -> LogConvexGenerator:
-    """Wrap an arbitrary positive function as a LogConvexGenerator; ``validate`` as for h."""
-    if integral_sq is None:
-        integral_sq = adaptive_quad(lambda v: eval_on_array(fn, v) ** 2, 0.0, 1.0)
-    return _checked(LogConvexGenerator(name=name, eval=fn, integral_sq_0_1=float(integral_sq),
-                                       validated=validate))
-
-
-@np.errstate(over="ignore", invalid="ignore")  # an overflowing gap is a NaN slack: a violation
 def validate_generator(g) -> ValidationReport:
     """Probe what the statistics consume of a generator, on the grid k/256 of [0,1].
 
@@ -324,35 +305,62 @@ def validate_generator(g) -> ValidationReport:
     """
     if not isinstance(g, (ConvexGenerator, LogConvexGenerator)):
         raise InvalidParameterError(f"cannot validate object of type {type(g).__name__}")
+    violation = _probe(g) or _constant_violation(g)
+    return ValidationReport(g.name, DEFAULT_GRID, violation is None, violation)
+
+
+def _check_on_construction(g):
+    """Reject a non-finite centering constant, then run :func:`validate_generator`'s checks
+    if ``g.validated``; an omitted constant is integrated once, not compared with itself."""
+    key = g._constant_key
+    constant = getattr(g, key)
+    if constant is not None and not np.isfinite(constant):
+        raise InvalidParameterError(f"generator '{g.name}': {key} = {constant!r} is not finite")
+    if g.validated:
+        violation = _probe(g) or (constant is not None and _constant_violation(g))
+        if violation:
+            raise InvalidParameterError(f"generator '{g.name}' failed validation: {violation}")
+    if constant is None:
+        object.__setattr__(g, key, _centering_quad(g))
+
+
+def _centering_quad(g) -> float:
+    """Quadrature of h, or of xi^2, over [0,1]: the value the centering constant must have."""
+    integrand = g.eval if isinstance(g, ConvexGenerator) else (lambda v: eval_on_array(g.eval, v) ** 2)
+    return adaptive_quad(integrand, 0.0, 1.0)
+
+
+def _constant_violation(g) -> str | None:
+    """The centering constant's mismatch with its quadrature (a NaN is one), or None."""
+    quad, constant = _centering_quad(g), getattr(g, g._constant_key)
+    if not abs(quad - constant) <= 1e-10 * max(1.0, abs(quad)):
+        return f"{g._constant_key} = {constant!r} but quadrature gives {quad!r}"
+    return None
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing gap is a NaN slack: a violation
+def _probe(g) -> str | None:
+    """The first violation of the grid probe of :func:`validate_generator`, or None."""
     convex = isinstance(g, ConvexGenerator)
-
-    def report(violation=None):
-        return ValidationReport(g.name, DEFAULT_GRID, violation is None, violation)
-
     u = np.arange(2 * DEFAULT_GRID + 1) / (2 * DEFAULT_GRID)
     values = eval_on_array(g.eval, u)
     if not np.all(np.isfinite(values)):
         bad = int(np.argmin(np.isfinite(values)))
-        return report(f"{'h' if convex else 'xi'}({u[bad]:g}) = {values[bad]} is not finite")
+        return f"{'h' if convex else 'xi'}({u[bad]:g}) = {values[bad]} is not finite"
     if convex and abs(values[0]) > CONVEXITY_EPS:
-        return report(f"h(0) = {values[0]:.3e}, expected 0")
+        return f"h(0) = {values[0]:.3e}, expected 0"
     if not convex and np.any(values <= 0):
         bad = int(np.argmax(values <= 0))
-        return report(f"xi({u[bad]:g}) = {values[bad]:.3e} is not positive")
+        return f"xi({u[bad]:g}) = {values[bad]:.3e} is not positive"
     # the pair (u[k], u[k + 2]) around u[k + 1]
     lo, mid, hi = values[:-2], values[1:-1], values[2:]
     mean, mid = (0.5 * lo + 0.5 * hi, mid) if convex else (lo * hi, mid * mid)
     slack = mean - mid - CONVEXITY_EPS * np.abs(mean) - CONVEXITY_EPS * np.abs(mid)
     worst = int(np.argmin(np.where(np.isnan(slack), -np.inf, slack)))
     if not slack[worst] > 0:
-        return report(f"{'midpoint convexity' if convex else 'log-convexity'} not strict at (u, v) = "
-                      f"({u[worst]:g}, {u[worst + 2]:g}): gap = {mean[worst] - mid[worst]:.3e}")
-    key, integrand = (("integral_0_1", g.eval) if convex else
-                      ("integral_sq_0_1", lambda v: eval_on_array(g.eval, v) ** 2))
-    quad, constant = adaptive_quad(integrand, 0.0, 1.0), getattr(g, key)
-    if abs(quad - constant) > 1e-10 * max(1.0, abs(quad)):
-        return report(f"{key} = {constant!r} but quadrature gives {quad!r}")
-    return report()
+        return (f"{'midpoint convexity' if convex else 'log-convexity'} not strict at (u, v) = "
+                f"({u[worst]:g}, {u[worst + 2]:g}): gap = {mean[worst] - mid[worst]:.3e}")
+    return None
 
 
 def parse_generator_spec(spec: str):

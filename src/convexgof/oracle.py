@@ -11,6 +11,7 @@ rather than trusted from the generator objects.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from itertools import combinations, islice
@@ -19,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import EnumerationTooLargeError, InvalidParameterError
-from .generators import adaptive_quad
+from .generators import adaptive_quad, bernstein_generator, exp_sq_generator, polynomial_generator, power_generator
 from .nulldist import CHUNK, _table_values
 from .statistics import WeightVector, _check_kind_and_generator
 
@@ -243,8 +244,6 @@ class BatteryCase:
 
 
 def battery_generators():
-    from .generators import bernstein_generator, polynomial_generator, power_generator
-
     return (
         power_generator(2),
         power_generator(3),
@@ -268,8 +267,6 @@ def run_battery():
     characterization at F = G, the Cramer-von Mises identity for the square
     generator, and the log-convex analogue.
     """
-    from .generators import exp_sq_generator, power_generator
-
     cases = []
     pairs = battery_cdf_pairs()
     gens = battery_generators()
@@ -339,8 +336,6 @@ def run_battery():
 
 def battery_to_csv(cases, path) -> None:
     """Export battery results in the documented CSV layout."""
-    import csv
-
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["case_id", "check", "generator", "f", "g", "value", "tolerance", "passed"])

@@ -7,11 +7,11 @@ from convexgof import (
     TWO_SAMPLE,
     DataIngestionError,
     InvalidParameterError,
+    LogConvexGenerator,
     Sample,
     cross_tie_count,
     exp_sq_generator,
     k_sample_statistic,
-    log_convex_generator_from_callable,
     power_generator,
     read_sample,
     run_test,
@@ -25,9 +25,9 @@ SQUARE = power_generator(2)
 
 def unit_xi():
     """Constant xi forced past validation; its grid antiderivative_grid(n) is i/n."""
-    return log_convex_generator_from_callable(
+    return LogConvexGenerator(
         "one", lambda u: np.ones_like(np.asarray(u, dtype=float)),
-        integral_sq=1.0, validate=False)
+        integral_sq_0_1=1.0, validated=False)
 
 
 class TestSample:
@@ -197,6 +197,12 @@ class TestReadSample:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataIngestionError, match="nope.csv"):
             read_sample(tmp_path / "nope.csv")
+
+    def test_leading_byte_order_mark_is_accepted(self, tmp_path):
+        # Excel's "CSV UTF-8" export starts the file with EF BB BF
+        path = tmp_path / "excel.csv"
+        path.write_bytes(b"\xef\xbb\xbf1.5\n2.5\n3.5\n")
+        assert np.array_equal(read_sample(path).values, [1.5, 2.5, 3.5])
 
     def test_non_finite_token_rejected(self, tmp_path):
         path = tmp_path / "inf.csv"

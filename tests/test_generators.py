@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from convexgof import (
     TAU,
     TWO_SAMPLE,
+    ConvexGenerator,
     GeneratorSpecError,
     InvalidParameterError,
     LogConvexGenerator,
@@ -14,9 +16,7 @@ from convexgof import (
     QuadratureError,
     Sample,
     bernstein_generator,
-    convex_generator_from_callable,
     exp_sq_generator,
-    log_convex_generator_from_callable,
     parse_generator_spec,
     polynomial_generator,
     power_generator,
@@ -24,6 +24,7 @@ from convexgof import (
     simulate_null,
     validate_generator,
 )
+from convexgof import generators
 from convexgof.generators import adaptive_quad
 
 from oracle_helpers import all_pairs_strict, expsq_antiderivative, expsq_square_integral, simpson
@@ -166,8 +167,8 @@ class TestBernsteinGenerator:
             bernstein_generator(power_generator(2), 1)
 
     def test_rejects_negative_valued_base(self):
-        dipped = convex_generator_from_callable(
-            "dip", lambda u: u * u - 0.4 * u, integral=1.0 / 3.0 - 0.2, validate=False)
+        dipped = ConvexGenerator(
+            "dip", lambda u: u * u - 0.4 * u, integral_0_1=1.0 / 3.0 - 0.2, validated=False)
         with pytest.raises(InvalidParameterError):
             bernstein_generator(dipped, 4)
 
@@ -270,7 +271,7 @@ class TestValidateGenerator:
             assert report.grid_size == 128
 
     def test_linear_function_fails(self):
-        linear = convex_generator_from_callable("line", lambda u: u, integral=0.5, validate=False)
+        linear = ConvexGenerator("line", lambda u: u, integral_0_1=0.5, validated=False)
         report = validate_generator(linear)
         assert not report.passed
         assert "midpoint" in report.first_violation
@@ -278,7 +279,7 @@ class TestValidateGenerator:
     @pytest.mark.parametrize("m", [7, 12])
     def test_high_powers_pass(self, m):
         # gaps near 0 are of order 128^-m; the bound is relative to the values compared
-        g = convex_generator_from_callable(f"p{m}", lambda u: u ** m)
+        g = ConvexGenerator(f"p{m}", lambda u: u ** m)
         assert g.validated
         assert validate_generator(g).passed
 
@@ -287,29 +288,29 @@ class TestValidateGenerator:
             u = np.asarray(u, dtype=float)
             return np.where(u == 0.5, np.nan, u * u)
 
-        forced = convex_generator_from_callable("nan", fn, integral=1.0 / 3.0, validate=False)
+        forced = ConvexGenerator("nan", fn, integral_0_1=1.0 / 3.0, validated=False)
         report = validate_generator(forced)
         assert not report.passed
         assert report.first_violation == "h(0.5) = nan is not finite"
         with pytest.raises(InvalidParameterError, match="not finite"):
-            convex_generator_from_callable("nan", fn, integral=1.0 / 3.0)
+            ConvexGenerator("nan", fn, integral_0_1=1.0 / 3.0)
 
     def test_nonzero_origin_fails(self):
-        shifted = convex_generator_from_callable(
-            "shifted", lambda u: u * u + 0.5, integral=1.0 / 3.0 + 0.5, validate=False)
+        shifted = ConvexGenerator(
+            "shifted", lambda u: u * u + 0.5, integral_0_1=1.0 / 3.0 + 0.5, validated=False)
         report = validate_generator(shifted)
         assert not report.passed
         assert "h(0)" in report.first_violation
 
     def test_wrong_integral_fails(self):
-        wrong = convex_generator_from_callable("off", lambda u: u * u, integral=0.4, validate=False)
+        wrong = ConvexGenerator("off", lambda u: u * u, integral_0_1=0.4, validated=False)
         report = validate_generator(wrong)
         assert not report.passed
         assert "integral" in report.first_violation
 
     def test_log_linear_xi_fails(self):
         # exp(u) is log-linear: strict log-convexity must reject it
-        loglin = log_convex_generator_from_callable("exp", lambda u: math.exp(u), validate=False)
+        loglin = LogConvexGenerator("exp", lambda u: math.exp(u), validated=False)
         report = validate_generator(loglin)
         assert not report.passed
         assert "log-convexity" in report.first_violation
@@ -319,15 +320,15 @@ class TestValidateGenerator:
             return np.exp(np.asarray(u) ** 2)
 
         with pytest.raises(InvalidParameterError, match="integral_sq_0_1"):
-            log_convex_generator_from_callable("e", fn, integral_sq=5.0)
-        forced = log_convex_generator_from_callable("e", fn, integral_sq=5.0, validate=False)
+            LogConvexGenerator("e", fn, integral_sq_0_1=5.0)
+        forced = LogConvexGenerator("e", fn, integral_sq_0_1=5.0, validated=False)
         report = validate_generator(forced)
         assert not report.passed
         assert "integral" in report.first_violation
-        assert validate_generator(log_convex_generator_from_callable("e", fn)).passed
+        assert validate_generator(LogConvexGenerator("e", fn)).passed
 
     def test_constant_xi_fails(self):
-        const = log_convex_generator_from_callable("one", lambda u: 1.0, validate=False)
+        const = LogConvexGenerator("one", lambda u: 1.0, validated=False)
         assert not validate_generator(const).passed
 
     def test_overflowing_pair_mean_is_no_pass(self):
@@ -336,15 +337,15 @@ class TestValidateGenerator:
             u = np.asarray(u, dtype=float)
             return 0.01 * np.sqrt(u) + np.where(u < 0.9, 0.0, 1e308 * ((u - 0.9) / 0.1) ** 2)
 
-        forced = convex_generator_from_callable("steep", fn, integral=0.0, validate=False)
+        forced = ConvexGenerator("steep", fn, integral_0_1=0.0, validated=False)
         report = validate_generator(forced)
         assert not report.passed
         assert "midpoint convexity" in report.first_violation
 
     @pytest.mark.parametrize("name, fn, convex", AGREEMENT_CASES, ids=[c[0] for c in AGREEMENT_CASES])
     def test_agrees_with_all_pairs_probe(self, name, fn, convex):
-        build = convex_generator_from_callable if convex else log_convex_generator_from_callable
-        g = build(name, fn, validate=False)
+        build = ConvexGenerator if convex else LogConvexGenerator
+        g = build(name, fn, validated=False)
         assert validate_generator(g).passed == all_pairs_strict(fn, convex)
 
     @pytest.mark.parametrize("spec", ["expsq:1e-8", "expsq:6e-8", "power:160", "poly:1,1e-14"])
@@ -367,11 +368,70 @@ class TestValidateGenerator:
 
     def test_from_callable_validates_by_default(self):
         with pytest.raises(InvalidParameterError):
-            convex_generator_from_callable("line", lambda u: u, integral=0.5)
+            ConvexGenerator("line", lambda u: u, integral_0_1=0.5)
 
     def test_unvalidated_flag_recorded(self):
-        g = convex_generator_from_callable("line", lambda u: u, integral=0.5, validate=False)
+        g = ConvexGenerator("line", lambda u: u, integral_0_1=0.5, validated=False)
         assert not g.validated
+
+
+def _square(u):
+    return np.asarray(u, dtype=float) ** 2
+
+
+class TestConstruction:
+    """The generator types validate on construction and integrate an omitted constant once."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: ConvexGenerator("lin", lambda u: np.asarray(u, float), 0.5),
+        lambda: LogConvexGenerator("exp", np.exp),
+        lambda: dataclasses.replace(power_generator(2), eval=lambda u: np.asarray(u, float)),
+    ], ids=["linear-h", "log-linear-xi", "replace"])
+    def test_constructor_rejects_what_the_validator_rejects(self, build):
+        with pytest.raises(InvalidParameterError, match="failed validation: .*not strict"):
+            build()
+
+    def test_omitted_constant_is_one_quadrature(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return adaptive_quad(*args, **kwargs)
+
+        monkeypatch.setattr(generators, "adaptive_quad", counting)
+        h = ConvexGenerator("p2", _square)
+        assert len(calls) == 1
+        assert h.validated and h.integral_0_1 == adaptive_quad(_square, 0.0, 1.0)
+
+    def test_omitted_constants_are_the_validator_quadratures(self):
+        xi = LogConvexGenerator("e", lambda u: np.exp(np.asarray(u) ** 2))
+        assert xi.integral_sq_0_1 == adaptive_quad(lambda v: np.exp(v * v) ** 2, 0.0, 1.0)
+
+    def test_nan_generator_names_its_point(self):
+        def fn(u):
+            u = np.asarray(u, dtype=float)
+            return np.where(u == 0.5, np.nan, u * u)
+
+        with pytest.raises(InvalidParameterError, match=r"failed validation: h\(0.5\) = nan is not finite"):
+            ConvexGenerator("nan", fn)
+
+    @pytest.mark.parametrize("constant", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("validated", [True, False])
+    def test_non_finite_constant_is_always_rejected(self, constant, validated):
+        with pytest.raises(InvalidParameterError, match="integral_0_1 = .* is not finite"):
+            ConvexGenerator("p2", _square, constant, validated=validated)
+        with pytest.raises(InvalidParameterError, match="integral_sq_0_1 = .* is not finite"):
+            LogConvexGenerator("e", np.exp, constant, validated=validated)
+
+    @pytest.mark.parametrize("g", [ConvexGenerator("p2", _square, 1.0 / 3.0),
+                                   exp_sq_generator(1.0)], ids=["h", "xi"])
+    def test_nan_constant_is_a_violation(self, g):
+        # set past construction, which rejects it: the comparison itself must not pass a NaN
+        key = "integral_0_1" if isinstance(g, ConvexGenerator) else "integral_sq_0_1"
+        object.__setattr__(g, key, float("nan"))
+        report = validate_generator(g)
+        assert not report.passed
+        assert report.first_violation.startswith(f"{key} = nan but quadrature gives")
 
 
 class TestSpecGrammar:

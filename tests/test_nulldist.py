@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from convexgof import (
+    ConvexGenerator,
     InvalidParameterError,
     K_SAMPLE,
     NullTable,
@@ -236,10 +237,7 @@ class TestRunTest:
         assert any("tie" in w for w in report.warnings)
 
     def test_unvalidated_generator_warning(self):
-        from convexgof import convex_generator_from_callable
-
-        rough = convex_generator_from_callable("line", lambda u: u, integral=0.5,
-                                               validate=False)
+        rough = ConvexGenerator("line", lambda u: u, integral_0_1=0.5, validated=False)
         report = run_test(TWO_SAMPLE, rough, [Sample([1.0, 3.0]), Sample([2.0, 4.0])],
                           B=99, seed=0)
         assert any("characterization not guaranteed" in w for w in report.warnings)

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from convexgof import (
+    ConvexGenerator,
     EnumerationTooLargeError,
     InvalidParameterError,
     K_SAMPLE,
+    LogConvexGenerator,
     Sample,
     TAU,
     TWO_SAMPLE,
     WeightVector,
     bernstein_generator,
-    convex_generator_from_callable,
     cvm_distance,
     enumerate_null,
     exp_sq_generator,
@@ -73,9 +74,9 @@ class TestPopulationFunctional:
 
     def test_concave_mirror_flips_sign(self):
         base_gap = population_gap(SQUARE, UNIFORM, SQUARE_CDF)
-        negated = convex_generator_from_callable(
+        negated = ConvexGenerator(
             "neg-square", lambda u: -(np.asarray(u, dtype=float) ** 2),
-            integral=-1.0 / 3.0, validate=False)
+            integral_0_1=-1.0 / 3.0, validated=False)
         assert abs(population_gap(negated, UNIFORM, SQUARE_CDF) + base_gap) < 1e-10
 
     def test_bernstein_functionals_converge(self):
@@ -152,11 +153,9 @@ class TestLogConvexFunctional:
 
     def test_constant_xi_reaches_equality_everywhere(self):
         # without strict log-convexity the inequality degenerates to equality
-        from convexgof import log_convex_generator_from_callable
-
-        one = log_convex_generator_from_callable(
+        one = LogConvexGenerator(
             "one", lambda u: np.ones_like(np.asarray(u, dtype=float)),
-            integral_sq=1.0, validate=False)
+            integral_sq_0_1=1.0, validated=False)
         assert abs(log_convex_functional(one, UNIFORM, SQUARE_CDF) - 2.0) < 1e-9
 
 

@@ -6,12 +6,12 @@ import pytest
 from convexgof import (
     TWO_SAMPLE,
     InvalidParameterError,
+    LogConvexGenerator,
     Sample,
     WeightVector,
     enumerate_null,
     exp_sq_generator,
     k_sample_statistic,
-    log_convex_generator_from_callable,
     parse_generator_spec,
     power_generator,
     tau_statistic,
@@ -150,9 +150,9 @@ class TestKSampleStatistic:
 
 class TestTauStatistic:
     def test_constant_xi_gives_zero(self):
-        xi = log_convex_generator_from_callable(
+        xi = LogConvexGenerator(
             "one", lambda u: np.ones_like(np.asarray(u, dtype=float)),
-            integral_sq=1.0, validate=False)
+            integral_sq_0_1=1.0, validated=False)
         s = tau_statistic(xi, X_WORKED, Y_WORKED)
         assert abs(s.raw_functional - 2.0) < 1e-12
         assert abs(s.value) < 1e-12
