@@ -21,16 +21,16 @@ accepts high powers, whose gaps near 0 are tiny, and rejects linear/log-linear
 generators, which would break the equality characterization of the tests.
 
 Integrals use ``adaptive_quad``, a vectorised tanh-sinh rule with a QUADPACK fallback.
+Importing this module loads numpy only: scipy loads in that fallback and in ``bernstein_generator``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
-from scipy.special import expit, gammaln, xlog1py, xlogy
 
 from .errors import (
     GeneratorSpecError,
@@ -51,7 +51,9 @@ def _tanh_sinh_level(h, first):
     in [-TS_TMAX, TS_TMAX] if ``first``, else at the odd multiples only."""
     t = np.arange(-TS_TMAX, TS_TMAX + h / 2, h) if first else np.arange(h - TS_TMAX, TS_TMAX, 2 * h)
     z = np.pi * np.sinh(t)
-    return h, expit(z), np.pi * np.cosh(t) * expit(z) * expit(-z)
+    # scipy.special.expit's 1 / (1 + exp(-z)) with libm's exp, node by node: its bits, without scipy
+    e, f = (np.array([1.0 / (1.0 + math.exp(-v)) for v in s.tolist()]) for s in (z, -z))
+    return h, e, np.pi * np.cosh(t) * e * f
 
 
 _TANH_SINH = [_tanh_sinh_level(2.0 ** -k, k == 1) for k in range(1, 9)]  # steps 1/2 .. 1/256
@@ -94,6 +96,7 @@ def adaptive_quad(fn, a, b, tol: float = QUAD_TOL):
         if not state.size:
             break
     for lo, hi, *_, index in state.T:
+        from scipy import integrate  # only here: the fallback is rare and scipy is slow to import
         out = integrate.quad(fn, lo, hi, epsabs=tol, epsrel=1e-12, full_output=1)
         value[int(index)], abserr = out[0], out[1]
         if len(out) > 3 or not np.isfinite(out[0]) or abserr > 10.0 * max(tol, abs(out[0]) * 1e-12):
@@ -246,6 +249,7 @@ def bernstein_generator(h: ConvexGenerator, m: int) -> ConvexGenerator:
     """
     if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 2:
         raise InvalidParameterError(f"Bernstein degree must be an integer >= 2, got {m!r}")
+    from scipy.special import gammaln, xlog1py, xlogy  # math.lgamma's log-binomials differ in the last bits
     m = int(m)
     u = np.linspace(0.0, 1.0, DEFAULT_GRID + 1)
     probes = eval_on_array(h.eval, u)

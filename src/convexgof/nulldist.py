@@ -255,9 +255,10 @@ def run_test(kind, generator, samples, weights=None, B: int = DEFAULT_B, seed: i
         )
     cvs = {}
     for alpha in levels:
-        cvs[float(alpha)], clamped = _critical(table, alpha)
-        if clamped:
+        value, clamped = _critical(table, alpha)
+        if clamped and float(alpha) not in cvs:
             notes.append(f"null table too small for level {alpha:g}; critical value clamped")
+        cvs[float(alpha)] = value
     return TestReport(
         statistic=observed,
         p_value=p_value(table, observed),
@@ -348,9 +349,9 @@ def power_study(kind, generator, alternative, sizes, B_null: int, B_power: int,
         report = run_test(kind, generator, samples, weights=weights, B=B_null,
                           seed=_derive_seed(table_seed_base, trial),
                           levels=levels)
-        for a in levels:
+        for a in rejections:  # a repeated level counts once
             if report.p_value <= a:
-                rejections[float(a)] += 1
+                rejections[a] += 1
     power = {}
     for a, count in rejections.items():
         est = count / B_power

@@ -1,5 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -348,6 +353,18 @@ class TestPowerCommand:
         assert code == 0
         assert out.splitlines()[0].startswith("level,power,std_error")
 
+    def test_repeated_level_counts_once(self, data_files):
+        # counting the level twice pushed the estimate past 1 and sqrt raised
+        docs = []
+        for levels in ("0.5", "0.5,0.5"):
+            code, out, err = run_cli(["power", "--generator", "power:2",
+                                      "--alternative", "shift:0.5", "--sizes", "5,5",
+                                      "--B-null", "9", "--B-power", "3", "--levels", levels,
+                                      "--deterministic"])
+            assert code == 0, err
+            docs.append(json.loads(out)["power"])
+        assert docs[1] == docs[0]
+
     def test_unknown_alternative_is_config_error(self, data_files):
         code, _, err = run_cli(["power", "--generator", "power:2",
                                 "--alternative", "wiggle:1", "--sizes", "10,10"])
@@ -364,3 +381,50 @@ class TestVerifyCommand:
         assert "[PASS]" in out
         assert "[FAIL]" not in out
         assert csv_path.exists()
+
+
+# Loads scipy only where Bernstein generators and the quadrature fallback use it;
+# prints the scipy modules loaded after each stage as one JSON object.
+_START_UP_PROBE = textwrap.dedent("""
+    import io, json, sys, tempfile
+    from pathlib import Path
+
+    def loaded():
+        return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+    import convexgof.cli as cli
+    stages = {"import": loaded()}
+    work = Path(tempfile.mkdtemp())
+    for name, text in (("x", "1\\n3\\n6\\n"), ("y", "2\\n4\\n5\\n"), ("z", "0.5\\n7\\n")):
+        (work / f"{name}.csv").write_text(text)
+    x, y, z = (str(work / f"{name}.csv") for name in "xyz")
+    codes = [cli.run(argv + ["--B", "99", "--no-cache"], out=io.StringIO(), err=io.StringIO())
+             for argv in (["test2", "--h", "power:2", "--x", x, "--y", y],
+                          ["tau", "--xi", "expsq:1", "--x", x, "--y", y],
+                          ["testk", "--h", "poly:0,1,1", "--inputs", x, y, z],
+                          ["null-table", "--kind", "two_sample", "--generator", "power:2",
+                           "--sizes", "3,3", "--out", str(work / "table.csv")])]
+    stages["commands"] = loaded()
+    from convexgof.generators import adaptive_quad, parse_generator_spec
+    parse_generator_spec("bernstein:power:2:8")
+    stages["bernstein"] = loaded()
+    value = adaptive_quad(lambda u: abs(u - 1.0 / 3.0), 0.0, 1.0)
+    stages["fallback"] = loaded()
+    print(json.dumps({"stages": stages, "codes": codes, "value": value}))
+""")
+
+
+def test_start_up_imports_numpy_only():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _START_UP_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    stages = doc["stages"]
+    assert doc["codes"] == [0, 0, 0, 0]
+    assert stages["import"] == [] and stages["commands"] == []
+    assert "scipy.special" in stages["bernstein"]
+    assert "scipy.integrate" not in stages["bernstein"]
+    assert "scipy.integrate" in stages["fallback"]
+    assert abs(doc["value"] - 5.0 / 18.0) < 1e-12

@@ -209,6 +209,18 @@ class TestExpSqGenerator:
 
 
 class TestAdaptiveQuad:
+    def test_node_table_matches_scipy_expit_bit_for_bit(self):
+        from scipy.special import expit
+
+        assert len(generators._TANH_SINH) == 8
+        for k, (h, offset, weight) in enumerate(generators._TANH_SINH, start=1):
+            assert h == 2.0 ** -k
+            t = np.arange(-4.0, 4.0 + h / 2, h) if k == 1 else np.arange(h - 4.0, 4.0, 2 * h)
+            z = np.pi * np.sinh(t)
+            for got, want in ((offset, expit(z)), (weight, np.pi * np.cosh(t) * expit(z) * expit(-z))):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_array_ends_match_scalar_calls(self):
         a = np.array([[0.0, 0.1, 0.25], [0.5, 0.9, 1.0]])
         b = np.array([[0.1, 0.6, 0.25], [0.75, 1.0, 0.3]])  # one empty panel, one reversed

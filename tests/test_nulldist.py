@@ -247,6 +247,13 @@ class TestRunTest:
                           B=9, seed=0, levels=(0.05,))
         assert any("too small" in w for w in report.warnings)
 
+    def test_repeated_level_is_reported_once(self):
+        data = [Sample([1.0, 3.0]), Sample([2.0, 4.0])]
+        once = run_test(TWO_SAMPLE, SQUARE, data, B=9, seed=0, levels=(0.05,))
+        twice = run_test(TWO_SAMPLE, SQUARE, data, B=9, seed=0, levels=(0.05, 0.05))
+        assert twice.warnings == once.warnings
+        assert twice.critical_values == once.critical_values
+
     def test_permutation_method(self):
         x = Sample([1.0, 2.0, 2.0, 4.0])
         y = Sample([2.0, 3.0, 5.0, 6.0])
@@ -311,6 +318,14 @@ class TestPowerStudy:
         scaled = power_study(TWO_SAMPLE, SQUARE, "scale:1", (15, 15),
                              B_null=99, B_power=150, seed=6, levels=(0.05,))
         assert shifted.power == scaled.power  # identical data lattice
+
+    def test_repeated_level_counts_once(self):
+        # counted once per listed level, (0.5, 0.5) gave 0.5 where (0.5,) gave 0.25
+        for B_power in (4, 5):
+            once, twice = (power_study(TWO_SAMPLE, SQUARE, "shift:0.2", (5, 5), B_null=19,
+                                       B_power=B_power, seed=0, levels=levels).power
+                           for levels in ((0.5,), (0.5, 0.5)))
+            assert twice == once
 
     def test_power_increases_with_shift(self):
         small = power_study(TWO_SAMPLE, SQUARE, "shift:0.25", (30, 30),
