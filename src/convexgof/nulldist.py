@@ -3,13 +3,13 @@
 Under the null the statistics are rank-based, so every assignment of the
 pooled ranks to the groups is equally likely.  Every Monte Carlo table draws
 those assignments one way: a table is built in chunks whose length depends
-only on the pooled sample size, and chunk c argsorts a block of standard
-uniforms from its own RNG stream, a Philox generator keyed by (seed, c), into
-rows of group labels.  So a chunk's memory is bounded and a table is
-reproducible from its seed.  The permutation null sends those rows to the
-count-indexed kernel (``statistics``) with the pooled data's tie blocks and
-ECDF convention; a simulated table is the permutation null without ties,
-under the right-continuous convention.
+only on the pooled sample size, and chunk c sorts a block of raw draws from
+its own RNG stream, a Philox generator keyed by (seed, c), each tagged with
+its slot's group, into rows of group labels.  So a chunk's memory is bounded
+and a table is reproducible from its seed.  The permutation null sends those
+rows to the count-indexed kernel (``statistics``) with the pooled data's tie
+blocks and ECDF convention; a simulated table is the permutation null
+without ties, under the right-continuous convention.
 """
 
 from __future__ import annotations
@@ -115,19 +115,29 @@ def _chunk_rows(total: int) -> int:
 def _label_blocks(sizes, B, seed, transform=None):
     """Label rows of ``B`` null replicates in pooled rank order, one block per chunk.
 
-    Chunk c draws a block of standard uniforms from ``replicate_stream(seed, c)``
-    and argsorts each row, so row r assigns the pooled ranks to groups
-    uniformly at random.  ``transform`` maps each block right after its draw.
+    Chunk c draws raw 64-bit words w from ``replicate_stream(seed, c)``, puts
+    each slot's group in the low bits ``low`` masks (the fewest, at least one,
+    that hold every group) and sorts each row in place, so row r assigns the
+    pooled ranks to groups uniformly at random.  Up to 2048 groups these are
+    the labels of argsorting the uniforms (w >> 11) * 2**-53; equal uniforms
+    go by their lower bits, then by group.  ``transform`` selects that argsort,
+    of ``transform(uniforms)``: the reference path, which must agree.
     """
     if not isinstance(B, (int, np.integer)) or B < 1:
         raise InvalidParameterError(f"replicate count B must be >= 1, got {B!r}")
     total, slot_group = sum(sizes), _group_labels(sizes)
-    rows = _chunk_rows(total)
+    rows, low = _chunk_rows(total), np.uint64((1 << max(1, (len(sizes) - 1).bit_length())) - 1)
     for chunk, start in enumerate(range(0, B, rows)):
-        data = replicate_stream(seed, chunk).random((min(rows, B - start), total))
+        stream, shape = replicate_stream(seed, chunk), (min(rows, B - start), total)
         if transform is not None:
-            data = transform(data)
-        yield slot_group[np.argsort(data, axis=1)]
+            yield slot_group[np.argsort(transform(stream.random(shape)), axis=1)]
+            continue
+        keys = stream.bit_generator.random_raw(shape)
+        keys &= ~low
+        keys |= slot_group
+        keys.sort(axis=1)
+        keys &= low
+        yield keys.astype(slot_group.dtype)
 
 
 def _table_values(kind, generator, sizes, weights, blocks, ties=None,
@@ -144,12 +154,12 @@ def simulate_null(kind, generator, sizes, B: int, seed: int, weights=None,
                   transform=None) -> NullTable:
     """Simulate the null distribution of a statistic at the given sizes.
 
-    Draws B replicate sets of standard uniforms (distribution-freeness makes
+    Ranks B replicate sets of standard uniforms (distribution-freeness makes
     the choice immaterial) and returns their sorted statistics: the
-    permutation null of tie-free data.  ``transform`` maps each chunk's draws
-    before ranking; a strictly increasing map must not change the table,
-    which is the checkable form of distribution-freeness.  Deterministic
-    for a fixed seed.
+    permutation null of tie-free data.  ``transform`` maps each chunk's
+    uniforms, which are then argsorted (the reference path); a strictly
+    increasing map must give the table drawn without it, the checkable form
+    of distribution-freeness.  Deterministic for a fixed seed.
     """
     sizes, weights = _check_kind_and_generator(kind, generator, sizes, weights)
     seed = _check_seed(seed)

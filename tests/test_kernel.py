@@ -25,7 +25,7 @@ from convexgof import (
     simulate_null,
     two_sample_statistic,
 )
-from convexgof.nulldist import CHUNK, _chunk_rows, replicate_stream
+from convexgof.nulldist import CHUNK, _chunk_rows, _label_blocks, replicate_stream
 from convexgof.statistics import _centering, _group_labels, _rank_statistic, _tie_blocks
 from convexgof.oracle import _label_batches
 
@@ -176,6 +176,22 @@ def test_permutation_chunks_match_streams():
         _rank_statistic(TWO_SAMPLE, gen, sizes, None, _hand_labels(sizes, 4, c, rows), ties, MID)
         for c, rows in enumerate((CHUNK, CHUNK, 5))])
     assert np.array_equal(table.replicates, np.sort(values - _centering(TWO_SAMPLE, gen, None)))
+
+
+@pytest.mark.parametrize("sizes, B", [
+    ((3, 5, 7), CHUNK + 7),  # two chunks, 2 tag bits
+    ((1,) * 300, 40),  # uint16 labels, 9 tag bits
+    ((1,) * 2100, 3),  # 12 tag bits, more than the 11 low bits the doubles drop
+], ids=["3x5x7", "300x1", "2100x1"])
+def test_label_blocks_match_argsorted_streams(sizes, B):
+    # the tagged raw-word sort gives the labels of argsorting the chunk's uniforms
+    rows = _chunk_rows(sum(sizes))
+    blocks = list(_label_blocks(sizes, B, 8))
+    assert [len(b) for b in blocks] == [min(rows, B - start) for start in range(0, B, rows)]
+    for c, labels in enumerate(blocks):
+        expected = _hand_labels(sizes, 8, c, len(labels))
+        assert labels.dtype == expected.dtype
+        assert np.array_equal(labels, expected)
 
 
 @pytest.mark.parametrize("kind, spec, sizes, weights", [

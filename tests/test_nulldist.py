@@ -17,6 +17,7 @@ from convexgof import (
     exp_sq_generator,
     load_table,
     p_value,
+    parse_generator_spec,
     power_generator,
     power_study,
     replicate_stream,
@@ -87,11 +88,19 @@ class TestSimulateNull:
         assert sum(rows for rows, _ in shapes) == 1500
         assert all(rows * cols <= 2**22 for rows, cols in shapes)
 
-    @pytest.mark.parametrize("transform", [np.exp, np.arctan])
-    def test_distribution_freeness(self, transform):
-        plain = simulate_null(TWO_SAMPLE, SQUARE, (20, 20), B=400, seed=3)
-        mapped = simulate_null(TWO_SAMPLE, SQUARE, (20, 20), B=400, seed=3,
-                               transform=transform)
+    @pytest.mark.parametrize("kind, spec, sizes, transform", [
+        pytest.param(TWO_SAMPLE, "power:2", (20, 20), np.exp, id="exp"),
+        pytest.param(TWO_SAMPLE, "power:2", (20, 20), np.arctan, id="arctan"),
+        pytest.param(K_SAMPLE, "poly:0,1,1", (7, 7, 7), np.exp, id="k_sample-exp"),
+        pytest.param(K_SAMPLE, "poly:0,1,1", (7, 7, 7), np.arctan, id="k_sample-arctan"),
+        pytest.param(TAU, "expsq:1", (6, 4), np.exp, id="tau-exp"),
+        pytest.param(TAU, "expsq:1", (6, 4), np.arctan, id="tau-arctan"),
+    ])
+    def test_distribution_freeness(self, kind, spec, sizes, transform):
+        # with transform= a chunk argsorts the mapped uniforms; without, it sorts tagged raw words
+        gen = parse_generator_spec(spec)
+        plain = simulate_null(kind, gen, sizes, B=400, seed=3)
+        mapped = simulate_null(kind, gen, sizes, B=400, seed=3, transform=transform)
         assert np.array_equal(plain.replicates, mapped.replicates)
 
     def test_matches_exact_distribution_at_tiny_sizes(self):
