@@ -14,7 +14,6 @@ from .ecdf import (
     MID,
     RIGHT_CONTINUOUS,
     Sample,
-    cross_tie_count,
     read_sample,
 )
 from .errors import (
@@ -88,7 +87,7 @@ __all__ = [
     "power_generator", "polynomial_generator", "bernstein_generator",
     "exp_sq_generator", "validate_generator", "parse_generator_spec",
     # ecdf
-    "Sample", "RIGHT_CONTINUOUS", "MID", "cross_tie_count", "read_sample",
+    "Sample", "RIGHT_CONTINUOUS", "MID", "read_sample",
     # statistics
     "WeightVector", "StatisticValue", "two_sample_statistic",
     "k_sample_statistic", "tau_statistic",

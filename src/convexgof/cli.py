@@ -359,10 +359,11 @@ def _cmd_power(args, out):
         "seed": result.seed,
         "power": {f"{a:g}": {"estimate": est, "std_error": se}
                   for a, (est, se) in sorted(result.power.items())},
+        "warnings": list(result.warnings),
     }
-    rows = [["level", "power", "std_error", "alternative", "B_null", "B_power", "seed"]]
-    rows += [[a, repr(est), repr(se), result.alternative, result.B_null, result.B_power, result.seed]
-             for a, (est, se) in sorted(result.power.items())]
+    rows = [["level", "power", "std_error", "alternative", "B_null", "B_power", "seed", "warnings"]]
+    rows += [[a, repr(est), repr(se), result.alternative, result.B_null, result.B_power, result.seed,
+              ";".join(result.warnings)] for a, (est, se) in sorted(result.power.items())]
     _emit(args, out, doc, lambda doc: rows)
     return EXIT_OK
 

@@ -1,4 +1,4 @@
-"""Samples, empirical-CDF conventions, cross-sample ties and sample files.
+"""Samples, empirical-CDF conventions and sample files.
 
 An empirical CDF is a count of observations over the sample size.
 ``right-continuous`` counts observations <= x; ``mid`` averages the left
@@ -10,7 +10,7 @@ strictly increasing map to every sample leaves every value bit-identical.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,11 +23,10 @@ CONVENTIONS = (RIGHT_CONTINUOUS, MID)
 
 @dataclass(frozen=True)
 class Sample:
-    """A finite sample of real observations plus its sorted copy."""
+    """A finite sample of real observations, read-only."""
 
     values: np.ndarray
     label: str = ""
-    sorted_values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=float, copy=True)
@@ -40,30 +39,11 @@ class Sample:
                 f"sample '{self.label}' contains non-finite values"
             )
         vals.setflags(write=False)
-        srt = np.sort(vals)
-        srt.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "sorted_values", srt)
 
     @property
     def n(self) -> int:
         return self.values.size
-
-
-def cross_tie_count(a: Sample, b: Sample) -> int:
-    """Number of tied cross-sample pairs (x_i == y_j).
-
-    Nonzero counts mean the continuous-distribution assumption behind the
-    theory is violated on this data; reports surface a warning.
-    """
-    common = np.intersect1d(a.sorted_values, b.sorted_values)
-    if common.size == 0:
-        return 0
-    ca = np.searchsorted(a.sorted_values, common, side="right") - np.searchsorted(
-        a.sorted_values, common, side="left")
-    cb = np.searchsorted(b.sorted_values, common, side="right") - np.searchsorted(
-        b.sorted_values, common, side="left")
-    return int(np.sum(ca * cb))
 
 
 def read_sample(path, label: str | None = None) -> Sample:

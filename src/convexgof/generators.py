@@ -186,7 +186,6 @@ class ValidationReport:
     """Outcome of probing a generator's defining inequalities on a grid."""
 
     generator_name: str
-    grid_size: int
     passed: bool
     first_violation: str | None = None
 
@@ -280,20 +279,23 @@ def exp_sq_generator(alpha: float) -> LogConvexGenerator:
     alpha must be finite and positive.  The log-convexity gap of xi between
     neighbouring probe points is about alpha/32768 of their values, so
     :func:`validate_generator` rejects alpha below about 7e-8, where xi is
-    log-linear to within rounding.  The integral of xi^2 is computed by
-    adaptive quadrature.
+    log-linear to within rounding.  Construction integrates xi^2 once.  That
+    quadrature overflows from alpha = 354.95; past 357.7 the validator's probe
+    products would overflow first and read as a log-convexity failure, so the
+    overflow is raised here.
     """
     alpha = float(alpha)
     if not (np.isfinite(alpha) and alpha > 0):
         raise InvalidParameterError(f"expsq generator needs a finite alpha > 0, got {alpha!r}")
+    if alpha * (1.0 + (1.0 - 1.0 / DEFAULT_GRID) ** 2) > math.log(np.finfo(float).max):
+        raise QuadratureError(f"quadrature of xi^2 over [0, 1] overflows at alpha = {alpha:g}")
 
     def _eval(u, _a=alpha):
         arr = np.asarray(u, dtype=float)
         out = np.exp(_a * arr * arr)
         return out if np.ndim(u) else float(out)
 
-    integral_sq = adaptive_quad(lambda v: np.exp(2.0 * alpha * v * v), 0.0, 1.0)
-    return LogConvexGenerator(name=f"expsq:{_name_token(alpha)}", eval=_eval, integral_sq_0_1=integral_sq)
+    return LogConvexGenerator(name=f"expsq:{_name_token(alpha)}", eval=_eval)
 
 
 def validate_generator(g) -> ValidationReport:
@@ -310,7 +312,7 @@ def validate_generator(g) -> ValidationReport:
     if not isinstance(g, (ConvexGenerator, LogConvexGenerator)):
         raise InvalidParameterError(f"cannot validate object of type {type(g).__name__}")
     violation = _probe(g) or _constant_violation(g)
-    return ValidationReport(g.name, DEFAULT_GRID, violation is None, violation)
+    return ValidationReport(g.name, violation is None, violation)
 
 
 def _check_on_construction(g):

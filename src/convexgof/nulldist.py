@@ -3,13 +3,14 @@
 Under the null the statistics are rank-based, so every assignment of the
 pooled ranks to the groups is equally likely.  Every Monte Carlo table draws
 those assignments one way: a table is built in chunks whose length depends
-only on the pooled sample size, and chunk c sorts a block of raw draws from
-its own RNG stream, a Philox generator keyed by (seed, c), each tagged with
-its slot's group, into rows of group labels.  So a chunk's memory is bounded
-and a table is reproducible from its seed.  The permutation null sends those
-rows to the count-indexed kernel (``statistics``) with the pooled data's tie
-blocks and ECDF convention; a simulated table is the permutation null
-without ties, under the right-continuous convention.
+only on the pooled sample size, and chunk c sorts a block of random keys from
+its own RNG stream, an SFC64 generator seeded by (seed, c), each tagged with
+its slot's group, into rows of group labels; a row with two keys equal but
+for their tags is redrawn.  So a chunk's memory is bounded and a table is
+reproducible from its seed.  The permutation null sends those rows to the
+count-indexed kernel (``statistics``) with the pooled data's tie blocks and
+ECDF convention; a simulated table is the permutation null without ties,
+under the right-continuous convention.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .statistics import (
 DEFAULT_B = 9999
 CHUNK = 1024  # most replicates per work unit
 CHUNK_ELEMENTS = 2**22  # most pooled draws per work unit, which bounds its memory
-TABLE_FORMAT_VERSION = 3
+TABLE_FORMAT_VERSION = 4
 MAX_SEED = 2**64
 
 
@@ -94,7 +95,7 @@ def replicate_stream(seed: int, index: int) -> np.random.Generator:
     A work unit is one chunk of a null table (see :func:`_chunk_rows`) or the
     data of one power-study trial.
     """
-    return np.random.Generator(np.random.Philox(key=[seed, index]))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, index])))
 
 
 def _check_seed(seed) -> int:
@@ -115,29 +116,53 @@ def _chunk_rows(total: int) -> int:
 def _label_blocks(sizes, B, seed, transform=None):
     """Label rows of ``B`` null replicates in pooled rank order, one block per chunk.
 
-    Chunk c draws raw 64-bit words w from ``replicate_stream(seed, c)``, puts
-    each slot's group in the low bits ``low`` masks (the fewest, at least one,
-    that hold every group) and sorts each row in place, so row r assigns the
-    pooled ranks to groups uniformly at random.  Up to 2048 groups these are
-    the labels of argsorting the uniforms (w >> 11) * 2**-53; equal uniforms
-    go by their lower bits, then by group.  ``transform`` selects that argsort,
-    of ``transform(uniforms)``: the reference path, which must agree.
+    Chunk c takes keys from the raw words of ``replicate_stream(seed, c)``,
+    each word's low 32 bits then its high 32 bits, or whole words where a row
+    of N keys would expect a tie more than once in 32 rows (N**2 > 2**(28 - tag)).
+    Each slot's group goes in the low ``tag`` bits (the fewest, at least one,
+    that hold every group) and each row is sorted in place.  Rows in which two
+    keys share their untagged bits are redrawn, in row order, from the stream's
+    continuation until none is, so each row assigns the pooled ranks to groups
+    exactly uniformly.  ``transform`` selects the reference path: it is called
+    once per chunk on the uniforms ((key >> tag) + 0.5) * 2**(tag - width) of
+    the final rows, which are then argsorted; with 32-bit keys the uniforms are
+    exact, so a strictly increasing map gives the same labels.
     """
     if not isinstance(B, (int, np.integer)) or B < 1:
         raise InvalidParameterError(f"replicate count B must be >= 1, got {B!r}")
     total, slot_group = sum(sizes), _group_labels(sizes)
-    rows, low = _chunk_rows(total), np.uint64((1 << max(1, (len(sizes) - 1).bit_length())) - 1)
-    for chunk, start in enumerate(range(0, B, rows)):
-        stream, shape = replicate_stream(seed, chunk), (min(rows, B - start), total)
-        if transform is not None:
-            yield slot_group[np.argsort(transform(stream.random(shape)), axis=1)]
-            continue
-        keys = stream.bit_generator.random_raw(shape)
+    tag = max(1, (len(sizes) - 1).bit_length())
+    dtype = np.dtype("<u8" if total * total > 2 ** (28 - tag) else "<u4")
+    rows, low = _chunk_rows(total), dtype.type((1 << tag) - 1)
+
+    def tagged(bit_generator, n):  # the stream's next n rows of keys
+        words = bit_generator.random_raw(-(-n * total * dtype.itemsize // 8)).astype("<u8", copy=False)
+        keys = words.view(dtype)[:n * total].reshape(n, total)
         keys &= ~low
         keys |= slot_group
-        keys.sort(axis=1)
-        keys &= low
-        yield keys.astype(slot_group.dtype)
+        return keys
+
+    def tied(ranked):
+        return np.flatnonzero(((ranked[:, 1:] ^ ranked[:, :-1]) <= low).any(axis=1))
+
+    for chunk, start in enumerate(range(0, B, rows)):
+        bit_generator = replicate_stream(seed, chunk).bit_generator
+        keys = tagged(bit_generator, min(rows, B - start))
+        ranked = keys if transform is None else keys.copy()
+        ranked.sort(axis=1)
+        redo = tied(ranked)
+        while redo.size:
+            fresh = tagged(bit_generator, redo.size)
+            keys[redo] = fresh
+            fresh.sort(axis=1)
+            ranked[redo] = fresh
+            redo = redo[tied(fresh)]
+        if transform is not None:
+            uniforms = ((keys >> tag) + 0.5) * 2.0 ** (tag - 8 * dtype.itemsize)
+            yield slot_group[np.argsort(transform(uniforms), axis=1)]
+            continue
+        ranked &= low
+        yield ranked.astype(slot_group.dtype)
 
 
 def _table_values(kind, generator, sizes, weights, blocks, ties=None,
@@ -252,31 +277,21 @@ def run_test(kind, generator, samples, weights=None, B: int = DEFAULT_B, seed: i
                           None if weights is None else weights.weights)
     notes = []
     if observed.tie_count > 0:
-        notes.append(
-            f"{observed.tie_count} cross-sample tie pair(s) observed; the "
-            f"continuous-distribution assumption is violated"
-        )
+        notes.append(f"{observed.tie_count} cross-sample tie pair(s) observed; the "
+                     f"continuous-distribution assumption is violated")
         if method == "simulation":
             notes.append("consider method='permutation' for tied data")
     if not generator.validated:
-        notes.append(
-            f"generator '{generator.name}' was constructed without validation; "
-            f"characterization not guaranteed"
-        )
+        notes.append(f"generator '{generator.name}' was constructed without validation; "
+                     f"characterization not guaranteed")
     cvs = {}
     for alpha in levels:
         value, clamped = _critical(table, alpha)
         if clamped and float(alpha) not in cvs:
             notes.append(f"null table too small for level {alpha:g}; critical value clamped")
         cvs[float(alpha)] = value
-    return TestReport(
-        statistic=observed,
-        p_value=p_value(table, observed),
-        critical_values=cvs,
-        table=table,
-        warnings=tuple(notes),
-        method=method,
-    )
+    return TestReport(statistic=observed, p_value=p_value(table, observed), critical_values=cvs,
+                      table=table, warnings=tuple(notes), method=method)
 
 
 ALTERNATIVES = ("shift", "scale", "lehmann")
@@ -296,10 +311,9 @@ def parse_alternative(spec: str):
         raise InvalidParameterError(f"offending token '{arg}' in alternative spec '{spec}'") from None
     if not math.isfinite(value):
         raise InvalidParameterError(f"alternative spec '{spec}' needs a finite value")
-    if head == "scale" and value <= 0:
-        raise InvalidParameterError("scale alternative needs a positive factor")
-    if head == "lehmann" and value <= 0:
-        raise InvalidParameterError("lehmann alternative needs a positive exponent")
+    if head != "shift" and value <= 0:
+        raise InvalidParameterError(f"{head} alternative needs a positive "
+                                    f"{'factor' if head == 'scale' else 'exponent'}")
     return head, value
 
 
@@ -318,7 +332,9 @@ def _derive_seed(seed: int, tag: int) -> int:
 
 @dataclass(frozen=True)
 class PowerStudyResult:
-    """Estimated rejection rates with binomial standard errors."""
+    """Estimated rejection rates with binomial standard errors, and the
+    distinct warnings of the trials' reports (a level the null tables cannot
+    resolve, say)."""
 
     statistic_kind: str
     generator_name: str
@@ -328,6 +344,7 @@ class PowerStudyResult:
     B_power: int
     seed: int
     power: dict  # level -> (estimate, standard error)
+    warnings: tuple = ()
 
 
 def power_study(kind, generator, alternative, sizes, B_null: int, B_power: int,
@@ -338,27 +355,24 @@ def power_study(kind, generator, alternative, sizes, B_null: int, B_power: int,
     alternative, a :func:`parse_alternative` spec string (location shift,
     scale factor, or Lehmann exponent).  Each trial computes its own fresh
     null table, so the per-level rejection indicator is exactly Bernoulli at
-    the nominal level when the alternative is degenerate.  The data uniforms do not depend on the alternative's
-    parameter, so power curves over the parameter share one seed lattice.
+    the nominal level when the alternative is degenerate.  The data uniforms
+    do not depend on the alternative's parameter, so power curves over the
+    parameter share one seed lattice.
     """
     sizes, weights = _check_kind_and_generator(kind, generator, sizes, weights)
     alt = parse_alternative(alternative)
     if not isinstance(B_power, (int, np.integer)) or B_power < 1:
         raise InvalidParameterError(f"B_power must be >= 1, got {B_power!r}")
     seed = _check_seed(seed)
-    data_seed = _derive_seed(seed, 1)
-    table_seed_base = _derive_seed(seed, 2)
-    total = int(sum(sizes))
-    splits = np.cumsum(sizes)[:-1]
-    rejections = {float(a): 0 for a in levels}
+    data_seed, table_seed_base = _derive_seed(seed, 1), _derive_seed(seed, 2)
+    rejections, notes = {float(a): 0 for a in levels}, {}
     for trial in range(int(B_power)):
-        draws = replicate_stream(data_seed, trial).random(total)
-        parts = np.split(draws, splits)
+        parts = np.split(replicate_stream(data_seed, trial).random(sum(sizes)), np.cumsum(sizes)[:-1])
         parts[-1] = _apply_alternative(alt, parts[-1])
         samples = [Sample(p, label=f"group{g}") for g, p in enumerate(parts)]
         report = run_test(kind, generator, samples, weights=weights, B=B_null,
-                          seed=_derive_seed(table_seed_base, trial),
-                          levels=levels)
+                          seed=_derive_seed(table_seed_base, trial), levels=levels)
+        notes.update(dict.fromkeys(report.warnings))
         for a in rejections:  # a repeated level counts once
             if report.p_value <= a:
                 rejections[a] += 1
@@ -367,7 +381,7 @@ def power_study(kind, generator, alternative, sizes, B_null: int, B_power: int,
         est = count / B_power
         power[a] = (est, math.sqrt(est * (1.0 - est) / B_power))
     return PowerStudyResult(kind, generator.name, f"{alt[0]}:{_name_token(alt[1])}", sizes,
-                            int(B_null), int(B_power), seed, power)
+                            int(B_null), int(B_power), seed, power, tuple(notes))
 
 
 def save_table(table: NullTable, path) -> None:

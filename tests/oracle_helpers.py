@@ -144,3 +144,44 @@ def reference_statistic(kind, gen, groups, weights, convention):
             if j != l:
                 raw += weights[j] * weights[l] * h_integral(groups[j], groups[l])
     return raw - (1.0 - sum(w * w for w in weights)) * gen.integral_0_1
+
+
+def hand_keys(sizes, seed, chunk, rows):
+    """Untagged label keys of table chunk ``chunk`` under ``seed``, drawn by hand.
+
+    Returns the final ``rows`` x N keys and their bit count.  The stream is
+    SFC64 seeded by SeedSequence([seed, chunk]); keys are taken in row-major
+    order, each raw word giving its low 32 bits and then its high 32 bits, or
+    the whole word once N**2 > 2**(28 - tag), where tag = max(1, ceil(log2 k))
+    bits hold the group.  A row with two equal keys is redrawn from the
+    stream's continuation, tied rows in row order, until no row is tied.
+    Argsorting a row's keys gives its slots in pooled rank order.
+    """
+    total = sum(sizes)
+    tag = max(1, (len(sizes) - 1).bit_length())
+    width = 64 if total ** 2 > 2 ** (28 - tag) else 32
+    bits = np.random.SFC64(np.random.SeedSequence([seed, chunk]))
+
+    def draw(n_rows):
+        count = n_rows * total
+        words = bits.random_raw(-(-count * width // 64))
+        if width == 32:
+            words = np.column_stack([words & 0xFFFFFFFF, words >> 32]).ravel()
+        return (words[:count] >> tag).reshape(n_rows, total)
+
+    def tied(block):
+        ordered = np.sort(block, axis=1)
+        return np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+
+    keys = draw(rows)
+    redo = tied(keys)
+    while redo.size:
+        keys[redo] = draw(redo.size)
+        redo = redo[tied(keys[redo])]
+    return keys, width - tag
+
+
+def hand_uniforms(sizes, seed, chunk, rows):
+    """The uniforms (key + 0.5) / 2**bits of :func:`hand_keys`, in slot order."""
+    keys, bits = hand_keys(sizes, seed, chunk, rows)
+    return (keys + 0.5) / 2.0 ** bits

@@ -345,6 +345,18 @@ class TestPowerCommand:
         est = doc["power"]["0.05"]["estimate"]
         assert abs(est - 0.05) < 3.0 * np.sqrt(0.05 * 0.95 / 200) + 1e-9
 
+    def test_level_below_table_resolution_is_reported(self, data_files):
+        # the smallest p-value of a 9-replicate table is 0.1, so no trial can reject
+        # at 0.01 or 0.05 although the groups never overlap
+        code, out, err = run_cli(["power", "--generator", "power:2", "--sizes", "20,20",
+                                  "--alternative", "shift:2", "--B-null", "9", "--B-power", "20",
+                                  "--levels", "0.01,0.05", "--deterministic"])
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["power"]["0.05"]["estimate"] == 0.0
+        assert doc["warnings"] == [f"null table too small for level {a}; critical value clamped"
+                                   for a in ("0.01", "0.05")]
+
     def test_csv_output(self, data_files):
         code, out, _ = run_cli(["power", "--generator", "power:2",
                                 "--alternative", "shift:0.5", "--sizes", "10,10",

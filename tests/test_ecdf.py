@@ -9,7 +9,6 @@ from convexgof import (
     InvalidParameterError,
     LogConvexGenerator,
     Sample,
-    cross_tie_count,
     exp_sq_generator,
     k_sample_statistic,
     power_generator,
@@ -31,11 +30,6 @@ def unit_xi():
 
 
 class TestSample:
-    def test_sorted_is_permutation(self):
-        s = Sample([3.0, 1.0, 2.0], label="s")
-        assert np.array_equal(s.sorted_values, [1.0, 2.0, 3.0])
-        assert np.array_equal(np.sort(s.values), s.sorted_values)
-
     def test_rejects_empty(self):
         with pytest.raises(InvalidParameterError):
             Sample([])
@@ -163,9 +157,23 @@ class TestIntegralXiDxi:
 
 class TestCrossTieCount:
     def test_counts_tied_pairs(self):
-        assert cross_tie_count(Sample([1.0, 2.0]), Sample([2.0, 3.0])) == 1
-        assert cross_tie_count(Sample([2.0, 2.0]), Sample([2.0, 5.0])) == 2
-        assert cross_tie_count(Sample([1.0]), Sample([3.0])) == 0
+        def count(x, y):
+            return two_sample_statistic(SQUARE, Sample(x), Sample(y)).tie_count
+
+        assert count([1.0, 2.0], [2.0, 3.0]) == 1
+        assert count([2.0, 2.0], [2.0, 5.0]) == 2
+        assert count([1.0], [3.0]) == 0
+        assert count([2.0, 2.0, 1.0], [3.0, 1.0]) == 1  # ties within a sample are not counted
+
+    def test_k_sample_count_is_every_pair_of_samples(self):
+        rng = np.random.default_rng(15)
+        groups = [rng.integers(0, 6, n).astype(float) for n in (7, 9, 11)]
+        pairs = sum(int(np.sum(a[:, None] == b[None, :]))
+                    for i, a in enumerate(groups) for b in groups[i + 1:])
+        assert pairs > 0
+        assert k_sample_statistic(SQUARE, [Sample(g) for g in groups]).tie_count == pairs
+        assert tau_statistic(exp_sq_generator(1.0), Sample(groups[0]), Sample(groups[2])).tie_count == \
+            int(np.sum(groups[0][:, None] == groups[2][None, :]))
 
 
 class TestReadSample:

@@ -201,6 +201,19 @@ class TestExpSqGenerator:
         xi = exp_sq_generator(1.0)
         assert xi.antiderivative_grid(8) is xi.antiderivative_grid(8)
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 7.0])
+    def test_build_integrates_once(self, alpha, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:3])
+            return adaptive_quad(*args, **kwargs)
+
+        monkeypatch.setattr(generators, "adaptive_quad", counted)
+        xi = exp_sq_generator(alpha)
+        assert calls == [(0.0, 1.0)]
+        assert abs(xi.integral_sq_0_1 / expsq_square_integral(alpha) - 1.0) < 1e-12
+
     # a positive alpha this small rounds xi to log-linear on the validator's grid
     @pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), 2e-12, 1e-20])
     def test_rejects_bad_alpha(self, alpha):
@@ -280,7 +293,6 @@ class TestValidateGenerator:
         ):
             report = validate_generator(g)
             assert report.passed, report.first_violation
-            assert report.grid_size == 128
 
     def test_linear_function_fails(self):
         linear = ConvexGenerator("line", lambda u: u, integral_0_1=0.5, validated=False)

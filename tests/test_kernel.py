@@ -29,7 +29,7 @@ from convexgof.nulldist import CHUNK, _chunk_rows, _label_blocks, replicate_stre
 from convexgof.statistics import _centering, _group_labels, _rank_statistic, _tie_blocks
 from convexgof.oracle import _label_batches
 
-from oracle_helpers import reference_statistic
+from oracle_helpers import hand_keys, reference_statistic
 
 # generators whose eval is elementwise, so a grid lookup equals evaluating in place
 GENERATORS = {
@@ -96,16 +96,15 @@ def test_label_batches_cover_every_assignment_once(sizes):
 
 
 def _hand_labels(sizes, seed, chunk, rows):
-    """Chunk ``chunk``'s label rows drawn by hand: argsorted uniforms from its stream."""
-    draws = replicate_stream(seed, chunk).random((rows, sum(sizes)))
-    return _group_labels(sizes)[np.argsort(draws, axis=1)]
+    """Chunk ``chunk``'s label rows drawn by hand: argsorted keys from its stream."""
+    return _group_labels(sizes)[np.argsort(hand_keys(sizes, seed, chunk, rows)[0], axis=1)]
 
 
 # sha256 digests of enumerated pmfs, computed by the per-replicate
 # observed-data statistic path that the kernel replaced; the kernel must
-# reproduce them.  Permutation digests pin the (seed, chunk) stream contract.
-# The tau digests are those of table format 3, whose tanh-sinh Xi(i/n) grid
-# differs from the earlier per-panel QUADPACK grid by a few ulps.
+# reproduce them.  The tau pmf digest is that of the tanh-sinh Xi(i/n) grid,
+# a few ulps from the earlier per-panel QUADPACK grid.  Permutation digests
+# pin the (seed, chunk) stream contract of table format 4.
 
 def _table_digest(values):
     return hashlib.sha256(np.ascontiguousarray(values, dtype="<f8").tobytes()).hexdigest()
@@ -129,12 +128,12 @@ def test_enumerated_pmf_digests(kind, spec, sizes, digest):
 
 
 PERMUTATION_DIGESTS = {
-    (TWO_SAMPLE, RIGHT_CONTINUOUS): "c4fed87227372c9ed879c7b530f43972e8f43d7ab9c8a1206c9267480283321a",
-    (K_SAMPLE, RIGHT_CONTINUOUS): "4f5774c72a63065f2a2439d8724c4f6e00c17b8e18371a2c509497676fe4ee49",
-    (TAU, RIGHT_CONTINUOUS): "aae126291726f929e344530e4cadc475f6e2ed1b98d13d5d2f5f1b140d2e189a",
-    (TWO_SAMPLE, MID): "049e5eb2d60e06ca44872f2f313d6a3854ea1c99c8f853b45d329cd609aa707d",
-    (K_SAMPLE, MID): "d7281df940a7c5510a2730c47e36053453a6fe8573df6233c48d19d64f13242a",
-    (TAU, MID): "b1f94bb563abd693790fb79e6d067267cc9b5660b75c876a3299c97d625b867d",
+    (TWO_SAMPLE, RIGHT_CONTINUOUS): "8fe824284f528f66c9e9925cb3f1dec901dd12b73b40068c5aa7549891b92fdd",
+    (K_SAMPLE, RIGHT_CONTINUOUS): "558001df75917ae8a57be09ec7d873e61dce7f766c24895bfe5919a8d60474d7",
+    (TAU, RIGHT_CONTINUOUS): "1e9317ffe8c3a2ec6412752bda27c45e8cfbcf0ad9877e12d440a3594f99fccf",
+    (TWO_SAMPLE, MID): "3db08c89a788776d46763af848ce7c74aa3f7c6878a2eac141c34019ebf1f637",
+    (K_SAMPLE, MID): "40cf85b9bac259ce362712576dad09a3bd151ba35e0c3a5916c8b5eadb29712a",
+    (TAU, MID): "dda4c2df7cf63393cd72d5e230240b01dc341aadd86fa145b70a12a31e43ea69",
 }
 
 
@@ -178,20 +177,102 @@ def test_permutation_chunks_match_streams():
     assert np.array_equal(table.replicates, np.sort(values - _centering(TWO_SAMPLE, gen, None)))
 
 
-@pytest.mark.parametrize("sizes, B", [
-    ((3, 5, 7), CHUNK + 7),  # two chunks, 2 tag bits
-    ((1,) * 300, 40),  # uint16 labels, 9 tag bits
-    ((1,) * 2100, 3),  # 12 tag bits, more than the 11 low bits the doubles drop
-], ids=["3x5x7", "300x1", "2100x1"])
-def test_label_blocks_match_argsorted_streams(sizes, B):
-    # the tagged raw-word sort gives the labels of argsorting the chunk's uniforms
-    rows = _chunk_rows(sum(sizes))
+@pytest.mark.parametrize("sizes, B, width", [
+    ((3, 5, 7), CHUNK + 7, 32),  # two chunks, 2 tag bits
+    ((1,) * 300, 40, 32),  # uint16 labels, 9 tag bits
+    ((1,) * 2100, 3, 64),  # 12 tag bits: 2100**2 > 2**16
+    ((5793, 5793), 2, 64),  # the smallest two-group N past 32-bit keys: 11586**2 > 2**27
+], ids=["3x5x7", "300x1", "2100x1", "5793x5793"])
+def test_label_blocks_match_argsorted_streams(sizes, B, width):
+    # the tagged in-place key sort gives the labels of argsorting the keys drawn by
+    # hand, and the transform= reference path argsorts the same keys' uniforms
+    rows, calls = _chunk_rows(sum(sizes)), []
+    assert hand_keys(sizes, 8, 0, 1)[1] == width - max(1, (len(sizes) - 1).bit_length())
     blocks = list(_label_blocks(sizes, B, 8))
+    reference = list(_label_blocks(sizes, B, 8, transform=lambda u: calls.append(u.shape) or u))
     assert [len(b) for b in blocks] == [min(rows, B - start) for start in range(0, B, rows)]
+    assert calls == [b.shape for b in blocks]  # one transform call per chunk
     for c, labels in enumerate(blocks):
         expected = _hand_labels(sizes, 8, c, len(labels))
-        assert labels.dtype == expected.dtype
+        assert labels.dtype == expected.dtype == reference[c].dtype
         assert np.array_equal(labels, expected)
+        assert np.array_equal(reference[c], expected)
+
+
+def test_tied_rows_are_redrawn_in_row_order():
+    # chunk 0 of seed 3 at 1000/1000: rows 251 and 496 of the first draw each hold
+    # two keys equal in their 31 untagged bits, so the continuation's next 2000
+    # keys replace row 251 and the 2000 after them row 496
+    sizes, tag, N = (1000, 1000), 1, 2000
+    bits = np.random.SFC64(np.random.SeedSequence([3, 0]))
+    words = bits.random_raw(CHUNK * N // 2 + N)
+    keys = np.column_stack([words & 0xFFFFFFFF, words >> 32]).ravel() >> tag
+    first, fresh = keys[:CHUNK * N].reshape(CHUNK, N), keys[CHUNK * N:].reshape(2, N)
+    ordered = np.sort(first, axis=1)
+    assert list(np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))) == [251, 496]
+    assert all(len(np.unique(row)) == N for row in fresh)
+    first[[251, 496]] = fresh
+    expected = _group_labels(sizes)[np.argsort(first, axis=1)]
+    labels = next(_label_blocks(sizes, CHUNK, 3))
+    assert np.array_equal(labels, expected)
+    assert np.array_equal(next(_label_blocks(sizes, CHUNK, 3, transform=np.log)), expected)
+
+
+def _configuration_counts(sizes, B, seed):
+    labels = np.concatenate(list(_label_blocks(sizes, B, seed)))
+    _, counts = np.unique(labels, axis=0, return_counts=True)
+    return counts
+
+
+@pytest.mark.parametrize("sizes", [(3, 3), (2, 2, 2)])
+def test_label_law_is_uniform(sizes):
+    # chi-squared over every assignment of the pooled ranks to the groups
+    configurations = math.factorial(sum(sizes)) // math.prod(math.factorial(s) for s in sizes)
+    B = 500 * configurations
+    counts = _configuration_counts(sizes, B, 21)
+    assert counts.size == configurations
+    assert sps.chisquare(counts).pvalue > 0.001
+
+
+class _CoarseWords:
+    """A bit generator whose raw words keep the low 4 bits of each 32-bit half."""
+
+    def __init__(self, seed, index):
+        self.bit_generator = self
+        self._words = replicate_stream(seed, index).bit_generator
+
+    def random_raw(self, size):
+        return self._words.random_raw(size) & np.uint64(0x0000000F0000000F)
+
+
+def test_redraw_keeps_the_law_uniform_when_ties_are_common(monkeypatch):
+    # two groups take 1 tag bit, so a key keeps 3 untagged bits: most rows of 6 keys are
+    # tied and redrawn, some many times; breaking those ties by group would bias the law
+    import convexgof.nulldist as nulldist
+
+    monkeypatch.setattr(nulldist, "replicate_stream", _CoarseWords)
+    counts = _configuration_counts((3, 3), 10000, 22)
+    assert counts.size == 20
+    assert sps.chisquare(counts).pvalue > 0.001
+
+
+def _format_3_table(kind, gen, sizes, B, seed):
+    """The table of format 3: chunk c argsorts uniforms from Philox keyed by (seed, c)."""
+    rows = _chunk_rows(sum(sizes))
+    raw = [_rank_statistic(kind, gen, sizes, None, _group_labels(sizes)[np.argsort(
+        np.random.Generator(np.random.Philox(key=[seed, c])).random((min(rows, B - start), sum(sizes))),
+        axis=1)]) for c, start in enumerate(range(0, B, rows))]
+    return np.sort(np.concatenate(raw) - _centering(kind, gen, None))
+
+
+@pytest.mark.parametrize("sizes, B", [((100, 100), 9999), ((1000, 1000), 3000)])
+def test_tables_follow_the_format_3_law(sizes, B):
+    # a different draw of the same law: two-sample KS between equal-B tables
+    gen = power_generator(2)
+    table = simulate_null(TWO_SAMPLE, gen, sizes, B=B, seed=41)
+    old = _format_3_table(TWO_SAMPLE, gen, sizes, B, 41)
+    assert not np.array_equal(table.replicates, old)
+    assert sps.ks_2samp(table.replicates, old).pvalue > 0.001
 
 
 @pytest.mark.parametrize("kind, spec, sizes, weights", [
@@ -247,20 +328,21 @@ def test_enumerated_tail_matches_scipy_exact_cvm_8_8():
 
 # Tables whose counts the small property cases above never reach: sizes past
 # one chunk, wide bit fields, and a 7-group k-sample whose 10-bit fields (its
-# group of 600) fill two packed words.  Digests computed by the per-group
-# prefix-sum kernel that the packed and two-group count paths replaced.
+# group of 600) fill two packed words.  Under table format 3 these digests
+# were computed by the per-group prefix-sum kernel that the packed and
+# two-group count paths replaced; format 4 re-pinned them for its label draw.
 SEVEN_GROUPS = (600, 3, 8, 1, 20, 5, 12)
 
 
 @pytest.mark.parametrize("kind, spec, sizes, weights, B, seed, digest", [
     (TWO_SAMPLE, "power:2", (1000, 1000), None, 2048, 31,
-     "b40b3b7bc1ceaac2c5b652d62eb8cc7c50506c22483384a241bd4f90678ef682"),
+     "21fba335cbb27e94023276f54b11d8f22aff7c1d9582e799a7ec8b27f90be67e"),
     (TAU, "expsq:1", (300, 200), None, 1500, 32,
-     "581e7554efc68107f975d1c049bc092af6b772da99484eb7ff1defc3e504dd5d"),
+     "3abc6c74f1bca1e107c0f87f7f65257f17cebcf234f84ce84346f51148c01cd5"),
     (K_SAMPLE, "poly:0,1,1", (250, 250, 250, 250), (0.1, 0.2, 0.3, 0.4), 1100, 33,
-     "f4eeff0652724e368e3b9d789444a599d0057e6c0086754ed66da69a69119bfe"),
+     "dcded47a21214faba278c82804a09ea3c94e3c414d7789f75164b9b1543abed3"),
     (K_SAMPLE, "power:2", SEVEN_GROUPS, None, 1100, 34,
-     "29b1cac041930fe9163354a981129f413e1912e0e46deab3866a2daa8543515e"),
+     "0282ed7b62a9ddb4922b58281d9219ac05da8136337b2cf9a56ab43f6db0864b"),
 ], ids=["two_sample_1000x1000", "tau_300x200", "k_sample_4x250", "k_sample_7_groups"])
 def test_large_table_digests(kind, spec, sizes, weights, B, seed, digest):
     assert B > _chunk_rows(sum(sizes))  # at least two chunks

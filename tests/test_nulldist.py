@@ -27,6 +27,7 @@ from convexgof import (
     two_sample_statistic,
 )
 from convexgof.nulldist import CHUNK, TABLE_FORMAT_VERSION, parse_alternative
+from oracle_helpers import hand_uniforms
 
 SQUARE = power_generator(2)
 
@@ -49,7 +50,7 @@ class TestReplicateStreams:
         # at 10 pooled observations a chunk holds CHUNK rows; chunk c draws one block
         values = [two_sample_statistic(SQUARE, Sample(row[:5]), Sample(row[5:])).value
                   for c, rows in enumerate((CHUNK, CHUNK, 5))
-                  for row in replicate_stream(42, c).random((rows, 10))]
+                  for row in hand_uniforms((5, 5), 42, c, rows)]
         table = simulate_null(TWO_SAMPLE, SQUARE, (5, 5), B=2 * CHUNK + 5, seed=42)
         assert np.array_equal(table.replicates, np.sort(values))
 
@@ -129,7 +130,7 @@ class TestSimulateNull:
         table = simulate_null(K_SAMPLE, SQUARE, sizes, B=50, seed=77, weights=w)  # one chunk
         splits = np.cumsum(sizes)[:-1]
         observed = [k_sample_statistic(SQUARE, [Sample(p) for p in np.split(row, splits)], w).value
-                    for row in replicate_stream(77, 0).random((50, sum(sizes)))]
+                    for row in hand_uniforms(sizes, 77, 0, 50)]
         assert np.array_equal(table.replicates, np.sort(observed))
 
     def test_simulated_tau_matches_observed_path(self):
@@ -138,7 +139,7 @@ class TestSimulateNull:
         xi = exp_sq_generator(1.0)
         table = simulate_null(TAU, xi, (6, 9), B=40, seed=78)  # one chunk
         observed = [tau_statistic(xi, Sample(row[:6]), Sample(row[6:])).value
-                    for row in replicate_stream(78, 0).random((40, 15))]
+                    for row in hand_uniforms((6, 9), 78, 0, 40)]
         assert np.array_equal(table.replicates, np.sort(observed))
 
     def test_invalid_parameters(self):
@@ -394,7 +395,7 @@ class TestTableSerialization:
         intact = path.read_text()
         from convexgof import ConvexGofError
 
-        for version in (1, 2, 99):  # files from older contracts, and a future one
+        for version in (1, 2, 3, 99):  # files from older contracts, and a future one
             path.write_text(intact.replace(f"format_version={TABLE_FORMAT_VERSION}",
                                            f"format_version={version}"))
             with pytest.raises(ConvexGofError, match="format version"):
