@@ -54,32 +54,27 @@ EXIT_NUMERICAL = 4
 CACHE_ENV = "CONVEXGOF_CACHE_DIR"
 
 
-def _parse_levels(text):
+def _parse_list(text, what, convert, kind):
+    """The comma-separated tokens of ``text`` through ``convert``; a bad token is a spec error."""
     try:
-        levels = tuple(float(t) for t in text.split(",") if t.strip())
+        return tuple(convert(t) for t in text.split(",") if t.strip())
     except ValueError:
-        raise GeneratorSpecError(f"offending token in levels '{text}': not numbers") from None
+        raise GeneratorSpecError(f"offending token in {what} '{text}': not {kind}") from None
+
+
+def _parse_levels(text):
+    levels = _parse_list(text, "levels", float, "numbers")
     if not levels or any(not 0.0 < a < 1.0 for a in levels):
         raise InvalidParameterError(f"levels must lie in (0, 1), got '{text}'")
     return levels
 
 
 def _parse_weights(text):
-    if text is None:
-        return None
-    try:
-        return WeightVector(tuple(float(t) for t in text.split(",") if t.strip()))
-    except ValueError as exc:
-        if isinstance(exc, InvalidParameterError):
-            raise
-        raise GeneratorSpecError(f"offending token in weights '{text}': not numbers") from None
+    return None if text is None else WeightVector(_parse_list(text, "weights", float, "numbers"))
 
 
 def _parse_sizes(text):
-    try:
-        sizes = tuple(int(t) for t in text.split(",") if t.strip())
-    except ValueError:
-        raise GeneratorSpecError(f"offending token in sizes '{text}': not integers") from None
+    sizes = _parse_list(text, "sizes", int, "integers")
     if not sizes:
         raise InvalidParameterError(f"no sizes given in '{text}'")
     return sizes

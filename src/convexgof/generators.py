@@ -15,8 +15,9 @@ an omitted constant is integrated once.  Builders cover the concrete families
 Strictness is only checkable at finite resolution: at every k/256 the
 validator demands the midpoint (log-)convexity gap mean - mid of the pair
 (u, v) = ((k-1)/256, (k+1)/256) to exceed 1e-12 (|mean| + |mid|), where mean
-is (h(u) + h(v))/2 or xi(u) xi(v) and mid is h or xi^2 at k/256; the gap of a
-wider pair of that grid is a positive sum of these.  The relative bound
+is (h(u) + h(v))/2 or xi(u) xi(v) and mid is h or xi^2 at k/256 (both divided
+by xi^2 where a product overflows); the gap of a wider pair of that grid is a
+positive sum of these.  The relative bound
 accepts high powers, whose gaps near 0 are tiny, and rejects linear/log-linear
 generators, which would break the equality characterization of the tests.
 
@@ -280,9 +281,9 @@ def exp_sq_generator(alpha: float) -> LogConvexGenerator:
     neighbouring probe points is about alpha/32768 of their values, so
     :func:`validate_generator` rejects alpha below about 7e-8, where xi is
     log-linear to within rounding.  Construction integrates xi^2 once.  That
-    quadrature overflows from alpha = 354.95; past 357.7 the validator's probe
-    products would overflow first and read as a log-convexity failure, so the
-    overflow is raised here.
+    quadrature overflows from alpha = 354.95, and past 709.8 xi itself
+    overflows on the validator's grid, which would read as an invalid
+    generator, so the overflow is raised here from 357.7 on.
     """
     alpha = float(alpha)
     if not (np.isfinite(alpha) and alpha > 0):
@@ -344,7 +345,7 @@ def _constant_violation(g) -> str | None:
     return None
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflowing gap is a NaN slack: a violation
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing convex gap is a NaN slack: a violation
 def _probe(g) -> str | None:
     """The first violation of the grid probe of :func:`validate_generator`, or None."""
     convex = isinstance(g, ConvexGenerator)
@@ -359,8 +360,11 @@ def _probe(g) -> str | None:
         bad = int(np.argmax(values <= 0))
         return f"xi({u[bad]:g}) = {values[bad]:.3e} is not positive"
     # the pair (u[k], u[k + 2]) around u[k + 1]
-    lo, mid, hi = values[:-2], values[1:-1], values[2:]
-    mean, mid = (0.5 * lo + 0.5 * hi, mid) if convex else (lo * hi, mid * mid)
+    lo, centre, hi = values[:-2], values[1:-1], values[2:]
+    mean, mid = (0.5 * lo + 0.5 * hi, centre) if convex else (lo * hi, centre * centre)
+    if not convex:  # where a product overflows, compare (lo/mid)(hi/mid) with 1 instead
+        big = ~(np.isfinite(mean) & np.isfinite(mid))
+        mean[big], mid[big] = (lo[big] / centre[big]) * (hi[big] / centre[big]), 1.0
     slack = mean - mid - CONVEXITY_EPS * np.abs(mean) - CONVEXITY_EPS * np.abs(mid)
     worst = int(np.argmin(np.where(np.isnan(slack), -np.inf, slack)))
     if not slack[worst] > 0:

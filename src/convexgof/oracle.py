@@ -1,12 +1,14 @@
 """Population-level verification oracles.
 
-Everything here is independent of the empirical machinery: population
-functionals are computed by tanh-sinh quadrature in the quantile domain
-(substituting u = F(x) turns every integral into one over [0,1], singular at
-worst at the ends, where the rule's nodes cluster; integrands take arrays),
-and small-sample null distributions are enumerated exhaustively over rank
-interleavings.  Centering constants are recomputed by quadrature
-rather than trusted from the generator objects.
+Everything here is independent of the empirical machinery.  Every population
+functional is a sum over ordered pairs j != l of CDFs F_1..F_k (weights p_j = 1
+unless k-sample weights are given) of p_j p_l int_0^1 fn(F_j(F_l^-1(u)), u) du:
+fn = h(v) gives int h(F) dG + int h(G) dF, (u - v)^2 twice the Cramer-von Mises
+distance and xi(v) xi(u) the log-convex functional.  Substituting u = F_l(x)
+makes each term an integral over [0,1], singular at worst at the ends, where the
+tanh-sinh nodes cluster (integrands take arrays).  Small-sample null
+distributions are enumerated exhaustively over rank interleavings.  Centering
+constants are recomputed by quadrature rather than trusted from the generator objects.
 """
 
 from __future__ import annotations
@@ -37,6 +39,14 @@ class AnalyticCdf:
     quantile: Callable
 
 
+def _param(family, what, value, positive=True):
+    """``value`` as a float; ``InvalidParameterError`` unless it is finite (and > 0 if ``positive``)."""
+    value = float(value)
+    if not math.isfinite(value) or (positive and value <= 0):
+        raise InvalidParameterError(f"{family} CDF needs a finite {what}{' > 0' if positive else ''}, got {value!r}")
+    return value
+
+
 def uniform_cdf() -> AnalyticCdf:
     """Uniform distribution on [0,1]."""
     return AnalyticCdf(
@@ -47,10 +57,8 @@ def uniform_cdf() -> AnalyticCdf:
 
 
 def power_cdf(a: float) -> AnalyticCdf:
-    """F(x) = x^a on [0,1], a > 0."""
-    a = float(a)
-    if a <= 0:
-        raise InvalidParameterError(f"power CDF needs a > 0, got {a!r}")
+    """F(x) = x^a on [0,1], a finite and > 0."""
+    a = _param("power", "a", a)
     return AnalyticCdf(
         name=f"power[{a:g}]",
         eval=lambda x, _a=a: np.clip(x, 0.0, 1.0) ** _a,
@@ -59,9 +67,8 @@ def power_cdf(a: float) -> AnalyticCdf:
 
 
 def logistic_cdf(loc: float = 0.0, scale: float = 1.0) -> AnalyticCdf:
-    """Logistic distribution with the given location and scale."""
-    if scale <= 0:
-        raise InvalidParameterError(f"logistic CDF needs scale > 0, got {scale!r}")
+    """Logistic distribution with a finite location and a finite scale > 0."""
+    loc, scale = _param("logistic", "loc", loc, positive=False), _param("logistic", "scale", scale)
     return AnalyticCdf(
         name=f"logistic[{loc:g},{scale:g}]",
         eval=lambda x, _l=loc, _s=scale: 1.0 / (1.0 + np.exp(-(np.asarray(x, dtype=float) - _l) / _s)),
@@ -70,9 +77,8 @@ def logistic_cdf(loc: float = 0.0, scale: float = 1.0) -> AnalyticCdf:
 
 
 def exponential_cdf(rate: float = 1.0) -> AnalyticCdf:
-    """Exponential distribution with the given rate."""
-    if rate <= 0:
-        raise InvalidParameterError(f"exponential CDF needs rate > 0, got {rate!r}")
+    """Exponential distribution with a finite rate > 0."""
+    rate = _param("exponential", "rate", rate)
     return AnalyticCdf(
         name=f"exponential[{rate:g}]",
         eval=lambda x, _r=rate: np.where(np.asarray(x, dtype=float) > 0, -np.expm1(-_r * np.asarray(x, dtype=float)), 0.0),
@@ -85,11 +91,21 @@ def generator_integral(h) -> float:
     return adaptive_quad(h.eval, 0.0, 1.0, tol=POP_TOL)
 
 
+def _pairwise(fn, cdfs, weights=None) -> float:
+    """The ordered-pair sum of the module docstring; p_j = 1 if ``weights`` is None."""
+    p = [1.0] * len(cdfs) if weights is None else weights.weights
+    total = 0.0
+    for j, fj in enumerate(cdfs):
+        for l, fl in enumerate(cdfs):
+            if j != l:
+                total += p[j] * p[l] * adaptive_quad(lambda u, _fj=fj, _fl=fl: fn(_fj.eval(_fl.quantile(u)), u),
+                                                     0.0, 1.0, tol=POP_TOL)
+    return total
+
+
 def population_functional(h, f: AnalyticCdf, g: AnalyticCdf) -> float:
-    """Integral of h(F) dG plus h(G) dF, in the quantile domain."""
-    term1 = adaptive_quad(lambda u: h.eval(f.eval(g.quantile(u))), 0.0, 1.0, tol=POP_TOL)
-    term2 = adaptive_quad(lambda u: h.eval(g.eval(f.quantile(u))), 0.0, 1.0, tol=POP_TOL)
-    return term1 + term2
+    """Integral of h(F) dG plus h(G) dF."""
+    return _pairwise(lambda v, u: h.eval(v), (f, g))
 
 
 def population_gap(h, f: AnalyticCdf, g: AnalyticCdf) -> float:
@@ -99,9 +115,7 @@ def population_gap(h, f: AnalyticCdf, g: AnalyticCdf) -> float:
 
 def cvm_distance(f: AnalyticCdf, g: AnalyticCdf) -> float:
     """Integral of (F - G)^2 against the mixture (F + G)/2."""
-    half1 = adaptive_quad(lambda u: (u - g.eval(f.quantile(u))) ** 2, 0.0, 1.0, tol=POP_TOL)
-    half2 = adaptive_quad(lambda u: (f.eval(g.quantile(u)) - u) ** 2, 0.0, 1.0, tol=POP_TOL)
-    return 0.5 * (half1 + half2)
+    return 0.5 * _pairwise(lambda v, u: (u - v) ** 2, (f, g))
 
 
 @dataclass(frozen=True)
@@ -137,27 +151,16 @@ def jensen_gap(h, cdfs, weights: WeightVector) -> float:
         raise InvalidParameterError("jensen_gap needs at least 2 CDFs")
     if len(weights) != k:
         raise InvalidParameterError(f"weight count {len(weights)} does not match CDF count {k}")
-    w = weights.weights
-    total = 0.0
-    for j in range(k):
-        for l in range(k):
-            if j == l:
-                continue
-            term = adaptive_quad(lambda u, _j=j, _l=l: h.eval(cdfs[_j].eval(cdfs[_l].quantile(u))),
-                                 0.0, 1.0, tol=POP_TOL)
-            total += w[j] * w[l] * term
-    return total - weights.equality_factor * generator_integral(h)
+    return _pairwise(lambda v, u: h.eval(v), cdfs, weights) - weights.equality_factor * generator_integral(h)
 
 
 def log_convex_functional(xi, f: AnalyticCdf, g: AnalyticCdf) -> float:
-    """Left side of the log-convex inequality, in the quantile domain.
+    """Left side of the log-convex inequality, int xi(F) dXi(G) + int xi(G) dXi(F).
 
-    Substituting dXi(F(x)) = xi(F(x)) dF(x) gives two smooth [0,1]
+    Substituting dXi(G(x)) = xi(G(x)) dG(x) gives two smooth [0,1]
     integrals; equality with 2*int(xi^2) holds only at F = G.
     """
-    term1 = adaptive_quad(lambda u: xi.eval(g.eval(f.quantile(u))) * xi.eval(u), 0.0, 1.0, tol=POP_TOL)
-    term2 = adaptive_quad(lambda u: xi.eval(f.eval(g.quantile(u))) * xi.eval(u), 0.0, 1.0, tol=POP_TOL)
-    return term1 + term2
+    return _pairwise(lambda v, u: xi.eval(v) * xi.eval(u), (f, g))
 
 
 @dataclass(frozen=True)
@@ -265,72 +268,39 @@ def run_battery():
 
     Covers the strict inequality for unequal CDF pairs, the equality
     characterization at F = G, the Cramer-von Mises identity for the square
-    generator, and the log-convex analogue.
+    generator, and the log-convex analogue.  Each centering integral is
+    computed once, and the identity reuses the square generator's gaps.
     """
-    cases = []
     pairs = battery_cdf_pairs()
-    gens = battery_generators()
+    cdfs = list({c.name: c for pair in pairs for c in pair}.values())  # in order of first use
+    square, xi = power_generator(2), exp_sq_generator(1.0)
+    cases, gaps, seen = [], {}, set()
 
-    for h in gens:
+    def add(prefix, check, gen, f, g, value, tolerance):
+        case_id = f"{prefix}/{f.name}" if f is g else f"{prefix}/{f.name}-vs-{g.name}"
+        passed = value > tolerance if check.endswith("inequality") else abs(value) < tolerance
+        cases.append(BatteryCase(case_id, check, gen.name, f.name, g.name, value, tolerance, passed))
+
+    for h in battery_generators():
+        centre = 2.0 * generator_integral(h)
         for f, g in pairs:
-            gap = population_gap(h, f, g)
-            cases.append(BatteryCase(
-                case_id=f"inequality/{h.name}/{f.name}-vs-{g.name}",
-                check="strict-inequality",
-                generator_name=h.name, f_name=f.name, g_name=g.name,
-                value=gap, tolerance=INEQUALITY_MARGIN,
-                passed=gap > INEQUALITY_MARGIN,
-            ))
-        seen = set()
-        for f, g in pairs:
-            for cdf in (f, g):
-                if cdf.name in seen:
-                    continue
-                seen.add(cdf.name)
-                gap = population_gap(h, cdf, cdf)
-                cases.append(BatteryCase(
-                    case_id=f"equality/{h.name}/{cdf.name}",
-                    check="equality-characterization",
-                    generator_name=h.name, f_name=cdf.name, g_name=cdf.name,
-                    value=gap, tolerance=EQUALITY_TOL,
-                    passed=abs(gap) < EQUALITY_TOL,
-                ))
-
-    square = power_generator(2)
+            gaps[h.name, f.name, g.name] = gap = population_functional(h, f, g) - centre
+            add(f"inequality/{h.name}", "strict-inequality", h, f, g, gap, INEQUALITY_MARGIN)
+        for c in cdfs:
+            add(f"equality/{h.name}", "equality-characterization", h, c, c,
+                population_functional(h, c, c) - centre, EQUALITY_TOL)
     for f, g in pairs:
-        discrepancy = population_gap(square, f, g) - cvm_distance(f, g)
-        cases.append(BatteryCase(
-            case_id=f"cvm-identity/{f.name}-vs-{g.name}",
-            check="cvm-identity",
-            generator_name=square.name, f_name=f.name, g_name=g.name,
-            value=discrepancy, tolerance=CVM_TOL,
-            passed=abs(discrepancy) < CVM_TOL,
-        ))
-
-    xi = exp_sq_generator(1.0)
-    xi_sq = 2.0 * adaptive_quad(lambda u: xi.eval(u) ** 2, 0.0, 1.0, tol=POP_TOL)
-    seen = set()
+        add("cvm-identity", "cvm-identity", square, f, g,
+            gaps[square.name, f.name, g.name] - cvm_distance(f, g), CVM_TOL)
+    centre = 2.0 * adaptive_quad(lambda u: xi.eval(u) ** 2, 0.0, 1.0, tol=POP_TOL)
     for f, g in pairs:
-        excess = log_convex_functional(xi, f, g) - xi_sq
-        cases.append(BatteryCase(
-            case_id=f"log-convex-inequality/{f.name}-vs-{g.name}",
-            check="log-convex-inequality",
-            generator_name=xi.name, f_name=f.name, g_name=g.name,
-            value=excess, tolerance=INEQUALITY_MARGIN,
-            passed=excess > INEQUALITY_MARGIN,
-        ))
-        for cdf in (f, g):
-            if cdf.name in seen:
-                continue
-            seen.add(cdf.name)
-            excess = log_convex_functional(xi, cdf, cdf) - xi_sq
-            cases.append(BatteryCase(
-                case_id=f"log-convex-equality/{cdf.name}",
-                check="log-convex-equality",
-                generator_name=xi.name, f_name=cdf.name, g_name=cdf.name,
-                value=excess, tolerance=LOG_EQUALITY_TOL,
-                passed=abs(excess) < LOG_EQUALITY_TOL,
-            ))
+        add("log-convex-inequality", "log-convex-inequality", xi, f, g,
+            log_convex_functional(xi, f, g) - centre, INEQUALITY_MARGIN)
+        for c in (f, g):
+            if c.name not in seen:
+                seen.add(c.name)
+                add("log-convex-equality", "log-convex-equality", xi, c, c,
+                    log_convex_functional(xi, c, c) - centre, LOG_EQUALITY_TOL)
     return cases
 
 

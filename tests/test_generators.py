@@ -351,6 +351,14 @@ class TestValidateGenerator:
         assert "integral" in report.first_violation
         assert validate_generator(LogConvexGenerator("e", fn)).passed
 
+    def test_overflowing_xi_product_is_not_a_log_convexity_failure(self):
+        # xi^2 overflows past u = 0.942: the probe compares ratios there, so the overflow
+        # surfaces where it happens, in the quadrature of xi^2
+        with pytest.raises(QuadratureError):
+            LogConvexGenerator("big", lambda u: np.exp(400 * u ** 2))
+        forced = LogConvexGenerator("big", lambda u: np.exp(400 * u ** 2), integral_sq_0_1=1.0, validated=False)
+        assert generators._probe(forced) is None
+
     def test_constant_xi_fails(self):
         const = LogConvexGenerator("one", lambda u: 1.0, validated=False)
         assert not validate_generator(const).passed

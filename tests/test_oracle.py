@@ -29,6 +29,7 @@ from convexgof import (
     two_sample_statistic,
     uniform_cdf,
 )
+from convexgof import oracle
 from convexgof.generators import adaptive_quad
 from convexgof.oracle import battery_cdf_pairs, battery_generators, battery_to_csv
 
@@ -37,6 +38,53 @@ from oracle_helpers import expsq_square_integral
 UNIFORM = uniform_cdf()
 SQUARE_CDF = power_cdf(2)
 SQUARE = power_generator(2)
+
+# case_id, check, generator, f, g, value.hex(), tolerance and passed of every battery case, in order
+BATTERY_PIN = """\
+inequality/power:2/uniform-vs-power[2] strict-inequality power:2 uniform power[2] 0x1.1111111111120p-5 1e-06 True
+inequality/power:2/uniform-vs-power[3] strict-inequality power:2 uniform power[3] 0x1.3813813813810p-4 1e-06 True
+inequality/power:2/logistic[0,1]-vs-logistic[0,2] strict-inequality power:2 logistic[0,1] logistic[0,2] 0x1.768ea443b9380p-7 1e-06 True
+equality/power:2/uniform equality-characterization power:2 uniform uniform 0x0.0p+0 1e-08 True
+equality/power:2/power[2] equality-characterization power:2 power[2] power[2] 0x0.0p+0 1e-08 True
+equality/power:2/power[3] equality-characterization power:2 power[3] power[3] -0x1.0000000000000p-52 1e-08 True
+equality/power:2/logistic[0,1] equality-characterization power:2 logistic[0,1] logistic[0,1] 0x0.0p+0 1e-08 True
+equality/power:2/logistic[0,2] equality-characterization power:2 logistic[0,2] logistic[0,2] 0x0.0p+0 1e-08 True
+inequality/power:3/uniform-vs-power[2] strict-inequality power:3 uniform power[2] 0x1.5f15f15f15f20p-5 1e-06 True
+inequality/power:3/uniform-vs-power[3] strict-inequality power:3 uniform power[3] 0x1.9999999999998p-4 1e-06 True
+inequality/power:3/logistic[0,1]-vs-logistic[0,2] strict-inequality power:3 logistic[0,1] logistic[0,2] 0x1.18eafb32caec0p-6 1e-06 True
+equality/power:3/uniform equality-characterization power:3 uniform uniform 0x0.0p+0 1e-08 True
+equality/power:3/power[2] equality-characterization power:3 power[2] power[2] 0x1.0000000000000p-52 1e-08 True
+equality/power:3/power[3] equality-characterization power:3 power[3] power[3] -0x1.0000000000000p-54 1e-08 True
+equality/power:3/logistic[0,1] equality-characterization power:3 logistic[0,1] logistic[0,1] 0x0.0p+0 1e-08 True
+equality/power:3/logistic[0,2] equality-characterization power:3 logistic[0,2] logistic[0,2] 0x0.0p+0 1e-08 True
+inequality/poly:0,1,0,1/uniform-vs-power[2] strict-inequality poly:0,1,0,1 uniform power[2] 0x1.3e93e93e93e90p-4 1e-06 True
+inequality/poly:0,1,0,1/uniform-vs-power[3] strict-inequality poly:0,1,0,1 uniform power[3] 0x1.7417417417410p-3 1e-06 True
+inequality/poly:0,1,0,1/logistic[0,1]-vs-logistic[0,2] strict-inequality poly:0,1,0,1 logistic[0,1] logistic[0,2] 0x1.1e6e64ffb33c0p-5 1e-06 True
+equality/poly:0,1,0,1/uniform equality-characterization poly:0,1,0,1 uniform uniform 0x0.0p+0 1e-08 True
+equality/poly:0,1,0,1/power[2] equality-characterization poly:0,1,0,1 power[2] power[2] 0x0.0p+0 1e-08 True
+equality/poly:0,1,0,1/power[3] equality-characterization poly:0,1,0,1 power[3] power[3] -0x1.0000000000000p-51 1e-08 True
+equality/poly:0,1,0,1/logistic[0,1] equality-characterization poly:0,1,0,1 logistic[0,1] logistic[0,1] 0x0.0p+0 1e-08 True
+equality/poly:0,1,0,1/logistic[0,2] equality-characterization poly:0,1,0,1 logistic[0,2] logistic[0,2] 0x0.0p+0 1e-08 True
+inequality/bernstein:power:2:8/uniform-vs-power[2] strict-inequality bernstein:power:2:8 uniform power[2] 0x1.dddddddddde20p-6 1e-06 True
+inequality/bernstein:power:2:8/uniform-vs-power[3] strict-inequality bernstein:power:2:8 uniform power[3] 0x1.1111111111118p-4 1e-06 True
+inequality/bernstein:power:2:8/logistic[0,1]-vs-logistic[0,2] strict-inequality bernstein:power:2:8 logistic[0,1] logistic[0,2] 0x1.47bccfbb42140p-7 1e-06 True
+equality/bernstein:power:2:8/uniform equality-characterization bernstein:power:2:8 uniform uniform 0x0.0p+0 1e-08 True
+equality/bernstein:power:2:8/power[2] equality-characterization bernstein:power:2:8 power[2] power[2] 0x1.0000000000000p-52 1e-08 True
+equality/bernstein:power:2:8/power[3] equality-characterization bernstein:power:2:8 power[3] power[3] 0x0.0p+0 1e-08 True
+equality/bernstein:power:2:8/logistic[0,1] equality-characterization bernstein:power:2:8 logistic[0,1] logistic[0,1] 0x0.0p+0 1e-08 True
+equality/bernstein:power:2:8/logistic[0,2] equality-characterization bernstein:power:2:8 logistic[0,2] logistic[0,2] 0x0.0p+0 1e-08 True
+cvm-identity/uniform-vs-power[2] cvm-identity power:2 uniform power[2] 0x1.e000000000000p-54 1e-08 True
+cvm-identity/uniform-vs-power[3] cvm-identity power:2 uniform power[3] -0x1.0000000000000p-54 1e-08 True
+cvm-identity/logistic[0,1]-vs-logistic[0,2] cvm-identity power:2 logistic[0,1] logistic[0,2] -0x1.1800000000000p-53 1e-08 True
+log-convex-inequality/uniform-vs-power[2] log-convex-inequality expsq:1 uniform power[2] 0x1.cca9edd2d8e80p-5 1e-06 True
+log-convex-equality/uniform log-convex-equality expsq:1 uniform uniform 0x0.0p+0 1e-07 True
+log-convex-equality/power[2] log-convex-equality expsq:1 power[2] power[2] 0x0.0p+0 1e-07 True
+log-convex-inequality/uniform-vs-power[3] log-convex-inequality expsq:1 uniform power[3] 0x1.0de6eca253c80p-3 1e-06 True
+log-convex-equality/power[3] log-convex-equality expsq:1 power[3] power[3] 0x0.0p+0 1e-07 True
+log-convex-inequality/logistic[0,1]-vs-logistic[0,2] log-convex-inequality expsq:1 logistic[0,1] logistic[0,2] 0x1.c3ccc3e742800p-6 1e-06 True
+log-convex-equality/logistic[0,1] log-convex-equality expsq:1 logistic[0,1] logistic[0,1] 0x0.0p+0 1e-07 True
+log-convex-equality/logistic[0,2] log-convex-equality expsq:1 logistic[0,2] logistic[0,2] 0x0.0p+0 1e-07 True
+"""
 
 
 class TestAnalyticCdfCatalog:
@@ -55,6 +103,18 @@ class TestAnalyticCdfCatalog:
     def test_cdf_monotone(self, cdf):
         xs = cdf.quantile(np.linspace(0.01, 0.99, 50))
         assert np.all(np.diff(cdf.eval(xs)) >= 0)
+
+    # a NaN parameter would build a CDF of NaNs, an infinite power or rate a point mass
+    @pytest.mark.parametrize("build, args", [
+        (power_cdf, (np.nan,)), (power_cdf, (np.inf,)), (power_cdf, (0.0,)),
+        (logistic_cdf, (np.nan, 1.0)), (logistic_cdf, (np.inf, 1.0)), (logistic_cdf, (0.0, np.nan)),
+        (logistic_cdf, (0.0, np.inf)), (logistic_cdf, (0.0, -1.0)),
+        (exponential_cdf, (np.nan,)), (exponential_cdf, (np.inf,)), (exponential_cdf, (-2.0,)),
+    ], ids=["power-nan", "power-inf", "power-0", "logistic-loc-nan", "logistic-loc-inf", "logistic-scale-nan",
+            "logistic-scale-inf", "logistic-scale-neg", "exponential-nan", "exponential-inf", "exponential-neg"])
+    def test_rejects_non_finite_or_non_positive_parameters(self, build, args):
+        with pytest.raises(InvalidParameterError, match="CDF needs a finite"):
+            build(*args)
 
 
 class TestPopulationFunctional:
@@ -216,6 +276,20 @@ class TestBattery:
         cases = run_battery()
         failing = [c.case_id for c in cases if not c.passed]
         assert not failing, f"oracle battery failures: {failing}"
+
+    def test_cases_pinned_bit_for_bit(self):
+        # test_values_match_quadpack allows 1e-11, which a reordered sum would pass
+        rows = [" ".join(map(str, (c.case_id, c.check, c.generator_name, c.f_name, c.g_name,
+                                   c.value.hex(), c.tolerance, c.passed))) for c in run_battery()]
+        assert rows == BATTERY_PIN.splitlines()
+
+    def test_each_term_integrated_once(self, monkeypatch):
+        # 2 int(h) per generator and 2 terms per functional; the CvM cases reuse the power:2 gaps
+        calls = []
+        quad = oracle.adaptive_quad
+        monkeypatch.setattr(oracle, "adaptive_quad", lambda *a, **k: calls.append(a) or quad(*a, **k))
+        run_battery()
+        assert len(calls) <= 91
 
     def test_covers_generators_and_pairs(self):
         cases = run_battery()
