@@ -300,19 +300,17 @@ def _cmd_test(args, out, err):
 
 
 def _cmd_null_table(args, out, err):
+    if args.no_cache and args.out is None:
+        raise InvalidParameterError("--no-cache requires --out to store the table")
     kind = args.kind
     generator = _generator_for(kind, args.generator_spec)
     sizes = _parse_sizes(args.sizes)
     weights = _parse_weights(args.weights)
     table, cached, path = _table_via_cache(args, kind, generator, sizes, weights, err)
+    location = str(path) if args.out is None else args.out
     if args.out is not None:
         with _naming("--out", args.out):
             save_table(table, args.out)
-        location = args.out
-    elif path is None:
-        raise InvalidParameterError("--no-cache requires --out to store the table")
-    else:
-        location = str(path)
     doc = {
         "command": "null-table",
         "version": __version__,

@@ -233,13 +233,6 @@ def critical_value(table: NullTable, alpha: float) -> float:
     return value
 
 
-_OBSERVED = {
-    TWO_SAMPLE: lambda gen, samples, w, conv: two_sample_statistic(gen, samples[0], samples[1], conv),
-    K_SAMPLE: lambda gen, samples, w, conv: k_sample_statistic(gen, samples, w, conv),
-    TAU: lambda gen, samples, w, conv: tau_statistic(gen, samples[0], samples[1], conv),
-}
-
-
 def run_test(kind, generator, samples, weights=None, B: int = DEFAULT_B, seed: int = 0,
              levels=(0.05, 0.01), convention: str = RIGHT_CONTINUOUS,
              method: str = "simulation", table: NullTable | None = None) -> TestReport:
@@ -261,7 +254,10 @@ def run_test(kind, generator, samples, weights=None, B: int = DEFAULT_B, seed: i
         raise InvalidParameterError(f"unknown method '{method}'; expected simulation or permutation")
     if method == "permutation" and table is not None:
         raise InvalidParameterError("method='permutation' builds its table from the data, not a pre-built one")
-    observed = _OBSERVED[kind](generator, samples, weights, convention)
+    if kind == K_SAMPLE:
+        observed = k_sample_statistic(generator, samples, weights, convention)
+    else:
+        observed = (tau_statistic if kind == TAU else two_sample_statistic)(generator, *samples, convention)
     if table is not None:
         built, wanted = table.identity[:4], _request_identity(kind, generator, sizes, weights)[:4]
         if built != wanted:
@@ -387,10 +383,10 @@ def power_study(kind, generator, alternative, sizes, B_null: int, B_power: int,
 def save_table(table: NullTable, path) -> None:
     """Write a null table as a versioned CSV cache file.
 
-    Metadata travels in ``# key=value`` header comments; replicates are
-    stored as hex floats so loading is bit-identical to regeneration.  The
-    file is written beside ``path`` and renamed into place, so readers never
-    see a partial table.
+    The file is a header block of ``# key=value`` lines, a ``replicate_hex``
+    line, and a body of one hex float per line, so loading is bit-identical
+    to regeneration.  The file is written beside ``path`` and renamed into
+    place, so readers never see a partial table.
     """
     header = {
         "format_version": TABLE_FORMAT_VERSION,
@@ -406,7 +402,7 @@ def save_table(table: NullTable, path) -> None:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(f"# {key}={value}\n" for key, value in header.items())
             fh.write("replicate_hex\n")
-            fh.writelines(float(v).hex() + "\n" for v in table.replicates)
+            fh.write("\n".join([*map(float.hex, table.replicates.tolist()), ""]))
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -416,29 +412,32 @@ def save_table(table: NullTable, path) -> None:
 def load_table(path) -> NullTable:
     """Load a table written by :func:`save_table`.
 
-    A truncated or unparsable file, a missing metadata key, or replicates
-    that are miscounted, non-finite or unsorted raise :class:`ConvexGofError`
-    naming the file.
+    Its first line that is exactly ``replicate_hex`` ends the ``# key=value``
+    header.  Any other header line, a truncated or unparsable file, a missing
+    metadata key, or replicates that are miscounted, non-finite or unsorted
+    raise :class:`ConvexGofError` naming the file.
     """
-    meta, values = {}, []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
         if not text.endswith("\n"):
             raise ValueError("its last line is cut off")
-        for line in filter(None, map(str.strip, text.splitlines())):
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
-                meta[key.strip()] = value.strip()
-            elif line != "replicate_hex":
-                values.append(float.fromhex(line))
+        head, found, body = ("\n" + text).partition("\nreplicate_hex\n")  # the marker may be line 1
+        if not found:
+            raise ValueError("it has no 'replicate_hex' line")
+        meta = {}
+        for line in head.split("\n")[1:]:
+            key, eq, value = line[1:].partition("=")
+            if not (line.startswith("#") and eq):
+                raise ValueError(f"header line {line!r} is not '# key=value'")
+            meta[key.strip()] = value.strip()
         version = meta.get("format_version")
         if version != str(TABLE_FORMAT_VERSION):
             raise ConvexGofError(
                 f"null table file '{path}' has format version {version!r}, "
                 f"expected {TABLE_FORMAT_VERSION}"
             )
-        replicates = np.asarray(values)
+        replicates = np.fromiter(map(float.fromhex, body.split()), float)
         if replicates.size != int(meta["B"]):
             raise ValueError("replicate count mismatch")
         if not np.all(np.isfinite(replicates)) or np.any(replicates[1:] < replicates[:-1]):

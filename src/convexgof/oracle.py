@@ -22,7 +22,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import EnumerationTooLargeError, InvalidParameterError
-from .generators import adaptive_quad, bernstein_generator, exp_sq_generator, polynomial_generator, power_generator
+from .generators import (_name_token, adaptive_quad, bernstein_generator, exp_sq_generator, polynomial_generator,
+                         power_generator)
 from .nulldist import CHUNK, _table_values
 from .statistics import WeightVector, _check_kind_and_generator
 
@@ -60,7 +61,7 @@ def power_cdf(a: float) -> AnalyticCdf:
     """F(x) = x^a on [0,1], a finite and > 0."""
     a = _param("power", "a", a)
     return AnalyticCdf(
-        name=f"power[{a:g}]",
+        name=f"power[{_name_token(a)}]",
         eval=lambda x, _a=a: np.clip(x, 0.0, 1.0) ** _a,
         quantile=lambda u, _a=a: np.asarray(u, dtype=float) ** (1.0 / _a),
     )
@@ -70,7 +71,7 @@ def logistic_cdf(loc: float = 0.0, scale: float = 1.0) -> AnalyticCdf:
     """Logistic distribution with a finite location and a finite scale > 0."""
     loc, scale = _param("logistic", "loc", loc, positive=False), _param("logistic", "scale", scale)
     return AnalyticCdf(
-        name=f"logistic[{loc:g},{scale:g}]",
+        name=f"logistic[{_name_token(loc)},{_name_token(scale)}]",
         eval=lambda x, _l=loc, _s=scale: 1.0 / (1.0 + np.exp(-(np.asarray(x, dtype=float) - _l) / _s)),
         quantile=lambda u, _l=loc, _s=scale: _l + _s * np.log(np.asarray(u, dtype=float) / (1.0 - np.asarray(u, dtype=float))),
     )
@@ -80,7 +81,7 @@ def exponential_cdf(rate: float = 1.0) -> AnalyticCdf:
     """Exponential distribution with a finite rate > 0."""
     rate = _param("exponential", "rate", rate)
     return AnalyticCdf(
-        name=f"exponential[{rate:g}]",
+        name=f"exponential[{_name_token(rate)}]",
         eval=lambda x, _r=rate: np.where(np.asarray(x, dtype=float) > 0, -np.expm1(-_r * np.asarray(x, dtype=float)), 0.0),
         quantile=lambda u, _r=rate: -np.log1p(-np.asarray(u, dtype=float)) / _r,
     )

@@ -1,3 +1,4 @@
+import datetime
 import io
 import json
 import os
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from convexgof import cli, load_table, p_value, simulate_null
+from convexgof.oracle import BatteryCase
 from convexgof.generators import parse_generator_spec
 
 
@@ -47,6 +49,15 @@ class TestTest2Command:
         # add-one p-value is exactly 1
         assert doc["p_value"] == 1.0
         assert "timestamp" not in doc
+
+    def test_report_without_deterministic_is_timestamped(self, data_files):
+        _, x, y, _ = data_files
+        argv = ["test2", "--h", "power:2", "--x", x, "--y", y, "--B", "199", "--seed", "7"]
+        stamped = json.loads(run_cli(argv)[1])
+        plain = json.loads(run_cli(argv + ["--deterministic"])[1])
+        stamp = datetime.datetime.fromisoformat(stamped.pop("timestamp"))
+        assert stamp.tzinfo is not None
+        assert stamped == plain
 
     def test_deterministic_output_is_byte_identical(self, data_files):
         _, x, y, _ = data_files
@@ -140,6 +151,18 @@ class TestErrorPaths:
         code, _, err = run_cli(["test2", "--h", "power:2", "--x", x, "--y", str(bad)])
         assert code == cli.EXIT_DATA
         assert "bad.csv:2" in err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["test2", "--h", "power:2", "--levels", "0.05,abc"], "levels '0.05,abc': not numbers"),
+        (["null-table", "--kind", "two_sample", "--generator", "power:2", "--sizes", ","],
+         "no sizes given in ','"),
+    ], ids=["levels_token", "sizes_empty"])
+    def test_malformed_list_is_config_error(self, data_files, argv, named):
+        _, x, y, _ = data_files
+        files = ["--x", x, "--y", y] if argv[0] == "test2" else []
+        code, out, err = run_cli(argv + files + ["--B", "9"])
+        assert code == cli.EXIT_CONFIG and out == ""
+        assert err.startswith("error:") and named in err and err.count("\n") == 1
 
     def test_bad_levels_rejected(self, data_files):
         _, x, y, _ = data_files
@@ -252,6 +275,39 @@ class TestNullTableCommand:
         regenerated = simulate_null("two_sample", parse_generator_spec("power:2"),
                                     (6, 6), B=250, seed=11)
         assert np.array_equal(loaded.replicates, regenerated.replicates)
+
+    def test_no_cache_without_out_fails_before_building(self, data_files, monkeypatch):
+        def unwanted(*args, **kwargs):
+            raise AssertionError("the table was built")
+
+        monkeypatch.setattr(cli, "simulate_null", unwanted)
+        code, out, err = run_cli(["null-table", "--kind", "two_sample", "--generator", "power:2",
+                                  "--sizes", "1000,1000", "--no-cache"])
+        assert code == cli.EXIT_CONFIG and out == ""
+        assert err == "error: --no-cache requires --out to store the table\n"
+
+    def test_csv_format(self, data_files):
+        tmp, _, _, _ = data_files
+        out_path = tmp / "table.csv"
+        code, out, _ = run_cli(["null-table", "--kind", "k_sample", "--generator", "power:2",
+                                "--sizes", "3,4,5", "--weights", "0.25,0.4,0.35", "--B", "20",
+                                "--seed", "1", "--out", str(out_path), "--format", "csv",
+                                "--deterministic"])
+        assert code == 0
+        assert out.splitlines() == [
+            "command,version,kind,generator,sizes,weights,B,seed,cache_hit,path",
+            f'null-table,{cli.__version__},k_sample,power:2,"3,4,5","0.25,0.4,0.35",20,1,False,{out_path}',
+        ]
+
+    def test_default_cache_is_under_xdg_cache_home(self, data_files, monkeypatch):
+        tmp, _, _, _ = data_files
+        monkeypatch.delenv(cli.CACHE_ENV)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp / "xdg"))
+        code, out, _ = run_cli(["null-table", "--kind", "two_sample", "--generator", "power:2",
+                                "--sizes", "3,3", "--B", "20", "--deterministic"])
+        assert code == 0
+        path = Path(json.loads(out)["path"])
+        assert path.parent == tmp / "xdg" / "convexgof" and path.is_file()
 
     def test_cache_hit_reported(self, data_files):
         argv = ["null-table", "--kind", "two_sample", "--generator", "power:2",
@@ -393,6 +449,14 @@ class TestVerifyCommand:
         assert "[PASS]" in out
         assert "[FAIL]" not in out
         assert csv_path.exists()
+
+    def test_failed_case_exits_one(self, monkeypatch):
+        cases = [BatteryCase("ok", "identity", "power:2", "uniform", "uniform", 0.0, 1e-9, True),
+                 BatteryCase("broken", "inequality", "power:2", "uniform", "power[2]", -1.0, 1e-9, False)]
+        monkeypatch.setattr(cli, "run_battery", lambda: cases)
+        code, out, _ = run_cli(["verify"])
+        assert code == cli.EXIT_BATTERY_FAIL
+        assert "[FAIL] broken" in out and out.endswith("1/2 oracle checks passed\n")
 
 
 # Loads scipy only where Bernstein generators and the quadrature fallback use it;

@@ -359,6 +359,14 @@ class TestValidateGenerator:
         forced = LogConvexGenerator("big", lambda u: np.exp(400 * u ** 2), integral_sq_0_1=1.0, validated=False)
         assert generators._probe(forced) is None
 
+    def test_rejects_what_is_not_a_generator(self):
+        with pytest.raises(InvalidParameterError, match="type object"):
+            validate_generator(object())
+
+    def test_non_positive_xi_fails(self):
+        with pytest.raises(InvalidParameterError, match=r"xi\(0\) = -5.000e-01 is not positive"):
+            LogConvexGenerator("shifted", lambda u: np.asarray(u, dtype=float) - 0.5)
+
     def test_constant_xi_fails(self):
         const = LogConvexGenerator("one", lambda u: 1.0, validated=False)
         assert not validate_generator(const).passed
@@ -518,6 +526,15 @@ class TestSpecGrammar:
     def test_bernstein_rejects_log_convex_inner(self):
         with pytest.raises(GeneratorSpecError):
             parse_generator_spec("bernstein:expsq:1:4")
+
+    @pytest.mark.parametrize("spec, error, match", [
+        ("poly:0,nan", InvalidParameterError, "must be finite"),
+        ("poly:0,x", GeneratorSpecError, "offending token 'x'"),
+        ("bernstein:4", GeneratorSpecError, "bernstein:<inner-spec>:m"),
+    ])
+    def test_malformed_spec_rejected(self, spec, error, match):
+        with pytest.raises(error, match=match):
+            parse_generator_spec(spec)
 
     def test_invalid_parameters_propagate(self):
         with pytest.raises(InvalidParameterError):

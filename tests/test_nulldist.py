@@ -159,9 +159,15 @@ class TestSimulateNull:
             simulate_null(TAU, SQUARE, (5, 5), B=10, seed=0)
         with pytest.raises(InvalidParameterError):
             simulate_null(TWO_SAMPLE, exp_sq_generator(1.0), (5, 5), B=10, seed=0)
+        with pytest.raises(InvalidParameterError, match="only meaningful for k_sample"):
+            simulate_null(TWO_SAMPLE, SQUARE, (5, 5), B=10, seed=0, weights=WeightVector.uniform(2))
 
 
 class TestPValue:
+    def test_empty_table_rejected(self):
+        with pytest.raises(InvalidParameterError, match="empty"):
+            p_value(toy_table([]), 0.5)
+
     def test_observed_above_all(self):
         table = toy_table(np.arange(1.0, 100.0))
         assert p_value(table, 1000.0) == 1.0 / 100.0
@@ -307,6 +313,10 @@ class TestRunTest:
         report = run_test(K_SAMPLE, SQUARE, groups, weights=(0.2, 0.3, 0.5), table=table)
         assert report.table is table
 
+    def test_unknown_method_rejected(self):
+        with pytest.raises(InvalidParameterError, match="unknown method 'bogus'"):
+            run_test(TWO_SAMPLE, SQUARE, [Sample([0.1, 0.4]), Sample([0.2, 0.3])], B=9, method="bogus")
+
     def test_k_sample_end_to_end(self):
         rng = np.random.default_rng(2)
         groups = [Sample(rng.random(8)) for _ in range(3)]
@@ -354,6 +364,16 @@ class TestPowerStudy:
             power_study(TWO_SAMPLE, SQUARE, "wiggle:1", (10, 10),
                         B_null=9, B_power=5, seed=0)
 
+    def test_malformed_alternative_value_rejected(self):
+        with pytest.raises(InvalidParameterError, match="offending token 'x'"):
+            parse_alternative("shift:x")
+        with pytest.raises(InvalidParameterError, match="positive factor"):
+            parse_alternative("scale:-1")
+
+    def test_non_positive_trial_count_rejected(self):
+        with pytest.raises(InvalidParameterError, match="B_power"):
+            power_study(TWO_SAMPLE, SQUARE, "shift:0.5", (3, 3), B_null=9, B_power=0, seed=0)
+
     def test_tuple_alternative_is_validated(self):
         # only spec strings are accepted, so a (name, value) pair cannot skip parse_alternative's checks
         with pytest.raises(InvalidParameterError):
@@ -368,6 +388,15 @@ class TestPowerStudy:
 
     def test_lehmann_alternative_parses(self):
         assert parse_alternative("lehmann:2") == ("lehmann", 2.0)
+
+    def test_lehmann_power_study(self):
+        # G = F^1 is the null itself, on the data lattice of shift:0; G = F^2 is rejected more often
+        null, alt = (power_study(TWO_SAMPLE, SQUARE, spec, (20, 20), B_null=99, B_power=60,
+                                 seed=3, levels=(0.05,)) for spec in ("lehmann:1", "lehmann:2"))
+        shifted = power_study(TWO_SAMPLE, SQUARE, "shift:0", (20, 20), B_null=99, B_power=60,
+                              seed=3, levels=(0.05,))
+        assert alt.alternative == "lehmann:2" and null.power == shifted.power
+        assert alt.power[0.05][0] > null.power[0.05][0]
 
 
 class TestTableSerialization:
@@ -419,7 +448,9 @@ class TestTableSerialization:
         lambda lines: lines[:-2] + lines[-1:] + lines[-2:-1],  # unsorted
         lambda lines: lines[:-1] + ["inf"],                # non-finite
         lambda lines: ["garbage"] * 5,
-    ], ids=["token", "key", "count", "unsorted", "non_finite", "garbage"])
+        # metadata among the replicates must not relabel the table
+        lambda lines: lines[:-3] + ["# seed=12345", "# generator_name=power:3"] + lines[-3:],
+    ], ids=["token", "key", "count", "unsorted", "non_finite", "garbage", "header_in_body"])
     def test_damaged_file_rejected(self, tmp_path, damage):
         from convexgof import ConvexGofError
 
@@ -428,6 +459,14 @@ class TestTableSerialization:
         path.write_text("\n".join(damage(path.read_text().splitlines())) + "\n")
         with pytest.raises(ConvexGofError, match="table.csv"):
             load_table(path)
+
+    def test_generator_named_like_the_body_marker_round_trips(self, tmp_path):
+        table = toy_table([0.125, 0.5, 1.0 / 3.0], generator_name="replicate_hex", seed=5)
+        path = tmp_path / "table.csv"
+        save_table(table, path)
+        loaded = load_table(path)
+        assert loaded.identity == table.identity
+        assert [v.hex() for v in loaded.replicates] == [v.hex() for v in table.replicates]
 
     def test_save_replaces_in_place(self, tmp_path):
         path = tmp_path / "table.csv"

@@ -116,6 +116,16 @@ class TestAnalyticCdfCatalog:
         with pytest.raises(InvalidParameterError, match="CDF needs a finite"):
             build(*args)
 
+    # run_battery deduplicates CDFs by name, so a name must tell nearby parameters apart
+    @pytest.mark.parametrize("build, near, exact, name", [
+        (power_cdf, (2.0000001,), (2,), "power[2]"),
+        (logistic_cdf, (0.0, 1.0000001), (0, 1), "logistic[0,1]"),
+        (exponential_cdf, (2.0000001,), (2,), "exponential[2]"),
+    ], ids=["power", "logistic", "exponential"])
+    def test_names_are_lossless(self, build, near, exact, name):
+        assert build(*exact).name == name
+        assert build(*near).name != name
+
 
 class TestPopulationFunctional:
     def test_equal_cdfs_hit_centering(self):
@@ -198,6 +208,10 @@ class TestJensenGap:
     def test_rejects_mismatched_weights(self):
         with pytest.raises(InvalidParameterError):
             jensen_gap(SQUARE, [UNIFORM, SQUARE_CDF], WeightVector.uniform(3))
+
+    def test_rejects_a_single_cdf(self):
+        with pytest.raises(InvalidParameterError, match="at least 2 CDFs"):
+            jensen_gap(SQUARE, [UNIFORM], WeightVector.uniform(1))
 
 
 class TestLogConvexFunctional:

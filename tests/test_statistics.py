@@ -40,6 +40,12 @@ class TestWeightVector:
         with pytest.raises(InvalidParameterError):
             WeightVector((1.5, -0.5))
 
+    def test_rejects_empty(self):
+        with pytest.raises(InvalidParameterError, match="nonempty"):
+            WeightVector(())
+        with pytest.raises(InvalidParameterError, match="k >= 1"):
+            WeightVector.uniform(0)
+
     def test_equality_factor_in_unit_interval(self):
         for k in (2, 3, 10):
             assert 0.0 < WeightVector.uniform(k).equality_factor < 1.0
