@@ -167,8 +167,11 @@ def _label_blocks(sizes, B, seed, transform=None):
 
 def _table_values(kind, generator, sizes, weights, blocks, ties=None,
                   convention=RIGHT_CONTINUOUS) -> np.ndarray:
-    """Sorted, centered statistics of every label row in ``blocks``; read-only."""
-    raw = np.concatenate([_rank_statistic(kind, generator, sizes, weights, labels, ties, convention)
+    """Sorted, centered statistics of every label row in ``blocks``; read-only.
+
+    The blocks share one set of generator grids, so each is evaluated once per table."""
+    grids = {}
+    raw = np.concatenate([_rank_statistic(kind, generator, sizes, weights, labels, ties, convention, grids)
                           for labels in blocks])
     values = np.sort(raw - _centering(kind, generator, weights))
     values.setflags(write=False)
@@ -413,9 +416,9 @@ def load_table(path) -> NullTable:
     """Load a table written by :func:`save_table`.
 
     Its first line that is exactly ``replicate_hex`` ends the ``# key=value``
-    header.  Any other header line, a truncated or unparsable file, a missing
-    metadata key, or replicates that are miscounted, non-finite or unsorted
-    raise :class:`ConvexGofError` naming the file.
+    header.  Any other header line, a repeated key, a truncated or unparsable
+    file, a missing metadata key, or replicates that are miscounted, non-finite
+    or unsorted raise :class:`ConvexGofError` naming the file.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -430,6 +433,8 @@ def load_table(path) -> NullTable:
             key, eq, value = line[1:].partition("=")
             if not (line.startswith("#") and eq):
                 raise ValueError(f"header line {line!r} is not '# key=value'")
+            if key.strip() in meta:
+                raise ValueError(f"header key {key.strip()!r} is repeated")
             meta[key.strip()] = value.strip()
         version = meta.get("format_version")
         if version != str(TABLE_FORMAT_VERSION):

@@ -89,7 +89,7 @@ def _tie_blocks(sorted_values):
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite result raises below
 def _rank_statistic(kind, generator, sizes, weights, labels, ties=None,
-                    convention=RIGHT_CONTINUOUS) -> np.ndarray:
+                    convention=RIGHT_CONTINUOUS, grids=None) -> np.ndarray:
     """Raw functional of every row of a label matrix in pooled rank order.
 
     ``labels[r, p]`` is the group of replicate r's p-th smallest pooled value,
@@ -99,11 +99,12 @@ def _rank_statistic(kind, generator, sizes, weights, labels, ties=None,
     sum of those below and through its block, looked up in h(i/2n).  Each
     integral sums one term per member of the integrating group l in sorted
     order, one ordered pair of groups at a time; a grid is evaluated when a
-    pair first needs it.  A tau term is weighted by its member's jump
-    Xi((i+1)/n_l) - Xi(i/n_l); a tie block's members share one count of the
-    other group, so their jumps add up to the block's jump.  In tie-free rows
-    of two groups the other group's count before a member is the member's
-    column minus its index in its own group.  Otherwise every group's running
+    pair first needs it, and kept in ``grids`` (keyed by its n) when the
+    caller passes a dict to share between calls.  A tau term is weighted by
+    its member's jump Xi((i+1)/n_l) - Xi(i/n_l); a tie block's members share
+    one count of the other group, so their jumps add up to the block's jump.
+    In tie-free rows of two groups the other group's count before a member is
+    the member's column minus its index in its own group.  Otherwise every group's running
     count is a ``bits``-wide field of an int64 word, ``63 // bits`` groups per
     word: one cumsum per word and one gather per (integrating group, word)
     give every count.  A non-finite result raises :class:`NumericalError`.
@@ -112,13 +113,13 @@ def _rank_statistic(kind, generator, sizes, weights, labels, ties=None,
         raise InvalidParameterError(f"unknown CDF convention '{convention}'; expected one of {CONVENTIONS}")
     nrep, width = labels.shape
     k, mid = len(sizes), convention != RIGHT_CONTINUOUS and ties is not None
-    grids, integrals = {}, {}
+    grids, integrals = {} if grids is None else grids, {}
 
     def integral(j, l, index):  # group j's ECDF over group l's values
-        if sizes[j] not in grids:
-            n = 2 * sizes[j] if mid else sizes[j]
-            grids[sizes[j]] = eval_on_array(generator.eval, np.arange(n + 1) / n)
-        terms = np.take(grids[sizes[j]], index).reshape(nrep, sizes[l])
+        n = 2 * sizes[j] if mid else sizes[j]
+        if n not in grids:
+            grids[n] = eval_on_array(generator.eval, np.arange(n + 1) / n)
+        terms = np.take(grids[n], index).reshape(nrep, sizes[l])
         if kind == TAU:
             return (terms * np.diff(generator.antiderivative_grid(sizes[l]))).sum(axis=1)
         return terms.sum(axis=1) / sizes[l]

@@ -107,6 +107,17 @@ class TestTest2Command:
 
 
 class TestErrorPaths:
+    def test_shared_parser_keeps_nothing_between_runs(self, data_files):
+        _, x, y, _ = data_files
+        parser = cli.build_parser()
+        assert run_cli(["test2", "--h", "power:3", "--x", x, "--y", y, "--B", "99", "--seed", "5",
+                        "--method", "permutation", "--deterministic"])[0] == 0
+        assert run_cli(["test2", "--h", "power:2", "--x", x, "--bogus"])[0] == cli.EXIT_CONFIG
+        code, out, _ = run_cli(["test2", "--h", "power:2", "--x", x, "--y", y, "--B", "99", "--deterministic"])
+        doc = json.loads(out)
+        assert code == 0 and doc["method"] == "simulation" and doc["null_table"]["seed"] == 0
+        assert doc["generator"] == "power:2" and cli.build_parser() is parser
+
     def test_testk_needs_two_samples(self, data_files):
         _, x, _, _ = data_files
         code, _, err = run_cli(["testk", "--h", "power:2", "--inputs", x])
@@ -459,8 +470,8 @@ class TestVerifyCommand:
         assert "[FAIL] broken" in out and out.endswith("1/2 oracle checks passed\n")
 
 
-# Loads scipy only where Bernstein generators and the quadrature fallback use it;
-# prints the scipy modules loaded after each stage as one JSON object.
+# Loads scipy only in the quadrature fallback, not for Bernstein generators or the
+# oracle battery; prints the scipy modules loaded after each stage as one JSON object.
 _START_UP_PROBE = textwrap.dedent("""
     import io, json, sys, tempfile
     from pathlib import Path
@@ -484,6 +495,8 @@ _START_UP_PROBE = textwrap.dedent("""
     from convexgof.generators import adaptive_quad, parse_generator_spec
     parse_generator_spec("bernstein:power:2:8")
     stages["bernstein"] = loaded()
+    codes.append(cli.run(["verify"], out=io.StringIO(), err=io.StringIO()))
+    stages["verify"] = loaded()
     value = adaptive_quad(lambda u: abs(u - 1.0 / 3.0), 0.0, 1.0)
     stages["fallback"] = loaded()
     print(json.dumps({"stages": stages, "codes": codes, "value": value}))
@@ -498,9 +511,7 @@ def test_start_up_imports_numpy_only():
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     stages = doc["stages"]
-    assert doc["codes"] == [0, 0, 0, 0]
-    assert stages["import"] == [] and stages["commands"] == []
-    assert "scipy.special" in stages["bernstein"]
-    assert "scipy.integrate" not in stages["bernstein"]
+    assert doc["codes"] == [0, 0, 0, 0, 0]
+    assert stages["import"] == stages["commands"] == stages["bernstein"] == stages["verify"] == []
     assert "scipy.integrate" in stages["fallback"]
     assert abs(doc["value"] - 5.0 / 18.0) < 1e-12

@@ -105,6 +105,22 @@ class TestPolynomialGenerator:
             polynomial_generator([])
 
 
+# u values where scipy.special's xlogy and xlog1py take their edge branches: the ends of
+# [0, 1], the least subnormal, either side of 1 - sqrt(1/2) (where log1p changes method),
+# the last double below 1, values outside [0, 1], infinities and NaN
+XLOG_EDGES = np.array([0.0, -0.0, 5e-324, 0.2928932188134524, 0.29289321881345254, 1.0 - 2.0**-53,
+                       1.0, -0.5, 1.5, np.inf, -np.inf, np.nan])
+
+
+def assert_same_bits(got, want):
+    """Equal bit for bit, except that any NaN equals any NaN."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    nan = np.isnan(got)
+    assert np.array_equal(nan, np.isnan(want))
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
 class TestBernsteinGenerator:
     # for h = u^2 the smoothing has the closed form u^2 + u(1-u)/m
 
@@ -161,6 +177,39 @@ class TestBernsteinGenerator:
         assert [bm.eval(float(t)) for t in u] == list(values)
         assert np.array_equal(bm.eval(u[:7]), values[:7])
         assert np.array_equal(bm.eval(u.reshape(7, 43)), values.reshape(7, 43))
+
+    def test_log_gamma_matches_scipy_gammaln_bit_for_bit(self):
+        from scipy.special import gammaln
+
+        n = np.array([*range(1, 20001), 10**5, 10**8, 10**8 + 1])
+        got = np.array([generators._log_gamma(int(v)) for v in n])
+        assert_same_bits(got, gammaln(n))
+
+    def test_xlogs_match_scipy_bit_for_bit(self):
+        from scipy.special import xlog1py, xlogy
+
+        u = np.concatenate([np.linspace(0.0, 1.0, 200001), np.random.default_rng(5).random(100000),
+                            XLOG_EDGES, 1.0 - np.sqrt(0.5) + np.arange(-40, 41) * 2.0**-54])
+        k = np.array([0, 1, 2, 7, 300])
+        for a, b in ((k, k[::-1]), (k[::-1], k)):
+            got = generators._xlogs(u, a, b)
+            assert_same_bits(got[0], xlogy(a, u[:, None]))
+            assert_same_bits(got[1], xlog1py(b, -u[:, None]))
+
+    @pytest.mark.parametrize("m", [2, 8, 12, 13, 300, 1000, 2000])
+    def test_eval_matches_scipy_formula_bit_for_bit(self, m):
+        from scipy.special import gammaln, xlog1py, xlogy
+
+        h = power_generator(2)
+        k = np.arange(m + 1)
+        weights = h.eval(k / m) * (k > 0)
+        log_comb = gammaln(m + 1) - gammaln(k + 1) - gammaln(m - k + 1)
+        u = np.concatenate([np.linspace(0.0, 1.0, 3001), np.random.default_rng(m).random(1000), XLOG_EDGES])
+        with np.errstate(over="ignore", invalid="ignore"):  # outside [0, 1], on both sides
+            basis = np.exp(log_comb + xlogy(k, u[:, None]) + xlog1py(m - k, -u[:, None]))
+            want = np.sum(basis * weights, axis=-1) / np.sum(basis, axis=-1)
+            got = bernstein_generator(h, m).eval(u)
+        assert_same_bits(got, want)
 
     def test_rejects_low_degree(self):
         with pytest.raises(InvalidParameterError):

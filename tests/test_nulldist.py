@@ -78,6 +78,19 @@ class TestSimulateNull:
         t = simulate_null(TWO_SAMPLE, SQUARE, (4, 6), B=500, seed=2)
         assert np.all(np.diff(t.replicates) >= 0)
 
+    @pytest.mark.parametrize("kind, sizes", [(TWO_SAMPLE, (5, 7)), (K_SAMPLE, (4, 4, 6))])
+    def test_each_grid_evaluated_once_per_table(self, kind, sizes):
+        calls = []
+
+        def counted(u):
+            calls.append(np.size(u))
+            return SQUARE.eval(u)
+
+        gen = ConvexGenerator("counted", counted, integral_0_1=1.0 / 3.0, validated=False)
+        table = simulate_null(kind, gen, sizes, B=2 * CHUNK + 5, seed=4)  # three chunks
+        assert sorted(calls) == [n + 1 for n in sorted(set(sizes))]
+        assert np.array_equal(table.replicates, simulate_null(kind, SQUARE, sizes, B=2 * CHUNK + 5, seed=4).replicates)
+
     def test_chunk_memory_is_bounded(self):
         shapes = []
 
@@ -450,7 +463,9 @@ class TestTableSerialization:
         lambda lines: ["garbage"] * 5,
         # metadata among the replicates must not relabel the table
         lambda lines: lines[:-3] + ["# seed=12345", "# generator_name=power:3"] + lines[-3:],
-    ], ids=["token", "key", "count", "unsorted", "non_finite", "garbage", "header_in_body"])
+        # nor may a second header line for a key (here just before '# B=')
+        lambda lines: lines[:6] + ["# seed=12345"] + lines[6:],
+    ], ids=["token", "key", "count", "unsorted", "non_finite", "garbage", "header_in_body", "repeated_key"])
     def test_damaged_file_rejected(self, tmp_path, damage):
         from convexgof import ConvexGofError
 
