@@ -7,14 +7,17 @@ only on the pooled sample size, and chunk c sorts a block of random keys from
 its own RNG stream, an SFC64 generator seeded by (seed, c), each tagged with
 its slot's group, into rows of group labels; a row with two keys equal but
 for their tags is redrawn.  So a chunk's memory is bounded and a table is
-reproducible from its seed.  The permutation null sends those rows to the
-count-indexed kernel (``statistics``) with the pooled data's tie blocks and
-ECDF convention; a simulated table is the permutation null without ties,
-under the right-continuous convention.
+reproducible from its seed.  Rows are independent, so a large chunk's rows
+are sorted and scored in cache-sized slabs on one thread per CPU, and the
+table is the same whatever the slab and CPU counts.  The permutation null
+sends those rows to the count-indexed kernel (``statistics``) with the
+pooled data's tie blocks and ECDF convention; a simulated table is the
+permutation null without ties, under the right-continuous convention.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import warnings
@@ -45,6 +48,7 @@ from .statistics import (
 DEFAULT_B = 9999
 CHUNK = 1024  # most replicates per work unit
 CHUNK_ELEMENTS = 2**22  # most pooled draws per work unit, which bounds its memory
+SLAB_ELEMENTS = 2**18  # most pooled draws a thread sorts or scores at once, so they stay in cache
 TABLE_FORMAT_VERSION = 4
 MAX_SEED = 2**64
 
@@ -113,6 +117,37 @@ def _chunk_rows(total: int) -> int:
     return min(CHUNK, max(1, CHUNK_ELEMENTS // total))
 
 
+def _slabs(block):
+    """Row slices of ``block``, in order, of at most ``SLAB_ELEMENTS`` entries (or one row) each."""
+    step = max(1, SLAB_ELEMENTS // block.shape[1])
+    return [block[start:start + step] for start in range(0, len(block), step)]
+
+
+@functools.cache
+def _slab_pool():
+    """One thread per CPU the process may use, or None with one CPU."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if cpus == 1:
+        return None
+    from concurrent.futures import ThreadPoolExecutor  # here, so one-slab work never imports it
+
+    return ThreadPoolExecutor(cpus, thread_name_prefix="convexgof-slab")
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_slab_pool.cache_clear)  # a forked child has no pool threads
+
+
+def _on_slabs(fn, slabs):
+    """``[fn(slab) for slab in slabs]``, on the slab pool when there are several.
+
+    ``fn`` must touch only the numpy arrays it is given or closes over: it
+    runs on worker threads.
+    """
+    pool = _slab_pool() if len(slabs) > 1 else None
+    return list(map(fn, slabs) if pool is None else pool.map(fn, slabs))
+
+
 def _label_blocks(sizes, B, seed, transform=None):
     """Label rows of ``B`` null replicates in pooled rank order, one block per chunk.
 
@@ -123,10 +158,12 @@ def _label_blocks(sizes, B, seed, transform=None):
     that hold every group) and each row is sorted in place.  Rows in which two
     keys share their untagged bits are redrawn, in row order, from the stream's
     continuation until none is, so each row assigns the pooled ranks to groups
-    exactly uniformly.  ``transform`` selects the reference path: it is called
-    once per chunk on the uniforms ((key >> tag) + 0.5) * 2**(tag - width) of
-    the final rows, which are then argsorted; with 32-bit keys the uniforms are
-    exact, so a strictly increasing map gives the same labels.
+    exactly uniformly.  The words are drawn on the calling thread; the rows are
+    tagged, sorted and scanned for ties a slab at a time (:func:`_slabs`).
+    ``transform`` selects the reference path: it is called once per chunk on
+    the uniforms ((key >> tag) + 0.5) * 2**(tag - width) of the final rows,
+    which are then argsorted; with 32-bit keys the uniforms are exact, so a
+    strictly increasing map gives the same labels.
     """
     if not isinstance(B, (int, np.integer)) or B < 1:
         raise InvalidParameterError(f"replicate count B must be >= 1, got {B!r}")
@@ -135,29 +172,28 @@ def _label_blocks(sizes, B, seed, transform=None):
     dtype = np.dtype("<u8" if total * total > 2 ** (28 - tag) else "<u4")
     rows, low = _chunk_rows(total), dtype.type((1 << tag) - 1)
 
-    def tagged(bit_generator, n):  # the stream's next n rows of keys
+    def drawn(bit_generator, n):  # the stream's next n rows of untagged keys
         words = bit_generator.random_raw(-(-n * total * dtype.itemsize // 8)).astype("<u8", copy=False)
-        keys = words.view(dtype)[:n * total].reshape(n, total)
+        return words.view(dtype)[:n * total].reshape(n, total)
+
+    def tied(keys):  # tags and sorts the rows in place; flags those with two keys equal but for their tags
         keys &= ~low
         keys |= slot_group
-        return keys
-
-    def tied(ranked):
-        return np.flatnonzero(((ranked[:, 1:] ^ ranked[:, :-1]) <= low).any(axis=1))
+        keys.sort(axis=1)
+        return ((keys[:, 1:] ^ keys[:, :-1]) <= low).any(axis=1)
 
     for chunk, start in enumerate(range(0, B, rows)):
         bit_generator = replicate_stream(seed, chunk).bit_generator
-        keys = tagged(bit_generator, min(rows, B - start))
+        keys = drawn(bit_generator, min(rows, B - start))
         ranked = keys if transform is None else keys.copy()
-        ranked.sort(axis=1)
-        redo = tied(ranked)
+        redo = np.flatnonzero(np.concatenate(_on_slabs(tied, _slabs(ranked))))
         while redo.size:
-            fresh = tagged(bit_generator, redo.size)
+            fresh = drawn(bit_generator, redo.size)
             keys[redo] = fresh
-            fresh.sort(axis=1)
+            again = tied(fresh)
             ranked[redo] = fresh
-            redo = redo[tied(fresh)]
-        if transform is not None:
+            redo = redo[again]
+        if transform is not None:  # the tags lie below the uniforms' bits
             uniforms = ((keys >> tag) + 0.5) * 2.0 ** (tag - 8 * dtype.itemsize)
             yield slot_group[np.argsort(transform(uniforms), axis=1)]
             continue
@@ -169,11 +205,21 @@ def _table_values(kind, generator, sizes, weights, blocks, ties=None,
                   convention=RIGHT_CONTINUOUS) -> np.ndarray:
     """Sorted, centered statistics of every label row in ``blocks``; read-only.
 
-    The blocks share one set of generator grids, so each is evaluated once per table."""
-    grids = {}
-    raw = np.concatenate([_rank_statistic(kind, generator, sizes, weights, labels, ties, convention, grids)
-                          for labels in blocks])
-    values = np.sort(raw - _centering(kind, generator, weights))
+    The blocks share one set of generator grids, so each is evaluated once
+    per table, on the calling thread: the table's first slab is scored there,
+    and the other slabs read the grids on the slab pool (:func:`_on_slabs`).
+    """
+    grids, raw = {}, []
+
+    def score(labels):
+        return _rank_statistic(kind, generator, sizes, weights, labels, ties, convention, grids)
+
+    for labels in blocks:
+        slabs = _slabs(labels)
+        if not raw:
+            raw.append(score(slabs.pop(0)))
+        raw.extend(_on_slabs(score, slabs))
+    values = np.sort(np.concatenate(raw) - _centering(kind, generator, weights))
     values.setflags(write=False)
     return values
 

@@ -100,9 +100,11 @@ def _rank_statistic(kind, generator, sizes, weights, labels, ties=None,
     integral sums one term per member of the integrating group l in sorted
     order, one ordered pair of groups at a time; a grid is evaluated when a
     pair first needs it, and kept in ``grids`` (keyed by its n) when the
-    caller passes a dict to share between calls.  A tau term is weighted by
-    its member's jump Xi((i+1)/n_l) - Xi(i/n_l); a tie block's members share
-    one count of the other group, so their jumps add up to the block's jump.
+    caller passes a dict to share between calls, so a call with every grid
+    there runs no generator code.  A tau term is weighted by its member's
+    jump Xi((i+1)/n_l) - Xi(i/n_l), kept there too (keyed by ("jumps", n_l));
+    a tie block's members share one count of the other group, so their jumps
+    add up to the block's jump.
     In tie-free rows of two groups the other group's count before a member is
     the member's column minus its index in its own group.  Otherwise every group's running
     count is a ``bits``-wide field of an int64 word, ``63 // bits`` groups per
@@ -121,7 +123,9 @@ def _rank_statistic(kind, generator, sizes, weights, labels, ties=None,
             grids[n] = eval_on_array(generator.eval, np.arange(n + 1) / n)
         terms = np.take(grids[n], index).reshape(nrep, sizes[l])
         if kind == TAU:
-            return (terms * np.diff(generator.antiderivative_grid(sizes[l]))).sum(axis=1)
+            if ("jumps", sizes[l]) not in grids:
+                grids["jumps", sizes[l]] = np.diff(generator.antiderivative_grid(sizes[l]))
+            return (terms * grids["jumps", sizes[l]]).sum(axis=1)
         return terms.sum(axis=1) / sizes[l]
 
     if ties is None and k == 2:

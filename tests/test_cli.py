@@ -118,6 +118,20 @@ class TestErrorPaths:
         assert code == 0 and doc["method"] == "simulation" and doc["null_table"]["seed"] == 0
         assert doc["generator"] == "power:2" and cli.build_parser() is parser
 
+    def test_generator_parsed_once_per_kind_and_spec(self, data_files, monkeypatch):
+        _, x, y, _ = data_files
+        parsed = []
+        monkeypatch.setattr(cli, "parse_generator_spec", lambda spec: parsed.append(spec) or parse_generator_spec(spec))
+        cli._generator_for.cache_clear()
+        try:
+            runs = [run_cli(["test2", "--h", spec, "--x", x, "--y", y, "--B", "99", "--deterministic"])
+                    for spec in ("power:2", "power:2", "power:3", "poly:1,1e-14", "poly:1,1e-14")]
+        finally:
+            cli._generator_for.cache_clear()
+        assert [code for code, _, _ in runs] == [0, 0, 0, cli.EXIT_CONFIG, cli.EXIT_CONFIG]
+        assert runs[0] == runs[1] and runs[3] == runs[4]
+        assert parsed == ["power:2", "power:3", "poly:1,1e-14", "poly:1,1e-14"]  # a failing spec is not cached
+
     def test_testk_needs_two_samples(self, data_files):
         _, x, _, _ = data_files
         code, _, err = run_cli(["testk", "--h", "power:2", "--inputs", x])
@@ -213,6 +227,19 @@ class TestErrorPaths:
                                   "--B", "99"])
         assert code == cli.EXIT_NUMERICAL and out == ""
         assert err.startswith("error:") and "non-finite" in err and err.count("\n") == 1
+
+    def test_non_finite_multi_slab_table_is_numerical_error(self, data_files):
+        # 150/150 chunks are sorted and scored in several slabs; the next table builds as usual
+        tmp = data_files[0]
+        argv = ["null-table", "--kind", "two_sample", "--sizes", "150,150", "--B", "1100",
+                "--no-cache", "--out", str(tmp / "t.csv")]
+        code, out, err = run_cli(argv + ["--generator", "poly:0,1e308"])
+        assert code == cli.EXIT_NUMERICAL and out == "" and not (tmp / "t.csv").exists()
+        assert err.startswith("error:") and "non-finite" in err and err.count("\n") == 1
+        code, _, err = run_cli(argv + ["--generator", "power:2"])
+        assert code == cli.EXIT_OK and err == ""
+        expected = simulate_null("two_sample", parse_generator_spec("power:2"), (150, 150), B=1100, seed=0)
+        assert load_table(tmp / "t.csv").replicates.tobytes() == expected.replicates.tobytes()
 
     @pytest.mark.parametrize("argv", [
         ["test2", "--h", "poly:0,1e308"],  # the kernel's sums overflow
@@ -471,13 +498,14 @@ class TestVerifyCommand:
 
 
 # Loads scipy only in the quadrature fallback, not for Bernstein generators or the
-# oracle battery; prints the scipy modules loaded after each stage as one JSON object.
+# oracle battery, and the slab threads' concurrent.futures not for tables of one slab
+# a chunk; prints the scipy and concurrent modules loaded after each stage as one JSON object.
 _START_UP_PROBE = textwrap.dedent("""
     import io, json, sys, tempfile
     from pathlib import Path
 
     def loaded():
-        return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "concurrent"))
 
     import convexgof.cli as cli
     stages = {"import": loaded()}

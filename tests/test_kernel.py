@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -25,7 +27,8 @@ from convexgof import (
     simulate_null,
     two_sample_statistic,
 )
-from convexgof.nulldist import CHUNK, _chunk_rows, _label_blocks, replicate_stream
+from convexgof import nulldist
+from convexgof.nulldist import CHUNK, CHUNK_ELEMENTS, SLAB_ELEMENTS, _chunk_rows, _label_blocks, replicate_stream
 from convexgof.statistics import _centering, _group_labels, _rank_statistic, _tie_blocks
 from convexgof.oracle import _label_batches
 
@@ -290,7 +293,7 @@ def test_permutation_null_of_tie_free_data_is_the_simulated_table(kind, spec, si
     assert np.array_equal(permuted.replicates, simulated.replicates)
 
 
-@pytest.mark.parametrize("path", ["observed", "simulation", "permutation", "enumeration"])
+@pytest.mark.parametrize("path", ["observed", "simulation", "permutation", "enumeration", "slabs"])
 def test_non_finite_statistic_raises(path):
     huge = parse_generator_spec("poly:0,1e308")  # sums of h(1) = 1e308 overflow
     x, y = Sample([1.0, 2.0, 3.0]), Sample([4.0, 5.0, 6.0])
@@ -300,9 +303,14 @@ def test_non_finite_statistic_raises(path):
         "permutation": lambda: run_test(TWO_SAMPLE, huge, [x, y], B=99, convention=MID,
                                         method="permutation"),
         "enumeration": lambda: enumerate_null(TWO_SAMPLE, huge, (3, 3)),
+        "slabs": lambda: simulate_null(TWO_SAMPLE, huge, (150, 150), B=2 * CHUNK + 5, seed=0),
     }[path]
     with pytest.raises(NumericalError, match="non-finite"):
         build()
+    if path == "slabs":  # the failed table leaves nothing behind for the next one
+        assert _chunk_rows(300) * 300 > SLAB_ELEMENTS
+        table = simulate_null(TWO_SAMPLE, power_generator(2), (150, 150), B=2 * CHUNK + 5, seed=0)
+        assert table.B == 2 * CHUNK + 5 and np.all(np.isfinite(table.replicates))
 
 
 def _enumerated_tail(x, y):
@@ -349,6 +357,56 @@ def test_large_table_digests(kind, spec, sizes, weights, B, seed, digest):
     table = simulate_null(kind, parse_generator_spec(spec), sizes, B=B, seed=seed,
                           weights=None if weights is None else WeightVector(weights))
     assert _table_digest(table.replicates) == digest
+
+
+def _slab_case(case):
+    """The float64 arrays a case's null carries: table replicates, or pmf values and probabilities."""
+    method, kind, spec, sizes, weights = case
+    gen = parse_generator_spec(spec)
+    weights = None if weights is None else WeightVector(weights)
+    if method == "enumeration":
+        dist = enumerate_null(kind, gen, sizes, weights)
+        return dist.values, dist.probabilities
+    if method == "simulation":
+        return (simulate_null(kind, gen, sizes, B=2 * CHUNK + 5, seed=51, weights=weights).replicates,)
+    rng = np.random.default_rng(52)  # tied data: values on a grid of 0.1
+    samples = [np.round(rng.normal(0.0, 1.0, n), 1) for n in sizes]
+    return (run_test(kind, gen, samples, weights=weights, B=2 * CHUNK + 5, seed=53, convention=MID,
+                     method="permutation").table.replicates,)
+
+
+@pytest.mark.parametrize("case", [
+    ("simulation", TWO_SAMPLE, "power:2", (150, 150), None),
+    ("simulation", K_SAMPLE, "poly:0,1,1", (80, 80, 80, 80), (0.1, 0.2, 0.3, 0.4)),
+    ("simulation", TAU, "expsq:1", (150, 150), None),
+    ("permutation", TWO_SAMPLE, "power:2", (150, 150), None),
+    ("permutation", K_SAMPLE, "poly:0,1,1", (80, 80, 80, 80), (0.1, 0.2, 0.3, 0.4)),
+    ("permutation", TAU, "expsq:1", (150, 150), None),
+    ("enumeration", K_SAMPLE, "poly:0,1,1", (3, 3, 3), None),
+], ids=lambda case: "-".join(case[:2]))
+def test_slabs_are_bit_identical(case, monkeypatch):
+    # the default split, one slab per chunk, and slabs of a few rows on more threads than cores
+    method, _, _, sizes, _ = case
+    assert method == "enumeration" or _chunk_rows(sum(sizes)) * sum(sizes) > SLAB_ELEMENTS
+    split = _slab_case(case)
+
+    def no_pool():
+        raise AssertionError("a chunk of one slab asked for the slab pool")
+
+    monkeypatch.setattr(nulldist, "SLAB_ELEMENTS", CHUNK_ELEMENTS)
+    monkeypatch.setattr(nulldist, "_slab_pool", no_pool)
+    whole = _slab_case(case)
+    interval = sys.getswitchinterval()
+    with ThreadPoolExecutor(4) as pool:
+        monkeypatch.setattr(nulldist, "SLAB_ELEMENTS", 2 * sum(sizes))
+        monkeypatch.setattr(nulldist, "_slab_pool", lambda: pool)
+        sys.setswitchinterval(1e-6)
+        try:
+            slabs = _slab_case(case)
+        finally:
+            sys.setswitchinterval(interval)
+    for arrays in (split, slabs):
+        assert [a.tobytes() for a in arrays] == [a.tobytes() for a in whole]
 
 
 @pytest.mark.parametrize("tied", [False, True], ids=["tie_free", "tied"])

@@ -1,4 +1,6 @@
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,7 +9,9 @@ from convexgof import (
     ConvexGenerator,
     InvalidParameterError,
     K_SAMPLE,
+    LogConvexGenerator,
     NullTable,
+    NumericalError,
     Sample,
     TAU,
     TWO_SAMPLE,
@@ -26,6 +30,7 @@ from convexgof import (
     simulate_null,
     two_sample_statistic,
 )
+from convexgof import nulldist
 from convexgof.nulldist import CHUNK, TABLE_FORMAT_VERSION, parse_alternative
 from oracle_helpers import hand_uniforms
 
@@ -59,6 +64,14 @@ class TestReplicateStreams:
                                   replicate_stream(1, 1).random(8))
 
 
+@pytest.fixture
+def slab_pool(monkeypatch):
+    """Two slab threads, even on one CPU, so that slab work leaves the calling thread."""
+    with ThreadPoolExecutor(2) as pool:
+        monkeypatch.setattr(nulldist, "_slab_pool", lambda: pool)
+        yield pool
+
+
 class TestSimulateNull:
     def test_deterministic_for_fixed_seed(self):
         a = simulate_null(TWO_SAMPLE, SQUARE, (5, 5), B=200, seed=9)
@@ -78,18 +91,67 @@ class TestSimulateNull:
         t = simulate_null(TWO_SAMPLE, SQUARE, (4, 6), B=500, seed=2)
         assert np.all(np.diff(t.replicates) >= 0)
 
-    @pytest.mark.parametrize("kind, sizes", [(TWO_SAMPLE, (5, 7)), (K_SAMPLE, (4, 4, 6))])
-    def test_each_grid_evaluated_once_per_table(self, kind, sizes):
+    @pytest.mark.parametrize("kind, sizes", [(TWO_SAMPLE, (5, 7)), (K_SAMPLE, (4, 4, 6)),
+                                             (TWO_SAMPLE, (150, 120)), (K_SAMPLE, (80, 90, 100, 110))])
+    def test_each_grid_evaluated_once_per_table(self, kind, sizes, slab_pool):
+        # three chunks; at the larger sizes each is sorted and scored in slabs on the slab pool,
+        # whose threads must run no generator code
         calls = []
 
         def counted(u):
-            calls.append(np.size(u))
+            calls.append((threading.get_ident(), np.size(u)))
             return SQUARE.eval(u)
 
         gen = ConvexGenerator("counted", counted, integral_0_1=1.0 / 3.0, validated=False)
-        table = simulate_null(kind, gen, sizes, B=2 * CHUNK + 5, seed=4)  # three chunks
-        assert sorted(calls) == [n + 1 for n in sorted(set(sizes))]
+        table = simulate_null(kind, gen, sizes, B=2 * CHUNK + 5, seed=4)
+        assert sorted(calls) == [(threading.get_ident(), n + 1) for n in sorted(set(sizes))]
         assert np.array_equal(table.replicates, simulate_null(kind, SQUARE, sizes, B=2 * CHUNK + 5, seed=4).replicates)
+
+    def test_tau_grids_built_once_on_the_calling_thread(self, monkeypatch, slab_pool):
+        xi = exp_sq_generator(1.0)
+        builds, evals = [], []
+        grid = LogConvexGenerator.antiderivative_grid
+
+        def recorded_grid(generator, n):
+            builds.append((threading.get_ident(), n))
+            return grid(generator, n)
+
+        def recorded_eval(u):
+            evals.append(threading.get_ident())
+            return xi.eval(u)
+
+        def build(gen):
+            return [simulate_null(TAU, gen, (150, 120), B=2 * CHUNK + 5, seed=5),
+                    run_test(TAU, gen, [x, y], B=2 * CHUNK + 5, seed=5, convention="mid",
+                             method="permutation").table]
+
+        x, y = (np.round(np.random.default_rng(g).normal(0.0, 1.0, n), 1) for g, n in ((1, 150), (2, 120)))
+        reference = build(xi)
+        monkeypatch.setattr(LogConvexGenerator, "antiderivative_grid", recorded_grid)
+        tables = build(LogConvexGenerator(xi.name, recorded_eval, xi.integral_sq_0_1, validated=False))
+        me = threading.get_ident()
+        # one jump grid per group per table, plus one for the permutation test's observed statistic
+        assert sorted(builds) == [(me, 120)] * 3 + [(me, 150)] * 3
+        assert set(evals) == {me}
+        for table, expected in zip(tables, reference):
+            assert np.array_equal(table.replicates, expected.replicates)
+
+    def test_error_on_a_slab_thread_is_raised_and_the_next_table_builds(self, monkeypatch, slab_pool):
+        score, me = nulldist._rank_statistic, threading.get_ident()
+
+        def fails_off_the_calling_thread(*args):
+            if threading.get_ident() != me:
+                raise NumericalError("non-finite statistic on a slab thread")
+            return score(*args)
+
+        monkeypatch.setattr(nulldist, "_rank_statistic", fails_off_the_calling_thread)
+        with pytest.raises(NumericalError, match="slab thread"):
+            simulate_null(TWO_SAMPLE, SQUARE, (150, 150), B=2 * CHUNK + 5, seed=6)
+        monkeypatch.setattr(nulldist, "_rank_statistic", score)
+        table = simulate_null(TWO_SAMPLE, SQUARE, (150, 150), B=2 * CHUNK + 5, seed=6)
+        monkeypatch.setattr(nulldist, "SLAB_ELEMENTS", nulldist.CHUNK_ELEMENTS)
+        whole = simulate_null(TWO_SAMPLE, SQUARE, (150, 150), B=2 * CHUNK + 5, seed=6)
+        assert table.replicates.tobytes() == whole.replicates.tobytes()
 
     def test_chunk_memory_is_bounded(self):
         shapes = []
