@@ -222,7 +222,7 @@ def _table_via_cache(args, kind, generator, sizes, weights, err):
 def _report_dict(args, kind, report, inputs):
     stat = report.statistic
     table = report.table
-    doc = {
+    return {
         "command": args.command,
         "version": __version__,
         "kind": kind,
@@ -249,7 +249,6 @@ def _report_dict(args, kind, report, inputs):
         },
         "warnings": list(report.warnings),
     }
-    return doc
 
 
 def _emit(args, out, doc, csv_rows):
@@ -370,12 +369,10 @@ def _cmd_power(args, out):
 
 def _cmd_verify(args, out):
     cases = run_battery()
-    failed = 0
+    failed = sum(not case.passed for case in cases)
     for case in cases:
-        status = "PASS" if case.passed else "FAIL"
-        if not case.passed:
-            failed += 1
-        out.write(f"[{status}] {case.case_id} value={case.value:.6e} tolerance={case.tolerance:g}\n")
+        out.write(f"[{'PASS' if case.passed else 'FAIL'}] {case.case_id} value={case.value:.6e} "
+                  f"tolerance={case.tolerance:g}\n")
     out.write(f"{len(cases) - failed}/{len(cases)} oracle checks passed\n")
     if args.csv is not None:
         with _naming("--csv", args.csv):

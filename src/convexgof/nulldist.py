@@ -2,17 +2,16 @@
 
 Under the null the statistics are rank-based, so every assignment of the
 pooled ranks to the groups is equally likely.  Every Monte Carlo table draws
-those assignments one way: a table is built in chunks whose length depends
-only on the pooled sample size, and chunk c sorts a block of random keys from
-its own RNG stream, an SFC64 generator seeded by (seed, c), each tagged with
-its slot's group, into rows of group labels; a row with two keys equal but
-for their tags is redrawn.  So a chunk's memory is bounded and a table is
-reproducible from its seed.  Rows are independent, so a large chunk's rows
-are sorted and scored in cache-sized slabs on one thread per CPU, and the
-table is the same whatever the slab and CPU counts.  The permutation null
-sends those rows to the count-indexed kernel (``statistics``) with the
-pooled data's tie blocks and ECDF convention; a simulated table is the
-permutation null without ties, under the right-continuous convention.
+those assignments one way: a table is built in chunks of at most 2**18 draws,
+whose length depends only on the pooled sample size, and chunk c sorts a
+block of random keys from its own RNG stream, an SFC64 generator seeded by
+(seed, c), each tagged with its slot's group, into rows of group labels; a
+row with two keys equal but for their tags is redrawn.  A chunk is the work
+unit: it stays in cache, one thread draws, sorts and scores it, and the table
+is the same whatever thread runs which chunk.  The permutation null sends the
+rows to the count-indexed kernel (``statistics``) with the pooled data's tie
+blocks and ECDF convention; a simulated table is the permutation null without
+ties, under the right-continuous convention.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ from .statistics import (
     _check_kind_and_generator,
     _group_labels,
     _rank_statistic,
+    _scratch,
     _tie_blocks,
     k_sample_statistic,
     tau_statistic,
@@ -47,9 +47,8 @@ from .statistics import (
 
 DEFAULT_B = 9999
 CHUNK = 1024  # most replicates per work unit
-CHUNK_ELEMENTS = 2**22  # most pooled draws per work unit, which bounds its memory
-SLAB_ELEMENTS = 2**18  # most pooled draws a thread sorts or scores at once, so they stay in cache
-TABLE_FORMAT_VERSION = 4
+CHUNK_ELEMENTS = 2**18  # most pooled draws per work unit, which bounds its memory and keeps it in cache
+TABLE_FORMAT_VERSION = 5
 MAX_SEED = 2**64
 
 
@@ -94,11 +93,8 @@ class TestReport:
 
 
 def replicate_stream(seed: int, index: int) -> np.random.Generator:
-    """The RNG stream of work unit ``index`` under ``seed``.
-
-    A work unit is one chunk of a null table (see :func:`_chunk_rows`) or the
-    data of one power-study trial.
-    """
+    """The RNG stream ``index`` under ``seed``: of one chunk of a null table (see
+    :func:`_chunk_rows`), or of the data of one power-study trial."""
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, index])))
 
 
@@ -109,61 +105,47 @@ def _check_seed(seed) -> int:
 
 
 def _chunk_rows(total: int) -> int:
-    """Replicates per table chunk at ``total`` pooled observations.
-
-    A pure function of the sizes: it bounds a chunk's memory, and with the
-    seed it fixes the stream each replicate draws from.
-    """
+    """Replicates per table chunk at ``total`` pooled observations: a pure function of
+    the sizes, so it bounds a chunk's memory and, with the seed, fixes each replicate's stream."""
     return min(CHUNK, max(1, CHUNK_ELEMENTS // total))
 
 
-def _slabs(block):
-    """Row slices of ``block``, in order, of at most ``SLAB_ELEMENTS`` entries (or one row) each."""
-    step = max(1, SLAB_ELEMENTS // block.shape[1])
-    return [block[start:start + step] for start in range(0, len(block), step)]
-
-
 @functools.cache
-def _slab_pool():
+def _unit_pool():
     """One thread per CPU the process may use, or None with one CPU."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     if cpus == 1:
         return None
-    from concurrent.futures import ThreadPoolExecutor  # here, so one-slab work never imports it
+    from concurrent.futures import ThreadPoolExecutor  # here, so a one-unit table never imports it
 
-    return ThreadPoolExecutor(cpus, thread_name_prefix="convexgof-slab")
+    return ThreadPoolExecutor(cpus, thread_name_prefix="convexgof-unit")
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_slab_pool.cache_clear)  # a forked child has no pool threads
+    os.register_at_fork(after_in_child=_unit_pool.cache_clear)  # a forked child has no pool threads
 
 
-def _on_slabs(fn, slabs):
-    """``[fn(slab) for slab in slabs]``, on the slab pool when there are several.
-
-    ``fn`` must touch only the numpy arrays it is given or closes over: it
-    runs on worker threads.
-    """
-    pool = _slab_pool() if len(slabs) > 1 else None
-    return list(map(fn, slabs) if pool is None else pool.map(fn, slabs))
+def _drawn(labels):
+    """A work unit whose label rows are already drawn."""
+    return lambda: labels
 
 
 def _label_blocks(sizes, B, seed, transform=None):
-    """Label rows of ``B`` null replicates in pooled rank order, one block per chunk.
+    """Work units of ``B`` null replicates: per chunk, a callable that returns its label rows.
 
-    Chunk c takes keys from the raw words of ``replicate_stream(seed, c)``,
+    Chunk c's unit takes keys from the raw words of ``replicate_stream(seed, c)``,
     each word's low 32 bits then its high 32 bits, or whole words where a row
     of N keys would expect a tie more than once in 32 rows (N**2 > 2**(28 - tag)).
     Each slot's group goes in the low ``tag`` bits (the fewest, at least one,
     that hold every group) and each row is sorted in place.  Rows in which two
     keys share their untagged bits are redrawn, in row order, from the stream's
     continuation until none is, so each row assigns the pooled ranks to groups
-    exactly uniformly.  The words are drawn on the calling thread; the rows are
-    tagged, sorted and scanned for ties a slab at a time (:func:`_slabs`).
-    ``transform`` selects the reference path: it is called once per chunk on
-    the uniforms ((key >> tag) + 0.5) * 2**(tag - width) of the final rows,
-    which are then argsorted; with 32-bit keys the uniforms are exact, so a
-    strictly increasing map gives the same labels.
+    exactly uniformly.  A unit touches only its own stream and arrays, so any
+    thread may run it.  ``transform`` selects the reference path: it is called
+    once per chunk, on the thread iterating the units, with the uniforms
+    ((key >> tag) + 0.5) * 2**(tag - width) of the final rows, which are then
+    argsorted; with 32-bit keys they are exact, so a strictly increasing map
+    gives the same labels.
     """
     if not isinstance(B, (int, np.integer)) or B < 1:
         raise InvalidParameterError(f"replicate count B must be >= 1, got {B!r}")
@@ -180,13 +162,14 @@ def _label_blocks(sizes, B, seed, transform=None):
         keys &= ~low
         keys |= slot_group
         keys.sort(axis=1)
-        return ((keys[:, 1:] ^ keys[:, :-1]) <= low).any(axis=1)
+        gaps = np.bitwise_xor(keys[:, 1:], keys[:, :-1], out=_scratch("gaps", (len(keys), total - 1), dtype))
+        return np.less_equal(gaps, low, out=_scratch("tied", gaps.shape, bool)).any(axis=1)
 
-    for chunk, start in enumerate(range(0, B, rows)):
+    def unit(chunk, n):
         bit_generator = replicate_stream(seed, chunk).bit_generator
-        keys = drawn(bit_generator, min(rows, B - start))
+        keys = drawn(bit_generator, n)
         ranked = keys if transform is None else keys.copy()
-        redo = np.flatnonzero(np.concatenate(_on_slabs(tied, _slabs(ranked))))
+        redo = np.flatnonzero(tied(ranked))
         while redo.size:
             fresh = drawn(bit_generator, redo.size)
             keys[redo] = fresh
@@ -195,30 +178,31 @@ def _label_blocks(sizes, B, seed, transform=None):
             redo = redo[again]
         if transform is not None:  # the tags lie below the uniforms' bits
             uniforms = ((keys >> tag) + 0.5) * 2.0 ** (tag - 8 * dtype.itemsize)
-            yield slot_group[np.argsort(transform(uniforms), axis=1)]
-            continue
+            return slot_group[np.argsort(transform(uniforms), axis=1)]
         ranked &= low
-        yield ranked.astype(slot_group.dtype)
+        return ranked.astype(slot_group.dtype)
+
+    units = [functools.partial(unit, chunk, min(rows, B - start))
+             for chunk, start in enumerate(range(0, B, rows))]
+    return units if transform is None else (_drawn(draw()) for draw in units)
 
 
-def _table_values(kind, generator, sizes, weights, blocks, ties=None,
+def _table_values(kind, generator, sizes, weights, units, ties=None,
                   convention=RIGHT_CONTINUOUS) -> np.ndarray:
-    """Sorted, centered statistics of every label row in ``blocks``; read-only.
+    """Sorted, centered statistics of the label rows of every work unit in ``units``; read-only.
 
-    The blocks share one set of generator grids, so each is evaluated once
-    per table, on the calling thread: the table's first slab is scored there,
-    and the other slabs read the grids on the slab pool (:func:`_on_slabs`).
+    The units share one set of generator grids, so each is evaluated once per
+    table, on the calling thread, which runs the first unit.  Where
+    ``CHUNK_ELEMENTS`` caps the units (N > 256), the pool runs the rest.
     """
-    grids, raw = {}, []
+    grids, units = {}, iter(units)
 
-    def score(labels):
-        return _rank_statistic(kind, generator, sizes, weights, labels, ties, convention, grids)
+    def score(unit):
+        return _rank_statistic(kind, generator, sizes, weights, unit(), ties, convention, grids)
 
-    for labels in blocks:
-        slabs = _slabs(labels)
-        if not raw:
-            raw.append(score(slabs.pop(0)))
-        raw.extend(_on_slabs(score, slabs))
+    raw = [score(next(units))]
+    pool = _unit_pool() if _chunk_rows(sum(sizes)) < CHUNK and (units := list(units)) else None
+    raw.extend(map(score, units) if pool is None else pool.map(score, units))
     values = np.sort(np.concatenate(raw) - _centering(kind, generator, weights))
     values.setflags(write=False)
     return values
@@ -421,10 +405,8 @@ def power_study(kind, generator, alternative, sizes, B_null: int, B_power: int,
         for a in rejections:  # a repeated level counts once
             if report.p_value <= a:
                 rejections[a] += 1
-    power = {}
-    for a, count in rejections.items():
-        est = count / B_power
-        power[a] = (est, math.sqrt(est * (1.0 - est) / B_power))
+    estimates = {a: count / B_power for a, count in rejections.items()}
+    power = {a: (est, math.sqrt(est * (1.0 - est) / B_power)) for a, est in estimates.items()}
     return PowerStudyResult(kind, generator.name, f"{alt[0]}:{_name_token(alt[1])}", sizes,
                             int(B_null), int(B_power), seed, power, tuple(notes))
 

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import EnumerationTooLargeError, InvalidParameterError
 from .generators import (_name_token, adaptive_quad, bernstein_generator, exp_sq_generator, polynomial_generator,
                          power_generator)
-from .nulldist import CHUNK, _table_values
+from .nulldist import CHUNK, _drawn, _table_values
 from .statistics import WeightVector, _check_kind_and_generator
 
 POP_TOL = 1e-9
@@ -219,7 +219,7 @@ def enumerate_null(kind, generator, sizes, weights=None) -> ExactNullDistributio
             f"{count} rank interleavings at sizes {sizes} exceed the "
             f"budget of {ENUMERATION_BUDGET}"
         )
-    values, counts = np.unique(_table_values(kind, generator, sizes, weights, _label_batches(sizes)),
+    values, counts = np.unique(_table_values(kind, generator, sizes, weights, map(_drawn, _label_batches(sizes))),
                                return_counts=True)
     return ExactNullDistribution(kind, generator.name, sizes, values, counts / count)
 

@@ -15,6 +15,8 @@ integral, tau's included, has one term per member of the integrating group.
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +75,19 @@ class StatisticValue:
     generator_name: str
 
 
+_SCRATCH = threading.local()
+
+
+def _scratch(name, shape, dtype) -> np.ndarray:
+    """This thread's array ``name`` of ``shape``, reused by the next call for ``name``: it holds
+    temporaries only, so no result aliases it, and malloc need not return and refault their pages."""
+    size = math.prod(shape)
+    buffer = _SCRATCH.__dict__.get((name, dtype))
+    if buffer is None or buffer.size < size:
+        buffer = _SCRATCH.__dict__[name, dtype] = np.empty(size, dtype)
+    return buffer[:size].reshape(shape)
+
+
 def _group_labels(sizes) -> np.ndarray:
     """Group index of each pooled slot when the groups are laid end to end."""
     return np.repeat(np.arange(len(sizes), dtype=np.min_scalar_type(len(sizes))), sizes)
@@ -121,17 +136,22 @@ def _rank_statistic(kind, generator, sizes, weights, labels, ties=None,
         n = 2 * sizes[j] if mid else sizes[j]
         if n not in grids:
             grids[n] = eval_on_array(generator.eval, np.arange(n + 1) / n)
-        terms = np.take(grids[n], index).reshape(nrep, sizes[l])
+        terms = np.take(grids[n], index.reshape(nrep, sizes[l]), mode="clip",  # index lies in 0..n
+                        out=_scratch("terms", (nrep, sizes[l]), float))
         if kind == TAU:
             if ("jumps", sizes[l]) not in grids:
                 grids["jumps", sizes[l]] = np.diff(generator.antiderivative_grid(sizes[l]))
-            return (terms * grids["jumps", sizes[l]]).sum(axis=1)
+            return np.multiply(terms, grids["jumps", sizes[l]], out=terms).sum(axis=1)
         return terms.sum(axis=1) / sizes[l]
+
+    def members(l):  # column of each of group l's members, per row
+        col = np.flatnonzero(np.equal(labels, l, out=_scratch("member", labels.shape, bool))).reshape(nrep, -1)
+        col -= np.arange(0, nrep * width, width)[:, None]
+        return col
 
     if ties is None and k == 2:
         for l in (0, 1):
-            count = np.flatnonzero(labels == l).reshape(nrep, -1)
-            count -= np.arange(0, nrep * width, width)[:, None]
+            count = members(l)
             count -= np.arange(sizes[l])
             integrals[1 - l, l] = integral(1 - l, l, count)
     else:
@@ -139,9 +159,11 @@ def _rank_statistic(kind, generator, sizes, weights, labels, ties=None,
         per, mask = 63 // bits, (1 << bits) - 1
         g = np.arange(k)
         code = np.where(np.arange(-(-k // per))[:, None] == g // per, 1 << bits * (g % per), 0)
-        words = np.zeros((len(code), nrep, width + 1), np.int64)  # members before each column
-        for word, c in zip(words, code):
-            np.cumsum(c[labels], axis=1, out=word[:, 1:])
+        words = _scratch("words", (len(code), nrep, width + 1), np.int64)  # members before each column
+        words[:, :, 0] = 0
+        for word, c in zip(words, code):  # clip: mode="raise" would gather through a fresh temporary
+            codes = np.take(c, labels, mode="clip", out=_scratch("codes", labels.shape, np.int64))
+            np.cumsum(codes, axis=1, out=word[:, 1:])
         words = words.reshape(len(code), -1)
         row_start = np.arange(0, nrep * (width + 1), width + 1)[:, None]
 
@@ -153,8 +175,7 @@ def _rank_statistic(kind, generator, sizes, weights, labels, ties=None,
             return (packed[group // per] >> bits * (group % per)) & mask
 
         for l in range(k):
-            col = np.flatnonzero(labels == l).reshape(nrep, -1)
-            col -= np.arange(0, nrep * width, width)[:, None]
+            col = members(l)
             through = counts(col, True)
             before = counts(col, False) if mid else through
             for j in range(k):

@@ -229,7 +229,7 @@ class TestErrorPaths:
         assert err.startswith("error:") and "non-finite" in err and err.count("\n") == 1
 
     def test_non_finite_multi_slab_table_is_numerical_error(self, data_files):
-        # 150/150 chunks are sorted and scored in several slabs; the next table builds as usual
+        # a 150/150 table has several work units, scored on the unit pool; the next table builds as usual
         tmp = data_files[0]
         argv = ["null-table", "--kind", "two_sample", "--sizes", "150,150", "--B", "1100",
                 "--no-cache", "--out", str(tmp / "t.csv")]
@@ -498,8 +498,8 @@ class TestVerifyCommand:
 
 
 # Loads scipy only in the quadrature fallback, not for Bernstein generators or the
-# oracle battery, and the slab threads' concurrent.futures not for tables of one slab
-# a chunk; prints the scipy and concurrent modules loaded after each stage as one JSON object.
+# oracle battery, and the unit pool's concurrent.futures not for tables of one work
+# unit; prints the scipy and concurrent modules loaded after each stage as one JSON object.
 _START_UP_PROBE = textwrap.dedent("""
     import io, json, sys, tempfile
     from pathlib import Path

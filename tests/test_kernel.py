@@ -28,8 +28,8 @@ from convexgof import (
     two_sample_statistic,
 )
 from convexgof import nulldist
-from convexgof.nulldist import CHUNK, CHUNK_ELEMENTS, SLAB_ELEMENTS, _chunk_rows, _label_blocks, replicate_stream
-from convexgof.statistics import _centering, _group_labels, _rank_statistic, _tie_blocks
+from convexgof.nulldist import CHUNK, _chunk_rows, _label_blocks, replicate_stream
+from convexgof.statistics import _SCRATCH, _centering, _group_labels, _rank_statistic, _tie_blocks
 from convexgof.oracle import _label_batches
 
 from oracle_helpers import hand_keys, reference_statistic
@@ -107,7 +107,8 @@ def _hand_labels(sizes, seed, chunk, rows):
 # observed-data statistic path that the kernel replaced; the kernel must
 # reproduce them.  The tau pmf digest is that of the tanh-sinh Xi(i/n) grid,
 # a few ulps from the earlier per-panel QUADPACK grid.  Permutation digests
-# pin the (seed, chunk) stream contract of table format 4.
+# pin the (seed, chunk) stream contract of table format 4, which format 5
+# keeps at N <= 256.
 
 def _table_digest(values):
     return hashlib.sha256(np.ascontiguousarray(values, dtype="<f8").tobytes()).hexdigest()
@@ -191,8 +192,8 @@ def test_label_blocks_match_argsorted_streams(sizes, B, width):
     # hand, and the transform= reference path argsorts the same keys' uniforms
     rows, calls = _chunk_rows(sum(sizes)), []
     assert hand_keys(sizes, 8, 0, 1)[1] == width - max(1, (len(sizes) - 1).bit_length())
-    blocks = list(_label_blocks(sizes, B, 8))
-    reference = list(_label_blocks(sizes, B, 8, transform=lambda u: calls.append(u.shape) or u))
+    blocks = [unit() for unit in _label_blocks(sizes, B, 8)]
+    reference = [unit() for unit in _label_blocks(sizes, B, 8, transform=lambda u: calls.append(u.shape) or u)]
     assert [len(b) for b in blocks] == [min(rows, B - start) for start in range(0, B, rows)]
     assert calls == [b.shape for b in blocks]  # one transform call per chunk
     for c, labels in enumerate(blocks):
@@ -203,26 +204,27 @@ def test_label_blocks_match_argsorted_streams(sizes, B, width):
 
 
 def test_tied_rows_are_redrawn_in_row_order():
-    # chunk 0 of seed 3 at 1000/1000: rows 251 and 496 of the first draw each hold
-    # two keys equal in their 31 untagged bits, so the continuation's next 2000
-    # keys replace row 251 and the 2000 after them row 496
+    # chunk 0 of seed 20 at 1000/1000, its 131 rows: rows 10 and 68 of the first draw
+    # each hold two keys equal in their 31 untagged bits, so the continuation's next
+    # 2000 keys replace row 10 and the 2000 after them row 68
     sizes, tag, N = (1000, 1000), 1, 2000
-    bits = np.random.SFC64(np.random.SeedSequence([3, 0]))
-    words = bits.random_raw(CHUNK * N // 2 + N)
+    rows = _chunk_rows(N)
+    bits = np.random.SFC64(np.random.SeedSequence([20, 0]))
+    words = bits.random_raw(rows * N // 2 + N)
     keys = np.column_stack([words & 0xFFFFFFFF, words >> 32]).ravel() >> tag
-    first, fresh = keys[:CHUNK * N].reshape(CHUNK, N), keys[CHUNK * N:].reshape(2, N)
+    first, fresh = keys[:rows * N].reshape(rows, N), keys[rows * N:].reshape(2, N)
     ordered = np.sort(first, axis=1)
-    assert list(np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))) == [251, 496]
+    assert list(np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))) == [10, 68]
     assert all(len(np.unique(row)) == N for row in fresh)
-    first[[251, 496]] = fresh
+    first[[10, 68]] = fresh
     expected = _group_labels(sizes)[np.argsort(first, axis=1)]
-    labels = next(_label_blocks(sizes, CHUNK, 3))
+    labels = _label_blocks(sizes, rows, 20)[0]()
     assert np.array_equal(labels, expected)
-    assert np.array_equal(next(_label_blocks(sizes, CHUNK, 3, transform=np.log)), expected)
+    assert np.array_equal(next(iter(_label_blocks(sizes, rows, 20, transform=np.log)))(), expected)
 
 
 def _configuration_counts(sizes, B, seed):
-    labels = np.concatenate(list(_label_blocks(sizes, B, seed)))
+    labels = np.concatenate([unit() for unit in _label_blocks(sizes, B, seed)])
     _, counts = np.unique(labels, axis=0, return_counts=True)
     return counts
 
@@ -307,8 +309,8 @@ def test_non_finite_statistic_raises(path):
     }[path]
     with pytest.raises(NumericalError, match="non-finite"):
         build()
-    if path == "slabs":  # the failed table leaves nothing behind for the next one
-        assert _chunk_rows(300) * 300 > SLAB_ELEMENTS
+    if path == "slabs":  # several units of CHUNK_ELEMENTS draws; the failed table leaves nothing behind
+        assert _chunk_rows(300) < CHUNK
         table = simulate_null(TWO_SAMPLE, power_generator(2), (150, 150), B=2 * CHUNK + 5, seed=0)
         assert table.B == 2 * CHUNK + 5 and np.all(np.isfinite(table.replicates))
 
@@ -338,19 +340,21 @@ def test_enumerated_tail_matches_scipy_exact_cvm_8_8():
 # one chunk, wide bit fields, and a 7-group k-sample whose 10-bit fields (its
 # group of 600) fill two packed words.  Under table format 3 these digests
 # were computed by the per-group prefix-sum kernel that the packed and
-# two-group count paths replaced; format 4 re-pinned them for its label draw.
+# two-group count paths replaced; format 4 re-pinned them for its label draw,
+# and format 5 for its 2**18-draw chunks (the format-4 code with that chunk
+# size gives the same digests).
 SEVEN_GROUPS = (600, 3, 8, 1, 20, 5, 12)
 
 
 @pytest.mark.parametrize("kind, spec, sizes, weights, B, seed, digest", [
     (TWO_SAMPLE, "power:2", (1000, 1000), None, 2048, 31,
-     "21fba335cbb27e94023276f54b11d8f22aff7c1d9582e799a7ec8b27f90be67e"),
+     "1a2036924231fd07f8c2a1ad09cd987f50641d9773850ce48b4207c4448e4686"),
     (TAU, "expsq:1", (300, 200), None, 1500, 32,
-     "3abc6c74f1bca1e107c0f87f7f65257f17cebcf234f84ce84346f51148c01cd5"),
+     "761ae3ea6e53198638e24c6f9184924f25ae2d4d4fcba83164b0a890faf63f51"),
     (K_SAMPLE, "poly:0,1,1", (250, 250, 250, 250), (0.1, 0.2, 0.3, 0.4), 1100, 33,
-     "dcded47a21214faba278c82804a09ea3c94e3c414d7789f75164b9b1543abed3"),
+     "3395de144d97b638f87702527eb323847099c9f9b97666116c99226998618b20"),
     (K_SAMPLE, "power:2", SEVEN_GROUPS, None, 1100, 34,
-     "0282ed7b62a9ddb4922b58281d9219ac05da8136337b2cf9a56ab43f6db0864b"),
+     "9933c321a30b4325e01f4f0200645d383db9f3a8cf79fa053a0a4b2717e79d00"),
 ], ids=["two_sample_1000x1000", "tau_300x200", "k_sample_4x250", "k_sample_7_groups"])
 def test_large_table_digests(kind, spec, sizes, weights, B, seed, digest):
     assert B > _chunk_rows(sum(sizes))  # at least two chunks
@@ -359,7 +363,7 @@ def test_large_table_digests(kind, spec, sizes, weights, B, seed, digest):
     assert _table_digest(table.replicates) == digest
 
 
-def _slab_case(case):
+def _null_arrays(case):
     """The float64 arrays a case's null carries: table replicates, or pmf values and probabilities."""
     method, kind, spec, sizes, weights = case
     gen = parse_generator_spec(spec)
@@ -385,28 +389,64 @@ def _slab_case(case):
     ("enumeration", K_SAMPLE, "poly:0,1,1", (3, 3, 3), None),
 ], ids=lambda case: "-".join(case[:2]))
 def test_slabs_are_bit_identical(case, monkeypatch):
-    # the default split, one slab per chunk, and slabs of a few rows on more threads than cores
+    # work units (format 4's 2**18-draw slabs, now whole chunks) give the same null on the
+    # default pool, on no pool, on a forced two-thread pool, and on two threads that switch
+    # every microsecond; each thread reuses its own scratch arrays
     method, _, _, sizes, _ = case
-    assert method == "enumeration" or _chunk_rows(sum(sizes)) * sum(sizes) > SLAB_ELEMENTS
-    split = _slab_case(case)
-
-    def no_pool():
-        raise AssertionError("a chunk of one slab asked for the slab pool")
-
-    monkeypatch.setattr(nulldist, "SLAB_ELEMENTS", CHUNK_ELEMENTS)
-    monkeypatch.setattr(nulldist, "_slab_pool", no_pool)
-    whole = _slab_case(case)
+    assert method == "enumeration" or _chunk_rows(sum(sizes)) < CHUNK
+    default = _null_arrays(case)
+    monkeypatch.setattr(nulldist, "_unit_pool", lambda: None)
+    alone = _null_arrays(case)
     interval = sys.getswitchinterval()
-    with ThreadPoolExecutor(4) as pool:
-        monkeypatch.setattr(nulldist, "SLAB_ELEMENTS", 2 * sum(sizes))
-        monkeypatch.setattr(nulldist, "_slab_pool", lambda: pool)
+    with ThreadPoolExecutor(2) as pool:
+        monkeypatch.setattr(nulldist, "_unit_pool", lambda: pool)
+        pooled = _null_arrays(case)
         sys.setswitchinterval(1e-6)
         try:
-            slabs = _slab_case(case)
+            switching = _null_arrays(case)
         finally:
             sys.setswitchinterval(interval)
-    for arrays in (split, slabs):
-        assert [a.tobytes() for a in arrays] == [a.tobytes() for a in whole]
+    for arrays in (default, pooled, switching):
+        assert [a.tobytes() for a in arrays] == [a.tobytes() for a in alone]
+
+
+@pytest.mark.parametrize("case", [
+    ("simulation", TWO_SAMPLE, "power:2", (128, 128), None),
+    ("permutation", TAU, "expsq:1", (128, 128), None),
+    ("enumeration", K_SAMPLE, "poly:0,1,1", (3, 3, 3), None),
+], ids=lambda case: case[0])
+def test_uncapped_units_never_ask_for_the_pool(case, monkeypatch):
+    # at N <= 256 every unit holds CHUNK rows, and such a table runs on the calling thread alone
+    def no_pool():
+        raise AssertionError("a table of CHUNK-row units asked for the unit pool")
+
+    assert _chunk_rows(sum(case[3])) == CHUNK
+    monkeypatch.setattr(nulldist, "_unit_pool", no_pool)
+    _null_arrays(case)
+
+
+@pytest.mark.parametrize("kind, spec, sizes, weights", [
+    (TWO_SAMPLE, "power:2", (150, 150), None),
+    (K_SAMPLE, "poly:0,1,1", (80, 80, 80, 80), WeightVector((0.1, 0.2, 0.3, 0.4))),
+    (TAU, "expsq:1", (150, 150), None),
+])
+def test_results_never_alias_the_scratch(kind, spec, sizes, weights):
+    # two units and two kernel calls on one thread: each result owns its memory, shares none
+    # with the thread's scratch arrays, and keeps its values when the next call reuses them
+    gen = parse_generator_spec(spec)
+    first_unit, second_unit = _label_blocks(sizes, 2 * _chunk_rows(sum(sizes)), 17)
+    labels = first_unit()
+    kept = labels.copy()
+    others = second_unit()
+    assert not np.shares_memory(labels, others) and np.array_equal(labels, kept)
+    first = _rank_statistic(kind, gen, sizes, weights, labels)
+    kept = first.copy()
+    second = _rank_statistic(kind, gen, sizes, weights, others)
+    assert not np.shares_memory(first, second) and np.array_equal(first, kept)
+    buffers = list(_SCRATCH.__dict__.values())
+    assert buffers
+    for result in (labels, others, first, second):
+        assert not any(np.shares_memory(result, buffer) for buffer in buffers)
 
 
 @pytest.mark.parametrize("tied", [False, True], ids=["tie_free", "tied"])

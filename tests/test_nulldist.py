@@ -1,3 +1,4 @@
+import io
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -30,7 +31,7 @@ from convexgof import (
     simulate_null,
     two_sample_statistic,
 )
-from convexgof import nulldist
+from convexgof import cli, nulldist
 from convexgof.nulldist import CHUNK, TABLE_FORMAT_VERSION, parse_alternative
 from oracle_helpers import hand_uniforms
 
@@ -65,10 +66,10 @@ class TestReplicateStreams:
 
 
 @pytest.fixture
-def slab_pool(monkeypatch):
-    """Two slab threads, even on one CPU, so that slab work leaves the calling thread."""
+def unit_pool(monkeypatch):
+    """Two pool threads, even on one CPU, so that work units leave the calling thread."""
     with ThreadPoolExecutor(2) as pool:
-        monkeypatch.setattr(nulldist, "_slab_pool", lambda: pool)
+        monkeypatch.setattr(nulldist, "_unit_pool", lambda: pool)
         yield pool
 
 
@@ -93,9 +94,9 @@ class TestSimulateNull:
 
     @pytest.mark.parametrize("kind, sizes", [(TWO_SAMPLE, (5, 7)), (K_SAMPLE, (4, 4, 6)),
                                              (TWO_SAMPLE, (150, 120)), (K_SAMPLE, (80, 90, 100, 110))])
-    def test_each_grid_evaluated_once_per_table(self, kind, sizes, slab_pool):
-        # three chunks; at the larger sizes each is sorted and scored in slabs on the slab pool,
-        # whose threads must run no generator code
+    def test_each_grid_evaluated_once_per_table(self, kind, sizes, unit_pool):
+        # three chunks; at the larger sizes (N > 256) the last two are drawn and scored on the
+        # unit pool, whose threads must run no generator code
         calls = []
 
         def counted(u):
@@ -107,7 +108,7 @@ class TestSimulateNull:
         assert sorted(calls) == [(threading.get_ident(), n + 1) for n in sorted(set(sizes))]
         assert np.array_equal(table.replicates, simulate_null(kind, SQUARE, sizes, B=2 * CHUNK + 5, seed=4).replicates)
 
-    def test_tau_grids_built_once_on_the_calling_thread(self, monkeypatch, slab_pool):
+    def test_tau_grids_built_once_on_the_calling_thread(self, monkeypatch, unit_pool):
         xi = exp_sq_generator(1.0)
         builds, evals = [], []
         grid = LogConvexGenerator.antiderivative_grid
@@ -136,22 +137,44 @@ class TestSimulateNull:
         for table, expected in zip(tables, reference):
             assert np.array_equal(table.replicates, expected.replicates)
 
-    def test_error_on_a_slab_thread_is_raised_and_the_next_table_builds(self, monkeypatch, slab_pool):
+    def test_error_on_a_slab_thread_is_raised_and_the_next_table_builds(self, monkeypatch, unit_pool, tmp_path):
+        # a unit scored on a pool thread fails: the table raises, the CLI exits 4 with one
+        # error line and writes nothing, and the next table builds as it does on no pool
         score, me = nulldist._rank_statistic, threading.get_ident()
 
         def fails_off_the_calling_thread(*args):
             if threading.get_ident() != me:
-                raise NumericalError("non-finite statistic on a slab thread")
+                raise NumericalError("non-finite statistic on a pool thread")
             return score(*args)
 
         monkeypatch.setattr(nulldist, "_rank_statistic", fails_off_the_calling_thread)
-        with pytest.raises(NumericalError, match="slab thread"):
+        with pytest.raises(NumericalError, match="pool thread"):
             simulate_null(TWO_SAMPLE, SQUARE, (150, 150), B=2 * CHUNK + 5, seed=6)
+        out, err, path = io.StringIO(), io.StringIO(), tmp_path / "t.csv"
+        argv = ["null-table", "--kind", "two_sample", "--generator", "power:2", "--sizes", "150,150",
+                "--B", str(2 * CHUNK + 5), "--seed", "6", "--no-cache", "--out", str(path)]
+        assert cli.run(argv, out=out, err=err) == cli.EXIT_NUMERICAL
+        assert out.getvalue() == "" and not path.exists()
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
         monkeypatch.setattr(nulldist, "_rank_statistic", score)
-        table = simulate_null(TWO_SAMPLE, SQUARE, (150, 150), B=2 * CHUNK + 5, seed=6)
-        monkeypatch.setattr(nulldist, "SLAB_ELEMENTS", nulldist.CHUNK_ELEMENTS)
-        whole = simulate_null(TWO_SAMPLE, SQUARE, (150, 150), B=2 * CHUNK + 5, seed=6)
-        assert table.replicates.tobytes() == whole.replicates.tobytes()
+        assert cli.run(argv, out=io.StringIO(), err=io.StringIO()) == cli.EXIT_OK
+        table = load_table(path)
+        monkeypatch.setattr(nulldist, "_unit_pool", lambda: None)
+        alone = simulate_null(TWO_SAMPLE, SQUARE, (150, 150), B=2 * CHUNK + 5, seed=6)
+        assert table.replicates.tobytes() == alone.replicates.tobytes()
+
+    def test_transform_runs_on_the_calling_thread(self, unit_pool):
+        # the reference path draws every chunk here; only the scoring goes to the pool
+        threads = []
+
+        def recorded(uniforms):
+            threads.append(threading.get_ident())
+            return uniforms
+
+        table = simulate_null(TWO_SAMPLE, SQUARE, (150, 150), B=2 * CHUNK + 5, seed=8, transform=recorded)
+        assert threads == [threading.get_ident()] * 3
+        plain = simulate_null(TWO_SAMPLE, SQUARE, (150, 150), B=2 * CHUNK + 5, seed=8)
+        assert table.replicates.tobytes() == plain.replicates.tobytes()
 
     def test_chunk_memory_is_bounded(self):
         shapes = []
@@ -162,7 +185,7 @@ class TestSimulateNull:
 
         simulate_null(TWO_SAMPLE, SQUARE, (3000, 3000), B=1500, seed=3, transform=record)
         assert sum(rows for rows, _ in shapes) == 1500
-        assert all(rows * cols <= 2**22 for rows, cols in shapes)
+        assert all(rows * cols <= nulldist.CHUNK_ELEMENTS == 2**18 for rows, cols in shapes)
 
     @pytest.mark.parametrize("kind, spec, sizes, transform", [
         pytest.param(TWO_SAMPLE, "power:2", (20, 20), np.exp, id="exp"),
@@ -499,7 +522,7 @@ class TestTableSerialization:
         intact = path.read_text()
         from convexgof import ConvexGofError
 
-        for version in (1, 2, 3, 99):  # files from older contracts, and a future one
+        for version in (1, 2, 3, 4, 99):  # files from older contracts, and a future one
             path.write_text(intact.replace(f"format_version={TABLE_FORMAT_VERSION}",
                                            f"format_version={version}"))
             with pytest.raises(ConvexGofError, match="format version"):
