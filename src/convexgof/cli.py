@@ -18,7 +18,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import __version__
+from . import __version__, oracle
 from .ecdf import CONVENTIONS, RIGHT_CONTINUOUS, read_sample
 from .errors import (
     ConvexGofError,
@@ -43,7 +43,6 @@ from .nulldist import (
     save_table,
     simulate_null,
 )
-from .oracle import battery_to_csv, run_battery
 from .statistics import WeightVector
 
 EXIT_OK = 0
@@ -368,7 +367,7 @@ def _cmd_power(args, out):
 
 
 def _cmd_verify(args, out):
-    cases = run_battery()
+    cases = oracle.run_battery()
     failed = sum(not case.passed for case in cases)
     for case in cases:
         out.write(f"[{'PASS' if case.passed else 'FAIL'}] {case.case_id} value={case.value:.6e} "
@@ -376,7 +375,7 @@ def _cmd_verify(args, out):
     out.write(f"{len(cases) - failed}/{len(cases)} oracle checks passed\n")
     if args.csv is not None:
         with _naming("--csv", args.csv):
-            battery_to_csv(cases, args.csv)
+            oracle.battery_to_csv(cases, args.csv)
     return EXIT_OK if failed == 0 else EXIT_BATTERY_FAIL
 
 

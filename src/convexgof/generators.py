@@ -21,7 +21,7 @@ positive sum of these.  The relative bound
 accepts high powers, whose gaps near 0 are tiny, and rejects linear/log-linear
 generators, which would break the equality characterization of the tests.
 
-Integrals use ``adaptive_quad``, a vectorised tanh-sinh rule with a QUADPACK fallback.
+Integrals use ``adaptive_quad``, a wrapper of ``_tanh_sinh``: one vectorised tanh-sinh loop with a QUADPACK fallback.
 Importing this module loads numpy only, and scipy loads only in the QUADPACK fallback:
 Bernstein generators compute scipy.special's log-binomials, xlogy and xlog1py bit for bit
 with ``math`` and numpy.
@@ -62,20 +62,24 @@ def _tanh_sinh_level(h, first):
 _TANH_SINH = [_tanh_sinh_level(2.0 ** -k, k == 1) for k in range(1, 9)]  # steps 1/2 .. 1/256
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a non-finite panel falls back, then raises
 def adaptive_quad(fn, a, b, tol: float = QUAD_TOL):
-    """Integral of ``fn`` over [a, b] by the tanh-sinh rule; raises instead of degrading.
-
-    ``a`` and ``b`` may be arrays of panel ends (the result has their shape).
-    ``fn`` gets one array per step-halving level: the new nodes of every open
-    panel.  A panel is done when two levels differ by at most max(tol, 1e-12
-    |value|) and its outermost nodes add no more, which rejects divergent end
-    singularities.  A panel open at the finest level (an interior kink, say)
-    goes to ``scipy.integrate.quad`` alone; ``QuadratureError`` is raised if
-    that fails too or gives a non-finite value.
-    """
+    """Integral of ``fn`` over [a, b] by :func:`_tanh_sinh`, which calls it on every open panel's
+    nodes as one array, or on floats; arrays of panel ends ``a`` and ``b`` give the result their shape."""
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    lo, hi = a.ravel(), b.ravel()
+    value = _tanh_sinh(lambda x, rows: eval_on_array(fn, x), lambda row: fn, a.ravel(), b.ravel(), tol)
+    return float(value[0]) if a.ndim == 0 else value.reshape(a.shape)
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a non-finite panel falls back, then raises
+def _tanh_sinh(evaluate, scalar, lo, hi, tol):
+    """Integrals over the panels [lo[i], hi[i]] by the tanh-sinh rule; raises instead of degrading.
+
+    ``evaluate(x, rows)`` gives the integrands at a level's new nodes ``x``, one row per open panel, whose
+    indices are ``rows``.  A panel is done when two levels differ by at most max(tol, 1e-12 |value|) and its
+    outermost nodes add no more, which rejects divergent end singularities.  A panel open at the finest level
+    (an interior kink, say) goes alone to ``scipy.integrate.quad`` with ``scalar(i)``, its integrand on floats;
+    ``QuadratureError`` is raised if that fails too or gives a non-finite value.
+    """
     first, last = np.nextafter(lo, hi), np.nextafter(hi, lo)
     value = np.full(lo.size, np.nan)
     # one row per quantity, one column per open panel; nodes never sit on an end
@@ -85,7 +89,8 @@ def adaptive_quad(fn, a, b, tol: float = QUAD_TOL):
         lo, hi, inner_lo, inner_hi, sums, ends, prev, index = state
         width = (hi - lo)[:, None]
         x = lo[:, None] + width * offset
-        terms = eval_on_array(fn, np.minimum(np.maximum(x, inner_lo[:, None]), inner_hi[:, None])) * w
+        rows = index.astype(int)
+        terms = evaluate(np.minimum(np.maximum(x, inner_lo[:, None]), inner_hi[:, None]), rows) * w
         sums += terms.sum(axis=1)
         if level == 0:
             ends[:] = np.maximum(np.abs(terms[:, 0]), np.abs(terms[:, -1]))
@@ -94,30 +99,30 @@ def adaptive_quad(fn, a, b, tol: float = QUAD_TOL):
         bound = np.maximum(tol, 1e-12 * np.abs(est))
         done = np.isfinite(est) & (np.abs(est - prev) <= bound) & (ends * np.abs(scale) <= bound)
         prev[:] = est
-        value[index[done].astype(int)] = est[done]
+        value[rows[done]] = est[done]
         state = state[:, ~done]
         if not state.size:
             break
     for lo, hi, *_, index in state.T:
         from scipy import integrate  # only here: the fallback is rare and scipy is slow to import
-        out = integrate.quad(fn, lo, hi, epsabs=tol, epsrel=1e-12, full_output=1)
+        out = integrate.quad(scalar(int(index)), lo, hi, epsabs=tol, epsrel=1e-12, full_output=1)
         value[int(index)], abserr = out[0], out[1]
         if len(out) > 3 or not np.isfinite(out[0]) or abserr > 10.0 * max(tol, abs(out[0]) * 1e-12):
             raise QuadratureError(f"quadrature failed on [{lo:g}, {hi:g}]: estimated error "
                                   f"{abserr:.3e} exceeds tolerance {tol:.1e}")
-    return float(value[0]) if a.ndim == 0 else value.reshape(a.shape)
+    return value
 
 
-def eval_on_array(fn, x):
-    """Evaluate ``fn`` on an array, falling back to scalar calls if needed."""
+def eval_on_array(fn, x, *more):
+    """Evaluate ``fn`` on arrays of ``x``'s shape, falling back to scalar calls if needed."""
     x = np.asarray(x, dtype=float)
     try:
-        out = np.asarray(fn(x), dtype=float)
+        out = np.asarray(fn(x, *more), dtype=float)
         if out.shape == x.shape:
             return out
     except (TypeError, ValueError):
         pass
-    flat = np.array([float(fn(t)) for t in x.ravel()])
+    flat = np.array([float(fn(*t)) for t in zip(x.ravel(), *(np.ravel(m) for m in more))])
     return flat.reshape(x.shape)
 
 
@@ -458,28 +463,22 @@ def parse_generator_spec(spec: str):
         base = parse_generator_spec(inner)
         if not isinstance(base, ConvexGenerator):
             raise GeneratorSpecError(f"bernstein inner spec '{inner}' is not a convex generator")
-        return bernstein_generator(base, _parse_int(degree, spec))
+        return bernstein_generator(base, _parse_number(degree, spec, int))
     head, sep, arg = s.partition(":")
     if not sep:
         raise GeneratorSpecError(f"generator spec '{spec}' is missing a ':<args>' part")
     if head == "power":
-        return power_generator(_parse_int(arg, spec))
+        return power_generator(_parse_number(arg, spec, int))
     if head == "poly":
-        return polynomial_generator([_parse_float(t, spec) for t in arg.split(",")])
+        return polynomial_generator([_parse_number(t, spec) for t in arg.split(",")])
     if head == "expsq":
-        return exp_sq_generator(_parse_float(arg, spec))
+        return exp_sq_generator(_parse_number(arg, spec))
     raise GeneratorSpecError(f"unknown generator family '{head}' in spec '{spec}'")
 
 
-def _parse_int(token, spec):
+def _parse_number(token, spec, convert=float):
     try:
-        return int(token)
+        return convert(token)
     except ValueError:
-        raise GeneratorSpecError(f"offending token '{token}' in generator spec '{spec}': not an integer") from None
-
-
-def _parse_float(token, spec):
-    try:
-        return float(token)
-    except ValueError:
-        raise GeneratorSpecError(f"offending token '{token}' in generator spec '{spec}': not a number") from None
+        kind = "an integer" if convert is int else "a number"
+        raise GeneratorSpecError(f"offending token '{token}' in generator spec '{spec}': not {kind}") from None

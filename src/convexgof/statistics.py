@@ -76,12 +76,15 @@ class StatisticValue:
 
 
 _SCRATCH = threading.local()
+_SCRATCH_ELEMENTS = 2**18 + 2**10  # CHUNK_ELEMENTS + CHUNK: one unit's count word, rows x (N + 1), at N <= 2**18
 
 
 def _scratch(name, shape, dtype) -> np.ndarray:
     """This thread's array ``name`` of ``shape``, reused by the next call for ``name``: it holds
     temporaries only, so no result aliases it, and malloc need not return and refault their pages."""
     size = math.prod(shape)
+    if size > _SCRATCH_ELEMENTS:  # the caller's alone, and freed with it
+        return np.empty(shape, dtype)
     buffer = _SCRATCH.__dict__.get((name, dtype))
     if buffer is None or buffer.size < size:
         buffer = _SCRATCH.__dict__[name, dtype] = np.empty(size, dtype)

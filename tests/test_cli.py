@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from convexgof import cli, load_table, p_value, simulate_null
+from convexgof import cli, load_table, oracle, p_value, simulate_null
 from convexgof.oracle import BatteryCase
 from convexgof.generators import parse_generator_spec
 
@@ -491,7 +491,8 @@ class TestVerifyCommand:
     def test_failed_case_exits_one(self, monkeypatch):
         cases = [BatteryCase("ok", "identity", "power:2", "uniform", "uniform", 0.0, 1e-9, True),
                  BatteryCase("broken", "inequality", "power:2", "uniform", "power[2]", -1.0, 1e-9, False)]
-        monkeypatch.setattr(cli, "run_battery", lambda: cases)
+        # cli reaches the battery through the oracle module, so a hook there sees every verify
+        monkeypatch.setattr(oracle, "run_battery", lambda: cases)
         code, out, _ = run_cli(["verify"])
         assert code == cli.EXIT_BATTERY_FAIL
         assert "[FAIL] broken" in out and out.endswith("1/2 oracle checks passed\n")

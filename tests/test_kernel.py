@@ -27,7 +27,7 @@ from convexgof import (
     simulate_null,
     two_sample_statistic,
 )
-from convexgof import nulldist
+from convexgof import nulldist, statistics
 from convexgof.nulldist import CHUNK, _chunk_rows, _label_blocks, replicate_stream
 from convexgof.statistics import _SCRATCH, _centering, _group_labels, _rank_statistic, _tie_blocks
 from convexgof.oracle import _label_batches
@@ -447,6 +447,18 @@ def test_results_never_alias_the_scratch(kind, spec, sizes, weights):
     assert buffers
     for result in (labels, others, first, second):
         assert not any(np.shares_memory(result, buffer) for buffer in buffers)
+
+
+def test_scratch_keeps_no_array_above_its_bound():
+    # a unit above N = 2**18 is one row of N draws; its arrays are dropped after the unit, not kept per thread
+    assert statistics._SCRATCH_ELEMENTS == nulldist.CHUNK_ELEMENTS + CHUNK
+    _SCRATCH.__dict__.clear()
+    table = simulate_null(TWO_SAMPLE, power_generator(2), (300000, 300000), B=2, seed=11)
+    assert [v.hex() for v in table.replicates] == ["0x1.2ac39be300000p-21", "0x1.107cd50b60000p-18"]
+    assert all(buffer.size <= statistics._SCRATCH_ELEMENTS for buffer in _SCRATCH.__dict__.values())
+    # the widest array at N <= 2**18, the count word of a k_sample 4x250 unit (262 x 1001), is kept
+    simulate_null(K_SAMPLE, parse_generator_spec("poly:0,1,1"), (250,) * 4, B=_chunk_rows(1000), seed=11)
+    assert _SCRATCH.__dict__["words", np.int64].size == 262 * 1001
 
 
 @pytest.mark.parametrize("tied", [False, True], ids=["tie_free", "tied"])

@@ -158,6 +158,58 @@ class TestPopulationFunctional:
         assert all(a > b for a, b in zip(errors, errors[1:]))
 
 
+# float.hex of each public functional on exponential[1] vs exponential[2] (jensen_gap adds logistic[0,1],
+# weights 0.2, 0.3, 0.5), as each integrated its terms one adaptive_quad call at a time
+FUNCTIONAL_PIN = {
+    "population_functional": "0x1.6666666666666p-1",
+    "population_functional_bernstein": "0x1.496f783f3207ap-1",
+    "population_gap": "0x1.1111111111100p-5",
+    "population_gap_poly": "0x1.7297297297290p-4",
+    "cvm_distance": "0x1.1111111111112p-5",
+    "log_convex_functional": "0x1.338f3b1a91634p+2",
+    "generator_integral": "0x1.5555555555556p-2",
+    "generator_integral_bernstein": "0x1.3333333333334p-2",
+    "jensen_gap": "0x1.0672f12e46fc8p-6",
+}
+
+
+def test_public_functionals_pinned_bit_for_bit():
+    f, g = exponential_cdf(1), exponential_cdf(2)
+    bern = bernstein_generator(power_generator(3), 5)
+    values = {
+        "population_functional": population_functional(SQUARE, f, g),
+        "population_functional_bernstein": population_functional(bern, f, g),
+        "population_gap": population_gap(SQUARE, f, g),
+        "population_gap_poly": population_gap(polynomial_generator([0, 1, 1]), f, g),
+        "cvm_distance": cvm_distance(f, g),
+        "log_convex_functional": log_convex_functional(exp_sq_generator(1.0), f, g),
+        "generator_integral": oracle.generator_integral(SQUARE),
+        "generator_integral_bernstein": oracle.generator_integral(bern),
+        "jensen_gap": jensen_gap(SQUARE, [f, g, logistic_cdf(0, 1)], WeightVector((0.2, 0.3, 0.5))),
+    }
+    assert all(type(v) is float for v in values.values())
+    assert {name: v.hex() for name, v in values.items()} == FUNCTIONAL_PIN
+
+
+def test_kinked_term_alone_falls_back_in_a_batched_pass(monkeypatch):
+    # |u - 1/3| never settles on the tanh-sinh levels; the other rows must not notice it
+    from scipy import integrate
+
+    xi = exp_sq_generator(1.0)
+    terms = [(1.0, oracle._of_v(SQUARE), UNIFORM, SQUARE_CDF),
+             (1.0, lambda v, u: np.abs(u - 1.0 / 3.0), UNIFORM, UNIFORM),
+             (1.0, lambda v, u: xi.eval(v) * xi.eval(u), logistic_cdf(0.0, 1.0), logistic_cdf(0.0, 2.0)),
+             (1.0, oracle._of_v(SQUARE), SQUARE_CDF, UNIFORM)]
+    alone = [oracle._integrate([term])[0] for term in terms]
+    calls = []
+    quad = integrate.quad
+    monkeypatch.setattr(integrate, "quad", lambda fn, a, b, **k: calls.append(fn(0.5)) or quad(fn, a, b, **k))
+    batched = oracle._integrate(*([term] for term in terms))
+    assert calls == [abs(0.5 - 1.0 / 3.0)]
+    assert [v.hex() for v in batched] == [v.hex() for v in alone]
+    assert abs(batched[1] - 5.0 / 18.0) < 1e-12
+
+
 class TestCvmDistance:
     def test_equal_cdfs_vanish(self):
         assert abs(cvm_distance(UNIFORM, UNIFORM)) < 1e-10
@@ -298,12 +350,13 @@ class TestBattery:
         assert rows == BATTERY_PIN.splitlines()
 
     def test_each_term_integrated_once(self, monkeypatch):
-        # 2 int(h) per generator and 2 terms per functional; the CvM cases reuse the power:2 gaps
-        calls = []
-        quad = oracle.adaptive_quad
-        monkeypatch.setattr(oracle, "adaptive_quad", lambda *a, **k: calls.append(a) or quad(*a, **k))
+        # one tanh-sinh pass over every term: int(h) per generator, int(xi^2), 2 per functional,
+        # and the CvM cases reuse the power:2 gaps; 4 * (1 + 2 * (3 + 5)) + 2 * 3 + 1 + 2 * (3 + 5) = 91
+        passes = []
+        tanh_sinh = oracle._tanh_sinh
+        monkeypatch.setattr(oracle, "_tanh_sinh", lambda *a: passes.append(a[2].size) or tanh_sinh(*a))
         run_battery()
-        assert len(calls) <= 91
+        assert passes == [91]
 
     def test_covers_generators_and_pairs(self):
         cases = run_battery()
