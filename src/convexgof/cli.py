@@ -156,12 +156,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.lru_cache(maxsize=64)  # parsing and validating costs up to a tenth of a cached request
 def _generator_for(kind, spec):
-    """Parse ``spec`` once its family fits ``kind``; building an expsq generator runs quadrature.
-
-    Memoised per (kind, spec) for the process; a spec that raises is not cached.
-    """
+    """The generator of ``spec`` (see :func:`parse_generator_spec`, which keeps it for the
+    process), once its family fits ``kind``: a mismatch is rejected before any quadrature."""
     family = str(spec).strip().partition(":")[0]
     if kind == TAU and family in ("power", "poly", "bernstein"):
         raise GeneratorSpecError(

@@ -29,6 +29,7 @@ with ``math`` and numpy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -448,11 +449,13 @@ def _probe(g) -> str | None:
     return None
 
 
+@functools.lru_cache(maxsize=64)
 def parse_generator_spec(spec: str):
-    """Parse the generator grammar used by the CLI and config files.
+    """The generator of a spec, parsed, validated and integrated once per process.
 
-    Accepted forms: ``power:m``, ``poly:c1,c2,...,cm``,
-    ``bernstein:<inner-spec>:m``, ``expsq:alpha``.
+    Accepted forms: ``power:m``, ``poly:c1,c2,...,cm``, ``bernstein:<inner-spec>:m``, ``expsq:alpha``.
+    The same object is returned for up to 64 specs, a Bernstein spec's inner one included;
+    a spec that raises is not kept.
     """
     s = str(spec).strip()
     if s.startswith("bernstein:"):

@@ -98,10 +98,15 @@ def replicate_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, index])))
 
 
+def _check_int(value, what, lo=1, hi=math.inf) -> int:
+    """``value`` as an int in [lo, hi); anything else, a bool included, raises ``InvalidParameterError``."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or not lo <= int(value) < hi:
+        raise InvalidParameterError(f"{what}, got {value!r}")
+    return int(value)
+
+
 def _check_seed(seed) -> int:
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or not 0 <= int(seed) < MAX_SEED:
-        raise InvalidParameterError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
-    return int(seed)
+    return _check_int(seed, "seed must be an unsigned 64-bit integer", 0, MAX_SEED)
 
 
 def _chunk_rows(total: int) -> int:
@@ -147,8 +152,7 @@ def _label_blocks(sizes, B, seed, transform=None):
     argsorted; with 32-bit keys they are exact, so a strictly increasing map
     gives the same labels.
     """
-    if not isinstance(B, (int, np.integer)) or B < 1:
-        raise InvalidParameterError(f"replicate count B must be >= 1, got {B!r}")
+    B = _check_int(B, "replicate count B must be >= 1")
     total, slot_group = sum(sizes), _group_labels(sizes)
     tag = max(1, (len(sizes) - 1).bit_length())
     dtype = np.dtype("<u8" if total * total > 2 ** (28 - tag) else "<u4")
@@ -229,7 +233,7 @@ def simulate_null(kind, generator, sizes, B: int, seed: int, weights=None,
 def p_value(table: NullTable, observed) -> float:
     """Add-one upper-tail Monte Carlo p-value: (1 + #{t >= observed - tol}) / (B+1).
 
-    ``observed`` is a :class:`StatisticValue` or a bare value.  Equal exact
+    ``observed`` is a :class:`StatisticValue` or a bare value, not NaN.  Equal exact
     values summed in different orders land ulps apart; ``tol`` keeps the whole
     observed atom.  It bounds the error of summing non-negative terms,
     ``L * eps * |raw_functional|`` with ``L = (k - 1) * N + 2`` terms over k
@@ -240,6 +244,8 @@ def p_value(table: NullTable, observed) -> float:
         raise InvalidParameterError("null table is empty")
     stat = isinstance(observed, StatisticValue)
     value = observed.value if stat else float(observed)
+    if math.isnan(value):  # it would compare below no replicate: the smallest p-value there is
+        raise InvalidParameterError("observed statistic is NaN")
     scale = abs(observed.raw_functional) if stat else max(1.0, abs(value))
     terms = (len(table.sample_sizes) - 1) * sum(table.sample_sizes) + 2
     tol = terms * np.finfo(float).eps * scale if math.isfinite(scale) else 0.0
@@ -390,12 +396,11 @@ def power_study(kind, generator, alternative, sizes, B_null: int, B_power: int,
     """
     sizes, weights = _check_kind_and_generator(kind, generator, sizes, weights)
     alt = parse_alternative(alternative)
-    if not isinstance(B_power, (int, np.integer)) or B_power < 1:
-        raise InvalidParameterError(f"B_power must be >= 1, got {B_power!r}")
+    B_power = _check_int(B_power, "B_power must be >= 1")
     seed = _check_seed(seed)
     data_seed, table_seed_base = _derive_seed(seed, 1), _derive_seed(seed, 2)
     rejections, notes = {float(a): 0 for a in levels}, {}
-    for trial in range(int(B_power)):
+    for trial in range(B_power):
         parts = np.split(replicate_stream(data_seed, trial).random(sum(sizes)), np.cumsum(sizes)[:-1])
         parts[-1] = _apply_alternative(alt, parts[-1])
         samples = [Sample(p, label=f"group{g}") for g, p in enumerate(parts)]
@@ -408,7 +413,7 @@ def power_study(kind, generator, alternative, sizes, B_null: int, B_power: int,
     estimates = {a: count / B_power for a, count in rejections.items()}
     power = {a: (est, math.sqrt(est * (1.0 - est) / B_power)) for a, est in estimates.items()}
     return PowerStudyResult(kind, generator.name, f"{alt[0]}:{_name_token(alt[1])}", sizes,
-                            int(B_null), int(B_power), seed, power, tuple(notes))
+                            int(B_null), B_power, seed, power, tuple(notes))
 
 
 def save_table(table: NullTable, path) -> None:
@@ -445,8 +450,8 @@ def load_table(path) -> NullTable:
 
     Its first line that is exactly ``replicate_hex`` ends the ``# key=value``
     header.  Any other header line, a repeated key, a truncated or unparsable
-    file, a missing metadata key, or replicates that are miscounted, non-finite
-    or unsorted raise :class:`ConvexGofError` naming the file.
+    file, a missing metadata key, or replicates that are miscounted, out of
+    range, non-finite or unsorted raise :class:`ConvexGofError` naming the file.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -486,7 +491,7 @@ def load_table(path) -> NullTable:
         )
     except KeyError as exc:
         raise ConvexGofError(f"null table file '{path}' lacks metadata key {exc}") from None
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # float.fromhex raises OverflowError out of range
         raise ConvexGofError(f"null table file '{path}' is corrupt: {exc}") from None
     replicates.setflags(write=False)
     return table

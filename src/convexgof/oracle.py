@@ -26,8 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import EnumerationTooLargeError, InvalidParameterError
-from .generators import (_name_token, _tanh_sinh, bernstein_generator, eval_on_array, exp_sq_generator,
-                         polynomial_generator, power_generator)
+from .generators import _name_token, _tanh_sinh, eval_on_array, parse_generator_spec
 from .nulldist import CHUNK, _drawn, _table_values
 from .statistics import WeightVector, _check_kind_and_generator
 
@@ -278,8 +277,7 @@ class BatteryCase:
 
 
 def battery_generators():
-    return (power_generator(2), power_generator(3), polynomial_generator([0.0, 1.0, 0.0, 1.0]),  # u^2 + u^4
-            bernstein_generator(power_generator(2), 8))
+    return tuple(map(parse_generator_spec, ("power:2", "power:3", "poly:0,1,0,1", "bernstein:power:2:8")))
 
 
 def battery_cdf_pairs():
@@ -294,11 +292,11 @@ def run_battery():
     characterization at F = G, the Cramer-von Mises identity for the square
     generator, and the log-convex analogue.  All 91 terms of its functionals
     are integrated in one pass: each centering integral is one term, and the
-    identity reuses the square generator's gaps.
+    identity reuses the square generator's gaps.  Its generators are :func:`parse_generator_spec`'s.
     """
     pairs = battery_cdf_pairs()
     cdfs = list({c.name: c for pair in pairs for c in pair}.values())  # in order of first use
-    square, xi = power_generator(2), exp_sq_generator(1.0)
+    square, xi = map(parse_generator_spec, ("power:2", "expsq:1"))
     checks, gaps, seen = [], {}, set()
 
     def add(prefix, check, gen, f, g, tolerance, functional, minus=()):  # value: functional - minus

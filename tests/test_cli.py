@@ -2,6 +2,7 @@ import datetime
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from convexgof import cli, load_table, oracle, p_value, simulate_null
+from convexgof import cli, generators, load_table, oracle, p_value, simulate_null
 from convexgof.oracle import BatteryCase
 from convexgof.generators import parse_generator_spec
 
@@ -120,17 +121,19 @@ class TestErrorPaths:
 
     def test_generator_parsed_once_per_kind_and_spec(self, data_files, monkeypatch):
         _, x, y, _ = data_files
-        parsed = []
-        monkeypatch.setattr(cli, "parse_generator_spec", lambda spec: parsed.append(spec) or parse_generator_spec(spec))
-        cli._generator_for.cache_clear()
+        built = []
+        for name in ("power_generator", "polynomial_generator"):
+            builder = getattr(generators, name)
+            monkeypatch.setattr(generators, name, lambda arg, _b=builder: built.append(arg) or _b(arg))
+        parse_generator_spec.cache_clear()
         try:
             runs = [run_cli(["test2", "--h", spec, "--x", x, "--y", y, "--B", "99", "--deterministic"])
                     for spec in ("power:2", "power:2", "power:3", "poly:1,1e-14", "poly:1,1e-14")]
         finally:
-            cli._generator_for.cache_clear()
+            parse_generator_spec.cache_clear()
         assert [code for code, _, _ in runs] == [0, 0, 0, cli.EXIT_CONFIG, cli.EXIT_CONFIG]
         assert runs[0] == runs[1] and runs[3] == runs[4]
-        assert parsed == ["power:2", "power:3", "poly:1,1e-14", "poly:1,1e-14"]  # a failing spec is not cached
+        assert built == [2, 3, [1.0, 1e-14], [1.0, 1e-14]]  # a failing spec is not cached
 
     def test_testk_needs_two_samples(self, data_files):
         _, x, _, _ = data_files
@@ -369,7 +372,9 @@ class TestCacheFiles:
     @pytest.mark.parametrize("damage", [
         lambda text: text[:-7],            # cut inside the last hex token
         lambda text: "not a table\n",      # garbage
-    ], ids=["truncated", "garbage"])
+        # the first replicate out of float range, where float.fromhex raises OverflowError
+        lambda text: re.sub("replicate_hex\n.*\n", "replicate_hex\n0x1p99999\n", text),
+    ], ids=["truncated", "garbage", "out_of_range"])
     def test_damaged_cache_file_is_rebuilt(self, data_files, damage):
         tmp, x, y, _ = data_files
         argv = ["test2", "--h", "power:2", "--x", x, "--y", y, "--B", "149",
@@ -379,8 +384,8 @@ class TestCacheFiles:
         intact = path.read_text()
         path.write_text(damage(intact))
         code, rebuilt, err = run_cli(argv)
-        assert code == 0 and rebuilt == cold
-        assert err.startswith("warning:") and str(path) in err and err.count("\n") == 1
+        assert code == 0 and rebuilt == cold == run_cli(argv + ["--no-cache"])[1]
+        assert err.startswith("warning:") and f"'{path}' is corrupt: " in err and err.count("\n") == 1
         assert path.read_text() == intact
         code, warm, err = run_cli(argv)
         assert code == 0 and warm == cold and err == ""

@@ -537,6 +537,15 @@ class TestSpecGrammar:
         g = parse_generator_spec("bernstein:power:2:4")
         assert abs(g.eval(0.5) - 0.3125) < 1e-15
 
+    def test_bernstein_spec_shares_its_inner_generator(self, monkeypatch):
+        inner = []
+        bernstein = generators.bernstein_generator
+        monkeypatch.setattr(generators, "bernstein_generator", lambda h, m: inner.append(h) or bernstein(h, m))
+        parse_generator_spec.cache_clear()
+        smooth = parse_generator_spec("bernstein:power:2:8")
+        assert parse_generator_spec("bernstein:power:2:8") is smooth and len(inner) == 1
+        assert inner[0] is parse_generator_spec("power:2")
+
     def test_nested_bernstein_spec(self):
         g = parse_generator_spec("bernstein:bernstein:power:2:4:8")
         assert g.name == "bernstein:bernstein:power:2:4:8"

@@ -5,15 +5,19 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from convexgof import (
     ConvexGenerator,
+    ConvexGofError,
     InvalidParameterError,
     K_SAMPLE,
     LogConvexGenerator,
     NullTable,
     NumericalError,
     Sample,
+    StatisticValue,
     TAU,
     TWO_SAMPLE,
     WeightVector,
@@ -36,6 +40,9 @@ from convexgof.nulldist import CHUNK, TABLE_FORMAT_VERSION, parse_alternative
 from oracle_helpers import hand_uniforms
 
 SQUARE = power_generator(2)
+# tokens a damaged table file may hold: out of float range, non-finite, signed zero, header lines
+_TOKENS = ["0x1p99999", "-0x1p99999", "nan", "inf", "-0x0p+0", "0x1.8p-1", "", "replicate_hex", "# B=10",
+           "# seed=0", "# B=", "# format_version=5", "#", "# =", "1e999"]
 
 
 def toy_table(values, **meta):
@@ -260,6 +267,11 @@ class TestSimulateNull:
         with pytest.raises(InvalidParameterError, match="only meaningful for k_sample"):
             simulate_null(TWO_SAMPLE, SQUARE, (5, 5), B=10, seed=0, weights=WeightVector.uniform(2))
 
+    def test_bool_replicate_count_rejected(self):
+        # True is an int equal to 1: it would build a table of one replicate
+        with pytest.raises(InvalidParameterError, match="replicate count B"):
+            simulate_null(TWO_SAMPLE, SQUARE, (5, 5), B=True, seed=0)
+
 
 class TestPValue:
     def test_empty_table_rejected(self):
@@ -273,6 +285,14 @@ class TestPValue:
     def test_observed_below_all(self):
         table = toy_table(np.arange(1.0, 100.0))
         assert p_value(table, -np.inf) == 1.0
+
+    def test_nan_observed_rejected(self):
+        # a NaN compares below no replicate, which would read as the smallest p-value there is
+        table = toy_table(np.arange(1.0, 100.0))
+        for observed in (float("nan"), StatisticValue(float("nan"), float("nan"), 0.0, 0, "power:2")):
+            with pytest.raises(InvalidParameterError, match="NaN"):
+                p_value(table, observed)
+        assert (p_value(table, np.inf), p_value(table, -np.inf)) == (1.0 / 100.0, 1.0)
 
     def test_ties_count_as_greater_or_equal(self):
         table = toy_table(np.arange(1.0, 100.0))
@@ -472,6 +492,13 @@ class TestPowerStudy:
         with pytest.raises(InvalidParameterError, match="B_power"):
             power_study(TWO_SAMPLE, SQUARE, "shift:0.5", (3, 3), B_null=9, B_power=0, seed=0)
 
+    def test_bool_counts_rejected(self):
+        # True would run one trial, or build each trial's null table of one replicate
+        with pytest.raises(InvalidParameterError, match="B_power"):
+            power_study(TWO_SAMPLE, SQUARE, "shift:0.5", (3, 3), B_null=9, B_power=True, seed=0)
+        with pytest.raises(InvalidParameterError, match="replicate count B"):
+            power_study(TWO_SAMPLE, SQUARE, "shift:0.5", (3, 3), B_null=True, B_power=2, seed=0)
+
     def test_tuple_alternative_is_validated(self):
         # only spec strings are accepted, so a (name, value) pair cannot skip parse_alternative's checks
         with pytest.raises(InvalidParameterError):
@@ -550,7 +577,9 @@ class TestTableSerialization:
         lambda lines: lines[:-3] + ["# seed=12345", "# generator_name=power:3"] + lines[-3:],
         # nor may a second header line for a key (here just before '# B=')
         lambda lines: lines[:6] + ["# seed=12345"] + lines[6:],
-    ], ids=["token", "key", "count", "unsorted", "non_finite", "garbage", "header_in_body", "repeated_key"])
+        lambda lines: lines[:-1] + ["0x1p99999"],          # out of float range: OverflowError
+    ], ids=["token", "key", "count", "unsorted", "non_finite", "garbage", "header_in_body", "repeated_key",
+            "out_of_range"])
     def test_damaged_file_rejected(self, tmp_path, damage):
         from convexgof import ConvexGofError
 
@@ -559,6 +588,49 @@ class TestTableSerialization:
         path.write_text("\n".join(damage(path.read_text().splitlines())) + "\n")
         with pytest.raises(ConvexGofError, match="table.csv"):
             load_table(path)
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])  # the file is rewritten per example
+    @given(st.lists(st.tuples(st.sampled_from(["cut", "drop", "duplicate", "edit", "insert"]),
+                              st.integers(0, 10**6), st.sampled_from(_TOKENS) | st.text(max_size=12)),
+                    max_size=4))
+    @example([("edit", 17, "0x1p99999")])  # the last replicate out of float range
+    def test_mutated_file_loads_or_is_rejected(self, tmp_path, mutations):
+        # a valid file cut, with lines dropped, duplicated, edited or inserted: a table or ConvexGofError
+        path = tmp_path / "table.csv"
+        save_table(simulate_null(TWO_SAMPLE, SQUARE, (3, 3), B=10, seed=0), path)
+        text = path.read_text()
+        for op, at, token in mutations:
+            if op == "cut":
+                text = text[:at % (len(text) + 1)]
+                continue
+            lines = text.split("\n")
+            i = at % len(lines)
+            lines[i:i + 1] = {"drop": [], "duplicate": [lines[i]] * 2, "edit": [token]}.get(op, [token, lines[i]])
+            text = "\n".join(lines)
+        path.write_bytes(text.encode("utf-8", "surrogatepass"))
+        try:
+            table = load_table(path)
+        except ConvexGofError as exc:
+            assert "table.csv" in str(exc)
+        else:
+            reps = table.replicates
+            assert reps.size == table.B and np.all(np.isfinite(reps)) and np.all(reps[1:] >= reps[:-1])
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20),
+           st.sampled_from([TWO_SAMPLE, K_SAMPLE, TAU]), st.lists(st.integers(1, 10**6), min_size=2, max_size=4),
+           st.none() | st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4),
+           st.integers(0, 2**64 - 1), st.text("abcdefghijklmnopqrstuvwxyz0123456789:,.+-_=", min_size=1))
+    def test_save_then_load_is_bit_exact(self, tmp_path, values, kind, sizes, weights, seed, name):
+        table = toy_table(values, statistic_kind=kind, generator_name=name, sample_sizes=tuple(sizes),
+                          seed=seed, weights=None if weights is None else tuple(weights))
+        path = tmp_path / "table.csv"
+        save_table(table, path)
+        loaded = load_table(path)
+        assert loaded.identity == table.identity
+        assert loaded.replicates.tobytes() == table.replicates.tobytes()  # -0.0 and subnormals included
 
     def test_generator_named_like_the_body_marker_round_trips(self, tmp_path):
         table = toy_table([0.125, 0.5, 1.0 / 3.0], generator_name="replicate_hex", seed=5)

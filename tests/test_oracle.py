@@ -29,8 +29,8 @@ from convexgof import (
     two_sample_statistic,
     uniform_cdf,
 )
-from convexgof import oracle
-from convexgof.generators import adaptive_quad
+from convexgof import generators, oracle
+from convexgof.generators import adaptive_quad, parse_generator_spec
 from convexgof.oracle import battery_cdf_pairs, battery_generators, battery_to_csv
 
 from oracle_helpers import expsq_square_integral
@@ -357,6 +357,16 @@ class TestBattery:
         monkeypatch.setattr(oracle, "_tanh_sinh", lambda *a: passes.append(a[2].size) or tanh_sinh(*a))
         run_battery()
         assert passes == [91]
+
+    def test_second_battery_constructs_no_generator(self, monkeypatch):
+        built = []
+        check = generators._check_on_construction
+        monkeypatch.setattr(generators, "_check_on_construction", lambda g: built.append(g.name) or check(g))
+        parse_generator_spec.cache_clear()
+        first = run_battery()  # power:2 serves the square cases, the CvM cases and Bernstein's inner one
+        assert sorted(built) == ["bernstein:power:2:8", "expsq:1", "poly:0,1,0,1", "power:2", "power:3"]
+        built.clear()
+        assert run_battery() == first and built == []
 
     def test_covers_generators_and_pairs(self):
         cases = run_battery()
