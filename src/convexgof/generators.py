@@ -22,9 +22,11 @@ accepts high powers, whose gaps near 0 are tiny, and rejects linear/log-linear
 generators, which would break the equality characterization of the tests.
 
 Integrals use ``adaptive_quad``, a wrapper of ``_tanh_sinh``: one vectorised tanh-sinh loop with a QUADPACK fallback.
-Importing this module loads numpy only, and scipy loads only in the QUADPACK fallback:
-Bernstein generators compute scipy.special's log-binomials, xlogy and xlog1py bit for bit
-with ``math`` and numpy.
+Importing this module loads numpy only, and scipy loads only in the QUADPACK fallback.
+Bernstein generators take their log-space basis from ``math.lgamma`` and numpy's ``log``,
+``log1p`` and ``exp``, whose last bits follow numpy's SIMD level, so their values are
+bit-identical on one host.  Their tables are table format 6; a format-5 table, whose basis
+replicated scipy.special's rounding, differs by ulps, not in law, and is never reused.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .errors import (
     QuadratureError,
 )
 
+MEMO_SIZE = 64  # specs kept by parse_generator_spec, and Xi grids kept per log-convex generator
 QUAD_TOL = 1e-10
 CONVEXITY_EPS = 1e-12
 DEFAULT_GRID = 128
@@ -176,7 +179,7 @@ class LogConvexGenerator:
         return self.eval(u)
 
     def antiderivative_grid(self, n: int) -> np.ndarray:
-        """Xi evaluated at i/n for i = 0..n, cached per sample size.
+        """Xi evaluated at i/n for i = 0..n, cached for the last ``MEMO_SIZE`` sample sizes built.
 
         Computed by one quadrature call over the n panels and a cumulative sum
         so the jump weights Xi(i/n) - Xi((i-1)/n) used by the statistics are cheap.
@@ -186,6 +189,8 @@ class LogConvexGenerator:
             edges = np.arange(n + 1) / n
             grid = np.concatenate([[0.0], np.cumsum(adaptive_quad(self.eval, edges[:-1], edges[1:], tol=1e-13))])
             grid.setflags(write=False)
+            if len(self._grid_cache) >= MEMO_SIZE:  # drop the oldest
+                del self._grid_cache[next(iter(self._grid_cache))]
             self._grid_cache[n] = grid
         return grid
 
@@ -248,80 +253,14 @@ def polynomial_generator(coeffs) -> ConvexGenerator:
     return ConvexGenerator(name=name, eval=_eval, integral_0_1=integral)
 
 
-# cephes' coefficients, which scipy.special's gammaln and xlog1py evaluate in this order:
-# Stirling's series for log Gamma (its short form from 1000 on) and log1p's rational approximation
-_STIRLING = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
-             -2.77777777730099687205e-3, 8.33333333333331927722e-2)
-_STIRLING_SHORT = (7.9365079365079365079365e-4, -2.7777777777777777777778e-3, 0.0833333333333333333333)
-_LN_SQRT_2PI = 0.91893853320467274178
-_LOG1P_P = (4.5270000862445199635215e-5, 4.9854102823193375972212e-1, 6.5787325942061044846969e0,
-            2.9911919328553073277375e1, 6.0949667980987787057556e1, 5.7112963590585538103336e1,
-            2.0039553499201281259648e1)
-_LOG1P_Q = (1.0, 1.5062909083469192043167e1, 8.3047565967967209469434e1, 2.2176239823732856465394e2,
-            3.0909872225312059774938e2, 2.1642788614495947685003e2, 6.0118660497603843919306e1)
-
-
-def _polevl(x, coeffs):
-    """Horner's rule from the leading coefficient, as cephes' polevl rounds it."""
-    out = coeffs[0]
-    for c in coeffs[1:]:
-        out = out * x + c
-    return out
-
-
-def _log_gamma(n: int) -> float:
-    """log Gamma(n) at an integer n >= 1 as scipy.special.gammaln (cephes' lgam) rounds it:
-    log (n-1)! below 13, else Stirling's series, whose correction stops past 1e8."""
-    if n < 13:
-        return math.log(float(math.factorial(n - 1)))
-    x = float(n)
-    q = (x - 0.5) * math.log(x) - x + _LN_SQRT_2PI
-    if x > 1e8:
-        return q
-    return q + _polevl(1.0 / (x * x), _STIRLING_SHORT if x >= 1000.0 else _STIRLING) / x
-
-
-def _libm_log(x: np.ndarray) -> np.ndarray:
-    """libm's log element by element, as scipy.special takes it: numpy's SIMD log
-    differs from it in the last bit at some points."""
-    out = np.where(x == 0, -np.inf, np.nan)
-    positive = x > 0
-    out[positive] = np.fromiter(map(math.log, x[positive].tolist()), float)
-    return out
-
-
-def _log1p(x: np.ndarray) -> np.ndarray:
-    """cephes' log1p element by element, as scipy.special.xlog1py takes it: a rational
-    approximation where 1 + x lies in [sqrt(1/2), sqrt(2)] (NaN included), libm's log of
-    1 + x elsewhere."""
-    z = 1.0 + x
-    far = (z < 0.70710678118654752440) | (z > 1.41421356237309504880)
-    out = np.empty_like(z)
-    out[far] = _libm_log(z[far])
-    y = x[~far]
-    yy = y * y
-    out[~far] = y + (-0.5 * yy + y * (yy * _polevl(y, _LOG1P_P) / _polevl(y, _LOG1P_Q)))
-    return out
-
-
-def _xlogs(u, k, j):
-    """scipy.special's ``xlogy(k, u)`` and ``xlog1py(j, -u)``, bit for bit, with u over the
-    leading axes and k, j over the last: one log of u and one of 1 - u per node, and 0 where
-    the count is 0 unless u is NaN."""
-    u = np.asarray(u, dtype=float)[..., None]
-    with np.errstate(invalid="ignore"):  # 0 * inf, replaced by the convention
-        a, b = k * _libm_log(u), j * _log1p(-u)
-    zero = np.where(np.isnan(u), np.nan, 0.0)
-    return np.where(k == 0, zero, a), np.where(j == 0, zero, b)
-
-
 def bernstein_generator(h: ConvexGenerator, m: int) -> ConvexGenerator:
     """Degree-m Bernstein polynomial of a non-negative convex generator.
 
     B_m(u) = sum_{k=1..m} h(k/m) C(m,k) u^k (1-u)^(m-k); the k = 0 term is
     dropped, which pins B_m(0) = 0.  The integral over [0,1] is
     sum_k h(k/m) / (m+1) by the Beta integral.  The basis is computed in log
-    space, with the bits of scipy.special's gammaln, xlogy and xlog1py.
+    space, so C(m,k) never overflows: log C(m,k) from ``math.lgamma``, and
+    k log u and (m-k) log(1-u) from numpy, each 0 where its count is 0.
     """
     if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 2:
         raise InvalidParameterError(f"Bernstein degree must be an integer >= 2, got {m!r}")
@@ -333,14 +272,18 @@ def bernstein_generator(h: ConvexGenerator, m: int) -> ConvexGenerator:
                                     f"h({u[np.argmin(probes)]:g}) = {probes.min():g}")
     k = np.arange(m + 1)
     weights = eval_on_array(h.eval, k / m) * (k > 0)
-    log_gamma = np.array([_log_gamma(i + 1) for i in range(m + 1)])  # log i! at index i
-    log_comb = log_gamma[m] - log_gamma[k] - log_gamma[m - k]
+    log_factorial = np.array([math.lgamma(i + 1) for i in range(m + 1)])
+    log_comb = log_factorial[m] - log_factorial[k] - log_factorial[m - k]
 
     def _eval(u, _k=k, _j=m - k, _w=weights, _c=log_comb):
-        a, b = _xlogs(u, _k, _j)
-        basis = np.exp(_c + a + b)  # summed in this order: _c + (a + b) rounds differently
-        # the basis sums to 1; dividing by its sum cancels the rounding log m! shares
-        out = np.sum(basis * _w, axis=-1) / np.sum(basis, axis=-1)
+        x = np.asarray(u, dtype=float)[..., None]
+        # a term with count 0 is 0, also where its log is -inf; u outside [0, 1] or NaN gives NaN
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            a = np.where(_k == 0, 0.0, _k * np.log(x))
+            b = np.where(_j == 0, 0.0, _j * np.log1p(-x))
+            basis = np.exp(_c + a + b)
+            # the basis sums to 1; dividing by its sum cancels the rounding log m! shares
+            out = np.sum(basis * _w, axis=-1) / np.sum(basis, axis=-1)
         return out if np.ndim(u) else float(out)
 
     with np.errstate(over="ignore"):
@@ -449,12 +392,12 @@ def _probe(g) -> str | None:
     return None
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def parse_generator_spec(spec: str):
     """The generator of a spec, parsed, validated and integrated once per process.
 
     Accepted forms: ``power:m``, ``poly:c1,c2,...,cm``, ``bernstein:<inner-spec>:m``, ``expsq:alpha``.
-    The same object is returned for up to 64 specs, a Bernstein spec's inner one included;
+    The same object is returned for up to ``MEMO_SIZE`` specs, a Bernstein spec's inner one included;
     a spec that raises is not kept.
     """
     s = str(spec).strip()

@@ -48,7 +48,7 @@ from .statistics import (
 DEFAULT_B = 9999
 CHUNK = 1024  # most replicates per work unit
 CHUNK_ELEMENTS = 2**18  # most pooled draws per work unit, which bounds its memory and keeps it in cache
-TABLE_FORMAT_VERSION = 5
+TABLE_FORMAT_VERSION = 6
 MAX_SEED = 2**64
 
 
@@ -422,7 +422,10 @@ def save_table(table: NullTable, path) -> None:
     The file is a header block of ``# key=value`` lines, a ``replicate_hex``
     line, and a body of one hex float per line, so loading is bit-identical
     to regeneration.  The file is written beside ``path`` and renamed into
-    place, so readers never see a partial table.
+    place, so readers never see a partial table.  A header value that
+    :func:`load_table` would not read back as written (one with a line break,
+    or leading or trailing whitespace) raises ``InvalidParameterError`` before
+    anything is written.
     """
     header = {
         "format_version": TABLE_FORMAT_VERSION,
@@ -433,6 +436,10 @@ def save_table(table: NullTable, path) -> None:
         "seed": table.seed,
         "B": table.B,
     }
+    for key, value in header.items():
+        text = str(value)
+        if text != text.strip() or "\n" in text or "\r" in text:
+            raise InvalidParameterError(f"null table {key} {text!r} would not load back as written")
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from convexgof import cli, generators, load_table, oracle, p_value, simulate_null
 from convexgof.oracle import BatteryCase
@@ -134,6 +136,24 @@ class TestErrorPaths:
         assert [code for code, _, _ in runs] == [0, 0, 0, cli.EXIT_CONFIG, cli.EXIT_CONFIG]
         assert runs[0] == runs[1] and runs[3] == runs[4]
         assert built == [2, 3, [1.0, 1e-14], [1.0, 1e-14]]  # a failing spec is not cached
+
+    # bytes a sample file may hold: numbers, non-finite and malformed tokens, separators, line
+    # breaks of every kind, a byte order mark, NUL and bytes that are not UTF-8
+    _SAMPLE_BYTES = [b"1", b"2.5", b"-0", b"1e-320", b"1e308", b"nan", b"inf", b"1e999", b"0x1p3", b"1_0",
+                     b"#", b",", b" ", b"\t", b"\n", b"\r", b"\x0c", b"\xef\xbb\xbf", b"\x00", b"\xff",
+                     b"\xc2\x85", b"\xe2\x80\xa8", b"\xd9\xa3"]
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])  # the file is rewritten per example
+    @given(st.binary(max_size=40) | st.lists(st.sampled_from(_SAMPLE_BYTES), max_size=24).map(b"".join))
+    def test_any_sample_file_runs_or_is_a_data_error(self, data_files, content):
+        tmp, _, y, _ = data_files
+        x = tmp / "fuzzed.csv"
+        x.write_bytes(content)
+        code, _, err = run_cli(["test2", "--h", "power:2", "--x", str(x), "--y", y, "--B", "9",
+                                "--no-cache", "--deterministic"])
+        assert code in (0, cli.EXIT_DATA), err
+        assert err == "" if code == 0 else (err.startswith("error: ") and err.count("\n") == 1), err
 
     def test_testk_needs_two_samples(self, data_files):
         _, x, _, _ = data_files

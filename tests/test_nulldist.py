@@ -549,7 +549,7 @@ class TestTableSerialization:
         intact = path.read_text()
         from convexgof import ConvexGofError
 
-        for version in (1, 2, 3, 4, 99):  # files from older contracts, and a future one
+        for version in (1, 2, 3, 4, 5, 99):  # files from older contracts, and a future one
             path.write_text(intact.replace(f"format_version={TABLE_FORMAT_VERSION}",
                                            f"format_version={version}"))
             with pytest.raises(ConvexGofError, match="format version"):
@@ -639,6 +639,12 @@ class TestTableSerialization:
         loaded = load_table(path)
         assert loaded.identity == table.identity
         assert [v.hex() for v in loaded.replicates] == [v.hex() for v in table.replicates]
+
+    @pytest.mark.parametrize("name", ["my gen ", "my\ngen", "my\rgen"])
+    def test_name_that_would_not_load_back_is_rejected_before_writing(self, tmp_path, name):
+        with pytest.raises(InvalidParameterError, match="generator_name"):
+            save_table(toy_table([0.5], generator_name=name), tmp_path / "table.csv")
+        assert list(tmp_path.iterdir()) == []
 
     def test_save_replaces_in_place(self, tmp_path):
         path = tmp_path / "table.csv"

@@ -65,12 +65,12 @@ equality/poly:0,1,0,1/power[2] equality-characterization poly:0,1,0,1 power[2] p
 equality/poly:0,1,0,1/power[3] equality-characterization poly:0,1,0,1 power[3] power[3] -0x1.0000000000000p-51 1e-08 True
 equality/poly:0,1,0,1/logistic[0,1] equality-characterization poly:0,1,0,1 logistic[0,1] logistic[0,1] 0x0.0p+0 1e-08 True
 equality/poly:0,1,0,1/logistic[0,2] equality-characterization poly:0,1,0,1 logistic[0,2] logistic[0,2] 0x0.0p+0 1e-08 True
-inequality/bernstein:power:2:8/uniform-vs-power[2] strict-inequality bernstein:power:2:8 uniform power[2] 0x1.dddddddddde20p-6 1e-06 True
-inequality/bernstein:power:2:8/uniform-vs-power[3] strict-inequality bernstein:power:2:8 uniform power[3] 0x1.1111111111118p-4 1e-06 True
-inequality/bernstein:power:2:8/logistic[0,1]-vs-logistic[0,2] strict-inequality bernstein:power:2:8 logistic[0,1] logistic[0,2] 0x1.47bccfbb42140p-7 1e-06 True
+inequality/bernstein:power:2:8/uniform-vs-power[2] strict-inequality bernstein:power:2:8 uniform power[2] 0x1.ddddddddddde0p-6 1e-06 True
+inequality/bernstein:power:2:8/uniform-vs-power[3] strict-inequality bernstein:power:2:8 uniform power[3] 0x1.1111111111108p-4 1e-06 True
+inequality/bernstein:power:2:8/logistic[0,1]-vs-logistic[0,2] strict-inequality bernstein:power:2:8 logistic[0,1] logistic[0,2] 0x1.47bccfbb42100p-7 1e-06 True
 equality/bernstein:power:2:8/uniform equality-characterization bernstein:power:2:8 uniform uniform 0x0.0p+0 1e-08 True
-equality/bernstein:power:2:8/power[2] equality-characterization bernstein:power:2:8 power[2] power[2] 0x1.0000000000000p-52 1e-08 True
-equality/bernstein:power:2:8/power[3] equality-characterization bernstein:power:2:8 power[3] power[3] 0x0.0p+0 1e-08 True
+equality/bernstein:power:2:8/power[2] equality-characterization bernstein:power:2:8 power[2] power[2] 0x1.0000000000000p-53 1e-08 True
+equality/bernstein:power:2:8/power[3] equality-characterization bernstein:power:2:8 power[3] power[3] -0x1.0000000000000p-53 1e-08 True
 equality/bernstein:power:2:8/logistic[0,1] equality-characterization bernstein:power:2:8 logistic[0,1] logistic[0,1] 0x0.0p+0 1e-08 True
 equality/bernstein:power:2:8/logistic[0,2] equality-characterization bernstein:power:2:8 logistic[0,2] logistic[0,2] 0x0.0p+0 1e-08 True
 cvm-identity/uniform-vs-power[2] cvm-identity power:2 uniform power[2] 0x1.e000000000000p-54 1e-08 True
