@@ -25,7 +25,7 @@ Integrals use ``adaptive_quad``, a wrapper of ``_tanh_sinh``: one vectorised tan
 Importing this module loads numpy only, and scipy loads only in the QUADPACK fallback.
 Bernstein generators take their log-space basis from ``math.lgamma`` and numpy's ``log``,
 ``log1p`` and ``exp``, whose last bits follow numpy's SIMD level, so their values are
-bit-identical on one host.  Their tables are table format 6; a format-5 table, whose basis
+bit-identical on one host.  Their values date from table format 6; a format-5 table, whose basis
 replicated scipy.special's rounding, differs by ulps, not in law, and is never reused.
 """
 
@@ -392,18 +392,21 @@ def _probe(g) -> str | None:
     return None
 
 
-@functools.lru_cache(maxsize=MEMO_SIZE)
 def parse_generator_spec(spec: str):
     """The generator of a spec, parsed, validated and integrated once per process.
 
     Accepted forms: ``power:m``, ``poly:c1,c2,...,cm``, ``bernstein:<inner-spec>:m``, ``expsq:alpha``.
-    The same object is returned for up to ``MEMO_SIZE`` specs, a Bernstein spec's inner one included;
-    a spec that raises is not kept.
+    The same object is returned for up to ``MEMO_SIZE`` specs, keyed by ``str(spec)``, a Bernstein
+    spec's inner one included; a spec that raises is not kept.
     """
-    s = str(spec).strip()
+    return _parse_spec(str(spec))
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _parse_spec(spec):
+    s = spec.strip()
     if s.startswith("bernstein:"):
-        rest = s[len("bernstein:"):]
-        inner, sep, degree = rest.rpartition(":")
+        inner, sep, degree = s[len("bernstein:"):].rpartition(":")
         if not sep or not inner:
             raise GeneratorSpecError(f"bernstein spec needs 'bernstein:<inner-spec>:m', got '{spec}'")
         base = parse_generator_spec(inner)
@@ -420,6 +423,9 @@ def parse_generator_spec(spec: str):
     if head == "expsq":
         return exp_sq_generator(_parse_number(arg, spec))
     raise GeneratorSpecError(f"unknown generator family '{head}' in spec '{spec}'")
+
+
+parse_generator_spec.cache_info, parse_generator_spec.cache_clear = _parse_spec.cache_info, _parse_spec.cache_clear
 
 
 def _parse_number(token, spec, convert=float):

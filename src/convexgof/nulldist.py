@@ -48,7 +48,7 @@ from .statistics import (
 DEFAULT_B = 9999
 CHUNK = 1024  # most replicates per work unit
 CHUNK_ELEMENTS = 2**18  # most pooled draws per work unit, which bounds its memory and keeps it in cache
-TABLE_FORMAT_VERSION = 6
+TABLE_FORMAT_VERSION = 7
 MAX_SEED = 2**64
 
 
@@ -420,12 +420,12 @@ def save_table(table: NullTable, path) -> None:
     """Write a null table as a versioned CSV cache file.
 
     The file is a header block of ``# key=value`` lines, a ``replicate_hex``
-    line, and a body of one hex float per line, so loading is bit-identical
-    to regeneration.  The file is written beside ``path`` and renamed into
-    place, so readers never see a partial table.  A header value that
-    :func:`load_table` would not read back as written (one with a line break,
-    or leading or trailing whitespace) raises ``InvalidParameterError`` before
-    anything is written.
+    line, and a body of one replicate per line, the 16 hex digits of its
+    big-endian IEEE-754 bits, so loading is bit-identical to regeneration.
+    It is written beside ``path`` and renamed into place, so readers never
+    see a partial table.  A header value that :func:`load_table` would not
+    read back as written (one with a line break, or leading or trailing
+    whitespace) raises ``InvalidParameterError`` before anything is written.
     """
     header = {
         "format_version": TABLE_FORMAT_VERSION,
@@ -444,8 +444,7 @@ def save_table(table: NullTable, path) -> None:
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(f"# {key}={value}\n" for key, value in header.items())
-            fh.write("replicate_hex\n")
-            fh.write("\n".join([*map(float.hex, table.replicates.tolist()), ""]))
+            fh.write("replicate_hex\n" + table.replicates.astype(">f8").tobytes().hex("\n", 8) + "\n" * bool(table.B))
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -456,9 +455,9 @@ def load_table(path) -> NullTable:
     """Load a table written by :func:`save_table`.
 
     Its first line that is exactly ``replicate_hex`` ends the ``# key=value``
-    header.  Any other header line, a repeated key, a truncated or unparsable
-    file, a missing metadata key, or replicates that are miscounted, out of
-    range, non-finite or unsorted raise :class:`ConvexGofError` naming the file.
+    header.  A cut-off file, any other header line, a repeated, missing or bad key,
+    a body that is not ``B`` lines of 16 hex digits (the first bad line is named),
+    or non-finite or unsorted replicates raise :class:`ConvexGofError` naming the file.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -478,27 +477,30 @@ def load_table(path) -> NullTable:
             meta[key.strip()] = value.strip()
         version = meta.get("format_version")
         if version != str(TABLE_FORMAT_VERSION):
-            raise ConvexGofError(
-                f"null table file '{path}' has format version {version!r}, "
-                f"expected {TABLE_FORMAT_VERSION}"
-            )
-        replicates = np.fromiter(map(float.fromhex, body.split()), float)
-        if replicates.size != int(meta["B"]):
-            raise ValueError("replicate count mismatch")
+            raise ConvexGofError(f"null table file '{path}' has format version {version!r}, "
+                                 f"expected {TABLE_FORMAT_VERSION}")
+        count = int(meta["B"])
+        try:  # fromhex skips whitespace, so every line must first be 16 characters
+            if len(body) != 17 * count or body[16::17] != "\n" * count:
+                raise ValueError
+            replicates = np.frombuffer(bytes.fromhex(body), ">f8", count).astype(float)
+        except ValueError:
+            bad = [(i, w) for i, w in enumerate(body.split("\n")[:-1], 1) if len(w) != 16 or w.strip("0123456789abcdef")]
+            raise ValueError(f"body line {bad[0][0]} {bad[0][1]!r} is not 16 lowercase hex digits" if bad
+                             else "replicate count mismatch") from None
         if not np.all(np.isfinite(replicates)) or np.any(replicates[1:] < replicates[:-1]):
             raise ValueError("replicates are not finite and sorted")
-        weights = meta["weights"]
         table = NullTable(
             statistic_kind=meta["statistic_kind"],
             generator_name=meta["generator_name"],
             sample_sizes=tuple(int(s) for s in meta["sample_sizes"].split(",")),
             replicates=replicates,
             seed=int(meta["seed"]),
-            weights=None if weights == "-" else tuple(float(w) for w in weights.split(",")),
+            weights=None if meta["weights"] == "-" else tuple(float(w) for w in meta["weights"].split(",")),
         )
     except KeyError as exc:
         raise ConvexGofError(f"null table file '{path}' lacks metadata key {exc}") from None
-    except (ValueError, OverflowError) as exc:  # float.fromhex raises OverflowError out of range
+    except ValueError as exc:
         raise ConvexGofError(f"null table file '{path}' is corrupt: {exc}") from None
     replicates.setflags(write=False)
     return table

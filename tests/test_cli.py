@@ -390,9 +390,9 @@ class TestNullTableCommand:
 
 class TestCacheFiles:
     @pytest.mark.parametrize("damage", [
-        lambda text: text[:-7],            # cut inside the last hex token
+        lambda text: text[:-7],            # cut inside the last hex word
         lambda text: "not a table\n",      # garbage
-        # the first replicate out of float range, where float.fromhex raises OverflowError
+        # the first replicate as a format-6 hex float out of float range: not a 16-digit word
         lambda text: re.sub("replicate_hex\n.*\n", "replicate_hex\n0x1p99999\n", text),
     ], ids=["truncated", "garbage", "out_of_range"])
     def test_damaged_cache_file_is_rebuilt(self, data_files, damage):

@@ -575,6 +575,16 @@ class TestSpecGrammar:
         with pytest.raises(InvalidParameterError):
             parse_generator_spec("power:1")
 
+    @pytest.mark.parametrize("spec", [["power:2"], {"power": 2}, None])
+    def test_non_string_spec_is_a_spec_error(self, spec):
+        with pytest.raises(GeneratorSpecError, match="spec"):  # an unhashable one too, not a TypeError
+            parse_generator_spec(spec)
+
+    def test_spec_memo_is_keyed_by_its_text(self):
+        parse_generator_spec.cache_clear()
+        assert parse_generator_spec("power:2") is parse_generator_spec(np.str_("power:2"))
+        assert parse_generator_spec.cache_info().hits == 1 and parse_generator_spec.cache_info().currsize == 1
+
 
 class TestImmutability:
     def test_generators_are_frozen(self):

@@ -1,4 +1,6 @@
 import io
+import re
+import struct
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -40,9 +42,15 @@ from convexgof.nulldist import CHUNK, TABLE_FORMAT_VERSION, parse_alternative
 from oracle_helpers import hand_uniforms
 
 SQUARE = power_generator(2)
-# tokens a damaged table file may hold: out of float range, non-finite, signed zero, header lines
+# tokens a damaged table file may hold: format-6 hex floats (one out of float range), format-7 words
+# (0.5, -0.0, +inf, NaN, uppercase, a digit short or long, halves, an inner space, a non-hex digit,
+# two on one line), and header lines
 _TOKENS = ["0x1p99999", "-0x1p99999", "nan", "inf", "-0x0p+0", "0x1.8p-1", "", "replicate_hex", "# B=10",
-           "# seed=0", "# B=", "# format_version=5", "#", "# =", "1e999"]
+           "# seed=0", "# B=", "# format_version=5", "#", "# =", "1e999",
+           "3fe0000000000000", "8000000000000000", "7ff0000000000000", "7ff8000000000000", "3FE0000000000000",
+           "3fe000000000000", "3fe00000000000000", "3fe00000", "00000000", "3fe00000 0000000", "3fe000000000000g",
+           "3fe0000000000000 3fe0000000000000",
+           "# format_version=6", "# format_version=7"]
 
 
 def toy_table(values, **meta):
@@ -549,7 +557,7 @@ class TestTableSerialization:
         intact = path.read_text()
         from convexgof import ConvexGofError
 
-        for version in (1, 2, 3, 4, 5, 99):  # files from older contracts, and a future one
+        for version in (1, 2, 3, 4, 5, 6, 99):  # files from older contracts, and a future one
             path.write_text(intact.replace(f"format_version={TABLE_FORMAT_VERSION}",
                                            f"format_version={version}"))
             with pytest.raises(ConvexGofError, match="format version"):
@@ -577,9 +585,19 @@ class TestTableSerialization:
         lambda lines: lines[:-3] + ["# seed=12345", "# generator_name=power:3"] + lines[-3:],
         # nor may a second header line for a key (here just before '# B=')
         lambda lines: lines[:6] + ["# seed=12345"] + lines[6:],
-        lambda lines: lines[:-1] + ["0x1p99999"],          # out of float range: OverflowError
+        lambda lines: lines[:-1] + ["0x1p99999"],          # a format-6 hex float, out of float range
+        lambda lines: lines[:-1] + ["7ff0000000000000"],   # the bits of +inf
+        lambda lines: lines[:-1] + ["7ff8000000000000"],   # the bits of a NaN
+        lambda lines: lines[:-1] + [lines[-1][:15]],       # one digit short
+        lambda lines: lines[:-1] + [lines[-1][:8], lines[-1][8:]],  # split into two halves
+        lambda lines: lines[:-1] + [lines[-1][:8] + " " + lines[-1][9:]],  # 16 characters, one a space
+        lambda lines: lines[:-1] + [lines[-1][:15] + "g"],  # 16 characters, one not a hex digit
+        lambda lines: lines[:-2] + [lines[-2] + " " + lines[-1]],  # two words on one line of 33 characters
+        # the replicates as format 6 wrote them, under a version-7 header
+        lambda lines: lines[:8] + [struct.unpack(">d", bytes.fromhex(word))[0].hex() for word in lines[8:]],
     ], ids=["token", "key", "count", "unsorted", "non_finite", "garbage", "header_in_body", "repeated_key",
-            "out_of_range"])
+            "out_of_range", "inf_bits", "nan_bits", "short_word", "split_word", "inner_space", "non_hex_digit",
+            "joined_words", "format6_body"])
     def test_damaged_file_rejected(self, tmp_path, damage):
         from convexgof import ConvexGofError
 
@@ -594,7 +612,8 @@ class TestTableSerialization:
     @given(st.lists(st.tuples(st.sampled_from(["cut", "drop", "duplicate", "edit", "insert"]),
                               st.integers(0, 10**6), st.sampled_from(_TOKENS) | st.text(max_size=12)),
                     max_size=4))
-    @example([("edit", 17, "0x1p99999")])  # the last replicate out of float range
+    @example([("edit", 17, "0x1p99999")])  # the last replicate as a format-6 hex float out of float range
+    @example([("edit", 17, "3fe00000\n00000000")])  # the last replicate split into halves
     def test_mutated_file_loads_or_is_rejected(self, tmp_path, mutations):
         # a valid file cut, with lines dropped, duplicated, edited or inserted: a table or ConvexGofError
         path = tmp_path / "table.csv"
@@ -631,6 +650,32 @@ class TestTableSerialization:
         loaded = load_table(path)
         assert loaded.identity == table.identity
         assert loaded.replicates.tobytes() == table.replicates.tobytes()  # -0.0 and subnormals included
+
+    def test_body_is_one_ieee754_hex_word_per_line(self, tmp_path):
+        path = tmp_path / "table.csv"
+        save_table(toy_table([-0.0, 5e-324, 0.5]), path)
+        body = path.read_text().partition("replicate_hex\n")[2]
+        assert body == "8000000000000000\n0000000000000001\n3fe0000000000000\n"  # -0.0, 5e-324, 0.5
+        assert load_table(path).replicates.tobytes() == np.array([-0.0, 5e-324, 0.5]).tobytes()
+        save_table(toy_table([]), path)
+        assert path.read_text().endswith("# B=0\nreplicate_hex\n") and load_table(path).B == 0
+
+    @pytest.mark.parametrize("damage, named", [
+        (lambda w: [w[:8], w[8:]], lambda w: f"body line 10 {w[:8]!r} is not 16 lowercase hex digits"),
+        (lambda w: [w[:15]], lambda w: f"body line 10 {w[:15]!r} is not 16 lowercase hex digits"),
+        (lambda w: ["3fe0000000000000", w[1:] + "z"], lambda w: "body line 11 "),
+        (lambda w: [w, w], lambda w: "replicate count mismatch"),
+        (lambda w: ["7ff8000000000000"], lambda w: "replicates are not finite and sorted"),
+    ], ids=["split_word", "short_word", "later_non_hex", "extra_word", "nan_bits"])
+    def test_corrupt_message_names_the_first_bad_body_line(self, tmp_path, damage, named):
+        from convexgof import ConvexGofError
+
+        path = tmp_path / "table.csv"
+        save_table(simulate_null(TWO_SAMPLE, SQUARE, (3, 3), B=10, seed=0), path)
+        *lines, last = path.read_text().splitlines()
+        path.write_text("\n".join(lines + damage(last)) + "\n")
+        with pytest.raises(ConvexGofError, match=re.escape(f"table.csv' is corrupt: {named(last)}")):
+            load_table(path)
 
     def test_generator_named_like_the_body_marker_round_trips(self, tmp_path):
         table = toy_table([0.125, 0.5, 1.0 / 3.0], generator_name="replicate_hex", seed=5)
