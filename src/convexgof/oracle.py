@@ -10,7 +10,8 @@ tanh-sinh nodes cluster.  A functional is the list of its terms (p_j p_l, phi,
 F_j, F_l), and one tanh-sinh pass integrates the terms of many, the battery's
 91 among them: each level evaluates every distinct F_j(F_l^-1), then every
 distinct phi, once over all its open rows.  Small-sample null
-distributions are enumerated exhaustively over rank interleavings.  Centering
+distributions are enumerated exhaustively over rank interleavings, in lexicographic
+order, by work units of at most ``_chunk_rows(N)`` label rows that unrank their own.  Centering
 constants are recomputed by quadrature rather than trusted from the generator objects.
 """
 
@@ -20,14 +21,13 @@ import csv
 import functools
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice
 from typing import Callable
 
 import numpy as np
 
 from .errors import EnumerationTooLargeError, InvalidParameterError
 from .generators import _name_token, _tanh_sinh, eval_on_array, parse_generator_spec
-from .nulldist import CHUNK, _drawn, _table_values
+from .nulldist import _chunk_rows, _table_values
 from .statistics import WeightVector, _check_kind_and_generator
 
 POP_TOL = 1e-9
@@ -213,32 +213,47 @@ def _configurations(sizes) -> int:
     return math.prod(math.comb(sum(sizes[g:]), s) for g, s in enumerate(sizes))
 
 
-def _label_batches(sizes):
-    """Every assignment of pooled ranks to groups, as label matrices of <= ``CHUNK`` rows.
+def _label_units(sizes):
+    """Every assignment of pooled ranks to two or more groups, as work units of <= ``_chunk_rows(N)`` label rows.
 
-    Row r, column p holds the group of pooled rank p in assignment r.
+    Row r, column p holds the group of pooled rank p in assignment r.  The first group's
+    rank sets run in lexicographic order, each followed by every row of the other groups'
+    assignments (``rest``) on its free ranks.  Lex rank r is colex rank C(N, n) - 1 - r of
+    the set reflected by p -> N - 1 - p, whose i-th largest member is the largest c with
+    C(c, n + 1 - i) <= the rank left (Knuth, TAOCP 4A 7.2.1.3): a unit unranks its own sets.
     """
-    total = sum(sizes)
-    if len(sizes) == 1:
-        yield np.zeros((1, total), dtype=np.int8)
-        return
-    rest = np.concatenate(list(_label_batches(sizes[1:]))) + 1  # the other groups' assignments
-    combos = combinations(range(total), sizes[0])
-    for chosen in iter(lambda: list(islice(combos, max(1, CHUNK // len(rest)))), []):
-        free = np.ones((len(chosen), total), dtype=bool)  # ranks left for the other groups
-        free[np.arange(len(chosen))[:, None], chosen] = False
-        for lo in range(0, len(rest), CHUNK):
-            part = rest[lo:lo + CHUNK]
-            batch = np.zeros((len(chosen), total, len(part)), dtype=np.int8)
-            batch[free] = np.tile(part.T, (len(chosen), 1))
-            yield batch.transpose(0, 2, 1).reshape(-1, total)
+    total, n = sum(sizes), sizes[0]
+    rest = (np.concatenate([unit() for unit in _label_units(sizes[1:])]) if len(sizes) > 2
+            else np.zeros((1, total - n), np.int8)) + 1
+    rows, sets = _chunk_rows(total), math.comb(total, n)
+    binomial = [np.ones(total, dtype=np.int64)]  # min(C(c, i), sets) at [i][c]: exact below sets
+    for i in range(n):
+        binomial.append(np.minimum(np.cumsum(binomial[i]) - binomial[i], sets))
+
+    def unit(first, count, lo):  # lex ranks first .. first + count - 1, each with rest rows lo .. lo + rows - 1
+        free = np.ones((count, total), dtype=bool)  # ranks left for the other groups
+        colex = np.arange(sets - 1 - first, sets - 1 - first - count, -1)
+        for i in range(n, 0, -1):
+            member = np.searchsorted(binomial[i], colex, side="right") - 1
+            colex -= binomial[i][member]
+            free[np.arange(count), total - 1 - member] = False
+        if len(sizes) == 2:  # rest is one row of ones: the second group takes every free rank
+            return free.view(np.int8)
+        part = rest[lo:lo + rows]
+        batch = np.zeros((count, total, len(part)), dtype=np.int8)
+        batch[free] = np.tile(part.T, (count, 1))
+        return batch.transpose(0, 2, 1).reshape(-1, total)
+
+    step = max(1, rows // len(rest))
+    return [functools.partial(unit, first, min(step, sets - first), lo)
+            for first in range(0, sets, step) for lo in range(0, len(rest), rows)]
 
 
 def enumerate_null(kind, generator, sizes, weights=None) -> ExactNullDistribution:
     """Exact null distribution by enumerating all rank interleavings.
 
     Under the null with a continuous common distribution every interleaving
-    of the pooled sample is equally likely.  Batches of interleavings go
+    of the pooled sample is equally likely.  Work units of interleavings go
     through the table executor that simulation and permutation use.
     """
     sizes, weights = _check_kind_and_generator(kind, generator, sizes, weights)
@@ -248,8 +263,7 @@ def enumerate_null(kind, generator, sizes, weights=None) -> ExactNullDistributio
             f"{count} rank interleavings at sizes {sizes} exceed the "
             f"budget of {ENUMERATION_BUDGET}"
         )
-    values, counts = np.unique(_table_values(kind, generator, sizes, weights, map(_drawn, _label_batches(sizes))),
-                               return_counts=True)
+    values, counts = np.unique(_table_values(kind, generator, sizes, weights, _label_units(sizes)), return_counts=True)
     return ExactNullDistribution(kind, generator.name, sizes, values, counts / count)
 
 

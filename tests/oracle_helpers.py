@@ -6,9 +6,12 @@ with the package paths they verify.
 """
 
 import math
+from itertools import combinations, islice
 
 import numpy as np
 from scipy import special
+
+from convexgof.nulldist import CHUNK
 
 
 def simpson(fn, a, b, panels=200_000):
@@ -185,3 +188,26 @@ def hand_uniforms(sizes, seed, chunk, rows):
     """The uniforms (key + 0.5) / 2**bits of :func:`hand_keys`, in slot order."""
     keys, bits = hand_keys(sizes, seed, chunk, rows)
     return (keys + 0.5) / 2.0 ** bits
+
+
+def label_batches(sizes):
+    """Every assignment of pooled ranks to groups, as label matrices of <= ``CHUNK`` rows.
+
+    Row r, column p holds the group of pooled rank p in assignment r.  The
+    first group's rank sets come from ``itertools.combinations``, one tuple per
+    set, each followed by every row of the other groups' assignments.
+    """
+    total = sum(sizes)
+    if len(sizes) == 1:
+        yield np.zeros((1, total), dtype=np.int8)
+        return
+    rest = np.concatenate(list(label_batches(sizes[1:]))) + 1  # the other groups' assignments
+    combos = combinations(range(total), sizes[0])
+    for chosen in iter(lambda: list(islice(combos, max(1, CHUNK // len(rest)))), []):
+        free = np.ones((len(chosen), total), dtype=bool)  # ranks left for the other groups
+        free[np.arange(len(chosen))[:, None], chosen] = False
+        for lo in range(0, len(rest), CHUNK):
+            part = rest[lo:lo + CHUNK]
+            batch = np.zeros((len(chosen), total, len(part)), dtype=np.int8)
+            batch[free] = np.tile(part.T, (len(chosen), 1))
+            yield batch.transpose(0, 2, 1).reshape(-1, total)

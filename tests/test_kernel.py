@@ -3,6 +3,7 @@
 import hashlib
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -30,9 +31,9 @@ from convexgof import (
 from convexgof import nulldist, statistics
 from convexgof.nulldist import CHUNK, _chunk_rows, _label_blocks, replicate_stream
 from convexgof.statistics import _SCRATCH, _centering, _group_labels, _rank_statistic, _tie_blocks
-from convexgof.oracle import _label_batches
+from convexgof.oracle import _label_units
 
-from oracle_helpers import hand_keys, reference_statistic
+from oracle_helpers import hand_keys, label_batches, reference_statistic
 
 # generators whose eval is elementwise, so a grid lookup equals evaluating in place
 GENERATORS = {
@@ -90,12 +91,45 @@ def test_tie_blocks():
 
 @pytest.mark.parametrize("sizes", [(3, 4), (2, 2, 3), (1, 1, 4, 7)])
 def test_label_batches_cover_every_assignment_once(sizes):
-    batches = list(_label_batches(sizes))
+    batches = [unit() for unit in _label_units(sizes)]
     assert all(len(b) <= CHUNK for b in batches)
     rows = np.concatenate(batches)
     expected = math.prod(math.comb(sum(sizes[g:]), s) for g, s in enumerate(sizes))
     assert len(np.unique(rows, axis=0)) == len(rows) == expected
     assert all(np.array_equal(np.bincount(row, minlength=len(sizes)), sizes) for row in rows[:50])
+
+
+@pytest.mark.parametrize("sizes", [(3, 4), (2, 2, 3), (1, 1, 4, 7), (1, 9), (9, 1), (8, 8), (1, 1, 6, 6), (2, 300)])
+def test_label_units_equal_the_itertools_batches(sizes):
+    # (1, 1, 6, 6): 12012 rows of the other groups, so one first-group set spans several units;
+    # (2, 300): N > 256, where units hold _chunk_rows(N) < CHUNK rows and so split the rows elsewhere
+    reference, units = list(label_batches(sizes)), [unit() for unit in _label_units(sizes)]
+    assert all(len(rows) <= _chunk_rows(sum(sizes)) for rows in units)
+    expected, got = np.concatenate(reference), np.concatenate(units)
+    assert got.dtype == expected.dtype and got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    if _chunk_rows(sum(sizes)) == CHUNK:
+        assert [(u.shape, u.tobytes()) for u in units] == [(b.shape, b.tobytes()) for b in reference]
+
+
+@pytest.mark.parametrize("kind, spec, sizes, bound_mib", [
+    (TWO_SAMPLE, "power:2", (1, 3000), 25),
+    (K_SAMPLE, "poly:0,1,1", (1, 1, 600), 80),
+])
+def test_wide_enumerations_have_bounded_memory(kind, spec, sizes, bound_mib, monkeypatch):
+    # at N > 256 each pool thread builds and scores one unit of at most 2**18 labels at a time; with two
+    # threads these peak at 11.5 and 38.8 MiB, against 96 and 244 MiB when every label row was built up front
+    gen = parse_generator_spec(spec)
+    _SCRATCH.__dict__.clear()
+    with ThreadPoolExecutor(2) as pool:
+        monkeypatch.setattr(nulldist, "_unit_pool", lambda: pool)
+        tracemalloc.start()
+        try:
+            dist = enumerate_null(kind, gen, sizes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert round(dist.probabilities.sum() * dist.configurations) == dist.configurations
+    assert peak < bound_mib * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def _hand_labels(sizes, seed, chunk, rows):
@@ -387,6 +421,7 @@ def _null_arrays(case):
     ("permutation", K_SAMPLE, "poly:0,1,1", (80, 80, 80, 80), (0.1, 0.2, 0.3, 0.4)),
     ("permutation", TAU, "expsq:1", (150, 150), None),
     ("enumeration", K_SAMPLE, "poly:0,1,1", (3, 3, 3), None),
+    ("enumeration", TWO_SAMPLE, "power:2", (2, 300), None),
 ], ids=lambda case: "-".join(case[:2]))
 def test_slabs_are_bit_identical(case, monkeypatch):
     # work units (format 4's 2**18-draw slabs, now whole chunks) give the same null on the
