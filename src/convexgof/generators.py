@@ -67,22 +67,22 @@ _TANH_SINH = [_tanh_sinh_level(2.0 ** -k, k == 1) for k in range(1, 9)]  # steps
 
 
 def adaptive_quad(fn, a, b, tol: float = QUAD_TOL):
-    """Integral of ``fn`` over [a, b] by :func:`_tanh_sinh`, which calls it on every open panel's
-    nodes as one array, or on floats; arrays of panel ends ``a`` and ``b`` give the result their shape."""
+    """Integral of ``fn`` over [a, b] by :func:`_tanh_sinh`, which calls it through :func:`eval_on_array`
+    on float arrays only; arrays of panel ends ``a`` and ``b`` give the result their shape."""
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    value = _tanh_sinh(lambda x, rows: eval_on_array(fn, x), lambda row: fn, a.ravel(), b.ravel(), tol)
+    value = _tanh_sinh(lambda x, rows: eval_on_array(fn, x), a.ravel(), b.ravel(), tol)
     return float(value[0]) if a.ndim == 0 else value.reshape(a.shape)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a non-finite panel falls back, then raises
-def _tanh_sinh(evaluate, scalar, lo, hi, tol):
+def _tanh_sinh(evaluate, lo, hi, tol):
     """Integrals over the panels [lo[i], hi[i]] by the tanh-sinh rule; raises instead of degrading.
 
     ``evaluate(x, rows)`` gives the integrands at a level's new nodes ``x``, one row per open panel, whose
     indices are ``rows``.  A panel is done when two levels differ by at most max(tol, 1e-12 |value|) and its
     outermost nodes add no more, which rejects divergent end singularities.  A panel open at the finest level
-    (an interior kink, say) goes alone to ``scipy.integrate.quad`` with ``scalar(i)``, its integrand on floats;
-    ``QuadratureError`` is raised if that fails too or gives a non-finite value.
+    (an interior kink, say) goes alone to ``scipy.integrate.quad``, which calls the same ``evaluate`` on one
+    node at a time, as a 1 x 1 array; ``QuadratureError`` is raised if that fails too or gives a non-finite value.
     """
     first, last = np.nextafter(lo, hi), np.nextafter(hi, lo)
     value = np.full(lo.size, np.nan)
@@ -109,7 +109,9 @@ def _tanh_sinh(evaluate, scalar, lo, hi, tol):
             break
     for lo, hi, *_, index in state.T:
         from scipy import integrate  # only here: the fallback is rare and scipy is slow to import
-        out = integrate.quad(scalar(int(index)), lo, hi, epsabs=tol, epsrel=1e-12, full_output=1)
+        row = np.array([int(index)])
+        out = integrate.quad(lambda u: evaluate(np.full((1, 1), u), row)[0, 0], lo, hi,
+                             epsabs=tol, epsrel=1e-12, full_output=1)
         value[int(index)], abserr = out[0], out[1]
         if len(out) > 3 or not np.isfinite(out[0]) or abserr > 10.0 * max(tol, abs(out[0]) * 1e-12):
             raise QuadratureError(f"quadrature failed on [{lo:g}, {hi:g}]: estimated error "
@@ -151,9 +153,6 @@ class ConvexGenerator:
     def __post_init__(self):
         _check_on_construction(self)
 
-    def __call__(self, u):
-        return self.eval(u)
-
 
 @dataclass(frozen=True)
 class LogConvexGenerator:
@@ -174,9 +173,6 @@ class LogConvexGenerator:
 
     def __post_init__(self):
         _check_on_construction(self)
-
-    def __call__(self, u):
-        return self.eval(u)
 
     def antiderivative_grid(self, n: int) -> np.ndarray:
         """Xi evaluated at i/n for i = 0..n, cached for the last ``MEMO_SIZE`` sample sizes built.
@@ -217,7 +213,7 @@ def power_generator(m: int) -> ConvexGenerator:
     m = int(m)
 
     def _eval(u, _m=m):
-        return np.asarray(u, dtype=float) ** _m if np.ndim(u) else float(u) ** _m
+        return np.asarray(u, dtype=float) ** _m
 
     return ConvexGenerator(name=f"power:{m}", eval=_eval, integral_0_1=1.0 / (m + 1))
 
@@ -245,8 +241,7 @@ def polynomial_generator(coeffs) -> ConvexGenerator:
     full = np.concatenate([[0.0], c])  # constant term is zero: h(0) = 0
 
     def _eval(u, _coef=full):
-        out = np.polynomial.polynomial.polyval(np.asarray(u, dtype=float), _coef)
-        return out if np.ndim(u) else float(out)
+        return np.polynomial.polynomial.polyval(np.asarray(u, dtype=float), _coef)
 
     integral = float(np.sum(c / (np.arange(1, c.size + 1) + 1.0)))
     name = "poly:" + ",".join(_name_token(v) for v in c)
@@ -283,8 +278,7 @@ def bernstein_generator(h: ConvexGenerator, m: int) -> ConvexGenerator:
             b = np.where(_j == 0, 0.0, _j * np.log1p(-x))
             basis = np.exp(_c + a + b)
             # the basis sums to 1; dividing by its sum cancels the rounding log m! shares
-            out = np.sum(basis * _w, axis=-1) / np.sum(basis, axis=-1)
-        return out if np.ndim(u) else float(out)
+            return np.sum(basis * _w, axis=-1) / np.sum(basis, axis=-1)
 
     with np.errstate(over="ignore"):
         integral = float(np.sum(weights[1:]) / (m + 1))
@@ -312,8 +306,7 @@ def exp_sq_generator(alpha: float) -> LogConvexGenerator:
 
     def _eval(u, _a=alpha):
         arr = np.asarray(u, dtype=float)
-        out = np.exp(_a * arr * arr)
-        return out if np.ndim(u) else float(out)
+        return np.exp(_a * arr * arr)
 
     return LogConvexGenerator(name=f"expsq:{_name_token(alpha)}", eval=_eval)
 

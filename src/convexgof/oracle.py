@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import EnumerationTooLargeError, InvalidParameterError
 from .generators import _name_token, _tanh_sinh, eval_on_array, parse_generator_spec
-from .nulldist import _chunk_rows, _table_values
+from .nulldist import _check_int, _check_seed, _chunk_rows, _table_values
 from .statistics import WeightVector, _check_kind_and_generator
 
 POP_TOL = 1e-9
@@ -104,12 +104,8 @@ def _integrate(*functionals) -> list:
             out[sel] = eval_on_array(phi, v[sel], u[sel])
         return out
 
-    def scalar(row):  # for QUADPACK, if the row is still open at the finest level
-        _, phi, fj, fl = terms[row]
-        return lambda u: phi(fj.eval(fl.quantile(u)), u)
-
     lo = np.zeros(len(terms))
-    integrals = dict(zip(map(id, terms), _tanh_sinh(evaluate, scalar, lo, lo + 1.0, POP_TOL).tolist()))
+    integrals = dict(zip(map(id, terms), _tanh_sinh(evaluate, lo, lo + 1.0, POP_TOL).tolist()))
     return [functools.reduce(lambda total, term: total + term[0] * integrals[id(term)], functional, 0.0)
             for functional in functionals]
 
@@ -160,9 +156,9 @@ class MaxProbabilityEstimate:
 def max_probability(m: int, f: AnalyticCdf, g: AnalyticCdf, n_trials: int,
                     seed: int = 0) -> MaxProbabilityEstimate:
     """Estimate P{max_{j<=m} X_j < Y} with X_j ~ F and Y ~ G independent."""
-    if m < 1 or n_trials < 1:
-        raise InvalidParameterError("max_probability needs m >= 1 and n_trials >= 1")
-    rng = np.random.default_rng(seed)
+    m = _check_int(m, "max_probability needs an integer m >= 1")
+    n_trials = _check_int(n_trials, "max_probability needs an integer n_trials >= 1")
+    rng = np.random.default_rng(_check_seed(seed))
     xs = f.quantile(rng.random((n_trials, m)))
     ys = g.quantile(rng.random(n_trials))
     est = float(np.mean(np.max(xs, axis=1) < ys))
@@ -170,12 +166,15 @@ def max_probability(m: int, f: AnalyticCdf, g: AnalyticCdf, n_trials: int,
     return MaxProbabilityEstimate(estimate=est, std_error=se, trials=int(n_trials))
 
 
-def jensen_gap(h, cdfs, weights: WeightVector) -> float:
+def jensen_gap(h, cdfs, weights) -> float:
     """Weighted pairwise functional minus (1 - sum p^2) times the h integral.
 
-    Positive for any strictly convex h unless all CDFs coincide.
+    ``weights`` is a :class:`WeightVector` or a sequence of weights.  Positive for any strictly convex h
+    unless all CDFs coincide.
     """
     cdfs = list(cdfs)
+    if not isinstance(weights, WeightVector):
+        weights = WeightVector(tuple(weights))
     k = len(cdfs)
     if k < 2:
         raise InvalidParameterError("jensen_gap needs at least 2 CDFs")

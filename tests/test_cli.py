@@ -410,6 +410,39 @@ class TestCacheFiles:
         code, warm, err = run_cli(argv)
         assert code == 0 and warm == cold and err == ""
 
+    # a damaged table file: any bytes, or a header of keys in order, each with a value of this request,
+    # of another, a bad one or none, then maybe the marker and pieces of a body: hex words, line
+    # breaks, a byte order mark, NUL and bytes that are not UTF-8
+    _HEADER_VALUES = {"format_version": ("7", "6", "x"), "statistic_kind": ("two_sample", "tau"),
+                      "generator_name": ("power:2", "power:3"), "sample_sizes": ("5,5", "4,6", "0", "5;5"),
+                      "weights": ("-", "0.5,0.5", "x"), "seed": ("9", "10", "-9"), "B": ("99", "1", "0", "-1", "1e9")}
+    _HEADERS = st.tuples(*(st.sampled_from([f"# {key}={value}\n".encode() for value in values] + [b""])
+                           for key, values in _HEADER_VALUES.items())).map(b"".join)
+    _WORDS = [b"3fe0000000000000\n", b"bfe0000000000000\n", b"7ff0000000000000\n", b"3FE0000000000000\n"]
+    _BODIES = (st.lists(st.sampled_from(_WORDS), max_size=3)
+               | st.lists(st.sampled_from(_WORDS + [b"0x1p-3\n", b"\n", b"\r\n", b"#", b"=", b"\xef\xbb\xbf",
+                                                   b"\x00", b"\xff", b"\xc2\x85"]), max_size=12)).map(b"".join)
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])  # one cache directory for all
+    @given(st.binary(max_size=64)
+           | st.builds(lambda head, marker, body: head + marker + body, _HEADERS,
+                       st.sampled_from([b"replicate_hex\n", b"", b"replicate_hex"]), _BODIES))
+    def test_any_cache_file_bytes_are_rebuilt_with_one_warning(self, data_files, content):
+        # no example is a well-formed table of this request, which needs 99 body lines: the format has
+        # no checksum, so such a file is a hit whatever its replicates
+        tmp = data_files[0]
+        for name, values in (("x5", "0.1 0.2 0.3 2.4 0.5"), ("y5", "2.1 0.25 2.3 2.5 2.9")):
+            (tmp / f"{name}.csv").write_text(values.replace(" ", "\n") + "\n")
+        argv = ["test2", "--h", "power:2", "--x", str(tmp / "x5.csv"), "--y", str(tmp / "y5.csv"),
+                "--B", "99", "--seed", "9", "--deterministic"]
+        assert run_cli(argv)[0] == 0  # writes the cache file, or hits the one the last example rebuilt
+        (path,) = (tmp / "cache").glob("*.csv")
+        path.write_bytes(content)
+        code, out, err = run_cli(argv)
+        assert code == 0 and out == run_cli(argv + ["--no-cache"])[1]
+        assert err.startswith("warning: ") and err.count("\n") == 1, err
+
     @pytest.mark.parametrize("changed", ["sizes", "seed"])
     def test_cache_file_of_another_request_is_rebuilt(self, data_files, changed):
         tmp, x, _, z = data_files

@@ -280,6 +280,10 @@ class TestAdaptiveQuad:
         value = adaptive_quad(lambda u: np.abs(u - 0.3), 0.0, 1.0)
         assert abs(value - 0.29) < 1e-12
 
+    def test_fallback_calls_an_array_only_integrand_on_arrays(self):
+        value = adaptive_quad(_array_only(lambda u: np.abs(u - 1.0 / 3.0)), 0.0, 1.0)
+        assert abs(value - 5.0 / 18.0) < 1e-12
+
     def test_integrable_end_singularities(self):
         assert abs(adaptive_quad(np.log, 0.0, 1.0) + 1.0) < 1e-12
         assert abs(adaptive_quad(lambda u: 1.0 / np.sqrt(1.0 - u), 0.0, 1.0) - 2.0) < 1e-10
@@ -445,6 +449,14 @@ def _square(u):
     return np.asarray(u, dtype=float) ** 2
 
 
+def _array_only(fn):
+    """``fn``, raising on anything but a float array with at least one dimension."""
+    def wrapped(u):
+        assert isinstance(u, np.ndarray) and u.ndim and u.dtype == float, repr(u)
+        return fn(u)
+    return wrapped
+
+
 class TestConstruction:
     """The generator types validate on construction and integrate an omitted constant once."""
 
@@ -468,6 +480,11 @@ class TestConstruction:
         h = ConvexGenerator("p2", _square)
         assert len(calls) == 1
         assert h.validated and h.integral_0_1 == adaptive_quad(_square, 0.0, 1.0)
+
+    def test_array_only_kinked_generator_is_integrated(self):
+        # the kink at 0.3 sends the centring quadrature to the QUADPACK fallback
+        h = ConvexGenerator("kink", _array_only(lambda u: u * u + np.abs(u - 0.3) - 0.3))
+        assert abs(h.integral_0_1 - (1.0 / 3.0 + 0.29 - 0.3)) < 1e-12
 
     def test_omitted_constants_are_the_validator_quadratures(self):
         xi = LogConvexGenerator("e", lambda u: np.exp(np.asarray(u) ** 2))
@@ -584,6 +601,16 @@ class TestSpecGrammar:
         parse_generator_spec.cache_clear()
         assert parse_generator_spec("power:2") is parse_generator_spec(np.str_("power:2"))
         assert parse_generator_spec.cache_info().hits == 1 and parse_generator_spec.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("spec", ["power:3", "power:7", "bernstein:power:3:8", "poly:0,1,1", "expsq:1"])
+def test_a_float_and_a_one_element_array_give_the_same_bits(spec):
+    g = parse_generator_spec(spec)
+    u = np.random.default_rng(20000).random(20000)
+    one = [g.eval(np.array([t]))[0] for t in u]
+    floats = [g.eval(t) for t in u.tolist()]
+    assert all(isinstance(v, float) for v in floats)
+    assert np.array(floats).view(np.uint64).tolist() == np.array(one).view(np.uint64).tolist()
 
 
 class TestImmutability:

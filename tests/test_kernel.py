@@ -33,7 +33,7 @@ from convexgof.nulldist import CHUNK, _chunk_rows, _label_blocks, replicate_stre
 from convexgof.statistics import _SCRATCH, _centering, _group_labels, _rank_statistic, _tie_blocks
 from convexgof.oracle import _label_units
 
-from oracle_helpers import hand_keys, label_batches, reference_statistic
+from oracle_helpers import LIBM_KERNELS, hand_keys, label_batches, reference_statistic
 
 # generators whose eval is elementwise, so a grid lookup equals evaluating in place
 GENERATORS = {
@@ -144,6 +144,23 @@ def _hand_labels(sizes, seed, chunk, rows):
 # pin the (seed, chunk) stream contract of table format 4, which format 5
 # keeps at N <= 256.
 
+# the digests that differ under numpy's libm kernels (see oracle_helpers.LIBM_KERNELS), by their AVX-512 digest
+LIBM_DIGESTS = {
+    "014781949b218002a22bf9a63de631a563cef6bb8ade841cf230b913cea247f9":  # tau expsq:1 pmf at 7/7
+        "bc6c8daf68d7bd2dfc3e6f34043f16152aa31ca9a0bdd5d5c4a03f3a7b4d9128",
+    "dda4c2df7cf63393cd72d5e230240b01dc341aadd86fa145b70a12a31e43ea69":  # tau permutation, mid
+        "99ea52d0dd2f302e26b44cddda78e6db44112206beb6883e3394b1431a0f7abb",
+    "1e9317ffe8c3a2ec6412752bda27c45e8cfbcf0ad9877e12d440a3594f99fccf":  # tau permutation, right-continuous
+        "35d68d900acacd80a0fae846440c19d7fa5905a165452efa830c9599ce36d091",
+    "761ae3ea6e53198638e24c6f9184924f25ae2d4d4fcba83164b0a890faf63f51":  # tau 300x200 table
+        "b17c1eb2a7dac9000980c4d3fc2f01850874731e9dfa63f20d438c6c008bdad3",
+}
+
+
+def _pinned(digest):
+    return LIBM_DIGESTS.get(digest, digest) if LIBM_KERNELS else digest
+
+
 def _table_digest(values):
     return hashlib.sha256(np.ascontiguousarray(values, dtype="<f8").tobytes()).hexdigest()
 
@@ -162,7 +179,7 @@ def _pmf_digest(dist):
     (TWO_SAMPLE, "power:2", (10, 10), "c88dd7269f1827afe355a45548d98d39f01f580e6f5acfb3fc98bd7edfb4d816"),
 ])
 def test_enumerated_pmf_digests(kind, spec, sizes, digest):
-    assert _pmf_digest(enumerate_null(kind, parse_generator_spec(spec), sizes)) == digest
+    assert _pmf_digest(enumerate_null(kind, parse_generator_spec(spec), sizes)) == _pinned(digest)
 
 
 PERMUTATION_DIGESTS = {
@@ -197,7 +214,7 @@ def test_permutation_table_digests(kind, convention):
     expected = sorted(reference_statistic(kind, gen, [pooled[row == g] for g in range(len(sizes))],
                                           w, convention) for row in labels)
     assert list(table.replicates) == expected
-    assert _table_digest(table.replicates) == PERMUTATION_DIGESTS[(kind, convention)]
+    assert _table_digest(table.replicates) == _pinned(PERMUTATION_DIGESTS[(kind, convention)])
 
 
 def test_permutation_chunks_match_streams():
@@ -394,7 +411,7 @@ def test_large_table_digests(kind, spec, sizes, weights, B, seed, digest):
     assert B > _chunk_rows(sum(sizes))  # at least two chunks
     table = simulate_null(kind, parse_generator_spec(spec), sizes, B=B, seed=seed,
                           weights=None if weights is None else WeightVector(weights))
-    assert _table_digest(table.replicates) == digest
+    assert _table_digest(table.replicates) == _pinned(digest)
 
 
 def _null_arrays(case):

@@ -33,7 +33,7 @@ from convexgof import generators, oracle
 from convexgof.generators import adaptive_quad, parse_generator_spec
 from convexgof.oracle import battery_cdf_pairs, battery_generators, battery_to_csv
 
-from oracle_helpers import expsq_square_integral
+from oracle_helpers import LIBM_KERNELS, expsq_square_integral
 
 UNIFORM = uniform_cdf()
 SQUARE_CDF = power_cdf(2)
@@ -84,6 +84,28 @@ log-convex-equality/power[3] log-convex-equality expsq:1 power[3] power[3] 0x0.0
 log-convex-inequality/logistic[0,1]-vs-logistic[0,2] log-convex-inequality expsq:1 logistic[0,1] logistic[0,2] 0x1.c3ccc3e742800p-6 1e-06 True
 log-convex-equality/logistic[0,1] log-convex-equality expsq:1 logistic[0,1] logistic[0,1] 0x0.0p+0 1e-07 True
 log-convex-equality/logistic[0,2] log-convex-equality expsq:1 logistic[0,2] logistic[0,2] 0x0.0p+0 1e-07 True
+"""
+
+# the battery rows that differ under numpy's libm kernels (see oracle_helpers.LIBM_KERNELS)
+BATTERY_PIN_LIBM = """\
+inequality/power:2/uniform-vs-power[3] strict-inequality power:2 uniform power[3] 0x1.3813813813818p-4 1e-06 True
+inequality/power:2/logistic[0,1]-vs-logistic[0,2] strict-inequality power:2 logistic[0,1] logistic[0,2] 0x1.768ea443b93c0p-7 1e-06 True
+equality/power:2/power[2] equality-characterization power:2 power[2] power[2] 0x1.0000000000000p-53 1e-08 True
+equality/power:2/power[3] equality-characterization power:2 power[3] power[3] 0x1.0000000000000p-53 1e-08 True
+equality/power:3/power[2] equality-characterization power:3 power[2] power[2] 0x1.0000000000000p-53 1e-08 True
+equality/power:3/power[3] equality-characterization power:3 power[3] power[3] 0x0.0p+0 1e-08 True
+inequality/poly:0,1,0,1/uniform-vs-power[2] strict-inequality poly:0,1,0,1 uniform power[2] 0x1.3e93e93e93ea0p-4 1e-06 True
+inequality/poly:0,1,0,1/logistic[0,1]-vs-logistic[0,2] strict-inequality poly:0,1,0,1 logistic[0,1] logistic[0,2] 0x1.1e6e64ffb33e0p-5 1e-06 True
+equality/poly:0,1,0,1/power[2] equality-characterization poly:0,1,0,1 power[2] power[2] 0x1.0000000000000p-52 1e-08 True
+equality/poly:0,1,0,1/power[3] equality-characterization poly:0,1,0,1 power[3] power[3] 0x0.0p+0 1e-08 True
+inequality/bernstein:power:2:8/uniform-vs-power[3] strict-inequality bernstein:power:2:8 uniform power[3] 0x1.1111111111110p-4 1e-06 True
+equality/bernstein:power:2:8/power[3] equality-characterization bernstein:power:2:8 power[3] power[3] 0x0.0p+0 1e-08 True
+cvm-identity/uniform-vs-power[2] cvm-identity power:2 uniform power[2] 0x1.c000000000000p-54 1e-08 True
+cvm-identity/uniform-vs-power[3] cvm-identity power:2 uniform power[3] 0x1.0000000000000p-54 1e-08 True
+cvm-identity/logistic[0,1]-vs-logistic[0,2] cvm-identity power:2 logistic[0,1] logistic[0,2] -0x1.8000000000000p-57 1e-08 True
+log-convex-inequality/uniform-vs-power[2] log-convex-inequality expsq:1 uniform power[2] 0x1.cca9edd2d8f00p-5 1e-06 True
+log-convex-equality/power[2] log-convex-equality expsq:1 power[2] power[2] 0x1.0000000000000p-50 1e-07 True
+log-convex-inequality/logistic[0,1]-vs-logistic[0,2] log-convex-inequality expsq:1 logistic[0,1] logistic[0,2] 0x1.c3ccc3e742900p-6 1e-06 True
 """
 
 
@@ -171,6 +193,15 @@ FUNCTIONAL_PIN = {
     "generator_integral_bernstein": "0x1.3333333333334p-2",
     "jensen_gap": "0x1.0672f12e46fc8p-6",
 }
+# the functionals that differ under numpy's libm kernels (see oracle_helpers.LIBM_KERNELS)
+FUNCTIONAL_PIN_LIBM = {
+    "population_functional": "0x1.6666666666667p-1",
+    "population_gap": "0x1.1111111111120p-5",
+    "population_gap_poly": "0x1.72972972972a0p-4",
+    "generator_integral": "0x1.5555555555555p-2",
+    "generator_integral_bernstein": "0x1.3333333333333p-2",
+    "jensen_gap": "0x1.0672f12e46fd0p-6",
+}
 
 
 def test_public_functionals_pinned_bit_for_bit():
@@ -188,7 +219,8 @@ def test_public_functionals_pinned_bit_for_bit():
         "jensen_gap": jensen_gap(SQUARE, [f, g, logistic_cdf(0, 1)], WeightVector((0.2, 0.3, 0.5))),
     }
     assert all(type(v) is float for v in values.values())
-    assert {name: v.hex() for name, v in values.items()} == FUNCTIONAL_PIN
+    assert {name: v.hex() for name, v in values.items()} == (
+        {**FUNCTIONAL_PIN, **FUNCTIONAL_PIN_LIBM} if LIBM_KERNELS else FUNCTIONAL_PIN)
 
 
 def test_kinked_term_alone_falls_back_in_a_batched_pass(monkeypatch):
@@ -243,8 +275,23 @@ class TestMaxProbability:
         with pytest.raises(InvalidParameterError):
             max_probability(0, UNIFORM, UNIFORM, n_trials=10)
 
+    @pytest.mark.parametrize("m, n_trials, seed", [(True, 10, 0), (2.0, 10, 0), (1, 2.5, 0), (1, 10, -1),
+                                                  (1, 10, 2**64), (1, 10, None), (1, 10, 1.0)])
+    def test_rejects_non_integers_and_bad_seeds(self, m, n_trials, seed):
+        with pytest.raises(InvalidParameterError):
+            max_probability(m, UNIFORM, UNIFORM, n_trials=n_trials, seed=seed)
+
 
 class TestJensenGap:
+    @pytest.mark.parametrize("weights", [(0.2, 0.3, 0.5), [0.2, 0.3, 0.5], np.array([0.2, 0.3, 0.5])])
+    def test_plain_weights_are_a_weight_vector(self, weights):
+        cdfs = [UNIFORM, SQUARE_CDF, logistic_cdf(0, 1)]
+        assert jensen_gap(SQUARE, cdfs, weights) == jensen_gap(SQUARE, cdfs, WeightVector((0.2, 0.3, 0.5)))
+
+    def test_plain_weights_are_checked(self):
+        with pytest.raises(InvalidParameterError, match="sum to"):
+            jensen_gap(SQUARE, [UNIFORM, SQUARE_CDF], (0.5, 0.6))
+
     def test_equal_cdfs_give_zero(self):
         gap = jensen_gap(SQUARE, [UNIFORM, UNIFORM], WeightVector((0.5, 0.5)))
         assert abs(gap) < 1e-8
@@ -347,14 +394,15 @@ class TestBattery:
         # test_values_match_quadpack allows 1e-11, which a reordered sum would pass
         rows = [" ".join(map(str, (c.case_id, c.check, c.generator_name, c.f_name, c.g_name,
                                    c.value.hex(), c.tolerance, c.passed))) for c in run_battery()]
-        assert rows == BATTERY_PIN.splitlines()
+        libm = {row.split()[0]: row for row in BATTERY_PIN_LIBM.splitlines()} if LIBM_KERNELS else {}
+        assert rows == [libm.get(row.split()[0], row) for row in BATTERY_PIN.splitlines()]
 
     def test_each_term_integrated_once(self, monkeypatch):
         # one tanh-sinh pass over every term: int(h) per generator, int(xi^2), 2 per functional,
         # and the CvM cases reuse the power:2 gaps; 4 * (1 + 2 * (3 + 5)) + 2 * 3 + 1 + 2 * (3 + 5) = 91
         passes = []
         tanh_sinh = oracle._tanh_sinh
-        monkeypatch.setattr(oracle, "_tanh_sinh", lambda *a: passes.append(a[2].size) or tanh_sinh(*a))
+        monkeypatch.setattr(oracle, "_tanh_sinh", lambda *a: passes.append(a[1].size) or tanh_sinh(*a))
         run_battery()
         assert passes == [91]
 
