@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import datetime
 import functools
 import hashlib
@@ -23,7 +24,6 @@ from .ecdf import CONVENTIONS, RIGHT_CONTINUOUS, read_sample
 from .errors import (
     ConvexGofError,
     DataIngestionError,
-    EnumerationTooLargeError,
     GeneratorSpecError,
     InvalidParameterError,
     NumericalError,
@@ -161,11 +161,9 @@ def _generator_for(kind, spec):
     process), once its family fits ``kind``: a mismatch is rejected before any quadrature."""
     family = str(spec).strip().partition(":")[0]
     if kind == TAU and family in ("power", "poly", "bernstein"):
-        raise GeneratorSpecError(
-            f"generator spec '{spec}' is not log-convex; tau needs e.g. expsq:alpha")
+        raise GeneratorSpecError(f"generator spec '{spec}' is not log-convex; tau needs e.g. expsq:alpha")
     if kind != TAU and family == "expsq":
-        raise GeneratorSpecError(
-            f"generator spec '{spec}' is not a convex generator; use power/poly/bernstein")
+        raise GeneratorSpecError(f"generator spec '{spec}' is not a convex generator; use power/poly/bernstein")
     return parse_generator_spec(spec)
 
 
@@ -216,7 +214,6 @@ def _table_via_cache(args, kind, generator, sizes, weights, err):
 
 
 def _report_dict(args, kind, report, inputs):
-    stat = report.statistic
     table = report.table
     return {
         "command": args.command,
@@ -226,13 +223,7 @@ def _report_dict(args, kind, report, inputs):
         "inputs": list(inputs),
         "convention": args.convention,
         "method": report.method,
-        "statistic": {
-            "value": stat.value,
-            "raw_functional": stat.raw_functional,
-            "centering_constant": stat.centering_constant,
-            "tie_count": stat.tie_count,
-            "generator_name": stat.generator_name,
-        },
+        "statistic": dataclasses.asdict(report.statistic),
         "p_value": report.p_value,
         "critical_values": {f"{a:g}": v for a, v in report.critical_values.items()},
         "null_table": {
@@ -394,15 +385,10 @@ def run(argv=None, out=None, err=None) -> int:
         if args.command == "power":
             return _cmd_power(args, out)
         return _cmd_verify(args, out)
-    except (GeneratorSpecError, InvalidParameterError, EnumerationTooLargeError, OSError) as exc:
+    except (ConvexGofError, OSError) as exc:
         err.write(f"error: {exc}\n")
-        return EXIT_CONFIG
-    except DataIngestionError as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_DATA
-    except NumericalError as exc:
-        err.write(f"error: {exc}\n")
-        return EXIT_NUMERICAL
+        return (EXIT_DATA if isinstance(exc, DataIngestionError)
+                else EXIT_NUMERICAL if isinstance(exc, NumericalError) else EXIT_CONFIG)
 
 
 def main() -> None:

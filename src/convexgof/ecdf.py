@@ -50,8 +50,8 @@ def read_sample(path, label: str | None = None) -> Sample:
     """Read a single-column sample from a text/CSV file.
 
     ``#`` starts a comment, blank lines are skipped, and each remaining line
-    must hold exactly one real number.  Parse failures name the file and
-    line number.
+    must hold exactly one real number, with no digit underscores.  Parse
+    failures name the file and line number.
     """
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
@@ -71,6 +71,8 @@ def read_sample(path, label: str | None = None) -> Sample:
                 f"{path}:{lineno}: expected one value per line, got {len(tokens)} tokens"
             )
         try:
+            if "_" in tokens[0]:  # float() reads digit underscores: '1_5' would be 15.0
+                raise ValueError
             v = float(tokens[0])
         except ValueError:
             raise DataIngestionError(

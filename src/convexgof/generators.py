@@ -3,9 +3,10 @@
 Two families are supported: strictly convex generators h on [0,1] with
 h(0) = 0, and positive log-strictly-convex generators xi on [0,1].  A
 generator is a name, an ``eval``, one centering constant (the integral of
-h, or of xi^2, over [0,1]) and a ``validated`` flag.  The antiderivative Xi
-of xi is only ever needed at the grid i/n of a sample size n, so it exists
-only as the cached quadrature grid ``LogConvexGenerator.antiderivative_grid(n)``.
+h, or of xi^2, over [0,1]) and a ``validated`` flag.  The statistics need
+a generator only on the grid i/n of a sample size n: h(i/n), and the
+antiderivative Xi of xi as the quadrature grid ``antiderivative_grid(n)``
+and its jumps, all kept in one memo keyed by ``eval`` and n.
 The two types check themselves: unless ``validated=False``, construction
 runs ``validate_generator``, which checks what the statistics consume (the
 defining strict inequality on a finite grid and the centering constant), and
@@ -25,15 +26,14 @@ Integrals use ``adaptive_quad``, a wrapper of ``_tanh_sinh``: one vectorised tan
 Importing this module loads numpy only, and scipy loads only in the QUADPACK fallback.
 Bernstein generators take their log-space basis from ``math.lgamma`` and numpy's ``log``,
 ``log1p`` and ``exp``, whose last bits follow numpy's SIMD level, so their values are
-bit-identical on one host.  Their values date from table format 6; a format-5 table, whose basis
-replicated scipy.special's rounding, differs by ulps, not in law, and is never reused.
+bit-identical on one host.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -46,7 +46,8 @@ from .errors import (
     QuadratureError,
 )
 
-MEMO_SIZE = 64  # specs kept by parse_generator_spec, and Xi grids kept per log-convex generator
+MEMO_SIZE = 64  # specs kept by parse_generator_spec
+CHUNK_ELEMENTS = 2**18  # most pooled draws per work unit (nulldist), and most floats the grid memo keeps
 QUAD_TOL = 1e-10
 CONVEXITY_EPS = 1e-12
 DEFAULT_GRID = 128
@@ -132,6 +133,34 @@ def eval_on_array(fn, x, *more):
     return flat.reshape(x.shape)
 
 
+_GRIDS: dict = {}  # (id(fn), n, kind) -> (fn, grid), oldest first; an entry keeps fn, so its id is not reused
+
+
+def _memo_grids(fn, builds) -> list:
+    """``build()`` for each ``(n, kind, build)`` of ``builds``: read-only grids memoised under the callable ``fn``
+    itself, never a generator's name or object.  A call that builds one keeps all of its grids and drops the
+    others, oldest first, while the memo holds over ``CHUNK_ELEMENTS`` floats; a call of kept grids only reads."""
+    keys = [(id(fn), n, kind) for n, kind, _ in builds]
+    mine = dict(zip(keys, map(_GRIDS.get, keys)))
+    if None in mine.values():
+        for key, (_, _, build) in zip(keys, builds):
+            mine[key] = mine[key] or (fn, build())
+            mine[key][1].setflags(write=False)
+        _GRIDS.update(mine)  # a grid that a nested call dropped is kept again
+        total = sum(grid.size for _, grid in list(_GRIDS.values()))
+        for key, (_, grid) in list(_GRIDS.items()):  # oldest first
+            if total > CHUNK_ELEMENTS and key not in mine and _GRIDS.pop(key, None):
+                total -= grid.size
+    return [mine[key][1] for key in keys]
+
+
+def _check_int(value, what, lo=1, hi=math.inf) -> int:
+    """``value`` as an int in [lo, hi); anything else, a bool included, raises ``InvalidParameterError``."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or not lo <= int(value) < hi:
+        raise InvalidParameterError(f"{what}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ConvexGenerator:
     """Strictly convex generator h on [0,1] with h(0) = 0.
@@ -160,7 +189,7 @@ class LogConvexGenerator:
 
     ``integral_sq_0_1``, the integral of xi^2 over [0,1], centres the tau
     statistic; it is omitted, integrated and checked as ``integral_0_1`` is
-    for :class:`ConvexGenerator`.  The antiderivative Xi is the cached grid
+    for :class:`ConvexGenerator`.  The antiderivative Xi is the memoised grid
     of :meth:`antiderivative_grid`, integrated from ``eval``.
     """
 
@@ -169,26 +198,18 @@ class LogConvexGenerator:
     integral_sq_0_1: float | None = None
     validated: bool = True
     _constant_key = "integral_sq_0_1"
-    _grid_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         _check_on_construction(self)
 
     def antiderivative_grid(self, n: int) -> np.ndarray:
-        """Xi evaluated at i/n for i = 0..n, cached for the last ``MEMO_SIZE`` sample sizes built.
+        """Xi evaluated at i/n for i = 0..n, read-only, kept by :func:`_memo_grids` under ``eval``.
 
         Computed by one quadrature call over the n panels and a cumulative sum
         so the jump weights Xi(i/n) - Xi((i-1)/n) used by the statistics are cheap.
         """
-        grid = self._grid_cache.get(n)
-        if grid is None:
-            edges = np.arange(n + 1) / n
-            grid = np.concatenate([[0.0], np.cumsum(adaptive_quad(self.eval, edges[:-1], edges[1:], tol=1e-13))])
-            grid.setflags(write=False)
-            if len(self._grid_cache) >= MEMO_SIZE:  # drop the oldest
-                del self._grid_cache[next(iter(self._grid_cache))]
-            self._grid_cache[n] = grid
-        return grid
+        return _memo_grids(self.eval, [(n, "antiderivative", lambda: np.concatenate(
+            [[0.0], np.cumsum(adaptive_quad(self.eval, np.arange(n) / n, np.arange(1, n + 1) / n, tol=1e-13))]))])[0]
 
 
 @dataclass(frozen=True)
@@ -208,9 +229,7 @@ def _name_token(v: float) -> str:
 
 def power_generator(m: int) -> ConvexGenerator:
     """h(u) = u^m for integer m >= 2; integral over [0,1] is 1/(m+1)."""
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 2:
-        raise InvalidParameterError(f"power generator needs an integer m >= 2, got {m!r}")
-    m = int(m)
+    m = _check_int(m, "power generator needs an integer m >= 2", 2)
 
     def _eval(u, _m=m):
         return np.asarray(u, dtype=float) ** _m
@@ -257,9 +276,7 @@ def bernstein_generator(h: ConvexGenerator, m: int) -> ConvexGenerator:
     space, so C(m,k) never overflows: log C(m,k) from ``math.lgamma``, and
     k log u and (m-k) log(1-u) from numpy, each 0 where its count is 0.
     """
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 2:
-        raise InvalidParameterError(f"Bernstein degree must be an integer >= 2, got {m!r}")
-    m = int(m)
+    m = _check_int(m, "Bernstein degree must be an integer >= 2", 2)
     u = np.linspace(0.0, 1.0, DEFAULT_GRID + 1)
     probes = eval_on_array(h.eval, u)
     if np.any(probes < -CONVEXITY_EPS):

@@ -8,15 +8,17 @@ block of random keys from its own RNG stream, an SFC64 generator seeded by
 (seed, c), each tagged with its slot's group, into rows of group labels; a
 row with two keys equal but for their tags is redrawn.  A chunk is the work
 unit: it stays in cache, one thread draws, sorts and scores it, and the table
-is the same whatever thread runs which chunk.  The permutation null sends the
-rows to the count-indexed kernel (``statistics``) with the pooled data's tie
-blocks and ECDF convention; a simulated table is the permutation null without
-ties, under the right-continuous convention.
+is the same whatever thread runs which chunk; pool threads read the generator
+grids that chunk 0, on the calling thread, leaves in the memo of ``generators``.
+The permutation null sends the rows to the count-indexed kernel (``statistics``)
+with the pooled data's tie blocks and ECDF convention; a simulated table is the
+permutation null without ties, under the right-continuous convention.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 import os
 import warnings
@@ -26,8 +28,10 @@ import numpy as np
 
 from .ecdf import RIGHT_CONTINUOUS, Sample
 from .errors import ConvexGofError, InvalidParameterError
-from .generators import _name_token
+from .generators import _check_int, _name_token
 from .statistics import (
+    CHUNK,
+    CHUNK_ELEMENTS,
     K_SAMPLE,
     KINDS,
     TAU,
@@ -46,9 +50,7 @@ from .statistics import (
 )
 
 DEFAULT_B = 9999
-CHUNK = 1024  # most replicates per work unit
-CHUNK_ELEMENTS = 2**18  # most pooled draws per work unit, which bounds its memory and keeps it in cache
-TABLE_FORMAT_VERSION = 7
+TABLE_FORMAT_VERSION = 8
 MAX_SEED = 2**64
 
 
@@ -98,13 +100,6 @@ def replicate_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, index])))
 
 
-def _check_int(value, what, lo=1, hi=math.inf) -> int:
-    """``value`` as an int in [lo, hi); anything else, a bool included, raises ``InvalidParameterError``."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or not lo <= int(value) < hi:
-        raise InvalidParameterError(f"{what}, got {value!r}")
-    return int(value)
-
-
 def _check_seed(seed) -> int:
     return _check_int(seed, "seed must be an unsigned 64-bit integer", 0, MAX_SEED)
 
@@ -128,11 +123,6 @@ def _unit_pool():
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_unit_pool.cache_clear)  # a forked child has no pool threads
-
-
-def _drawn(labels):
-    """A work unit whose label rows are already drawn."""
-    return lambda: labels
 
 
 def _label_blocks(sizes, B, seed, transform=None):
@@ -188,21 +178,22 @@ def _label_blocks(sizes, B, seed, transform=None):
 
     units = [functools.partial(unit, chunk, min(rows, B - start))
              for chunk, start in enumerate(range(0, B, rows))]
-    return units if transform is None else (_drawn(draw()) for draw in units)
+    return units if transform is None else (lambda rows=draw(): rows for draw in units)  # drawn as iterated
 
 
 def _table_values(kind, generator, sizes, weights, units, ties=None,
                   convention=RIGHT_CONTINUOUS) -> np.ndarray:
     """Sorted, centered statistics of the label rows of every work unit in ``units``; read-only.
 
-    The units share one set of generator grids, so each is evaluated once per
-    table, on the calling thread, which runs the first unit.  Where
-    ``CHUNK_ELEMENTS`` caps the units (N > 256), the pool runs the rest.
+    The calling thread runs the first unit, which builds every generator grid
+    the memo lacks and keeps them all.  Where ``CHUNK_ELEMENTS`` caps the units
+    (N > 256), the pool runs the rest, which only read those grids, unless a
+    table built meanwhile on another thread fills the memo past its bound.
     """
-    grids, units = {}, iter(units)
+    units = iter(units)
 
     def score(unit):
-        return _rank_statistic(kind, generator, sizes, weights, unit(), ties, convention, grids)
+        return _rank_statistic(kind, generator, sizes, weights, unit(), ties, convention)
 
     raw = [score(next(units))]
     pool = _unit_pool() if _chunk_rows(sum(sizes)) < CHUNK and (units := list(units)) else None
@@ -336,10 +327,8 @@ def parse_alternative(spec: str):
     """Parse an alternative spec 'shift:d' | 'scale:s' | 'lehmann:t'."""
     head, sep, arg = str(spec).strip().partition(":")
     if not sep or head not in ALTERNATIVES:
-        raise InvalidParameterError(
-            f"unknown alternative spec '{spec}'; expected one of "
-            + ", ".join(f"{a}:<value>" for a in ALTERNATIVES)
-        )
+        raise InvalidParameterError(f"unknown alternative spec '{spec}'; expected one of "
+                                    + ", ".join(f"{a}:<value>" for a in ALTERNATIVES))
     try:
         value = float(arg)
     except ValueError:
@@ -422,11 +411,13 @@ def save_table(table: NullTable, path) -> None:
     The file is a header block of ``# key=value`` lines, a ``replicate_hex``
     line, and a body of one replicate per line, the 16 hex digits of its
     big-endian IEEE-754 bits, so loading is bit-identical to regeneration.
+    The header's last key, ``sha256``, is the digest of those bits.
     It is written beside ``path`` and renamed into place, so readers never
     see a partial table.  A header value that :func:`load_table` would not
     read back as written (one with a line break, or leading or trailing
     whitespace) raises ``InvalidParameterError`` before anything is written.
     """
+    words = table.replicates.astype(">f8").tobytes()
     header = {
         "format_version": TABLE_FORMAT_VERSION,
         "statistic_kind": table.statistic_kind,
@@ -435,6 +426,7 @@ def save_table(table: NullTable, path) -> None:
         "weights": "-" if table.weights is None else ",".join(repr(w) for w in table.weights),
         "seed": table.seed,
         "B": table.B,
+        "sha256": hashlib.sha256(words).hexdigest(),
     }
     for key, value in header.items():
         text = str(value)
@@ -444,7 +436,7 @@ def save_table(table: NullTable, path) -> None:
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(f"# {key}={value}\n" for key, value in header.items())
-            fh.write("replicate_hex\n" + table.replicates.astype(">f8").tobytes().hex("\n", 8) + "\n" * bool(table.B))
+            fh.write("replicate_hex\n" + words.hex("\n", 8) + "\n" * bool(table.B))
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -457,7 +449,8 @@ def load_table(path) -> NullTable:
     Its first line that is exactly ``replicate_hex`` ends the ``# key=value``
     header.  A cut-off file, any other header line, a repeated, missing or bad key,
     a body that is not ``B`` lines of 16 hex digits (the first bad line is named),
-    or non-finite or unsorted replicates raise :class:`ConvexGofError` naming the file.
+    non-finite or unsorted replicates, or a body whose bits do not have the header's
+    ``sha256`` digest raise :class:`ConvexGofError` naming the file.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -483,13 +476,16 @@ def load_table(path) -> NullTable:
         try:  # fromhex skips whitespace, so every line must first be 16 characters
             if len(body) != 17 * count or body[16::17] != "\n" * count:
                 raise ValueError
-            replicates = np.frombuffer(bytes.fromhex(body), ">f8", count).astype(float)
+            words = bytes.fromhex(body)
+            replicates = np.frombuffer(words, ">f8", count).astype(float)
         except ValueError:
             bad = [(i, w) for i, w in enumerate(body.split("\n")[:-1], 1) if len(w) != 16 or w.strip("0123456789abcdef")]
             raise ValueError(f"body line {bad[0][0]} {bad[0][1]!r} is not 16 lowercase hex digits" if bad
                              else "replicate count mismatch") from None
         if not np.all(np.isfinite(replicates)) or np.any(replicates[1:] < replicates[:-1]):
             raise ValueError("replicates are not finite and sorted")
+        if hashlib.sha256(words).hexdigest() != meta["sha256"]:
+            raise ValueError("replicates do not match the header's sha256 digest")
         table = NullTable(
             statistic_kind=meta["statistic_kind"],
             generator_name=meta["generator_name"],

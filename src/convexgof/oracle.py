@@ -26,8 +26,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import EnumerationTooLargeError, InvalidParameterError
-from .generators import _name_token, _tanh_sinh, eval_on_array, parse_generator_spec
-from .nulldist import _check_int, _check_seed, _chunk_rows, _table_values
+from .generators import _check_int, _name_token, _tanh_sinh, eval_on_array, parse_generator_spec
+from .nulldist import _check_seed, _chunk_rows, _table_values
 from .statistics import WeightVector, _check_kind_and_generator
 
 POP_TOL = 1e-9

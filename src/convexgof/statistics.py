@@ -8,9 +8,10 @@ Carlo calibration of the null absorbs it.
 Every ECDF value the functionals need is a member count over a sample size,
 so one count-indexed kernel, :func:`_rank_statistic`, computes the raw
 functional for observed data, simulated tables, permutations and exact
-enumeration alike.  Its counts come from column arithmetic in tie-free rows
-of two groups, and from prefix sums of bit-packed counts otherwise.  Every
-integral, tau's included, has one term per member of the integrating group.
+enumeration alike, from generator grids memoised per ``eval`` and size.  Its
+counts come from column arithmetic in tie-free rows of two groups, and from
+prefix sums of bit-packed counts otherwise.  Every integral, tau's included,
+has one term per member of the integrating group.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .ecdf import CONVENTIONS, RIGHT_CONTINUOUS, Sample
 from .errors import InvalidParameterError, NumericalError
-from .generators import ConvexGenerator, LogConvexGenerator, eval_on_array
+from .generators import CHUNK_ELEMENTS, ConvexGenerator, LogConvexGenerator, _memo_grids, eval_on_array
 
 TWO_SAMPLE = "two_sample"
 K_SAMPLE = "k_sample"
@@ -31,6 +32,7 @@ TAU = "tau"
 KINDS = (TWO_SAMPLE, K_SAMPLE, TAU)
 
 WEIGHT_SUM_TOL = 1e-12
+CHUNK = 1024  # most replicates per work unit; CHUNK_ELEMENTS bounds its pooled draws, memory and cache use
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,7 @@ class StatisticValue:
 
 
 _SCRATCH = threading.local()
-_SCRATCH_ELEMENTS = 2**18 + 2**10  # CHUNK_ELEMENTS + CHUNK: one unit's count word, rows x (N + 1), at N <= 2**18
+_SCRATCH_ELEMENTS = CHUNK_ELEMENTS + CHUNK  # one unit's count word, rows x (N + 1), at N <= 2**18
 
 
 def _scratch(name, shape, dtype) -> np.ndarray:
@@ -107,7 +109,7 @@ def _tie_blocks(sorted_values):
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite result raises below
 def _rank_statistic(kind, generator, sizes, weights, labels, ties=None,
-                    convention=RIGHT_CONTINUOUS, grids=None) -> np.ndarray:
+                    convention=RIGHT_CONTINUOUS) -> np.ndarray:
     """Raw functional of every row of a label matrix in pooled rank order.
 
     ``labels[r, p]`` is the group of replicate r's p-th smallest pooled value,
@@ -116,13 +118,12 @@ def _rank_statistic(kind, generator, sizes, weights, labels, ties=None,
     start and end, or None; only with ties does ``mid`` change a count, to the
     sum of those below and through its block, looked up in h(i/2n).  Each
     integral sums one term per member of the integrating group l in sorted
-    order, one ordered pair of groups at a time; a grid is evaluated when a
-    pair first needs it, and kept in ``grids`` (keyed by its n) when the
-    caller passes a dict to share between calls, so a call with every grid
-    there runs no generator code.  A tau term is weighted by its member's
-    jump Xi((i+1)/n_l) - Xi(i/n_l), kept there too (keyed by ("jumps", n_l));
-    a tie block's members share one count of the other group, so their jumps
-    add up to the block's jump.
+    order, one ordered pair of groups at a time.  A tau term is weighted by
+    its member's jump Xi((i+1)/n_l) - Xi(i/n_l), the difference of
+    ``antiderivative_grid(n_l)``; a tie block's members share one count of
+    the other group, so their jumps add up to the block's jump.  Every grid
+    comes from one call of ``generators._memo_grids`` before any count, so a
+    call whose grids are all kept there runs no generator code.
     In tie-free rows of two groups the other group's count before a member is
     the member's column minus its index in its own group.  Otherwise every group's running
     count is a ``bits``-wide field of an int64 word, ``63 // bits`` groups per
@@ -133,18 +134,18 @@ def _rank_statistic(kind, generator, sizes, weights, labels, ties=None,
         raise InvalidParameterError(f"unknown CDF convention '{convention}'; expected one of {CONVENTIONS}")
     nrep, width = labels.shape
     k, mid = len(sizes), convention != RIGHT_CONTINUOUS and ties is not None
-    grids, integrals = {} if grids is None else grids, {}
+    fn, integrals = generator.eval, {}
+    grids = _memo_grids(fn, [(n, "values", lambda n=n: eval_on_array(fn, np.arange(n + 1) / n))
+                             for n in (2 * s if mid else s for s in sizes)]  # h(i/n) for group j's ECDF
+                        + [(n, "jumps", lambda n=n: np.diff(generator.antiderivative_grid(n)))
+                           for n in sizes if kind == TAU])
+    values, jumps = grids[:k], grids[k:]
 
     def integral(j, l, index):  # group j's ECDF over group l's values
-        n = 2 * sizes[j] if mid else sizes[j]
-        if n not in grids:
-            grids[n] = eval_on_array(generator.eval, np.arange(n + 1) / n)
-        terms = np.take(grids[n], index.reshape(nrep, sizes[l]), mode="clip",  # index lies in 0..n
+        terms = np.take(values[j], index.reshape(nrep, sizes[l]), mode="clip",  # index lies in 0..n
                         out=_scratch("terms", (nrep, sizes[l]), float))
         if kind == TAU:
-            if ("jumps", sizes[l]) not in grids:
-                grids["jumps", sizes[l]] = np.diff(generator.antiderivative_grid(sizes[l]))
-            return np.multiply(terms, grids["jumps", sizes[l]], out=terms).sum(axis=1)
+            return np.multiply(terms, jumps[l], out=terms).sum(axis=1)
         return terms.sum(axis=1) / sizes[l]
 
     def members(l):  # column of each of group l's members, per row
@@ -219,9 +220,7 @@ def _check_kind_and_generator(kind, generator, sizes, weights):
         elif not isinstance(weights, WeightVector):
             weights = WeightVector(tuple(weights))
         if len(weights) != len(sizes):
-            raise InvalidParameterError(
-                f"weight count {len(weights)} does not match sample count {len(sizes)}"
-            )
+            raise InvalidParameterError(f"weight count {len(weights)} does not match sample count {len(sizes)}")
     elif weights is not None:
         raise InvalidParameterError(f"weights are only meaningful for {K_SAMPLE}")
     if kind == TAU:
@@ -246,13 +245,7 @@ def _observed_statistic(kind, generator, samples, weights, convention) -> Statis
         lo, hi = ties
         per_group = np.unique(lo * len(sizes) + labels[0], return_counts=True)[1]
         tie_count = int(np.sum(hi - lo) - np.sum(per_group * per_group)) // 2
-    return StatisticValue(
-        value=raw - centering,
-        raw_functional=raw,
-        centering_constant=centering,
-        tie_count=tie_count,
-        generator_name=generator.name,
-    )
+    return StatisticValue(raw - centering, raw, centering, tie_count, generator.name)
 
 
 def two_sample_statistic(h: ConvexGenerator, x: Sample, y: Sample,

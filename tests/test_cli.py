@@ -413,9 +413,10 @@ class TestCacheFiles:
     # a damaged table file: any bytes, or a header of keys in order, each with a value of this request,
     # of another, a bad one or none, then maybe the marker and pieces of a body: hex words, line
     # breaks, a byte order mark, NUL and bytes that are not UTF-8
-    _HEADER_VALUES = {"format_version": ("7", "6", "x"), "statistic_kind": ("two_sample", "tau"),
+    _HEADER_VALUES = {"format_version": ("8", "7", "x"), "statistic_kind": ("two_sample", "tau"),
                       "generator_name": ("power:2", "power:3"), "sample_sizes": ("5,5", "4,6", "0", "5;5"),
-                      "weights": ("-", "0.5,0.5", "x"), "seed": ("9", "10", "-9"), "B": ("99", "1", "0", "-1", "1e9")}
+                      "weights": ("-", "0.5,0.5", "x"), "seed": ("9", "10", "-9"), "B": ("99", "1", "0", "-1", "1e9"),
+                      "sha256": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "x")}
     _HEADERS = st.tuples(*(st.sampled_from([f"# {key}={value}\n".encode() for value in values] + [b""])
                            for key, values in _HEADER_VALUES.items())).map(b"".join)
     _WORDS = [b"3fe0000000000000\n", b"bfe0000000000000\n", b"7ff0000000000000\n", b"3FE0000000000000\n"]
@@ -429,8 +430,8 @@ class TestCacheFiles:
            | st.builds(lambda head, marker, body: head + marker + body, _HEADERS,
                        st.sampled_from([b"replicate_hex\n", b"", b"replicate_hex"]), _BODIES))
     def test_any_cache_file_bytes_are_rebuilt_with_one_warning(self, data_files, content):
-        # no example is a well-formed table of this request, which needs 99 body lines: the format has
-        # no checksum, so such a file is a hit whatever its replicates
+        # no example is a well-formed table of this request, which needs 99 body lines with the header's
+        # sha256 digest; a file of other replicates that has both is the one that would be a hit
         tmp = data_files[0]
         for name, values in (("x5", "0.1 0.2 0.3 2.4 0.5"), ("y5", "2.1 0.25 2.3 2.5 2.9")):
             (tmp / f"{name}.csv").write_text(values.replace(" ", "\n") + "\n")
@@ -442,6 +443,24 @@ class TestCacheFiles:
         code, out, err = run_cli(argv)
         assert code == 0 and out == run_cli(argv + ["--no-cache"])[1]
         assert err.startswith("warning: ") and err.count("\n") == 1, err
+
+    def test_cache_file_of_copied_replicates_is_rebuilt(self, data_files):
+        # 99 copies of the first replicate keep the file sorted, finite and of B lines; only the header's
+        # sha256 digest tells it from the request's table, which gives p = 0.15 (the copies would give 0.01)
+        tmp = data_files[0]
+        for name, values in (("x5", "0.1 0.2 0.3 2.4 0.5"), ("y5", "2.1 0.25 2.3 2.5 2.9")):
+            (tmp / f"{name}.csv").write_text(values.replace(" ", "\n") + "\n")
+        argv = ["test2", "--h", "power:2", "--x", str(tmp / "x5.csv"), "--y", str(tmp / "y5.csv"),
+                "--B", "99", "--seed", "9", "--deterministic"]
+        code, cold, _ = run_cli(argv)
+        (path,) = (tmp / "cache").glob("*.csv")
+        head, marker, body = path.read_text().partition("replicate_hex\n")
+        path.write_text(head + marker + body[:17] * 99)
+        code, out, err = run_cli(argv)
+        assert code == 0 and out == cold and json.loads(out)["p_value"] == 0.15
+        assert err.startswith("warning:") and "sha256" in err and err.count("\n") == 1, err
+        code, out, err = run_cli(argv)
+        assert code == 0 and out == cold and err == ""
 
     @pytest.mark.parametrize("changed", ["sizes", "seed"])
     def test_cache_file_of_another_request_is_rebuilt(self, data_files, changed):

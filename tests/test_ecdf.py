@@ -212,6 +212,14 @@ class TestReadSample:
         path.write_bytes(b"\xef\xbb\xbf1.5\n2.5\n3.5\n")
         assert np.array_equal(read_sample(path).values, [1.5, 2.5, 3.5])
 
+    @pytest.mark.parametrize("token", ["1_5", "1_000.25", "1e1_0", "_1"])
+    def test_digit_underscores_rejected(self, tmp_path, token):
+        # float() reads '1_5' as 15.0; a sample file's numbers have no digit separators
+        path = tmp_path / "under.csv"
+        path.write_text(f"1.0\n{token}\n")
+        with pytest.raises(DataIngestionError, match=f"under.csv:2: cannot parse '{token}' as a number"):
+            read_sample(path)
+
     def test_non_finite_token_rejected(self, tmp_path):
         path = tmp_path / "inf.csv"
         path.write_text("1.0\ninf\n")

@@ -219,13 +219,22 @@ class TestExpSqGenerator:
         xi = exp_sq_generator(1.0)
         assert xi.antiderivative_grid(8) is xi.antiderivative_grid(8)
 
-    def test_grid_cache_keeps_the_newest_sizes(self):
+    def test_grid_cache_keeps_the_newest_sizes(self, monkeypatch):
+        # the grid memo keeps the newest grids that fit in CHUNK_ELEMENTS floats, here 60: the grids of
+        # sizes 18, 19 and 20 (19 + 20 + 21 floats), so asking for those again integrates nothing
+        monkeypatch.setattr(generators, "CHUNK_ELEMENTS", 60)
         xi = exp_sq_generator(1.0)
         first = xi.antiderivative_grid(1).copy()
-        for n in range(1, 201):
+        for n in range(1, 21):
             xi.antiderivative_grid(n)
-        assert sorted(xi._grid_cache) == list(range(201 - generators.MEMO_SIZE, 201))
+        panels, quad = [], generators.adaptive_quad
+        monkeypatch.setattr(generators, "adaptive_quad", lambda fn, a, b, **kw: panels.append(a.size) or quad(fn, a, b, **kw))
+        for n in (18, 19, 20):
+            xi.antiderivative_grid(n)
+        assert panels == []
         assert xi.antiderivative_grid(1).tobytes() == first.tobytes()  # evicted, rebuilt to the same bits
+        xi.antiderivative_grid(18)  # the oldest kept, evicted by that rebuild
+        assert panels == [1, 18]
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 7.0])
     def test_build_integrates_once(self, alpha, monkeypatch):

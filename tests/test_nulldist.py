@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import re
 import struct
@@ -35,9 +36,10 @@ from convexgof import (
     run_test,
     save_table,
     simulate_null,
+    tau_statistic,
     two_sample_statistic,
 )
-from convexgof import cli, nulldist
+from convexgof import cli, generators, nulldist
 from convexgof.nulldist import CHUNK, TABLE_FORMAT_VERSION, parse_alternative
 from oracle_helpers import hand_uniforms
 
@@ -144,13 +146,77 @@ class TestSimulateNull:
         x, y = (np.round(np.random.default_rng(g).normal(0.0, 1.0, n), 1) for g, n in ((1, 150), (2, 120)))
         reference = build(xi)
         monkeypatch.setattr(LogConvexGenerator, "antiderivative_grid", recorded_grid)
-        tables = build(LogConvexGenerator(xi.name, recorded_eval, xi.integral_sq_0_1, validated=False))
+        gen = LogConvexGenerator(xi.name, recorded_eval, xi.integral_sq_0_1, validated=False)
+        tables = build(gen) + build(gen)
         me = threading.get_ident()
-        # one jump grid per group per table, plus one for the permutation test's observed statistic
-        assert sorted(builds) == [(me, 120)] * 3 + [(me, 150)] * 3
+        # one Xi grid per (eval, size) per process: both rounds' tables and observed statistics share it
+        assert sorted(builds) == [(me, 120), (me, 150)]
         assert set(evals) == {me}
-        for table, expected in zip(tables, reference):
+        for table, expected in zip(tables, reference * 2):
             assert np.array_equal(table.replicates, expected.replicates)
+
+    def test_table_keeps_its_grids_past_the_memo_bound(self, monkeypatch, unit_pool):
+        # 65 distinct sizes, more than MEMO_SIZE, need 2210 floats of grids, past a memo bound of 100
+        # floats: the first unit keeps them all, so three tables evaluate each size once, on the calling
+        # thread, and each table equals the one built on one thread
+        monkeypatch.setattr(generators, "CHUNK_ELEMENTS", 100)
+        sizes = tuple(range(1, generators.MEMO_SIZE + 2))
+        B = 2 * nulldist._chunk_rows(sum(sizes)) + 5  # three units, on the pool from the second
+        assert sum(sizes) > 256
+        calls = []
+
+        def counted(u):
+            calls.append((threading.get_ident(), np.size(u)))
+            return SQUARE.eval(u)
+
+        def build(gen):
+            return simulate_null(K_SAMPLE, gen, sizes, B=B, seed=12).replicates.tobytes()
+
+        gen = ConvexGenerator("counted", counted, integral_0_1=1.0 / 3.0, validated=False)
+        first = build(gen)
+        assert build(gen) == first
+        monkeypatch.setattr(nulldist, "_unit_pool", lambda: None)
+        assert build(gen) == first
+        assert sorted(calls) == [(threading.get_ident(), n + 1) for n in sizes]
+        assert build(SQUARE) == first
+
+    def test_replaced_log_convex_eval_gets_its_own_grids(self):
+        # expsq:1 rebuilt with expsq:3's eval (a replaced copy keeps every other field) scores as expsq:3,
+        # not with expsq:1's Xi grids
+        rng = np.random.default_rng(20)
+        x, y = Sample(rng.normal(size=20)), Sample(rng.normal(size=30))
+        one, three = exp_sq_generator(1.0), exp_sq_generator(3.0)
+        tau_statistic(one, x, y)
+        swapped = dataclasses.replace(one, name="expsq:3", eval=three.eval, integral_sq_0_1=None)
+        assert tau_statistic(swapped, x, y) == tau_statistic(three, x, y)
+
+    def test_unhashable_eval_builds_its_table(self):
+        # the grid memo keys an eval by identity, so a callable that cannot be hashed still works
+        @dataclasses.dataclass
+        class Power:
+            m: int
+
+            def __call__(self, u):
+                return np.asarray(u, dtype=float) ** self.m
+
+        gen = ConvexGenerator("p2", Power(2), 1.0 / 3.0)
+        with pytest.raises(TypeError):
+            hash(gen.eval)
+        table = simulate_null(TWO_SAMPLE, gen, (5, 7), B=200, seed=3)
+        assert table.replicates.tobytes() == simulate_null(TWO_SAMPLE, SQUARE, (5, 7), B=200, seed=3).replicates.tobytes()
+
+    def test_swapped_convex_eval_gets_its_own_grids(self):
+        # after a power:2 table, a generator still named power:2 but with u^3 as its eval (a replaced
+        # copy, then the same object edited in place) builds power:3's table: grids follow the eval
+        cube, square = power_generator(3), ConvexGenerator("power:2", SQUARE.eval, 1.0 / 3.0)
+        simulate_null(TWO_SAMPLE, square, (5, 7), B=200, seed=3)
+        expected = simulate_null(TWO_SAMPLE, cube, (5, 7), B=200, seed=3).replicates.tobytes()
+        replaced = dataclasses.replace(square, eval=cube.eval, integral_0_1=0.25)
+        object.__setattr__(square, "eval", cube.eval)
+        object.__setattr__(square, "integral_0_1", 0.25)
+        for gen in (replaced, square):
+            assert gen.name == "power:2"
+            assert simulate_null(TWO_SAMPLE, gen, (5, 7), B=200, seed=3).replicates.tobytes() == expected
 
     def test_error_on_a_slab_thread_is_raised_and_the_next_table_builds(self, monkeypatch, unit_pool, tmp_path):
         # a unit scored on a pool thread fails: the table raises, the CLI exits 4 with one
@@ -593,11 +659,14 @@ class TestTableSerialization:
         lambda lines: lines[:-1] + [lines[-1][:8] + " " + lines[-1][9:]],  # 16 characters, one a space
         lambda lines: lines[:-1] + [lines[-1][:15] + "g"],  # 16 characters, one not a hex digit
         lambda lines: lines[:-2] + [lines[-2] + " " + lines[-1]],  # two words on one line of 33 characters
-        # the replicates as format 6 wrote them, under a version-7 header
-        lambda lines: lines[:8] + [struct.unpack(">d", bytes.fromhex(word))[0].hex() for word in lines[8:]],
+        # the replicates as format 6 wrote them, under a current header
+        lambda lines: lines[:9] + [struct.unpack(">d", bytes.fromhex(word))[0].hex() for word in lines[9:]],
+        # every replicate a copy of the first: sorted, finite and B lines, but not the header's sha256 digest
+        lambda lines: lines[:-10] + lines[-10:-9] * 10,
+        lambda lines: [l for l in lines if not l.startswith("# sha256=")],  # a format-7 file under a version-8 header
     ], ids=["token", "key", "count", "unsorted", "non_finite", "garbage", "header_in_body", "repeated_key",
             "out_of_range", "inf_bits", "nan_bits", "short_word", "split_word", "inner_space", "non_hex_digit",
-            "joined_words", "format6_body"])
+            "joined_words", "format6_body", "copied_first", "no_digest"])
     def test_damaged_file_rejected(self, tmp_path, damage):
         from convexgof import ConvexGofError
 
@@ -658,7 +727,8 @@ class TestTableSerialization:
         assert body == "8000000000000000\n0000000000000001\n3fe0000000000000\n"  # -0.0, 5e-324, 0.5
         assert load_table(path).replicates.tobytes() == np.array([-0.0, 5e-324, 0.5]).tobytes()
         save_table(toy_table([]), path)
-        assert path.read_text().endswith("# B=0\nreplicate_hex\n") and load_table(path).B == 0
+        empty = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"  # sha256 of no bytes
+        assert path.read_text().endswith(f"# B=0\n# sha256={empty}\nreplicate_hex\n") and load_table(path).B == 0
 
     @pytest.mark.parametrize("damage, named", [
         (lambda w: [w[:8], w[8:]], lambda w: f"body line 10 {w[:8]!r} is not 16 lowercase hex digits"),
