@@ -206,9 +206,10 @@ def _table_via_cache(args, kind, generator, sizes, weights, err):
                     return cached, True, path
                 err.write(f"warning: null table file '{path}' holds (kind, generator, sizes, "
                           f"weights, B, seed) = {cached.identity}, not {wanted}; rebuilding it\n")
+        if path is not None:  # a directory that cannot be made fails before the build, not after it
+            path.parent.mkdir(parents=True, exist_ok=True)
         table = simulate_null(kind, generator, sizes, B=args.B, seed=args.seed, weights=weights)
         if path is not None:
-            path.parent.mkdir(parents=True, exist_ok=True)
             save_table(table, path)
     return table, False, path
 
@@ -295,6 +296,9 @@ def _cmd_test(args, out, err):
 def _cmd_null_table(args, out, err):
     if args.no_cache and args.out is None:
         raise InvalidParameterError("--no-cache requires --out to store the table")
+    if args.out is not None:  # an --out whose directory is missing or a file fails before the build
+        with _naming("--out", args.out):
+            os.stat(os.path.join(os.path.dirname(args.out), "."))
     kind = args.kind
     generator = _generator_for(kind, args.generator_spec)
     sizes = _parse_sizes(args.sizes)

@@ -8,8 +8,9 @@ block of random keys from its own RNG stream, an SFC64 generator seeded by
 (seed, c), each tagged with its slot's group, into rows of group labels; a
 row with two keys equal but for their tags is redrawn.  A chunk is the work
 unit: it stays in cache, one thread draws, sorts and scores it, and the table
-is the same whatever thread runs which chunk; pool threads read the generator
-grids that chunk 0, on the calling thread, leaves in the memo of ``generators``.
+is the same whatever thread runs which chunk.  The calling thread runs chunk 0,
+which leaves the generator grids in the memo of ``generators``, and then takes
+the other chunks from a shared index, beside the pool's threads where N > 256.
 The permutation null sends the rows to the count-indexed kernel (``statistics``)
 with the pooled data's tie blocks and ECDF convention; a simulated table is the
 permutation null without ties, under the right-continuous convention.
@@ -21,6 +22,7 @@ import functools
 import hashlib
 import math
 import os
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -112,13 +114,11 @@ def _chunk_rows(total: int) -> int:
 
 @functools.cache
 def _unit_pool():
-    """One thread per CPU the process may use, or None with one CPU."""
+    """One thread per CPU the process may use, less the calling thread's; None on one CPU."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    if cpus == 1:
-        return None
-    from concurrent.futures import ThreadPoolExecutor  # here, so a one-unit table never imports it
-
-    return ThreadPoolExecutor(cpus, thread_name_prefix="convexgof-unit")
+    if cpus > 1:
+        from concurrent.futures import ThreadPoolExecutor  # here, so a one-unit table never imports it
+        return ThreadPoolExecutor(cpus - 1, thread_name_prefix="convexgof-unit")
 
 
 if hasattr(os, "register_at_fork"):
@@ -185,20 +185,34 @@ def _table_values(kind, generator, sizes, weights, units, ties=None,
                   convention=RIGHT_CONTINUOUS) -> np.ndarray:
     """Sorted, centered statistics of the label rows of every work unit in ``units``; read-only.
 
-    The calling thread runs the first unit, which builds every generator grid
-    the memo lacks and keeps them all.  Where ``CHUNK_ELEMENTS`` caps the units
-    (N > 256), the pool runs the rest, which only read those grids, unless a
-    table built meanwhile on another thread fills the memo past its bound.
+    The calling thread runs the first unit, which builds every grid the memo lacks and keeps them all,
+    then takes the rest from one shared index, beside the pool's threads where ``CHUNK_ELEMENTS`` caps
+    the units (N > 256); they only read those grids, unless a table built meanwhile on another thread
+    fills the memo past its bound.  Results are kept by unit index.  After a unit raises, no thread
+    takes another, and its error is raised once every thread has stopped.
     """
-    units = iter(units)
+    units, lock, failed = iter(units), threading.Lock(), []
 
-    def score(unit):
-        return _rank_statistic(kind, generator, sizes, weights, unit(), ties, convention)
+    def take(indexed):  # scores the shared (index, unit) pairs until none is left or a unit has raised
+        while not failed:
+            with lock:
+                i, unit = next(indexed, (0, None))
+            if unit is None:
+                return
+            try:
+                raw[i] = _rank_statistic(kind, generator, sizes, weights, unit(), ties, convention)
+            except BaseException as exc:
+                failed.append(exc)
 
-    raw = [score(next(units))]
+    raw = {0: _rank_statistic(kind, generator, sizes, weights, next(units)(), ties, convention)}
     pool = _unit_pool() if _chunk_rows(sum(sizes)) < CHUNK and (units := list(units)) else None
-    raw.extend(map(score, units) if pool is None else pool.map(score, units))
-    values = np.sort(np.concatenate(raw) - _centering(kind, generator, weights))
+    indexed = enumerate(units, 1)  # taken by this thread alone without a pool, so lazy units stay lazy
+    pending = () if pool is None else pool.map(take, [indexed] * len(units))  # one per unit: any pool size is used
+    take(indexed)
+    list(pending)  # returns once every pool thread has stopped taking units
+    if failed:
+        raise failed[0]
+    values = np.sort(np.concatenate([raw[i] for i in range(len(raw))]) - _centering(kind, generator, weights))
     values.setflags(write=False)
     return values
 

@@ -347,6 +347,32 @@ class TestNullTableCommand:
         assert code == cli.EXIT_CONFIG and out == ""
         assert err == "error: --no-cache requires --out to store the table\n"
 
+    @pytest.mark.parametrize("case, flag, message", [
+        ("out_dir_missing", "--out", "No such file or directory"),
+        ("out_under_a_file", "--out", "Not a directory"),
+        ("cache_dir_is_file", "--cache-dir", "File exists"),
+        ("cache_dir_under_a_file", "--cache-dir", "Not a directory"),
+        ("test2_cache_dir_is_file", "--cache-dir", "File exists"),
+    ])
+    def test_unwritable_destination_fails_before_building(self, data_files, monkeypatch, case, flag, message):
+        # the error the write would raise once the table was built, raised before it is built;
+        # nothing is written
+        def unwanted(*args, **kwargs):
+            raise AssertionError("the table was built")
+
+        tmp, x, y, _ = data_files
+        (tmp / "taken").write_text("kept\n")
+        path = {"out_dir_missing": tmp / "absent" / "t.csv", "out_under_a_file": tmp / "taken" / "t.csv",
+                "cache_dir_under_a_file": tmp / "taken" / "cache"}.get(case, tmp / "taken")
+        argv = (["test2", "--h", "power:2", "--x", x, "--y", y] if case.startswith("test2")
+                else ["null-table", "--kind", "two_sample", "--generator", "power:2", "--sizes", "1000,1000"])
+        before = sorted(tmp.rglob("*"))
+        monkeypatch.setattr(cli, "simulate_null", unwanted)
+        code, out, err = run_cli(argv + ["--B", "99999", flag, str(path)] + ["--no-cache"] * (flag == "--out"))
+        assert code == cli.EXIT_CONFIG and out == ""
+        assert err == f"error: {flag} '{path}': {message}\n"
+        assert sorted(tmp.rglob("*")) == before and (tmp / "taken").read_text() == "kept\n"
+
     def test_csv_format(self, data_files):
         tmp, _, _, _ = data_files
         out_path = tmp / "table.csv"

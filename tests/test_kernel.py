@@ -116,8 +116,9 @@ def test_label_units_equal_the_itertools_batches(sizes):
     (K_SAMPLE, "poly:0,1,1", (1, 1, 600), 80),
 ])
 def test_wide_enumerations_have_bounded_memory(kind, spec, sizes, bound_mib, monkeypatch):
-    # at N > 256 each pool thread builds and scores one unit of at most 2**18 labels at a time; with two
-    # threads these peak at 11.5 and 38.8 MiB, against 96 and 244 MiB when every label row was built up front
+    # at N > 256 the calling thread and each pool thread build and score one unit of at most 2**18 labels
+    # at a time; with two pool threads beside the calling thread these peak at 13.7 and 48.6 MiB, against
+    # 96 and 244 MiB when every label row was built up front
     gen = parse_generator_spec(spec)
     _SCRATCH.__dict__.clear()
     with ThreadPoolExecutor(2) as pool:

@@ -1,8 +1,10 @@
 import dataclasses
 import io
+import os
 import re
 import struct
 import threading
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -220,20 +222,29 @@ class TestSimulateNull:
 
     def test_error_on_a_slab_thread_is_raised_and_the_next_table_builds(self, monkeypatch, unit_pool, tmp_path):
         # a unit scored on a pool thread fails: the table raises, the CLI exits 4 with one
-        # error line and writes nothing, and the next table builds as it does on no pool
+        # error line and writes nothing, and the next table builds as it does on no pool; once the
+        # units are shared, the calling thread waits in its unit for that failure, so that it
+        # cannot take every unit itself
         score, me = nulldist._rank_statistic, threading.get_ident()
+        shared, raised = threading.Event(), threading.Event()
 
         def fails_off_the_calling_thread(*args):
             if threading.get_ident() != me:
+                raised.set()
                 raise NumericalError("non-finite statistic on a pool thread")
+            if shared.is_set():
+                raised.wait(10)
             return score(*args)
 
+        monkeypatch.setattr(nulldist, "_unit_pool", lambda: shared.set() or unit_pool)
         monkeypatch.setattr(nulldist, "_rank_statistic", fails_off_the_calling_thread)
         with pytest.raises(NumericalError, match="pool thread"):
             simulate_null(TWO_SAMPLE, SQUARE, (150, 150), B=2 * CHUNK + 5, seed=6)
         out, err, path = io.StringIO(), io.StringIO(), tmp_path / "t.csv"
         argv = ["null-table", "--kind", "two_sample", "--generator", "power:2", "--sizes", "150,150",
                 "--B", str(2 * CHUNK + 5), "--seed", "6", "--no-cache", "--out", str(path)]
+        shared.clear()
+        raised.clear()
         assert cli.run(argv, out=out, err=err) == cli.EXIT_NUMERICAL
         assert out.getvalue() == "" and not path.exists()
         assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
@@ -243,6 +254,60 @@ class TestSimulateNull:
         monkeypatch.setattr(nulldist, "_unit_pool", lambda: None)
         alone = simulate_null(TWO_SAMPLE, SQUARE, (150, 150), B=2 * CHUNK + 5, seed=6)
         assert table.replicates.tobytes() == alone.replicates.tobytes()
+
+    def test_pool_failure_is_raised_once_every_thread_has_stopped(self, monkeypatch, unit_pool):
+        # of a 24-unit table, the first unit a pool thread takes raises and every other unit takes 20 ms:
+        # when simulate_null raises, no unit is being scored, the two other threads took at most the units
+        # they had claimed, and none starts later; the same pool then builds the table as no pool does
+        score, me, lock = nulldist._rank_statistic, threading.get_ident(), threading.Lock()
+        started, running, failed_at = [], [0], []
+
+        def fails_once_on_a_pool_thread(*args):
+            with lock:
+                started.append(threading.get_ident())
+                running[0] += 1
+                fail = threading.get_ident() != me and not failed_at
+                if fail:
+                    failed_at.append(len(started))
+            try:
+                if fail:
+                    raise NumericalError("non-finite statistic on a pool thread")
+                time.sleep(0.02)
+                return score(*args)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        monkeypatch.setattr(nulldist, "_rank_statistic", fails_once_on_a_pool_thread)
+        with pytest.raises(NumericalError, match="pool thread"):
+            simulate_null(TWO_SAMPLE, SQUARE, (150, 150), B=20 * CHUNK, seed=6)
+        count = len(started)
+        assert running == [0] and count <= failed_at[0] + 2
+        time.sleep(0.1)
+        assert len(started) == count and running == [0]
+        monkeypatch.setattr(nulldist, "_rank_statistic", score)
+        pooled = simulate_null(TWO_SAMPLE, SQUARE, (150, 150), B=20 * CHUNK, seed=6)
+        monkeypatch.setattr(nulldist, "_unit_pool", lambda: None)
+        alone = simulate_null(TWO_SAMPLE, SQUARE, (150, 150), B=20 * CHUNK, seed=6)
+        assert pooled.replicates.tobytes() == alone.replicates.tobytes()
+
+    def test_calling_thread_scores_beside_at_most_cpus_minus_one_pool_threads(self, monkeypatch):
+        # a power:2 1000/1000 table is 77 units: the calling thread scores the first and keeps taking
+        # units, so no more threads score it than the process has CPUs
+        score, threads = nulldist._rank_statistic, []
+
+        def recorded(*args):
+            threads.append(threading.get_ident())
+            return score(*args)
+
+        monkeypatch.setattr(nulldist, "_rank_statistic", recorded)
+        table = simulate_null(TWO_SAMPLE, SQUARE, (1000, 1000), B=9999, seed=3)
+        assert len(threads) == 77 and threads[0] == threading.get_ident()
+        assert len(set(threads)) <= len(os.sched_getaffinity(0))
+        assert threads.count(threading.get_ident()) > 1
+        monkeypatch.setattr(nulldist, "_rank_statistic", score)
+        monkeypatch.setattr(nulldist, "_unit_pool", lambda: None)
+        assert table.replicates.tobytes() == simulate_null(TWO_SAMPLE, SQUARE, (1000, 1000), B=9999, seed=3).replicates.tobytes()
 
     def test_transform_runs_on_the_calling_thread(self, unit_pool):
         # the reference path draws every chunk here; only the scoring goes to the pool
