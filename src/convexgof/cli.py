@@ -12,6 +12,7 @@ import contextlib
 import csv
 import dataclasses
 import datetime
+import errno
 import functools
 import hashlib
 import json
@@ -296,9 +297,11 @@ def _cmd_test(args, out, err):
 def _cmd_null_table(args, out, err):
     if args.no_cache and args.out is None:
         raise InvalidParameterError("--no-cache requires --out to store the table")
-    if args.out is not None:  # an --out whose directory is missing or a file fails before the build
+    if args.out is not None:  # a directory --out, or one under a missing directory or a file, fails before the build
         with _naming("--out", args.out):
             os.stat(os.path.join(os.path.dirname(args.out), "."))
+            if os.path.isdir(args.out) and not os.path.islink(args.out):  # os.replace replaces a link
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
     kind = args.kind
     generator = _generator_for(kind, args.generator_spec)
     sizes = _parse_sizes(args.sizes)

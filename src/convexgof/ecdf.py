@@ -9,6 +9,7 @@ strictly increasing map to every sample leaves every value bit-identical.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -78,7 +79,7 @@ def read_sample(path, label: str | None = None) -> Sample:
             raise DataIngestionError(
                 f"{path}:{lineno}: cannot parse '{tokens[0]}' as a number"
             ) from None
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise DataIngestionError(f"{path}:{lineno}: non-finite value '{tokens[0]}'")
         values.append(v)
     if not values:

@@ -147,23 +147,25 @@ def _label_blocks(sizes, B, seed, transform=None):
     tag = max(1, (len(sizes) - 1).bit_length())
     dtype = np.dtype("<u8" if total * total > 2 ** (28 - tag) else "<u4")
     rows, low = _chunk_rows(total), dtype.type((1 << tag) - 1)
+    tags = slot_group.astype(dtype)
 
     def drawn(bit_generator, n):  # the stream's next n rows of untagged keys
         words = bit_generator.random_raw(-(-n * total * dtype.itemsize // 8)).astype("<u8", copy=False)
         return words.view(dtype)[:n * total].reshape(n, total)
 
-    def tied(keys):  # tags and sorts the rows in place; flags those with two keys equal but for their tags
+    def tied(keys):  # tags and sorts the rows in place; the indices of those with two keys equal but for their tags
         keys &= ~low
-        keys |= slot_group
+        keys |= tags
         keys.sort(axis=1)
-        gaps = np.bitwise_xor(keys[:, 1:], keys[:, :-1], out=_scratch("gaps", (len(keys), total - 1), dtype))
-        return np.less_equal(gaps, low, out=_scratch("tied", gaps.shape, bool)).any(axis=1)
+        gaps = np.bitwise_xor(keys[:, 1:], keys[:, :-1], out=_scratch("block", (len(keys), total - 1), dtype))
+        flags = np.less_equal(gaps, low, out=_scratch("flags", gaps.shape, bool))
+        return np.flatnonzero(flags.any() and flags.any(axis=1))  # per row only once some row is tied
 
     def unit(chunk, n):
         bit_generator = replicate_stream(seed, chunk).bit_generator
         keys = drawn(bit_generator, n)
         ranked = keys if transform is None else keys.copy()
-        redo = np.flatnonzero(tied(ranked))
+        redo = tied(ranked)
         while redo.size:
             fresh = drawn(bit_generator, redo.size)
             keys[redo] = fresh

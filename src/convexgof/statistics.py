@@ -81,16 +81,18 @@ _SCRATCH = threading.local()
 _SCRATCH_ELEMENTS = CHUNK_ELEMENTS + CHUNK  # one unit's count word, rows x (N + 1), at N <= 2**18
 
 
-def _scratch(name, shape, dtype) -> np.ndarray:
-    """This thread's array ``name`` of ``shape``, reused by the next call for ``name``: it holds
-    temporaries only, so no result aliases it, and malloc need not return and refault their pages."""
+def _scratch(role, shape, dtype) -> np.ndarray:
+    """This thread's bytes for ``role`` as a ``shape`` array of ``dtype``, reused by the next call for ``role``, so
+    a role's temporaries must never live at once: ``block`` holds tie gaps, then label codes, then terms; ``flags``
+    tie flags, then member masks; ``words`` packed counts.  No result aliases them; malloc need not refault them."""
     size = math.prod(shape)
     if size > _SCRATCH_ELEMENTS:  # the caller's alone, and freed with it
         return np.empty(shape, dtype)
-    buffer = _SCRATCH.__dict__.get((name, dtype))
-    if buffer is None or buffer.size < size:
-        buffer = _SCRATCH.__dict__[name, dtype] = np.empty(size, dtype)
-    return buffer[:size].reshape(shape)
+    nbytes = size * np.dtype(dtype).itemsize
+    buffer = _SCRATCH.__dict__.get(role)
+    if buffer is None or buffer.size < nbytes:
+        buffer = _SCRATCH.__dict__[role] = np.empty(nbytes, np.uint8)
+    return buffer[:nbytes].view(dtype).reshape(shape)
 
 
 def _group_labels(sizes) -> np.ndarray:
@@ -126,9 +128,9 @@ def _rank_statistic(kind, generator, sizes, weights, labels, ties=None,
     call whose grids are all kept there runs no generator code.
     In tie-free rows of two groups the other group's count before a member is
     the member's column minus its index in its own group.  Otherwise every group's running
-    count is a ``bits``-wide field of an int64 word, ``63 // bits`` groups per
-    word: one cumsum per word and one gather per (integrating group, word)
-    give every count.  A non-finite result raises :class:`NumericalError`.
+    count is a ``bits``-wide field of a word of ``min(k, 63 // bits)`` fields, the narrowest
+    unsigned integer that holds them: one cumsum per word and one gather per (integrating group,
+    word) give every count.  A non-finite result raises :class:`NumericalError`.
     """
     if convention not in CONVENTIONS:
         raise InvalidParameterError(f"unknown CDF convention '{convention}'; expected one of {CONVENTIONS}")
@@ -143,13 +145,13 @@ def _rank_statistic(kind, generator, sizes, weights, labels, ties=None,
 
     def integral(j, l, index):  # group j's ECDF over group l's values
         terms = np.take(values[j], index.reshape(nrep, sizes[l]), mode="clip",  # index lies in 0..n
-                        out=_scratch("terms", (nrep, sizes[l]), float))
+                        out=_scratch("block", (nrep, sizes[l]), float))
         if kind == TAU:
             return np.multiply(terms, jumps[l], out=terms).sum(axis=1)
         return terms.sum(axis=1) / sizes[l]
 
     def members(l):  # column of each of group l's members, per row
-        col = np.flatnonzero(np.equal(labels, l, out=_scratch("member", labels.shape, bool))).reshape(nrep, -1)
+        col = np.flatnonzero(np.equal(labels, l, out=_scratch("flags", labels.shape, bool))).reshape(nrep, -1)
         col -= np.arange(0, nrep * width, width)[:, None]
         return col
 
@@ -160,13 +162,14 @@ def _rank_statistic(kind, generator, sizes, weights, labels, ties=None,
             integrals[1 - l, l] = integral(1 - l, l, count)
     else:
         bits = max(sizes).bit_length()
-        per, mask = 63 // bits, (1 << bits) - 1
+        per, mask = min(k, 63 // bits), (1 << bits) - 1
+        dtype = np.min_scalar_type((1 << per * bits) - 1)  # the narrowest unsigned word that holds per fields
         g = np.arange(k)
-        code = np.where(np.arange(-(-k // per))[:, None] == g // per, 1 << bits * (g % per), 0)
-        words = _scratch("words", (len(code), nrep, width + 1), np.int64)  # members before each column
+        code = np.where(np.arange(-(-k // per))[:, None] == g // per, 1 << bits * (g % per), 0).astype(dtype)
+        words = _scratch("words", (len(code), nrep, width + 1), dtype)  # members before each column
         words[:, :, 0] = 0
         for word, c in zip(words, code):  # clip: mode="raise" would gather through a fresh temporary
-            codes = np.take(c, labels, mode="clip", out=_scratch("codes", labels.shape, np.int64))
+            codes = np.take(c, labels, mode="clip", out=_scratch("block", labels.shape, dtype))
             np.cumsum(codes, axis=1, out=word[:, 1:])
         words = words.reshape(len(code), -1)
         row_start = np.arange(0, nrep * (width + 1), width + 1)[:, None]
@@ -175,8 +178,8 @@ def _rank_statistic(kind, generator, sizes, weights, labels, ties=None,
             bound = col + 1 if ties is None else np.take(ties[end], col)
             return np.take(words, (row_start + bound).ravel(), axis=1)
 
-        def field(group, packed):
-            return (packed[group // per] >> bits * (group % per)) & mask
+        def field(group, packed):  # as intp, which np.take would convert an unsigned index to anyway
+            return ((packed[group // per] >> bits * (group % per)) & mask).astype(np.intp, copy=False)
 
         for l in range(k):
             col = members(l)

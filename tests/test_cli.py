@@ -350,6 +350,7 @@ class TestNullTableCommand:
     @pytest.mark.parametrize("case, flag, message", [
         ("out_dir_missing", "--out", "No such file or directory"),
         ("out_under_a_file", "--out", "Not a directory"),
+        ("out_is_a_directory", "--out", "Is a directory"),
         ("cache_dir_is_file", "--cache-dir", "File exists"),
         ("cache_dir_under_a_file", "--cache-dir", "Not a directory"),
         ("test2_cache_dir_is_file", "--cache-dir", "File exists"),
@@ -363,7 +364,7 @@ class TestNullTableCommand:
         tmp, x, y, _ = data_files
         (tmp / "taken").write_text("kept\n")
         path = {"out_dir_missing": tmp / "absent" / "t.csv", "out_under_a_file": tmp / "taken" / "t.csv",
-                "cache_dir_under_a_file": tmp / "taken" / "cache"}.get(case, tmp / "taken")
+                "cache_dir_under_a_file": tmp / "taken" / "cache", "out_is_a_directory": tmp}.get(case, tmp / "taken")
         argv = (["test2", "--h", "power:2", "--x", x, "--y", y] if case.startswith("test2")
                 else ["null-table", "--kind", "two_sample", "--generator", "power:2", "--sizes", "1000,1000"])
         before = sorted(tmp.rglob("*"))
@@ -372,6 +373,17 @@ class TestNullTableCommand:
         assert code == cli.EXIT_CONFIG and out == ""
         assert err == f"error: {flag} '{path}': {message}\n"
         assert sorted(tmp.rglob("*")) == before and (tmp / "taken").read_text() == "kept\n"
+
+    def test_out_linked_to_a_directory_is_replaced_by_the_table(self, data_files):
+        # os.replace replaces the link itself, so only a directory that is no link is refused early
+        tmp, _, _, _ = data_files
+        (tmp / "target").mkdir()
+        (tmp / "link").symlink_to(tmp / "target", target_is_directory=True)
+        code, out, err = run_cli(["null-table", "--kind", "two_sample", "--generator", "power:2",
+                                  "--sizes", "3,4", "--B", "20", "--no-cache", "--out", str(tmp / "link")])
+        assert code == 0 and err == ""
+        assert not (tmp / "link").is_symlink() and load_table(tmp / "link").B == 20
+        assert (tmp / "target").is_dir() and not any((tmp / "target").iterdir())
 
     def test_csv_format(self, data_files):
         tmp, _, _, _ = data_files

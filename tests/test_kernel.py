@@ -508,10 +508,48 @@ def test_scratch_keeps_no_array_above_its_bound():
     _SCRATCH.__dict__.clear()
     table = simulate_null(TWO_SAMPLE, power_generator(2), (300000, 300000), B=2, seed=11)
     assert [v.hex() for v in table.replicates] == ["0x1.2ac39be300000p-21", "0x1.107cd50b60000p-18"]
-    assert all(buffer.size <= statistics._SCRATCH_ELEMENTS for buffer in _SCRATCH.__dict__.values())
-    # the widest array at N <= 2**18, the count word of a k_sample 4x250 unit (262 x 1001), is kept
+    # a kept buffer is bytes, viewed as at most _SCRATCH_ELEMENTS elements of at most 8 bytes
+    assert all(buffer.nbytes <= 8 * statistics._SCRATCH_ELEMENTS for buffer in _SCRATCH.__dict__.values())
+    # the widest array at N <= 2**18, the count word of a k_sample 4x250 unit (262 x 1001 uint32), is kept
     simulate_null(K_SAMPLE, parse_generator_spec("poly:0,1,1"), (250,) * 4, B=_chunk_rows(1000), seed=11)
-    assert _SCRATCH.__dict__["words", np.int64].size == 262 * 1001
+    assert _SCRATCH.__dict__["words"].nbytes == 262 * 1001 * 4
+
+
+@pytest.mark.parametrize("kind, spec, sizes, weights, roles, bound_mb", [
+    (K_SAMPLE, "poly:0,1,1", (250,) * 4, WeightVector((0.1, 0.2, 0.3, 0.4)), {"block", "flags", "words"}, 2.4),
+    (TWO_SAMPLE, "power:2", (1000, 1000), None, {"block", "flags"}, 1.35),
+], ids=["k_sample_4x250", "two_sample_1000x1000"])
+def test_one_unit_keeps_one_buffer_per_role(kind, spec, sizes, weights, roles, bound_mb):
+    # a thread's draw and kernel temporaries share a buffer per role, and the 4x250 counts are one
+    # uint32 word: 2.36 and 1.31 MB, where buffers kept per name and dtype held 6.29 and 2.62 MB
+    gen = parse_generator_spec(spec)
+    unit = _label_blocks(sizes, _chunk_rows(sum(sizes)), 5)[0]
+
+    def score():  # on a fresh thread, so with fresh scratch
+        _rank_statistic(kind, gen, sizes, weights, unit())
+        return {role: buffer.nbytes for role, buffer in _SCRATCH.__dict__.items()}
+
+    with ThreadPoolExecutor(1) as pool:
+        kept = pool.submit(score).result(timeout=60)
+    assert set(kept) == roles and sum(kept.values()) <= bound_mb * 1e6, kept
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["tie_free", "tied"])
+@pytest.mark.parametrize("convention", [RIGHT_CONTINUOUS, MID])
+@pytest.mark.parametrize("n, itemsize", [(255, 4), (256, 8)], ids=["uint32_word", "uint64_word"])
+def test_packed_word_width_boundary_matches_reference(n, itemsize, tied, convention):
+    # four groups of 255 have 8-bit counts, 32 bits in all: one uint32 word; of 256, 9 bits: one uint64 word
+    gen, sizes, weights = power_generator(2), (n,) * 4, WeightVector((0.1, 0.2, 0.3, 0.4))
+    pooled = np.sort(np.random.default_rng(21).normal(0.0, 1.0, sum(sizes)))
+    if tied:
+        pooled = np.round(pooled, 1)
+    labels = _hand_labels(sizes, 22, 0, 3)
+    _SCRATCH.__dict__.clear()
+    got = _rank_statistic(K_SAMPLE, gen, sizes, weights, labels, _tie_blocks(pooled), convention)
+    assert _SCRATCH.__dict__["words"].nbytes == 3 * (sum(sizes) + 1) * itemsize
+    expected = [reference_statistic(K_SAMPLE, gen, [pooled[row == g] for g in range(len(sizes))],
+                                    weights.weights, convention) for row in labels]
+    assert list(got - _centering(K_SAMPLE, gen, weights)) == expected
 
 
 @pytest.mark.parametrize("tied", [False, True], ids=["tie_free", "tied"])
