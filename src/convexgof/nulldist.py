@@ -107,8 +107,8 @@ def _check_seed(seed) -> int:
 
 
 def _chunk_rows(total: int) -> int:
-    """Replicates per table chunk at ``total`` pooled observations: a pure function of
-    the sizes, so it bounds a chunk's memory and, with the seed, fixes each replicate's stream."""
+    """Replicates per chunk of a simulated or permutation table at ``total`` pooled observations: a
+    pure function of the sizes, so it bounds a chunk's memory and, with the seed, fixes each replicate's stream."""
     return min(CHUNK, max(1, CHUNK_ELEMENTS // total))
 
 
@@ -136,11 +136,11 @@ def _label_blocks(sizes, B, seed, transform=None):
     keys share their untagged bits are redrawn, in row order, from the stream's
     continuation until none is, so each row assigns the pooled ranks to groups
     exactly uniformly.  A unit touches only its own stream and arrays, so any
-    thread may run it.  ``transform`` selects the reference path: it is called
-    once per chunk, on the thread iterating the units, with the uniforms
-    ((key >> tag) + 0.5) * 2**(tag - width) of the final rows, which are then
-    argsorted; with 32-bit keys they are exact, so a strictly increasing map
-    gives the same labels.
+    thread may run it.  ``transform`` selects the reference path, an iterator of
+    the units, each drawn and scored on the calling thread: it is called once per
+    chunk with the uniforms ((key >> tag) + 0.5) * 2**(tag - width) of the final
+    rows, which are then argsorted; with 32-bit keys they are exact, so a strictly
+    increasing map gives the same labels.
     """
     B = _check_int(B, "replicate count B must be >= 1")
     total, slot_group = sum(sizes), _group_labels(sizes)
@@ -180,7 +180,7 @@ def _label_blocks(sizes, B, seed, transform=None):
 
     units = [functools.partial(unit, chunk, min(rows, B - start))
              for chunk, start in enumerate(range(0, B, rows))]
-    return units if transform is None else (lambda rows=draw(): rows for draw in units)  # drawn as iterated
+    return units if transform is None else iter(units)
 
 
 def _table_values(kind, generator, sizes, weights, units, ties=None,
@@ -188,12 +188,12 @@ def _table_values(kind, generator, sizes, weights, units, ties=None,
     """Sorted, centered statistics of the label rows of every work unit in ``units``; read-only.
 
     The calling thread runs the first unit, which builds every grid the memo lacks and keeps them all,
-    then takes the rest from one shared index, beside the pool's threads where ``CHUNK_ELEMENTS`` caps
-    the units (N > 256); they only read those grids, unless a table built meanwhile on another thread
-    fills the memo past its bound.  Results are kept by unit index.  After a unit raises, no thread
-    takes another, and its error is raised once every thread has stopped.
+    then takes the rest from one shared index, beside the pool's threads where ``units`` is a list whose
+    units ``CHUNK_ELEMENTS`` caps (N > 256); they only read those grids, unless a table built meanwhile on
+    another thread fills the memo past its bound.  Results are kept by unit index.  After a unit raises,
+    no thread takes another, and its error is raised once every thread has stopped.
     """
-    units, lock, failed = iter(units), threading.Lock(), []
+    lock, failed = threading.Lock(), []
 
     def take(indexed):  # scores the shared (index, unit) pairs until none is left or a unit has raised
         while not failed:
@@ -206,10 +206,10 @@ def _table_values(kind, generator, sizes, weights, units, ties=None,
             except BaseException as exc:
                 failed.append(exc)
 
-    raw = {0: _rank_statistic(kind, generator, sizes, weights, next(units)(), ties, convention)}
-    pool = _unit_pool() if _chunk_rows(sum(sizes)) < CHUNK and (units := list(units)) else None
-    indexed = enumerate(units, 1)  # taken by this thread alone without a pool, so lazy units stay lazy
-    pending = () if pool is None else pool.map(take, [indexed] * len(units))  # one per unit: any pool size is used
+    pool = _unit_pool() if isinstance(units, list) and len(units) > 1 and _chunk_rows(sum(sizes)) < CHUNK else None
+    indexed = enumerate(units)
+    raw = {0: _rank_statistic(kind, generator, sizes, weights, next(indexed)[1](), ties, convention)}
+    pending = () if pool is None else pool.map(take, [indexed] * (len(units) - 1))  # one per unit: any pool size is used
     take(indexed)
     list(pending)  # returns once every pool thread has stopped taking units
     if failed:

@@ -11,7 +11,7 @@ F_j, F_l), and one tanh-sinh pass integrates the terms of many, the battery's
 91 among them: each level evaluates every distinct F_j(F_l^-1), then every
 distinct phi, once over all its open rows.  Small-sample null
 distributions are enumerated exhaustively over rank interleavings, in lexicographic
-order, by work units of at most ``_chunk_rows(N)`` label rows that unrank their own.  Centering
+order, by work units of at most ``CHUNK_ELEMENTS`` labels that unrank their own.  Centering
 constants are recomputed by quadrature rather than trusted from the generator objects.
 """
 
@@ -26,8 +26,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import EnumerationTooLargeError, InvalidParameterError
-from .generators import _check_int, _name_token, _tanh_sinh, eval_on_array, parse_generator_spec
-from .nulldist import _check_seed, _chunk_rows, _table_values
+from .generators import CHUNK_ELEMENTS, _check_int, _name_token, _tanh_sinh, eval_on_array, parse_generator_spec
+from .nulldist import _check_seed, _table_values
 from .statistics import WeightVector, _check_kind_and_generator
 
 POP_TOL = 1e-9
@@ -213,7 +213,7 @@ def _configurations(sizes) -> int:
 
 
 def _label_units(sizes):
-    """Every assignment of pooled ranks to two or more groups, as work units of <= ``_chunk_rows(N)`` label rows.
+    """Every assignment of pooled ranks to two or more groups, in work units of <= ``CHUNK_ELEMENTS`` labels or one row.
 
     Row r, column p holds the group of pooled rank p in assignment r.  The first group's
     rank sets run in lexicographic order, each followed by every row of the other groups'
@@ -224,18 +224,19 @@ def _label_units(sizes):
     total, n = sum(sizes), sizes[0]
     rest = (np.concatenate([unit() for unit in _label_units(sizes[1:])]) if len(sizes) > 2
             else np.zeros((1, total - n), np.int8)) + 1
-    rows, sets = _chunk_rows(total), math.comb(total, n)
+    rows, sets = max(1, CHUNK_ELEMENTS // total), math.comb(total, n)
     binomial = [np.ones(total, dtype=np.int64)]  # min(C(c, i), sets) at [i][c]: exact below sets
     for i in range(n):
         binomial.append(np.minimum(np.cumsum(binomial[i]) - binomial[i], sets))
 
     def unit(first, count, lo):  # lex ranks first .. first + count - 1, each with rest rows lo .. lo + rows - 1
         free = np.ones((count, total), dtype=bool)  # ranks left for the other groups
+        last = np.arange(total - 1, count * total, total)  # flat index of each row's last rank
         colex = np.arange(sets - 1 - first, sets - 1 - first - count, -1)
         for i in range(n, 0, -1):
             member = np.searchsorted(binomial[i], colex, side="right") - 1
             colex -= binomial[i][member]
-            free[np.arange(count), total - 1 - member] = False
+            free.ravel()[last - member] = False
         if len(sizes) == 2:  # rest is one row of ones: the second group takes every free rank
             return free.view(np.int8)
         part = rest[lo:lo + rows]

@@ -32,7 +32,7 @@ TAU = "tau"
 KINDS = (TWO_SAMPLE, K_SAMPLE, TAU)
 
 WEIGHT_SUM_TOL = 1e-12
-CHUNK = 1024  # most replicates per work unit; CHUNK_ELEMENTS bounds its pooled draws, memory and cache use
+CHUNK = 1024  # most replicates per Monte Carlo chunk; CHUNK_ELEMENTS bounds its pooled draws, memory and cache use
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ class StatisticValue:
 
 
 _SCRATCH = threading.local()
-_SCRATCH_ELEMENTS = CHUNK_ELEMENTS + CHUNK  # one unit's count word, rows x (N + 1), at N <= 2**18
+_SCRATCH_ELEMENTS = CHUNK_ELEMENTS + CHUNK  # a Monte Carlo chunk's count word, rows x (N + 1), at N <= 2**18
 
 
 def _scratch(role, shape, dtype) -> np.ndarray:
@@ -129,8 +129,8 @@ def _rank_statistic(kind, generator, sizes, weights, labels, ties=None,
     In tie-free rows of two groups the other group's count before a member is
     the member's column minus its index in its own group.  Otherwise every group's running
     count is a ``bits``-wide field of a word of ``min(k, 63 // bits)`` fields, the narrowest
-    unsigned integer that holds them: one cumsum per word and one gather per (integrating group,
-    word) give every count.  A non-finite result raises :class:`NumericalError`.
+    unsigned integer up to 32 bits that holds them, else int64: one cumsum per word and one
+    gather per (integrating group, word) give every count.  A non-finite result raises :class:`NumericalError`.
     """
     if convention not in CONVENTIONS:
         raise InvalidParameterError(f"unknown CDF convention '{convention}'; expected one of {CONVENTIONS}")
@@ -163,7 +163,7 @@ def _rank_statistic(kind, generator, sizes, weights, labels, ties=None,
     else:
         bits = max(sizes).bit_length()
         per, mask = min(k, 63 // bits), (1 << bits) - 1
-        dtype = np.min_scalar_type((1 << per * bits) - 1)  # the narrowest unsigned word that holds per fields
+        dtype = np.int64 if per * bits > 32 else np.min_scalar_type((1 << per * bits) - 1)  # no field reaches bit 63
         g = np.arange(k)
         code = np.where(np.arange(-(-k // per))[:, None] == g // per, 1 << bits * (g % per), 0).astype(dtype)
         words = _scratch("words", (len(code), nrep, width + 1), dtype)  # members before each column
@@ -178,7 +178,7 @@ def _rank_statistic(kind, generator, sizes, weights, labels, ties=None,
             bound = col + 1 if ties is None else np.take(ties[end], col)
             return np.take(words, (row_start + bound).ravel(), axis=1)
 
-        def field(group, packed):  # as intp, which np.take would convert an unsigned index to anyway
+        def field(group, packed):  # as intp, a view of an int64 word's fields and a copy of a narrower one's
             return ((packed[group // per] >> bits * (group % per)) & mask).astype(np.intp, copy=False)
 
         for l in range(k):

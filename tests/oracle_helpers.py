@@ -11,8 +11,6 @@ from itertools import combinations, islice
 import numpy as np
 from scipy import special
 
-from convexgof.nulldist import CHUNK
-
 # Pins of values that pass through numpy's exp, log, log1p, power, sinh or cosh hold per kernel set:
 # numpy's AVX-512 kernels differ from libm's in the last bit at a few percent of points, and below
 # AVX-512 numpy 2.4.6 calls libm's (x86-64, glibc).  Such pins are recorded under both, and this
@@ -197,8 +195,8 @@ def hand_uniforms(sizes, seed, chunk, rows):
     return (keys + 0.5) / 2.0 ** bits
 
 
-def label_batches(sizes):
-    """Every assignment of pooled ranks to groups, as label matrices of <= ``CHUNK`` rows.
+def label_batches(sizes, rows):
+    """Every assignment of pooled ranks to groups, as label matrices of <= ``rows`` rows.
 
     Row r, column p holds the group of pooled rank p in assignment r.  The
     first group's rank sets come from ``itertools.combinations``, one tuple per
@@ -208,13 +206,13 @@ def label_batches(sizes):
     if len(sizes) == 1:
         yield np.zeros((1, total), dtype=np.int8)
         return
-    rest = np.concatenate(list(label_batches(sizes[1:]))) + 1  # the other groups' assignments
+    rest = np.concatenate(list(label_batches(sizes[1:], rows))) + 1  # the other groups' assignments
     combos = combinations(range(total), sizes[0])
-    for chosen in iter(lambda: list(islice(combos, max(1, CHUNK // len(rest)))), []):
+    for chosen in iter(lambda: list(islice(combos, max(1, rows // len(rest)))), []):
         free = np.ones((len(chosen), total), dtype=bool)  # ranks left for the other groups
         free[np.arange(len(chosen))[:, None], chosen] = False
-        for lo in range(0, len(rest), CHUNK):
-            part = rest[lo:lo + CHUNK]
+        for lo in range(0, len(rest), rows):
+            part = rest[lo:lo + rows]
             batch = np.zeros((len(chosen), total, len(part)), dtype=np.int8)
             batch[free] = np.tile(part.T, (len(chosen), 1))
             yield batch.transpose(0, 2, 1).reshape(-1, total)

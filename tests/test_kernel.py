@@ -28,8 +28,8 @@ from convexgof import (
     simulate_null,
     two_sample_statistic,
 )
-from convexgof import nulldist, statistics
-from convexgof.nulldist import CHUNK, _chunk_rows, _label_blocks, replicate_stream
+from convexgof import nulldist, oracle, statistics
+from convexgof.nulldist import CHUNK, CHUNK_ELEMENTS, _chunk_rows, _label_blocks, replicate_stream
 from convexgof.statistics import _SCRATCH, _centering, _group_labels, _rank_statistic, _tie_blocks
 from convexgof.oracle import _label_units
 
@@ -92,7 +92,7 @@ def test_tie_blocks():
 @pytest.mark.parametrize("sizes", [(3, 4), (2, 2, 3), (1, 1, 4, 7)])
 def test_label_batches_cover_every_assignment_once(sizes):
     batches = [unit() for unit in _label_units(sizes)]
-    assert all(len(b) <= CHUNK for b in batches)
+    assert all(b.size <= CHUNK_ELEMENTS for b in batches)
     rows = np.concatenate(batches)
     expected = math.prod(math.comb(sum(sizes[g:]), s) for g, s in enumerate(sizes))
     assert len(np.unique(rows, axis=0)) == len(rows) == expected
@@ -101,24 +101,44 @@ def test_label_batches_cover_every_assignment_once(sizes):
 
 @pytest.mark.parametrize("sizes", [(3, 4), (2, 2, 3), (1, 1, 4, 7), (1, 9), (9, 1), (8, 8), (1, 1, 6, 6), (2, 300)])
 def test_label_units_equal_the_itertools_batches(sizes):
-    # (1, 1, 6, 6): 12012 rows of the other groups, so one first-group set spans several units;
-    # (2, 300): N > 256, where units hold _chunk_rows(N) < CHUNK rows and so split the rows elsewhere
-    reference, units = list(label_batches(sizes)), [unit() for unit in _label_units(sizes)]
-    assert all(len(rows) <= _chunk_rows(sum(sizes)) for rows in units)
+    # a unit holds at most CHUNK_ELEMENTS // N rows: every case but (1, 1, 6, 6), whose 12012 rows of the
+    # other groups make one unit per first-group set, and (2, 300), 53 units of 868 rows, is one unit
+    rows = max(1, CHUNK_ELEMENTS // sum(sizes))
+    reference, units = list(label_batches(sizes, rows)), [unit() for unit in _label_units(sizes)]
+    assert all(len(unit) <= rows for unit in units)
     expected, got = np.concatenate(reference), np.concatenate(units)
     assert got.dtype == expected.dtype and got.shape == expected.shape and got.tobytes() == expected.tobytes()
-    if _chunk_rows(sum(sizes)) == CHUNK:
-        assert [(u.shape, u.tobytes()) for u in units] == [(b.shape, b.tobytes()) for b in reference]
+    assert [(u.shape, u.tobytes()) for u in units] == [(b.shape, b.tobytes()) for b in reference]
+
+
+@pytest.mark.parametrize("sizes, rows", [((1, 1, 6, 6), 1024), ((2, 2, 3), 5), ((9, 1), 1)])
+def test_label_units_split_the_rows_like_the_itertools_batches(sizes, rows, monkeypatch):
+    # a smaller label bound: one first-group set's 12012 rows of the other groups span 12 units of at
+    # most 1024 rows, (2, 2, 3)'s 10 such rows two units of 5, and (9, 1)'s sets are one row each
+    monkeypatch.setattr(oracle, "CHUNK_ELEMENTS", rows * sum(sizes))
+    reference, units = list(label_batches(sizes, rows)), [unit() for unit in _label_units(sizes)]
+    assert len(units) > 1 and all(len(unit) <= rows for unit in units)
+    assert [(u.shape, u.tobytes()) for u in units] == [(b.shape, b.tobytes()) for b in reference]
+
+
+def test_enumeration_units_are_sized_by_labels():
+    # no RNG stream fixes an enumeration unit's length, as one does a Monte Carlo chunk's CHUNK rows, so
+    # a unit holds CHUNK_ELEMENTS // N rows: (8, 8) and (3, 3, 3) are one unit each, (10, 10) fifteen
+    assert [unit().shape for unit in _label_units((8, 8))] == [(12870, 16)]
+    assert [unit().shape for unit in _label_units((3, 3, 3))] == [(1680, 9)]
+    assert [unit().shape for unit in _label_units((10, 10))] == [(13107, 20)] * 14 + [(1258, 20)]
 
 
 @pytest.mark.parametrize("kind, spec, sizes, bound_mib", [
     (TWO_SAMPLE, "power:2", (1, 3000), 25),
     (K_SAMPLE, "poly:0,1,1", (1, 1, 600), 80),
+    (TWO_SAMPLE, "power:2", (10, 10), 8),
 ])
 def test_wide_enumerations_have_bounded_memory(kind, spec, sizes, bound_mib, monkeypatch):
     # at N > 256 the calling thread and each pool thread build and score one unit of at most 2**18 labels
     # at a time; with two pool threads beside the calling thread these peak at 13.7 and 48.6 MiB, against
-    # 96 and 244 MiB when every label row was built up front
+    # 96 and 244 MiB when every label row was built up front; (10, 10)'s 15 units of up to 13107 rows run
+    # on the calling thread alone and peak at 5.5 MiB, of which its 184756 values take 1.4 MiB per copy
     gen = parse_generator_spec(spec)
     _SCRATCH.__dict__.clear()
     with ThreadPoolExecutor(2) as pool:
@@ -469,9 +489,10 @@ def test_slabs_are_bit_identical(case, monkeypatch):
     ("enumeration", K_SAMPLE, "poly:0,1,1", (3, 3, 3), None),
 ], ids=lambda case: case[0])
 def test_uncapped_units_never_ask_for_the_pool(case, monkeypatch):
-    # at N <= 256 every unit holds CHUNK rows, and such a table runs on the calling thread alone
+    # at N <= 256 every Monte Carlo chunk holds CHUNK rows, and such a table, or an enumeration, runs on
+    # the calling thread alone
     def no_pool():
-        raise AssertionError("a table of CHUNK-row units asked for the unit pool")
+        raise AssertionError("a table at N <= 256 asked for the unit pool")
 
     assert _chunk_rows(sum(case[3])) == CHUNK
     monkeypatch.setattr(nulldist, "_unit_pool", no_pool)
@@ -536,17 +557,26 @@ def test_one_unit_keeps_one_buffer_per_role(kind, spec, sizes, weights, roles, b
 
 @pytest.mark.parametrize("tied", [False, True], ids=["tie_free", "tied"])
 @pytest.mark.parametrize("convention", [RIGHT_CONTINUOUS, MID])
-@pytest.mark.parametrize("n, itemsize", [(255, 4), (256, 8)], ids=["uint32_word", "uint64_word"])
-def test_packed_word_width_boundary_matches_reference(n, itemsize, tied, convention):
-    # four groups of 255 have 8-bit counts, 32 bits in all: one uint32 word; of 256, 9 bits: one uint64 word
+@pytest.mark.parametrize("n, itemsize, kind", [(255, 4, "u"), (256, 8, "i")], ids=["uint32_word", "uint64_word"])
+def test_packed_word_width_boundary_matches_reference(n, itemsize, kind, tied, convention, monkeypatch):
+    # four groups of 255 have 8-bit counts, 32 bits in all: one uint32 word; of 256, 9 bits: one 64-bit word,
+    # signed, since no field reaches bit 63, so that a field is cast to intp by a view
     gen, sizes, weights = power_generator(2), (n,) * 4, WeightVector((0.1, 0.2, 0.3, 0.4))
     pooled = np.sort(np.random.default_rng(21).normal(0.0, 1.0, sum(sizes)))
     if tied:
         pooled = np.round(pooled, 1)
     labels = _hand_labels(sizes, 22, 0, 3)
+    scratch, asked = statistics._scratch, {}
+
+    def recorded(role, shape, dtype):
+        asked.setdefault(role, np.dtype(dtype))
+        return scratch(role, shape, dtype)
+
+    monkeypatch.setattr(statistics, "_scratch", recorded)
     _SCRATCH.__dict__.clear()
     got = _rank_statistic(K_SAMPLE, gen, sizes, weights, labels, _tie_blocks(pooled), convention)
     assert _SCRATCH.__dict__["words"].nbytes == 3 * (sum(sizes) + 1) * itemsize
+    assert asked["words"].kind == kind and asked["words"].itemsize == itemsize
     expected = [reference_statistic(K_SAMPLE, gen, [pooled[row == g] for g in range(len(sizes))],
                                     weights.weights, convention) for row in labels]
     assert list(got - _centering(K_SAMPLE, gen, weights)) == expected

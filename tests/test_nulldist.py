@@ -5,6 +5,7 @@ import re
 import struct
 import threading
 import time
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -41,7 +42,7 @@ from convexgof import (
     tau_statistic,
     two_sample_statistic,
 )
-from convexgof import cli, generators, nulldist
+from convexgof import cli, generators, nulldist, statistics
 from convexgof.nulldist import CHUNK, TABLE_FORMAT_VERSION, parse_alternative
 from oracle_helpers import hand_uniforms
 
@@ -309,17 +310,37 @@ class TestSimulateNull:
         monkeypatch.setattr(nulldist, "_unit_pool", lambda: None)
         assert table.replicates.tobytes() == simulate_null(TWO_SAMPLE, SQUARE, (1000, 1000), B=9999, seed=3).replicates.tobytes()
 
-    def test_transform_runs_on_the_calling_thread(self, unit_pool):
-        # the reference path draws every chunk here; only the scoring goes to the pool
-        threads = []
+    def test_transform_runs_on_the_calling_thread(self, unit_pool, monkeypatch):
+        # the reference path draws and scores every chunk here, one at a time: nothing goes to the pool
+        threads, score = [], nulldist._rank_statistic
 
         def recorded(uniforms):
             threads.append(threading.get_ident())
             return uniforms
 
+        def scored(*args):
+            threads.append(threading.get_ident())
+            return score(*args)
+
+        monkeypatch.setattr(nulldist, "_rank_statistic", scored)
         table = simulate_null(TWO_SAMPLE, SQUARE, (150, 150), B=2 * CHUNK + 5, seed=8, transform=recorded)
-        assert threads == [threading.get_ident()] * 3
+        assert threads == [threading.get_ident()] * 6
+        monkeypatch.setattr(nulldist, "_rank_statistic", score)
         plain = simulate_null(TWO_SAMPLE, SQUARE, (150, 150), B=2 * CHUNK + 5, seed=8)
+        assert table.replicates.tobytes() == plain.replicates.tobytes()
+
+    def test_transform_holds_one_chunk_at_a_time(self):
+        # the reference path holds one of a 1000/1000 table's 77 chunks at a time: 8.6 MiB under tracemalloc
+        # with this thread's scratch built afresh, where all 77 chunks' label rows take 19 MiB
+        statistics._SCRATCH.__dict__.clear()
+        tracemalloc.start()
+        try:
+            table = simulate_null(TWO_SAMPLE, SQUARE, (1000, 1000), B=9999, seed=3, transform=lambda u: u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        plain = simulate_null(TWO_SAMPLE, SQUARE, (1000, 1000), B=9999, seed=3)
         assert table.replicates.tobytes() == plain.replicates.tobytes()
 
     def test_chunk_memory_is_bounded(self):
