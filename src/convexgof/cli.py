@@ -172,9 +172,8 @@ def _cache_path(args, identity):
     """Cache file of the table with ``NullTable.identity`` ``identity``; None with --no-cache."""
     if args.no_cache:
         return None
-    base = args.cache_dir or os.environ.get(CACHE_ENV)
-    if base is None:
-        base = Path(os.environ.get("XDG_CACHE_HOME", Path.home() / ".cache")) / "convexgof"
+    base = (args.cache_dir or os.environ.get(CACHE_ENV)  # an empty variable counts as unset
+            or Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "convexgof")
     key = repr((identity, TABLE_FORMAT_VERSION))
     return Path(base) / f"{hashlib.sha256(key.encode('utf-8')).hexdigest()}.csv"
 

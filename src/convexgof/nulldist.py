@@ -183,15 +183,16 @@ def _label_blocks(sizes, B, seed, transform=None):
     return units if transform is None else iter(units)
 
 
-def _table_values(kind, generator, sizes, weights, units, ties=None,
-                  convention=RIGHT_CONTINUOUS) -> np.ndarray:
+def _table_values(generator, sizes, weights, units, ties=None, convention=RIGHT_CONTINUOUS) -> np.ndarray:
     """Sorted, centered statistics of the label rows of every work unit in ``units``; read-only.
 
-    The calling thread runs the first unit, which builds every grid the memo lacks and keeps them all,
-    then takes the rest from one shared index, beside the pool's threads where ``units`` is a list whose
-    units ``CHUNK_ELEMENTS`` caps (N > 256); they only read those grids, unless a table built meanwhile on
-    another thread fills the memo past its bound.  Results are kept by unit index.  After a unit raises,
-    no thread takes another, and its error is raised once every thread has stopped.
+    Each row scores as the kernel's one pair sum less ``_centering``, which the generator's type (tau
+    for a log-convex one) and ``weights`` (None for the two-group kinds) decide.  The calling thread runs
+    the first unit, which builds every grid the memo lacks and keeps them all, then takes the rest from
+    one shared index, beside the pool's threads where ``units`` is a list whose units ``CHUNK_ELEMENTS``
+    caps (N > 256); they only read those grids, unless a table built meanwhile on another thread fills
+    the memo past its bound.  Results are kept by unit index.  After a unit raises, no thread takes
+    another, and its error is raised once every thread has stopped.
     """
     lock, failed = threading.Lock(), []
 
@@ -202,19 +203,19 @@ def _table_values(kind, generator, sizes, weights, units, ties=None,
             if unit is None:
                 return
             try:
-                raw[i] = _rank_statistic(kind, generator, sizes, weights, unit(), ties, convention)
+                raw[i] = _rank_statistic(generator, sizes, weights, unit(), ties, convention)
             except BaseException as exc:
                 failed.append(exc)
 
     pool = _unit_pool() if isinstance(units, list) and len(units) > 1 and _chunk_rows(sum(sizes)) < CHUNK else None
     indexed = enumerate(units)
-    raw = {0: _rank_statistic(kind, generator, sizes, weights, next(indexed)[1](), ties, convention)}
+    raw = {0: _rank_statistic(generator, sizes, weights, next(indexed)[1](), ties, convention)}
     pending = () if pool is None else pool.map(take, [indexed] * (len(units) - 1))  # one per unit: any pool size is used
     take(indexed)
     list(pending)  # returns once every pool thread has stopped taking units
     if failed:
         raise failed[0]
-    values = np.sort(np.concatenate([raw[i] for i in range(len(raw))]) - _centering(kind, generator, weights))
+    values = np.sort(np.concatenate([raw[i] for i in range(len(raw))]) - _centering(generator, weights))
     values.setflags(write=False)
     return values
 
@@ -232,7 +233,7 @@ def simulate_null(kind, generator, sizes, B: int, seed: int, weights=None,
     """
     sizes, weights = _check_kind_and_generator(kind, generator, sizes, weights)
     seed = _check_seed(seed)
-    values = _table_values(kind, generator, sizes, weights, _label_blocks(sizes, B, seed, transform))
+    values = _table_values(generator, sizes, weights, _label_blocks(sizes, B, seed, transform))
     return NullTable(kind, generator.name, sizes, values, seed,
                      None if weights is None else weights.weights)
 
@@ -313,7 +314,7 @@ def run_test(kind, generator, samples, weights=None, B: int = DEFAULT_B, seed: i
         table = simulate_null(kind, generator, sizes, B=B, seed=seed, weights=weights)
     else:  # the pooled data's ranks, tie blocks included, shuffled by the same label draw
         seed, pooled = _check_seed(seed), np.sort(np.concatenate([s.values for s in samples]))
-        values = _table_values(kind, generator, sizes, weights, _label_blocks(sizes, B, seed),
+        values = _table_values(generator, sizes, weights, _label_blocks(sizes, B, seed),
                                _tie_blocks(pooled), convention)
         table = NullTable(kind, generator.name, sizes, values, seed,
                           None if weights is None else weights.weights)

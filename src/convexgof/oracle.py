@@ -263,7 +263,7 @@ def enumerate_null(kind, generator, sizes, weights=None) -> ExactNullDistributio
             f"{count} rank interleavings at sizes {sizes} exceed the "
             f"budget of {ENUMERATION_BUDGET}"
         )
-    values, counts = np.unique(_table_values(kind, generator, sizes, weights, _label_units(sizes)), return_counts=True)
+    values, counts = np.unique(_table_values(generator, sizes, weights, _label_units(sizes)), return_counts=True)
     return ExactNullDistribution(kind, generator.name, sizes, values, counts / count)
 
 

@@ -1,9 +1,9 @@
 """Test statistics: two-sample, weighted k-sample, and the log-convex tau.
 
-Each statistic is the empirical plug-in of a population functional minus
-its centering constant (the value the functional takes when all
-distributions coincide).  No finite-n bias correction is applied; Monte
-Carlo calibration of the null absorbs it.
+Each statistic is the empirical plug-in of one sum over ordered pairs of groups
+j != l of p_j p_l times the integral of h(F_j) dF_l, minus its value when all F_j
+coincide; the two-group kinds take p_j = 1, and a log-convex generator selects tau,
+which integrates xi(F_j) dXi(F_l).  No finite-n bias correction is applied: calibration absorbs it.
 
 Every ECDF value the functionals need is a member count over a sample size,
 so one count-indexed kernel, :func:`_rank_statistic`, computes the raw
@@ -24,7 +24,7 @@ import numpy as np
 
 from .ecdf import CONVENTIONS, RIGHT_CONTINUOUS, Sample
 from .errors import InvalidParameterError, NumericalError
-from .generators import CHUNK_ELEMENTS, ConvexGenerator, LogConvexGenerator, _memo_grids, eval_on_array
+from .generators import CHUNK_ELEMENTS, ConvexGenerator, LogConvexGenerator, _check_int, _memo_grids, eval_on_array
 
 TWO_SAMPLE = "two_sample"
 K_SAMPLE = "k_sample"
@@ -110,9 +110,11 @@ def _tie_blocks(sorted_values):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite result raises below
-def _rank_statistic(kind, generator, sizes, weights, labels, ties=None,
+def _rank_statistic(generator, sizes, weights, labels, ties=None,
                     convention=RIGHT_CONTINUOUS) -> np.ndarray:
-    """Raw functional of every row of a label matrix in pooled rank order.
+    """Raw functional of every row of a label matrix in pooled rank order: the sum over ordered
+    pairs of groups, in (j, l) order from 0.0, of p_j p_l times the integral of group j's ECDF
+    over group l's values, with p_j = 1 where ``weights`` is None (the two-group kinds).
 
     ``labels[r, p]`` is the group of replicate r's p-th smallest pooled value,
     so each ECDF value is a member count and each functional a sum of lookups
@@ -120,12 +122,12 @@ def _rank_statistic(kind, generator, sizes, weights, labels, ties=None,
     start and end, or None; only with ties does ``mid`` change a count, to the
     sum of those below and through its block, looked up in h(i/2n).  Each
     integral sums one term per member of the integrating group l in sorted
-    order, one ordered pair of groups at a time.  A tau term is weighted by
-    its member's jump Xi((i+1)/n_l) - Xi(i/n_l), the difference of
-    ``antiderivative_grid(n_l)``; a tie block's members share one count of
-    the other group, so their jumps add up to the block's jump.  Every grid
-    comes from one call of ``generators._memo_grids`` before any count, so a
-    call whose grids are all kept there runs no generator code.
+    order, one ordered pair of groups at a time.  A log-convex generator selects tau:
+    each term is weighted by its member's jump Xi((i+1)/n_l) - Xi(i/n_l), the difference
+    of ``antiderivative_grid(n_l)``; a tie block's members share one count of the other
+    group, so their jumps add up to the block's jump.  Every grid comes from one call of
+    ``generators._memo_grids`` before any count, so a call whose grids are all kept there
+    runs no generator code.
     In tie-free rows of two groups the other group's count before a member is
     the member's column minus its index in its own group.  Otherwise every group's running
     count is a ``bits``-wide field of a word of ``min(k, 63 // bits)`` fields, the narrowest
@@ -136,17 +138,17 @@ def _rank_statistic(kind, generator, sizes, weights, labels, ties=None,
         raise InvalidParameterError(f"unknown CDF convention '{convention}'; expected one of {CONVENTIONS}")
     nrep, width = labels.shape
     k, mid = len(sizes), convention != RIGHT_CONTINUOUS and ties is not None
-    fn, integrals = generator.eval, {}
+    fn, integrals, tau = generator.eval, {}, isinstance(generator, LogConvexGenerator)
     grids = _memo_grids(fn, [(n, "values", lambda n=n: eval_on_array(fn, np.arange(n + 1) / n))
                              for n in (2 * s if mid else s for s in sizes)]  # h(i/n) for group j's ECDF
                         + [(n, "jumps", lambda n=n: np.diff(generator.antiderivative_grid(n)))
-                           for n in sizes if kind == TAU])
+                           for n in sizes if tau])
     values, jumps = grids[:k], grids[k:]
 
     def integral(j, l, index):  # group j's ECDF over group l's values
         terms = np.take(values[j], index.reshape(nrep, sizes[l]), mode="clip",  # index lies in 0..n
                         out=_scratch("block", (nrep, sizes[l]), float))
-        if kind == TAU:
+        if tau:
             return np.multiply(terms, jumps[l], out=terms).sum(axis=1)
         return terms.sum(axis=1) / sizes[l]
 
@@ -189,30 +191,23 @@ def _rank_statistic(kind, generator, sizes, weights, labels, ties=None,
                 if j != l:
                     integrals[j, l] = integral(j, l, field(j, through) + field(j, before) if mid
                                                else field(j, through))
-    if kind == K_SAMPLE:
-        w = weights.weights  # summed in (j, l) order, whatever order the pairs were computed in
-        raw = sum((w[j] * w[l] * integrals[j, l] for j, l in sorted(integrals)), 0.0)
-    else:
-        raw = integrals[0, 1] + integrals[1, 0]
+    p = (1.0,) * k if weights is None else weights.weights  # summed in (j, l) order, however the pairs were computed
+    raw = sum((p[j] * p[l] * integrals[j, l] for j, l in sorted(integrals)), 0.0)
     if not np.all(np.isfinite(raw)):
         raise NumericalError(f"generator '{generator.name}' gives a non-finite statistic "
                              f"at sample sizes {tuple(sizes)}")
     return raw
 
 
-def _centering(kind, generator, weights) -> float:
-    """The raw functional's value when all distributions coincide."""
-    if kind == K_SAMPLE:
-        return weights.equality_factor * generator.integral_0_1
-    return 2.0 * (generator.integral_sq_0_1 if kind == TAU else generator.integral_0_1)
+def _centering(generator, weights) -> float:
+    """Raw functional when all F_j coincide: sum_{j != l} p_j p_l (2 unweighted) times the centering integral."""
+    return (2.0 if weights is None else weights.equality_factor) * getattr(generator, generator._constant_key)
 
 
 def _check_kind_and_generator(kind, generator, sizes, weights):
     if kind not in KINDS:
         raise InvalidParameterError(f"unknown statistic kind '{kind}'; expected one of {KINDS}")
-    sizes = tuple(int(s) for s in sizes)
-    if len(sizes) == 0 or any(s < 1 for s in sizes):
-        raise InvalidParameterError(f"sample sizes must all be >= 1, got {sizes}")
+    sizes = tuple(_check_int(s, "sample sizes must all be integers >= 1") for s in sizes)
     if kind in (TWO_SAMPLE, TAU) and len(sizes) != 2:
         raise InvalidParameterError(f"{kind} needs exactly 2 sample sizes, got {len(sizes)}")
     if kind == K_SAMPLE:
@@ -241,8 +236,8 @@ def _observed_statistic(kind, generator, samples, weights, convention) -> Statis
     order = np.argsort(pooled, kind="stable")
     labels = _group_labels(sizes)[order][None, :]
     ties = _tie_blocks(pooled[order])
-    raw = float(_rank_statistic(kind, generator, sizes, weights, labels, ties, convention)[0])
-    centering = _centering(kind, generator, weights)
+    raw = float(_rank_statistic(generator, sizes, weights, labels, ties, convention)[0])
+    centering = _centering(generator, weights)
     tie_count = 0
     if ties is not None:  # a tie block of n values, c_g in group g, has (n^2 - sum c_g^2) / 2 cross pairs
         lo, hi = ties

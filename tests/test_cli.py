@@ -408,6 +408,27 @@ class TestNullTableCommand:
         path = Path(json.loads(out)["path"])
         assert path.parent == tmp / "xdg" / "convexgof" and path.is_file()
 
+    @pytest.mark.parametrize("empty", [(cli.CACHE_ENV,), ("XDG_CACHE_HOME",), (cli.CACHE_ENV, "XDG_CACHE_HOME")],
+                             ids=["cache_dir", "xdg", "both"])
+    def test_empty_cache_variable_counts_as_unset(self, tmp_path, monkeypatch, empty):
+        # an empty CONVEXGOF_CACHE_DIR or XDG_CACHE_HOME counts as unset, so the table lands
+        # under $HOME/.cache/convexgof, not in the working directory or its ./convexgof
+        work, home = tmp_path / "work", tmp_path / "home"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        monkeypatch.setenv("HOME", str(home))
+        for name in (cli.CACHE_ENV, "XDG_CACHE_HOME"):
+            if name in empty:
+                monkeypatch.setenv(name, "")
+            else:
+                monkeypatch.delenv(name, raising=False)
+        code, out, err = run_cli(["null-table", "--kind", "two_sample", "--generator", "power:2",
+                                  "--sizes", "3,3", "--B", "20", "--deterministic"])
+        assert code == 0, err
+        path = Path(json.loads(out)["path"])
+        assert path.parent == home / ".cache" / "convexgof" and path.is_file()
+        assert not any(work.iterdir())
+
     def test_cache_hit_reported(self, data_files):
         argv = ["null-table", "--kind", "two_sample", "--generator", "power:2",
                 "--sizes", "4,4", "--B", "50", "--seed", "2", "--deterministic"]

@@ -77,8 +77,8 @@ def test_kernel_equals_reference_bit_for_bit(case):
         groups = np.split(pooled[list(perm)], np.cumsum(sizes)[:-1])
         w = None if weights is None else weights.weights
         expected.append(reference_statistic(kind, gen, groups, w, convention))
-    got = _rank_statistic(kind, gen, sizes, weights, np.array(labels),
-                          _tie_blocks(pooled[order]), convention) - _centering(kind, gen, weights)
+    got = _rank_statistic(gen, sizes, weights, np.array(labels),
+                          _tie_blocks(pooled[order]), convention) - _centering(gen, weights)
     assert list(got) == expected
 
 
@@ -248,9 +248,9 @@ def test_permutation_chunks_match_streams():
     ties = _tie_blocks(np.sort(np.concatenate([s.values for s in samples])))
     assert ties is not None
     values = np.concatenate([
-        _rank_statistic(TWO_SAMPLE, gen, sizes, None, _hand_labels(sizes, 4, c, rows), ties, MID)
+        _rank_statistic(gen, sizes, None, _hand_labels(sizes, 4, c, rows), ties, MID)
         for c, rows in enumerate((CHUNK, CHUNK, 5))])
-    assert np.array_equal(table.replicates, np.sort(values - _centering(TWO_SAMPLE, gen, None)))
+    assert np.array_equal(table.replicates, np.sort(values - _centering(gen, None)))
 
 
 @pytest.mark.parametrize("sizes, B, width", [
@@ -333,13 +333,13 @@ def test_redraw_keeps_the_law_uniform_when_ties_are_common(monkeypatch):
     assert sps.chisquare(counts).pvalue > 0.001
 
 
-def _format_3_table(kind, gen, sizes, B, seed):
+def _format_3_table(gen, sizes, B, seed):
     """The table of format 3: chunk c argsorts uniforms from Philox keyed by (seed, c)."""
     rows = _chunk_rows(sum(sizes))
-    raw = [_rank_statistic(kind, gen, sizes, None, _group_labels(sizes)[np.argsort(
+    raw = [_rank_statistic(gen, sizes, None, _group_labels(sizes)[np.argsort(
         np.random.Generator(np.random.Philox(key=[seed, c])).random((min(rows, B - start), sum(sizes))),
         axis=1)]) for c, start in enumerate(range(0, B, rows))]
-    return np.sort(np.concatenate(raw) - _centering(kind, gen, None))
+    return np.sort(np.concatenate(raw) - _centering(gen, None))
 
 
 @pytest.mark.parametrize("sizes, B", [((100, 100), 9999), ((1000, 1000), 3000)])
@@ -347,7 +347,7 @@ def test_tables_follow_the_format_3_law(sizes, B):
     # a different draw of the same law: two-sample KS between equal-B tables
     gen = power_generator(2)
     table = simulate_null(TWO_SAMPLE, gen, sizes, B=B, seed=41)
-    old = _format_3_table(TWO_SAMPLE, gen, sizes, B, 41)
+    old = _format_3_table(gen, sizes, B, 41)
     assert not np.array_equal(table.replicates, old)
     assert sps.ks_2samp(table.replicates, old).pvalue > 0.001
 
@@ -513,9 +513,9 @@ def test_results_never_alias_the_scratch(kind, spec, sizes, weights):
     kept = labels.copy()
     others = second_unit()
     assert not np.shares_memory(labels, others) and np.array_equal(labels, kept)
-    first = _rank_statistic(kind, gen, sizes, weights, labels)
+    first = _rank_statistic(gen, sizes, weights, labels)
     kept = first.copy()
-    second = _rank_statistic(kind, gen, sizes, weights, others)
+    second = _rank_statistic(gen, sizes, weights, others)
     assert not np.shares_memory(first, second) and np.array_equal(first, kept)
     buffers = list(_SCRATCH.__dict__.values())
     assert buffers
@@ -547,7 +547,7 @@ def test_one_unit_keeps_one_buffer_per_role(kind, spec, sizes, weights, roles, b
     unit = _label_blocks(sizes, _chunk_rows(sum(sizes)), 5)[0]
 
     def score():  # on a fresh thread, so with fresh scratch
-        _rank_statistic(kind, gen, sizes, weights, unit())
+        _rank_statistic(gen, sizes, weights, unit())
         return {role: buffer.nbytes for role, buffer in _SCRATCH.__dict__.items()}
 
     with ThreadPoolExecutor(1) as pool:
@@ -574,12 +574,12 @@ def test_packed_word_width_boundary_matches_reference(n, itemsize, kind, tied, c
 
     monkeypatch.setattr(statistics, "_scratch", recorded)
     _SCRATCH.__dict__.clear()
-    got = _rank_statistic(K_SAMPLE, gen, sizes, weights, labels, _tie_blocks(pooled), convention)
+    got = _rank_statistic(gen, sizes, weights, labels, _tie_blocks(pooled), convention)
     assert _SCRATCH.__dict__["words"].nbytes == 3 * (sum(sizes) + 1) * itemsize
     assert asked["words"].kind == kind and asked["words"].itemsize == itemsize
     expected = [reference_statistic(K_SAMPLE, gen, [pooled[row == g] for g in range(len(sizes))],
                                     weights.weights, convention) for row in labels]
-    assert list(got - _centering(K_SAMPLE, gen, weights)) == expected
+    assert list(got - _centering(gen, weights)) == expected
 
 
 @pytest.mark.parametrize("tied", [False, True], ids=["tie_free", "tied"])
@@ -591,10 +591,10 @@ def test_two_packed_words_match_reference(tied, convention):
     if tied:
         pooled = np.round(pooled, 1)
     labels = _hand_labels(sizes, 13, 0, 3)
-    got = _rank_statistic(K_SAMPLE, gen, sizes, weights, labels, _tie_blocks(pooled), convention)
+    got = _rank_statistic(gen, sizes, weights, labels, _tie_blocks(pooled), convention)
     expected = [reference_statistic(K_SAMPLE, gen, [pooled[row == g] for g in range(len(sizes))],
                                     weights.weights, convention) for row in labels]
-    assert list(got - _centering(K_SAMPLE, gen, weights)) == expected
+    assert list(got - _centering(gen, weights)) == expected
 
 
 @pytest.mark.parametrize("convention", [RIGHT_CONTINUOUS, MID])
@@ -609,8 +609,8 @@ def test_tie_free_counts_equal_singleton_tie_blocks(kind, spec, convention):
                       else ((1000, 1000), None))
     labels = _hand_labels(sizes, 14, 0, _chunk_rows(sum(sizes)))
     lo = np.arange(sum(sizes))
-    tie_free = _rank_statistic(kind, gen, sizes, weights, labels, None, convention)
-    singleton = _rank_statistic(kind, gen, sizes, weights, labels, (lo, lo + 1), convention)
+    tie_free = _rank_statistic(gen, sizes, weights, labels, None, convention)
+    singleton = _rank_statistic(gen, sizes, weights, labels, (lo, lo + 1), convention)
     assert np.array_equal(tie_free, singleton)
-    right = _rank_statistic(kind, gen, sizes, weights, labels, None, RIGHT_CONTINUOUS)
+    right = _rank_statistic(gen, sizes, weights, labels, None, RIGHT_CONTINUOUS)
     assert np.array_equal(tie_free, right)

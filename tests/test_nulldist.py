@@ -432,6 +432,16 @@ class TestSimulateNull:
         with pytest.raises(InvalidParameterError, match="replicate count B"):
             simulate_null(TWO_SAMPLE, SQUARE, (5, 5), B=True, seed=0)
 
+    @pytest.mark.parametrize("size", [2.7, 2.0, True, "3"])
+    def test_non_integer_sample_size_rejected(self, size):
+        # int() would run (2.7, 3) as (2, 3), (True, 3) as (1, 3) and ('3', 3) as (3, 3); a numpy integer is a size
+        for request in (lambda: simulate_null(TWO_SAMPLE, SQUARE, (size, 3), B=10, seed=0),
+                        lambda: enumerate_null(TWO_SAMPLE, SQUARE, (size, 3)),
+                        lambda: power_study(TWO_SAMPLE, SQUARE, "shift:0.5", (size, 3), 10, 2, 0)):
+            with pytest.raises(InvalidParameterError, match="sample sizes must all be integers >= 1"):
+                request()
+        assert simulate_null(TWO_SAMPLE, SQUARE, (np.int64(2), 3), B=10, seed=0).sample_sizes == (2, 3)
+
 
 class TestPValue:
     def test_empty_table_rejected(self):
