@@ -34,7 +34,6 @@ from .nulldist import (
     DEFAULT_B,
     K_SAMPLE,
     KINDS,
-    TABLE_FORMAT_VERSION,
     TAU,
     TWO_SAMPLE,
     _request_identity,
@@ -169,12 +168,13 @@ def _generator_for(kind, spec):
 
 
 def _cache_path(args, identity):
-    """Cache file of the table with ``NullTable.identity`` ``identity``; None with --no-cache."""
+    """Cache file named by the hash of the request ``identity`` alone; None with --no-cache."""
     if args.no_cache:
         return None
+    xdg = os.environ.get("XDG_CACHE_HOME", "")  # the XDG spec calls a relative one invalid: it counts as unset
     base = (args.cache_dir or os.environ.get(CACHE_ENV)  # an empty variable counts as unset
-            or Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "convexgof")
-    key = repr((identity, TABLE_FORMAT_VERSION))
+            or Path(xdg if os.path.isabs(xdg) else Path.home() / ".cache") / "convexgof")
+    key = repr((identity, 8))  # 8: the format at which keys stopped changing; load_table rejects other formats
     return Path(base) / f"{hashlib.sha256(key.encode('utf-8')).hexdigest()}.csv"
 
 

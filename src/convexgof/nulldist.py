@@ -449,7 +449,7 @@ def save_table(table: NullTable, path) -> None:
         text = str(value)
         if text != text.strip() or "\n" in text or "\r" in text:
             raise InvalidParameterError(f"null table {key} {text!r} would not load back as written")
-    tmp = f"{path}.{os.getpid()}.tmp"
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(f"# {key}={value}\n" for key, value in header.items())

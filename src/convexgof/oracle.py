@@ -1,18 +1,18 @@
 """Population-level verification oracles.
 
-Everything here is independent of the empirical machinery.  Every population
-functional is a sum over ordered pairs j != l of CDFs F_1..F_k (weights p_j = 1
-unless k-sample weights are given) of p_j p_l int_0^1 phi(F_j(F_l^-1(u)), u) du:
-phi = h(v) gives int h(F) dG + int h(G) dF, (u - v)^2 twice the Cramer-von Mises
-distance and xi(v) xi(u) the log-convex functional.  Substituting u = F_l(x)
-makes each term an integral over [0,1], singular at worst at the ends, where the
-tanh-sinh nodes cluster.  A functional is the list of its terms (p_j p_l, phi,
-F_j, F_l), and one tanh-sinh pass integrates the terms of many, the battery's
-91 among them: each level evaluates every distinct F_j(F_l^-1), then every
-distinct phi, once over all its open rows.  Small-sample null
-distributions are enumerated exhaustively over rank interleavings, in lexicographic
-order, by work units of at most ``CHUNK_ELEMENTS`` labels that unrank their own.  Centering
-constants are recomputed by quadrature rather than trusted from the generator objects.
+The population functionals and the battery are independent of the empirical machinery.  Every
+population functional is a sum over ordered pairs j != l of CDFs F_1..F_k (weights p_j = 1 unless
+k-sample weights are given) of p_j p_l int_0^1 phi(F_j(F_l^-1(u)), u) du: phi = h(v) gives
+int h(F) dG + int h(G) dF, (u - v)^2 twice the Cramer-von Mises distance and xi(v) xi(u) the
+log-convex functional.  Substituting u = F_l(x) makes each term an integral over [0,1], singular at
+worst at the ends, where the tanh-sinh nodes cluster.  A functional is the list of its terms
+(p_j p_l, phi, F_j, F_l), and one tanh-sinh pass integrates the terms of many, the battery's 91 among
+them: each level evaluates every distinct F_j(F_l^-1), then every distinct phi, once over all its
+open rows.  Centering constants are recomputed by quadrature rather than trusted from the generator
+objects.  Small-sample null distributions are enumerated exhaustively over rank interleavings, in
+lexicographic order, by work units of at most ``CHUNK_ELEMENTS`` labels that unrank their own, and
+scored by ``nulldist._table_values`` and the shared kernel; ``tests/test_kernel.py`` checks them
+against ``tests/oracle_helpers.label_batches`` and scipy's exact Cramer-von Mises tail.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from convexgof import cli, generators, load_table, oracle, p_value, simulate_null
+from convexgof import cli, generators, load_table, nulldist, oracle, p_value, simulate_null
 from convexgof.oracle import BatteryCase
 from convexgof.generators import parse_generator_spec
 
@@ -408,20 +408,25 @@ class TestNullTableCommand:
         path = Path(json.loads(out)["path"])
         assert path.parent == tmp / "xdg" / "convexgof" and path.is_file()
 
-    @pytest.mark.parametrize("empty", [(cli.CACHE_ENV,), ("XDG_CACHE_HOME",), (cli.CACHE_ENV, "XDG_CACHE_HOME")],
-                             ids=["cache_dir", "xdg", "both"])
-    def test_empty_cache_variable_counts_as_unset(self, tmp_path, monkeypatch, empty):
-        # an empty CONVEXGOF_CACHE_DIR or XDG_CACHE_HOME counts as unset, so the table lands
-        # under $HOME/.cache/convexgof, not in the working directory or its ./convexgof
+    @pytest.mark.parametrize("values", [
+        ((cli.CACHE_ENV, ""),),
+        (("XDG_CACHE_HOME", ""),),
+        ((cli.CACHE_ENV, ""), ("XDG_CACHE_HOME", "")),
+        (("XDG_CACHE_HOME", "rel"),),
+        (("XDG_CACHE_HOME", "~/.cache"),),
+    ], ids=["cache_dir", "xdg", "both", "xdg_relative", "xdg_tilde"])
+    def test_empty_cache_variable_counts_as_unset(self, tmp_path, monkeypatch, values):
+        # an empty CONVEXGOF_CACHE_DIR or XDG_CACHE_HOME counts as unset, and so does a relative
+        # XDG_CACHE_HOME, which the XDG Base Directory spec calls invalid; so the table lands under
+        # $HOME/.cache/convexgof, not in the working directory, its ./convexgof, ./rel or ./~
         work, home = tmp_path / "work", tmp_path / "home"
         work.mkdir()
         monkeypatch.chdir(work)
         monkeypatch.setenv("HOME", str(home))
         for name in (cli.CACHE_ENV, "XDG_CACHE_HOME"):
-            if name in empty:
-                monkeypatch.setenv(name, "")
-            else:
-                monkeypatch.delenv(name, raising=False)
+            monkeypatch.delenv(name, raising=False)
+        for name, value in values:
+            monkeypatch.setenv(name, value)
         code, out, err = run_cli(["null-table", "--kind", "two_sample", "--generator", "power:2",
                                   "--sizes", "3,3", "--B", "20", "--deterministic"])
         assert code == 0, err
@@ -540,6 +545,25 @@ class TestCacheFiles:
         assert err.startswith("warning:") and str(path) in err and err.count("\n") == 1
         assert path.read_text() == intact
 
+    def test_format_bump_rewrites_the_request_file_in_place(self, data_files, monkeypatch):
+        # the file name hashes the request alone: a bump to format 9 and back rejects the other
+        # format's file each time and rebuilds it under the same name, so one file stays per request
+        tmp = data_files[0]
+        argv = ["null-table", "--kind", "two_sample", "--generator", "power:2", "--sizes", "4,4",
+                "--B", "50", "--seed", "2", "--deterministic"]
+        code, _, err = run_cli(argv)
+        assert code == 0 and err == ""
+        for version, old in ((9, 8), (8, 9)):
+            monkeypatch.setattr(nulldist, "TABLE_FORMAT_VERSION", version)
+            monkeypatch.setattr(cli, "TABLE_FORMAT_VERSION", version, raising=False)
+            code, out, err = run_cli(argv)
+            assert code == 0 and json.loads(out)["cache_hit"] is False
+            assert err.startswith("warning:") and f"format version '{old}'" in err and err.count("\n") == 1, err
+            assert len(list((tmp / "cache").iterdir())) == 1
+        (path,) = (tmp / "cache").iterdir()
+        assert path.read_text().split("\n", 1)[0] == f"# format_version={nulldist.TABLE_FORMAT_VERSION}"
+        code, out, err = run_cli(argv)
+        assert code == 0 and json.loads(out)["cache_hit"] is True and err == ""
 
     def test_default_weight_k_sample_table_is_a_hit(self, data_files):
         tmp, x, y, z = data_files

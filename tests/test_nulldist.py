@@ -864,3 +864,14 @@ class TestTableSerialization:
         save_table(table, path)
         assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
         assert np.array_equal(load_table(path).replicates, table.replicates)
+
+    def test_threads_saving_one_path_do_not_collide(self, tmp_path):
+        # each thread writes its own temporary file beside the path, so no thread renames or removes
+        # another's: 80 saves of one B = 99999 table to one path by 4 threads all succeed
+        path = tmp_path / "table.csv"
+        table = toy_table(np.random.default_rng(3).random(99999))
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(save_table, table, path) for _ in range(80)]
+        assert [f.exception() for f in futures] == [None] * 80
+        assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+        assert load_table(path).replicates.tobytes() == table.replicates.tobytes()
