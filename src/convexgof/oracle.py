@@ -12,7 +12,9 @@ open rows.  Centering constants are recomputed by quadrature rather than trusted
 objects.  Small-sample null distributions are enumerated exhaustively over rank interleavings, in
 lexicographic order, by work units of at most ``CHUNK_ELEMENTS`` labels that unrank their own, and
 scored by ``nulldist._table_values`` and the shared kernel; ``tests/test_kernel.py`` checks them
-against ``tests/oracle_helpers.label_batches`` and scipy's exact Cramer-von Mises tail.
+against ``tests/oracle_helpers.label_batches`` and scipy's exact Cramer-von Mises tail.  At two equal
+sizes only the half in which group 0 holds rank 0 is scored and counted twice, as a label swap gives the
+same statistic bit for bit (see :func:`enumerate_null`); ``ENUMERATION_BUDGET`` counts every configuration.
 """
 
 from __future__ import annotations
@@ -212,8 +214,9 @@ def _configurations(sizes) -> int:
     return math.prod(math.comb(sum(sizes[g:]), s) for g, s in enumerate(sizes))
 
 
-def _label_units(sizes):
-    """Every assignment of pooled ranks to two or more groups, in work units of <= ``CHUNK_ELEMENTS`` labels or one row.
+def _label_units(sizes, stop=None):
+    """Every assignment of pooled ranks to two or more groups, in work units of <= ``CHUNK_ELEMENTS`` labels or one row;
+    with ``stop``, only the rows of the first group's first ``stop`` rank sets.
 
     Row r, column p holds the group of pooled rank p in assignment r.  The first group's
     rank sets run in lexicographic order, each followed by every row of the other groups'
@@ -244,9 +247,9 @@ def _label_units(sizes):
         batch[free] = np.tile(part.T, (count, 1))
         return batch.transpose(0, 2, 1).reshape(-1, total)
 
-    step = max(1, rows // len(rest))
-    return [functools.partial(unit, first, min(step, sets - first), lo)
-            for first in range(0, sets, step) for lo in range(0, len(rest), rows)]
+    step, stop = max(1, rows // len(rest)), sets if stop is None else stop
+    return [functools.partial(unit, first, min(step, stop - first), lo)
+            for first in range(0, stop, step) for lo in range(0, len(rest), rows)]
 
 
 def enumerate_null(kind, generator, sizes, weights=None) -> ExactNullDistribution:
@@ -254,7 +257,13 @@ def enumerate_null(kind, generator, sizes, weights=None) -> ExactNullDistributio
 
     Under the null with a continuous common distribution every interleaving
     of the pooled sample is equally likely.  Work units of interleavings go
-    through the table executor that simulation and permutation use.
+    through the table executor that simulation and permutation use.  At two
+    equal sizes a label swap exchanges the two pair integrals, each summed from
+    the same terms, and p_0 p_1 = p_1 p_0 and a + b = b + a are exact in IEEE
+    arithmetic: only the C(N - 1, n - 1) rows in which group 0 holds rank 0, the
+    first in lexicographic order, are scored, each atom's count doubled.  Otherwise
+    a group permutation reorders a sum of more than two terms, which is not exact,
+    and every interleaving is scored.  ``ENUMERATION_BUDGET`` counts configurations.
     """
     sizes, weights = _check_kind_and_generator(kind, generator, sizes, weights)
     count = _configurations(sizes)
@@ -263,8 +272,10 @@ def enumerate_null(kind, generator, sizes, weights=None) -> ExactNullDistributio
             f"{count} rank interleavings at sizes {sizes} exceed the "
             f"budget of {ENUMERATION_BUDGET}"
         )
-    values, counts = np.unique(_table_values(generator, sizes, weights, _label_units(sizes)), return_counts=True)
-    return ExactNullDistribution(kind, generator.name, sizes, values, counts / count)
+    half = len(sizes) == 2 and sizes[0] == sizes[1]  # the rows holding rank 0, each twice
+    units = _label_units(sizes, math.comb(sum(sizes) - 1, sizes[0] - 1) if half else None)
+    values, counts = np.unique(_table_values(generator, sizes, weights, units), return_counts=True)
+    return ExactNullDistribution(kind, generator.name, sizes, values, counts * (1 + half) / count)
 
 
 # ---------------------------------------------------------------------------

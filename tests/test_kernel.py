@@ -30,7 +30,8 @@ from convexgof import (
 )
 from convexgof import nulldist, oracle, statistics
 from convexgof.nulldist import CHUNK, CHUNK_ELEMENTS, _chunk_rows, _label_blocks, replicate_stream
-from convexgof.statistics import _SCRATCH, _centering, _group_labels, _rank_statistic, _tie_blocks
+from convexgof.statistics import (_SCRATCH, _centering, _check_kind_and_generator, _group_labels, _rank_statistic,
+                                  _tie_blocks)
 from convexgof.oracle import _label_units
 
 from oracle_helpers import LIBM_KERNELS, hand_keys, label_batches, reference_statistic
@@ -121,6 +122,21 @@ def test_label_units_split_the_rows_like_the_itertools_batches(sizes, rows, monk
     assert [(u.shape, u.tobytes()) for u in units] == [(b.shape, b.tobytes()) for b in reference]
 
 
+@pytest.mark.parametrize("sizes, rows", [((8, 8), None), ((10, 10), None), ((4, 4), 7)])
+def test_label_unit_prefixes_equal_the_first_itertools_rows(sizes, rows, monkeypatch):
+    # the first C(N - 1, n - 1) rank sets, those holding rank 0, which enumerate_null scores at equal sizes:
+    # (8, 8)'s 6435 rows are one unit, (10, 10)'s 92378 eight, and (4, 4)'s 35 five of at most 7 rows
+    if rows is not None:
+        monkeypatch.setattr(oracle, "CHUNK_ELEMENTS", rows * sum(sizes))
+    rows = max(1, oracle.CHUNK_ELEMENTS // sum(sizes))
+    stop = math.comb(sum(sizes) - 1, sizes[0] - 1)
+    reference, units = np.concatenate(list(label_batches(sizes, rows))), [unit() for unit in _label_units(sizes, stop)]
+    assert len(units) == -(-stop // rows) and all(len(unit) <= rows for unit in units)
+    expected, got = reference[:stop], np.concatenate(units)
+    assert got.dtype == expected.dtype and got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    assert np.all(reference[:stop, 0] == 0) and np.all(reference[stop:, 0] == 1)
+
+
 def test_enumeration_units_are_sized_by_labels():
     # no RNG stream fixes an enumeration unit's length, as one does a Monte Carlo chunk's CHUNK rows, so
     # a unit holds CHUNK_ELEMENTS // N rows: (8, 8) and (3, 3, 3) are one unit each, (10, 10) fifteen
@@ -137,8 +153,9 @@ def test_enumeration_units_are_sized_by_labels():
 def test_wide_enumerations_have_bounded_memory(kind, spec, sizes, bound_mib, monkeypatch):
     # at N > 256 the calling thread and each pool thread build and score one unit of at most 2**18 labels
     # at a time; with two pool threads beside the calling thread these peak at 13.7 and 48.6 MiB, against
-    # 96 and 244 MiB when every label row was built up front; (10, 10)'s 15 units of up to 13107 rows run
-    # on the calling thread alone and peak at 5.5 MiB, of which its 184756 values take 1.4 MiB per copy
+    # 96 and 244 MiB when every label row was built up front; (10, 10) scores the 92378 rows holding rank 0,
+    # 8 units of up to 13107 rows, on the calling thread alone and peaks at 4.4 MiB, of which its values take
+    # 0.7 MiB per copy
     gen = parse_generator_spec(spec)
     _SCRATCH.__dict__.clear()
     with ThreadPoolExecutor(2) as pool:
@@ -151,6 +168,35 @@ def test_wide_enumerations_have_bounded_memory(kind, spec, sizes, bound_mib, mon
             tracemalloc.stop()
     assert round(dist.probabilities.sum() * dist.configurations) == dist.configurations
     assert peak < bound_mib * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("kind, spec, sizes, weights, scored", [
+    (TWO_SAMPLE, "power:2", (1, 1), None, 1),
+    (TWO_SAMPLE, "power:2", (6, 6), None, 462),
+    (TAU, "expsq:1", (5, 5), None, 126),
+    (K_SAMPLE, "poly:0,1,1", (4, 4), (0.3, 0.7), 35),
+    (TWO_SAMPLE, "power:2", (6, 7), None, 1716),
+    (K_SAMPLE, "poly:0,1,1", (3, 3, 3), None, 1680),
+])
+def test_equal_two_group_enumerations_score_the_rows_holding_rank_0(kind, spec, sizes, weights, scored, monkeypatch):
+    # a row and its label swap score the same bit for bit at two equal sizes, so C(N - 1, n - 1) rows are
+    # scored and each counted twice; unequal sizes and three groups score every one of the configurations
+    gen = parse_generator_spec(spec)
+    weights = _check_kind_and_generator(kind, gen, sizes, None if weights is None else WeightVector(weights))[1]
+    rows = []
+
+    def counting(generator, sizes, weights, units):
+        rows.append(sum(len(unit()) for unit in units))
+        return nulldist._table_values(generator, sizes, weights, units)
+
+    monkeypatch.setattr(oracle, "_table_values", counting)
+    dist = enumerate_null(kind, gen, sizes, weights)
+    labels = np.concatenate(list(label_batches(sizes, 1024)))
+    values, counts = np.unique(_rank_statistic(gen, sizes, weights, labels) - _centering(gen, weights),
+                               return_counts=True)
+    assert rows == [scored] and len(labels) == dist.configurations
+    assert dist.values.tobytes() == values.tobytes()
+    assert dist.probabilities.tobytes() == (counts / len(labels)).tobytes()
 
 
 def _hand_labels(sizes, seed, chunk, rows):
