@@ -207,9 +207,9 @@ def _table_values(generator, sizes, weights, units, ties=None, convention=RIGHT_
             except BaseException as exc:
                 failed.append(exc)
 
-    pool = _unit_pool() if isinstance(units, list) and len(units) > 1 and _chunk_rows(sum(sizes)) < CHUNK else None
     indexed = enumerate(units)
     raw = {0: _rank_statistic(generator, sizes, weights, next(indexed)[1](), ties, convention)}
+    pool = _unit_pool() if isinstance(units, list) and len(units) > 1 and _chunk_rows(sum(sizes)) < CHUNK else None
     pending = () if pool is None else pool.map(take, [indexed] * (len(units) - 1))  # one per unit: any pool size is used
     take(indexed)
     list(pending)  # returns once every pool thread has stopped taking units

@@ -79,6 +79,7 @@ class StatisticValue:
 
 _SCRATCH = threading.local()
 _SCRATCH_ELEMENTS = CHUNK_ELEMENTS + CHUNK  # a Monte Carlo chunk's count word, rows x (N + 1), at N <= 2**18
+_OFFSETS, _OFFSETS_LOCK, _OFFSET_ELEMENTS = {}, threading.Lock(), 2**18  # by steps and n, least recently used first
 
 
 def _scratch(role, shape, dtype) -> np.ndarray:
@@ -93,6 +94,23 @@ def _scratch(role, shape, dtype) -> np.ndarray:
     if buffer is None or buffer.size < nbytes:
         buffer = _SCRATCH.__dict__[role] = np.empty(nbytes, np.uint8)
     return buffer[:nbytes].view(dtype).reshape(shape)
+
+
+def _offsets(rows, n, row_step, column_step=0, start=0) -> np.ndarray:
+    """r * row_step + m * column_step + start for r < rows and m < n, flat: a prefix of the read-only entry all threads
+    share for the other arguments.  Before an entry is built, the least recently used go until it fits beside the rest
+    in 64 entries and ``_OFFSET_ELEMENTS`` elements; one larger than that bound is built but not kept."""
+    key, size = (row_step, column_step, start, n), rows * n
+    with _OFFSETS_LOCK:
+        kept = _OFFSETS.pop(key, None)
+        if kept is None or kept.size < size:
+            while _OFFSETS and (len(_OFFSETS) > 63 or sum(map(np.size, _OFFSETS.values())) + size > _OFFSET_ELEMENTS):
+                del _OFFSETS[next(iter(_OFFSETS))]
+            kept = np.add.outer(np.arange(rows) * row_step + start, np.arange(n) * column_step).ravel()
+            kept.setflags(write=False)
+        if size <= _OFFSET_ELEMENTS:
+            _OFFSETS[key] = kept
+    return kept[:size]
 
 
 def _group_labels(sizes) -> np.ndarray:
@@ -128,11 +146,13 @@ def _rank_statistic(generator, sizes, weights, labels, ties=None,
     group, so their jumps add up to the block's jump.  Every grid comes from one call of
     ``generators._memo_grids`` before any count, so a call whose grids are all kept there
     runs no generator code.
-    In tie-free rows of two groups the other group's count before a member is
-    the member's column minus its index in its own group.  Otherwise every group's running
-    count is a ``bits``-wide field of a word of ``min(k, 63 // bits)`` fields, the narrowest
-    unsigned integer up to 32 bits that holds them, else int64: one cumsum per word and one
-    gather per (integrating group, word) give every count.  A non-finite result raises :class:`NumericalError`.
+    Each member's flat index r * width + c, from ``np.flatnonzero``, becomes the index a path needs by one
+    subtract or add of a shared read-only ``_offsets`` array.  In tie-free rows of two groups the other group's
+    count before a member is its column c less its index in its own group.  Otherwise every group's running
+    count is a ``bits``-wide field of a word of ``min(k, 63 // bits)`` fields, the narrowest unsigned integer
+    up to 32 bits that holds them, else int64, ``bits`` rounded up to 8 or 16 (read by a byte view) where those
+    words hold that: one cumsum per word and one gather per (integrating group, word) give every count exactly,
+    so no index path changes a value or the summation order.  A non-finite result raises :class:`NumericalError`.
     """
     if convention not in CONVENTIONS:
         raise InvalidParameterError(f"unknown CDF convention '{convention}'; expected one of {CONVENTIONS}")
@@ -152,20 +172,19 @@ def _rank_statistic(generator, sizes, weights, labels, ties=None,
             return np.multiply(terms, jumps[l], out=terms).sum(axis=1)
         return terms.sum(axis=1) / sizes[l]
 
-    def members(l):  # column of each of group l's members, per row
-        col = np.flatnonzero(np.equal(labels, l, out=_scratch("flags", labels.shape, bool))).reshape(nrep, -1)
-        col -= np.arange(0, nrep * width, width)[:, None]
-        return col
+    def members(l, *steps):  # flat index r * width + c of each of group l's members, less ``_offsets`` of ``steps``
+        index = np.flatnonzero(np.equal(labels, l, out=_scratch("flags", labels.shape, bool)))
+        index -= _offsets(nrep, sizes[l], *steps)
+        return index
 
     if ties is None and k == 2:
-        for l in (0, 1):
-            count = members(l)
-            count -= np.arange(sizes[l])
-            integrals[1 - l, l] = integral(1 - l, l, count)
+        for l in (0, 1):  # the other group's count: column c less the member's index in its own group
+            integrals[1 - l, l] = integral(1 - l, l, members(l, width, 1))
     else:
-        bits = max(sizes).bit_length()
-        per, mask = min(k, 63 // bits), (1 << bits) - 1
-        dtype = np.int64 if per * bits > 32 else np.min_scalar_type((1 << per * bits) - 1)  # no field reaches bit 63
+        bits = max(sizes).bit_length()  # then rounded up to 8 or 16 where the same words hold that
+        per = min(k, 63 // bits)  # fields per word, in the narrowest uint to 32 bits, else int64; none reaches bit 63
+        dtype = np.dtype(np.int64 if per * bits > 32 else np.min_scalar_type((1 << per * bits) - 1)).newbyteorder("<")
+        bits = next((b for b in (8, 16) if bits <= b and per * b <= min(63, 8 * dtype.itemsize)), bits)
         g = np.arange(k)
         code = np.where(np.arange(-(-k // per))[:, None] == g // per, 1 << bits * (g % per), 0).astype(dtype)
         words = _scratch("words", (len(code), nrep, width + 1), dtype)  # members before each column
@@ -174,19 +193,23 @@ def _rank_statistic(generator, sizes, weights, labels, ties=None,
             codes = np.take(c, labels, mode="clip", out=_scratch("block", labels.shape, dtype))
             np.cumsum(codes, axis=1, out=word[:, 1:])
         words = words.reshape(len(code), -1)
-        row_start = np.arange(0, nrep * (width + 1), width + 1)[:, None]
 
-        def counts(col, end):  # packed members valued < (not end) or <= (end) those at ``col``
-            bound = col + 1 if ties is None else np.take(ties[end], col)
-            return np.take(words, (row_start + bound).ravel(), axis=1)
+        def counts(index, end):  # packed members valued < (not end) or <= (end) those at each member's column c
+            if ties is not None:  # ``index`` holds c, and row r's words start at r * (width + 1)
+                index = np.take(ties[end], index)
+                index += _offsets(nrep, len(index) // nrep, width + 1)
+            return np.take(words, index, axis=1)
 
-        def field(group, packed):  # as intp, a view of an int64 word's fields and a copy of a narrower one's
-            return ((packed[group // per] >> bits * (group % per)) & mask).astype(np.intp, copy=False)
+        def field(group, packed):  # as intp: an 8- or 16-bit field through a little-endian view, else shift and mask
+            word = packed[group // per]
+            if bits in (8, 16):
+                return word.view(f"<u{bits // 8}")[group % per::8 * dtype.itemsize // bits].astype(np.intp)
+            return ((word >> bits * (group % per)) & ((1 << bits) - 1)).astype(np.intp, copy=False)
 
-        for l in range(k):
-            col = members(l)
-            through = counts(col, True)
-            before = counts(col, False) if mid else through
+        for l in range(k):  # to c with ties, else to r * (width + 1) + c + 1: row r's word through column c
+            index = members(l, width) if ties is not None else members(l, -1, 0, -1)
+            through = counts(index, True)
+            before = counts(index, False) if mid else through
             for j in range(k):
                 if j != l:
                     integrals[j, l] = integral(j, l, field(j, through) + field(j, before) if mid

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -30,8 +31,8 @@ from convexgof import (
 )
 from convexgof import nulldist, oracle, statistics
 from convexgof.nulldist import CHUNK, CHUNK_ELEMENTS, _chunk_rows, _label_blocks, replicate_stream
-from convexgof.statistics import (_SCRATCH, _centering, _check_kind_and_generator, _group_labels, _rank_statistic,
-                                  _tie_blocks)
+from convexgof.statistics import (_SCRATCH, _centering, _check_kind_and_generator, _group_labels, _offsets,
+                                  _rank_statistic, _tie_blocks)
 from convexgof.oracle import _label_units
 
 from oracle_helpers import LIBM_KERNELS, hand_keys, label_batches, reference_statistic
@@ -552,7 +553,8 @@ def test_uncapped_units_never_ask_for_the_pool(case, monkeypatch):
 ])
 def test_results_never_alias_the_scratch(kind, spec, sizes, weights):
     # two units and two kernel calls on one thread: each result owns its memory, shares none
-    # with the thread's scratch arrays, and keeps its values when the next call reuses them
+    # with the thread's scratch arrays or the shared offset memo, and keeps its values when the
+    # next call reuses them
     gen = parse_generator_spec(spec)
     first_unit, second_unit = _label_blocks(sizes, 2 * _chunk_rows(sum(sizes)), 17)
     labels = first_unit()
@@ -563,10 +565,95 @@ def test_results_never_alias_the_scratch(kind, spec, sizes, weights):
     kept = first.copy()
     second = _rank_statistic(gen, sizes, weights, others)
     assert not np.shares_memory(first, second) and np.array_equal(first, kept)
-    buffers = list(_SCRATCH.__dict__.values())
-    assert buffers
+    buffers, offsets = list(_SCRATCH.__dict__.values()), list(statistics._OFFSETS.values())
+    assert buffers and offsets
     for result in (labels, others, first, second):
-        assert not any(np.shares_memory(result, buffer) for buffer in buffers)
+        assert not any(np.shares_memory(result, buffer) for buffer in buffers + offsets)
+
+
+def test_offsets_are_read_only_prefixes_dropped_least_recently_used_first(monkeypatch):
+    monkeypatch.setattr(statistics, "_OFFSET_ELEMENTS", 100)
+    monkeypatch.setattr(statistics, "_OFFSETS", {})
+    memo = statistics._OFFSETS
+    wide = _offsets(6, 10, 12, 1)
+    assert wide.tolist() == [r * 12 + m for r in range(6) for m in range(10)] and not wide.flags.writeable
+    short = _offsets(2, 10, 12, 1)  # fewer rows: a prefix of the kept entry
+    assert np.shares_memory(short, wide) and short.tolist() == wide[:20].tolist()
+    assert _offsets(3, 10, -1, 0, -1).tolist() == [-r - 1 for r in range(3) for _ in range(10)]
+    assert _offsets(7, 10, 12, 1).tolist() == [r * 12 + m for r in range(7) for m in range(10)]  # more rows: rebuilt
+    assert list(memo) == [(-1, 0, -1, 10), (12, 1, 0, 10)] and memo[12, 1, 0, 10].size == 70
+    _offsets(1, 10, -1, 0, -1)  # a hit makes its entry the most recently used
+    assert list(memo) == [(12, 1, 0, 10), (-1, 0, -1, 10)]
+    assert _offsets(2, 10, 7).tolist() == [0] * 10 + [7] * 10  # 20 more: the least recently used goes first
+    assert list(memo) == [(-1, 0, -1, 10), (7, 0, 0, 10)]
+    assert _offsets(11, 10, 7).size == 110 and memo == {}  # an array above the bound is never kept
+    for step in range(70):  # nor more than 64 entries, however small, so that a lookup stays cheap
+        _offsets(1, 1, step)
+    assert len(memo) == 64 and (5, 0, 0, 1) not in memo and (6, 0, 0, 1) in memo
+    for rows, n, row_step, start in [(4, 5, 3, 0), (2, 30, 31, 0), (9, 5, 3, 0), (1, 101, 1, 0), (3, 5, -1, -1)]:
+        got = _offsets(rows, n, row_step, 0, start)
+        assert got.tolist() == [r * row_step + start for r in range(rows) for _ in range(n)]
+        assert sum(entry.size for entry in memo.values()) <= 100
+        assert not any(entry.flags.writeable for entry in memo.values())
+
+
+# kernel calls of several shapes, one after another: a unit shorter than the one before, tied rows
+# under both conventions, and k-sample words whose fields are bytes by nature (4x250), bytes by
+# rounding (7x100: 7-bit fields in an int64 word; tied 40/40: 6-bit fields in a uint16 word), or
+# neither (4x15: four 4-bit fields fill a uint16 word; tied 3x20: three 5-bit fields); the 20/20
+# case comes back at the end, after the small memo bound below has dropped its offsets
+MEMO_CASES = [
+    (TWO_SAMPLE, "power:2", (20, 20), None, False, RIGHT_CONTINUOUS, 50),
+    (TWO_SAMPLE, "power:2", (20, 20), None, False, RIGHT_CONTINUOUS, 17),
+    (TWO_SAMPLE, "power:2", (40, 40), None, True, RIGHT_CONTINUOUS, 30),
+    (TWO_SAMPLE, "power:2", (40, 40), None, True, MID, 30),
+    (TAU, "expsq:1", (40, 40), None, True, MID, 12),
+    (K_SAMPLE, "poly:0,1,1", (15,) * 4, (0.1, 0.2, 0.3, 0.4), False, RIGHT_CONTINUOUS, 40),
+    (K_SAMPLE, "poly:0,1,1", (250,) * 4, (0.1, 0.2, 0.3, 0.4), False, RIGHT_CONTINUOUS, 8),
+    (K_SAMPLE, "power:2", (100,) * 7, None, False, RIGHT_CONTINUOUS, 6),
+    (K_SAMPLE, "poly:0,1,1", (20,) * 3, None, True, RIGHT_CONTINUOUS, 25),
+    (K_SAMPLE, "poly:0,1,1", (20,) * 3, None, True, MID, 25),
+    (TWO_SAMPLE, "power:2", (1000, 1000), None, False, RIGHT_CONTINUOUS, 3),
+    (TWO_SAMPLE, "power:2", (20, 20), None, False, RIGHT_CONTINUOUS, 50),
+]
+
+
+def test_offset_memo_keeps_every_kernel_call_equal_to_the_reference(monkeypatch):
+    bound = 4000
+    monkeypatch.setattr(statistics, "_OFFSET_ELEMENTS", bound)
+    monkeypatch.setattr(statistics, "_OFFSETS", {})
+    calls, expected = [], []
+    for kind, spec, sizes, weights, tied, convention, rows in MEMO_CASES:
+        gen = parse_generator_spec(spec)
+        sizes, weights = _check_kind_and_generator(kind, gen, sizes, weights)
+        pooled = np.sort(np.random.default_rng(sum(sizes)).normal(0.0, 1.0, sum(sizes)))
+        pooled = np.round(pooled, 1) if tied else pooled
+        labels = _hand_labels(sizes, 25, 0, rows)
+        calls.append((gen, sizes, weights, labels, _tie_blocks(pooled), convention))
+        expected.append([reference_statistic(kind, gen, [pooled[row == g] for g in range(len(sizes))],
+                                              None if weights is None else weights.weights, convention)
+                         for row in labels])
+
+    def score_all():
+        got = []
+        for i, (gen, sizes, weights, labels, ties, convention) in enumerate(calls):
+            if i == len(calls) - 1 and threading.current_thread() is threading.main_thread():
+                assert (40, 1, 0, 20) not in statistics._OFFSETS  # dropped: the last call rebuilds it
+            got.append(list(_rank_statistic(gen, sizes, weights, labels, ties, convention) - _centering(gen, weights)))
+            with statistics._OFFSETS_LOCK:
+                entries = list(statistics._OFFSETS.values())
+            assert sum(entry.size for entry in entries) <= bound and not any(e.flags.writeable for e in entries)
+        return got
+
+    assert score_all() == expected
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:  # three threads share the memo, each scoring every call, switching every microsecond
+        with ThreadPoolExecutor(3) as pool:
+            runs = [pool.submit(score_all) for _ in range(3)]
+            assert all(run.result(timeout=120) == expected for run in runs)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_scratch_keeps_no_array_above_its_bound():
