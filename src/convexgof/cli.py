@@ -37,6 +37,7 @@ from .nulldist import (
     TAU,
     TWO_SAMPLE,
     _request_identity,
+    _tie_lengths,
     load_table,
     power_study,
     run_test,
@@ -80,34 +81,40 @@ def _parse_sizes(text):
     return sizes
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one error line, as for every other failure, not the usage block
+        raise InvalidParameterError(f"{self.prog}: {message}")
+
+
 @functools.cache  # built once per process: building it costs about a third of a cached request
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, shared by every :func:`run` call of the process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="convexgof",
         description="Distribution-free two- and k-sample tests from convex generators.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, levels=True):
-        p.add_argument("--B", type=int, default=DEFAULT_B, help="Monte Carlo replicates")
+    def add_common(p, levels="0.05,0.01"):
         p.add_argument("--seed", type=int, default=0, help="RNG seed (unsigned 64-bit)")
         if levels:
-            p.add_argument("--levels", default="0.05,0.01", help="comma-separated test levels")
+            p.add_argument("--levels", default=levels, help="comma-separated test levels")
         p.add_argument("--format", choices=("json", "csv"), default="json", dest="output_format")
         p.add_argument("--deterministic", action="store_true",
                        help="suppress the timestamp so output is byte-reproducible")
 
-    def add_cache(p):
+    def add_table(p):
+        p.add_argument("--B", type=int, default=DEFAULT_B, help="Monte Carlo replicates")
         p.add_argument("--cache-dir", default=None, help="null-table cache directory")
         p.add_argument("--no-cache", action="store_true", help="bypass the null-table cache")
 
     def add_test_common(p):
         add_common(p)
-        add_cache(p)
+        add_table(p)
         p.add_argument("--convention", choices=CONVENTIONS, default=RIGHT_CONTINUOUS)
-        p.add_argument("--method", choices=("simulation", "permutation"), default="simulation")
+        p.add_argument("--method", choices=("simulation", "permutation"),
+                       help="accepted and ignored: every test uses the permutation null of its data's ties")
 
     p2 = sub.add_parser("test2", help="two-sample test with a convex generator")
     p2.add_argument("--h", "--generator", dest="generator_spec", required=True,
@@ -135,8 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     pn.add_argument("--sizes", required=True, help="comma-separated sample sizes")
     pn.add_argument("--weights", default=None)
     pn.add_argument("--out", default=None, help="output file (default: cache directory)")
-    add_common(pn, levels=False)
-    add_cache(pn)
+    add_common(pn, levels=None)
+    add_table(pn)
 
     pp = sub.add_parser("power", help="power study against a uniform-baseline alternative")
     pp.add_argument("--kind", choices=KINDS, default=TWO_SAMPLE)
@@ -146,10 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--weights", default=None)
     pp.add_argument("--B-null", type=int, default=999, dest="B_null")
     pp.add_argument("--B-power", type=int, default=500, dest="B_power")
-    pp.add_argument("--seed", type=int, default=0)
-    pp.add_argument("--levels", default="0.05")
-    pp.add_argument("--format", choices=("json", "csv"), default="json", dest="output_format")
-    pp.add_argument("--deterministic", action="store_true")
+    add_common(pp, levels="0.05")
 
     pv = sub.add_parser("verify", help="run the population-level oracle battery")
     pv.add_argument("--csv", default=None, help="also export battery results to this CSV file")
@@ -187,13 +191,13 @@ def _naming(flag, path):
         raise OSError(f"{flag} '{path}': {exc.strerror or exc}") from None
 
 
-def _table_via_cache(args, kind, generator, sizes, weights, err):
+def _table_via_cache(args, kind, generator, sizes, weights, err, ties=None, convention=RIGHT_CONTINUOUS):
     """The requested table, whether it came from the cache, and its cache file.
 
-    A missing table is simulated and cached.  A file that fails to load, or
-    holds a table built for another request, is a miss.
+    A missing table is built and cached.  A file that fails to load, or holds
+    a table built for another request (its tie key too), is a miss.
     """
-    wanted = _request_identity(kind, generator, sizes, weights, args.B, args.seed)
+    wanted = _request_identity(kind, generator, sizes, weights, args.B, args.seed, ties, convention)
     path = _cache_path(args, wanted)
     with _naming("--cache-dir" if args.cache_dir else "cache directory", path and path.parent):
         if path is not None and path.exists():
@@ -205,10 +209,10 @@ def _table_via_cache(args, kind, generator, sizes, weights, err):
                 if cached.identity == wanted:
                     return cached, True, path
                 err.write(f"warning: null table file '{path}' holds (kind, generator, sizes, "
-                          f"weights, B, seed) = {cached.identity}, not {wanted}; rebuilding it\n")
+                          f"weights, B, seed[, ties]) = {cached.identity}, not {wanted}; rebuilding it\n")
         if path is not None:  # a directory that cannot be made fails before the build, not after it
             path.parent.mkdir(parents=True, exist_ok=True)
-        table = simulate_null(kind, generator, sizes, B=args.B, seed=args.seed, weights=weights)
+        table = simulate_null(kind, generator, sizes, args.B, args.seed, weights, ties, convention)
         if path is not None:
             save_table(table, path)
     return table, False, path
@@ -279,16 +283,10 @@ def _cmd_test(args, out, err):
     generator = _generator_for(kind, args.generator_spec)
     samples = [read_sample(p) for p in paths]
     levels = _parse_levels(args.levels)
-    if args.method == "simulation":
-        # cache hits are bit-identical to regeneration, so reports are too
-        table = _table_via_cache(args, kind, generator,
-                                 tuple(s.n for s in samples), weights, err)[0]
-        report = run_test(kind, generator, samples, weights=weights, levels=levels,
-                          convention=args.convention, table=table)
-    else:
-        report = run_test(kind, generator, samples, weights=weights, B=args.B,
-                          seed=args.seed, levels=levels, convention=args.convention,
-                          method="permutation")
+    # cache hits are bit-identical to regeneration, so reports are too
+    table = _table_via_cache(args, kind, generator, tuple(s.n for s in samples), weights, err,
+                             _tie_lengths(samples), args.convention)[0]
+    report = run_test(kind, generator, samples, weights=weights, levels=levels, convention=args.convention, table=table)
     _emit(args, out, _report_dict(args, kind, report, paths), _report_csv)
     return EXIT_OK
 
@@ -377,13 +375,8 @@ def run(argv=None, out=None, err=None) -> int:
     """Parse arguments and execute; returns the process exit code."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse already printed a message; map its failure to a config error
-        return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
-    try:
+        args = build_parser().parse_args(argv)
         if args.command in ("test2", "testk", "tau"):
             return _cmd_test(args, out, err)
         if args.command == "null-table":
@@ -391,8 +384,10 @@ def run(argv=None, out=None, err=None) -> int:
         if args.command == "power":
             return _cmd_power(args, out)
         return _cmd_verify(args, out)
+    except SystemExit:  # argparse's only exit left: --help or --version, printed
+        return EXIT_OK
     except (ConvexGofError, OSError) as exc:
-        err.write(f"error: {exc}\n")
+        err.write("error: {}\n".format(str(exc).replace("\r", "\\r").replace("\n", "\\n")))  # one line
         return (EXIT_DATA if isinstance(exc, DataIngestionError)
                 else EXIT_NUMERICAL if isinstance(exc, NumericalError) else EXIT_CONFIG)
 

@@ -11,9 +11,9 @@ unit: it stays in cache, one thread draws, sorts and scores it, and the table
 is the same whatever thread runs which chunk.  The calling thread runs chunk 0,
 which leaves the generator grids in the memo of ``generators``, and then takes
 the other chunks from a shared index, beside the pool's threads where N > 256.
-The permutation null sends the rows to the count-indexed kernel (``statistics``)
-with the pooled data's tie blocks and ECDF convention; a simulated table is the
-permutation null without ties, under the right-continuous convention.
+Every table is the permutation null of a tie pattern: the rows go to the count-indexed
+kernel (``statistics``) with the pooled data's tie blocks and ECDF convention, which act
+only on ties; a tied table's identity carries both as its tie key.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ class NullTable:
     replicates: np.ndarray
     seed: int
     weights: tuple | None = None
+    ties: str | None = None  # the tie key of tied data (see :func:`_tie_pattern`); None without ties
 
     @property
     def B(self) -> int:
@@ -73,15 +74,33 @@ class NullTable:
 
     @property
     def identity(self) -> tuple:
-        """(kind, generator name, sizes, weights, B, seed): the request it answers."""
+        """(kind, generator name, sizes, weights, B, seed), and a tied table's tie key: the request it answers."""
         return (self.statistic_kind, self.generator_name, tuple(self.sample_sizes),
-                self.weights, self.B, self.seed)
+                self.weights, self.B, self.seed) + ((self.ties,) if self.ties else ())
 
 
-def _request_identity(kind, generator, sizes, weights=None, B=None, seed=None) -> tuple:
+def _tie_pattern(ties, total, convention):
+    """The kernel's tie blocks (each pooled position's block start and end) and the tie key '<convention>:<sha256 of
+    the lengths as little-endian int64>' of the tie-block lengths ``ties`` in pooled order; (None, None) without ties."""
+    if ties is None:
+        return None, None
+    lengths = np.asarray(ties)
+    if lengths.ndim != 1 or lengths.dtype.kind not in "iu" or not np.all(lengths >= 1) or lengths.sum() != total:
+        raise InvalidParameterError(f"tie-block lengths must be integers >= 1 that sum to the {total} pooled values")
+    blocks = _tie_blocks(np.repeat(np.arange(lengths.size), lengths))  # of sorted values with these blocks
+    return blocks, blocks and f"{convention}:{hashlib.sha256(lengths.astype('<i8').tobytes()).hexdigest()}"
+
+
+def _request_identity(kind, generator, sizes, weights, B, seed, ties, convention) -> tuple:
     """``NullTable.identity`` of the table a request builds (default weights: uniform)."""
     sizes, weights = _check_kind_and_generator(kind, generator, sizes, weights)
-    return (kind, generator.name, sizes, None if weights is None else weights.weights, B, seed)
+    key = _tie_pattern(ties, sum(sizes), convention)[1]
+    return (kind, generator.name, sizes, None if weights is None else weights.weights, B, seed) + ((key,) if key else ())
+
+
+def _tie_lengths(samples):  # the tie-block lengths of the pooled samples, None without ties: the ``ties`` of their null
+    blocks = _tie_blocks(np.sort(np.concatenate([s.values for s in samples])))
+    return None if blocks is None else (blocks[1] - blocks[0])[blocks[0] == np.arange(blocks[0].size)]
 
 
 @dataclass(frozen=True)
@@ -93,7 +112,7 @@ class TestReport:
     critical_values: dict
     table: NullTable
     warnings: tuple
-    method: str = "simulation"
+    method: str = "simulation"  # "permutation" where the data are tied, and their tie pattern keys the table
 
 
 def replicate_stream(seed: int, index: int) -> np.random.Generator:
@@ -220,22 +239,24 @@ def _table_values(generator, sizes, weights, units, ties=None, convention=RIGHT_
     return values
 
 
-def simulate_null(kind, generator, sizes, B: int, seed: int, weights=None,
-                  transform=None) -> NullTable:
-    """Simulate the null distribution of a statistic at the given sizes.
+def simulate_null(kind, generator, sizes, B: int, seed: int, weights=None, ties=None,
+                  convention: str = RIGHT_CONTINUOUS, transform=None) -> NullTable:
+    """The permutation null of a statistic at the given sizes and tie pattern.
 
-    Ranks B replicate sets of standard uniforms (distribution-freeness makes
-    the choice immaterial) and returns their sorted statistics: the
-    permutation null of tie-free data.  ``transform`` maps each chunk's
-    uniforms, which are then argsorted (the reference path); a strictly
-    increasing map must give the table drawn without it, the checkable form
-    of distribution-freeness.  Deterministic for a fixed seed.
+    Assigns the pooled ranks to the groups B times at random and returns the
+    sorted statistics.  ``ties`` lists the pooled data's tie-block lengths in
+    sorted order (``np.unique(pooled, return_counts=True)[1]``), counted by the
+    ``convention``; without ties neither matters, and the table is that of
+    ranked uniforms.  ``transform`` maps each chunk's uniforms, which are then
+    argsorted (the reference path); a strictly increasing map must give the
+    table drawn without it, the checkable form of distribution-freeness.
     """
     sizes, weights = _check_kind_and_generator(kind, generator, sizes, weights)
     seed = _check_seed(seed)
-    values = _table_values(generator, sizes, weights, _label_blocks(sizes, B, seed, transform))
+    blocks, key = _tie_pattern(ties, sum(sizes), convention)
+    values = _table_values(generator, sizes, weights, _label_blocks(sizes, B, seed, transform), blocks, convention)
     return NullTable(kind, generator.name, sizes, values, seed,
-                     None if weights is None else weights.weights)
+                     None if weights is None else weights.weights, key)
 
 
 def p_value(table: NullTable, observed) -> float:
@@ -282,48 +303,33 @@ def critical_value(table: NullTable, alpha: float) -> float:
 
 def run_test(kind, generator, samples, weights=None, B: int = DEFAULT_B, seed: int = 0,
              levels=(0.05, 0.01), convention: str = RIGHT_CONTINUOUS,
-             method: str = "simulation", table: NullTable | None = None) -> TestReport:
+             table: NullTable | None = None) -> TestReport:
     """Compute the observed statistic, calibrate its null, and report.
 
-    The null table is simulated at the data's sample sizes (or built from
-    permutations of the pooled data when ``method="permutation"``).  A
-    pre-built ``table`` -- for example one loaded from a cache, which is
-    bit-identical to regeneration -- skips the simulation; its kind, sizes,
-    generator and weights must match.  A permutation null depends on the
-    data's ties, so it never comes from a pre-built table.  Warnings surface
-    cross-sample ties, unvalidated generators and levels the table is too
-    small to resolve.
+    The null table is :func:`simulate_null`'s at the data's sizes and tie
+    pattern: the permutation null of the pooled data.  A pre-built ``table``
+    -- for example one loaded from a cache, which is bit-identical to
+    regeneration -- skips the build; it must answer the same request but for B
+    and seed.  Warnings surface cross-sample ties, unvalidated generators and
+    levels the table is too small to resolve.
     """
     samples = [s if isinstance(s, Sample) else Sample(np.asarray(s, dtype=float)) for s in samples]
-    sizes = tuple(s.n for s in samples)
-    sizes, weights = _check_kind_and_generator(kind, generator, sizes, weights)
-    if method not in ("simulation", "permutation"):
-        raise InvalidParameterError(f"unknown method '{method}'; expected simulation or permutation")
-    if method == "permutation" and table is not None:
-        raise InvalidParameterError("method='permutation' builds its table from the data, not a pre-built one")
+    sizes, weights = _check_kind_and_generator(kind, generator, [s.n for s in samples], weights)
     if kind == K_SAMPLE:
         observed = k_sample_statistic(generator, samples, weights, convention)
     else:
         observed = (tau_statistic if kind == TAU else two_sample_statistic)(generator, *samples, convention)
-    if table is not None:
-        built, wanted = table.identity[:4], _request_identity(kind, generator, sizes, weights)[:4]
-        if built != wanted:
-            raise InvalidParameterError(f"null table is for (kind, generator, sizes, weights) "
-                                        f"= {built}, but the data needs {wanted}")
-    elif method == "simulation":
-        table = simulate_null(kind, generator, sizes, B=B, seed=seed, weights=weights)
-    else:  # the pooled data's ranks, tie blocks included, shuffled by the same label draw
-        seed, pooled = _check_seed(seed), np.sort(np.concatenate([s.values for s in samples]))
-        values = _table_values(generator, sizes, weights, _label_blocks(sizes, B, seed),
-                               _tie_blocks(pooled), convention)
-        table = NullTable(kind, generator.name, sizes, values, seed,
-                          None if weights is None else weights.weights)
+    ties = _tie_lengths(samples)
+    if table is None:
+        table = simulate_null(kind, generator, sizes, B, seed, weights, ties, convention)
+    elif table.identity != (wanted := _request_identity(kind, generator, sizes, weights, table.B, table.seed,
+                                                        ties, convention)):
+        raise InvalidParameterError(f"null table is for (kind, generator, sizes, weights, B, seed[, ties]) "
+                                    f"= {table.identity}, but the data needs {wanted}")
     notes = []
     if observed.tie_count > 0:
         notes.append(f"{observed.tie_count} cross-sample tie pair(s) observed; the "
                      f"continuous-distribution assumption is violated")
-        if method == "simulation":
-            notes.append("consider method='permutation' for tied data")
     if not generator.validated:
         notes.append(f"generator '{generator.name}' was constructed without validation; "
                      f"characterization not guaranteed")
@@ -334,7 +340,7 @@ def run_test(kind, generator, samples, weights=None, B: int = DEFAULT_B, seed: i
             notes.append(f"null table too small for level {alpha:g}; critical value clamped")
         cvs[float(alpha)] = value
     return TestReport(statistic=observed, p_value=p_value(table, observed), critical_values=cvs,
-                      table=table, warnings=tuple(notes), method=method)
+                      table=table, warnings=tuple(notes), method="permutation" if table.ties else "simulation")
 
 
 ALTERNATIVES = ("shift", "scale", "lehmann")
@@ -428,7 +434,8 @@ def save_table(table: NullTable, path) -> None:
     The file is a header block of ``# key=value`` lines, a ``replicate_hex``
     line, and a body of one replicate per line, the 16 hex digits of its
     big-endian IEEE-754 bits, so loading is bit-identical to regeneration.
-    The header's last key, ``sha256``, is the digest of those bits.
+    The header's last key, ``sha256``, is the digest of those bits; a tied
+    table's tie key comes before it, as ``ties``.
     It is written beside ``path`` and renamed into place, so readers never
     see a partial table.  A header value that :func:`load_table` would not
     read back as written (one with a line break, or leading or trailing
@@ -443,6 +450,7 @@ def save_table(table: NullTable, path) -> None:
         "weights": "-" if table.weights is None else ",".join(repr(w) for w in table.weights),
         "seed": table.seed,
         "B": table.B,
+        **({"ties": table.ties} if table.ties else {}),
         "sha256": hashlib.sha256(words).hexdigest(),
     }
     for key, value in header.items():
@@ -503,14 +511,10 @@ def load_table(path) -> NullTable:
             raise ValueError("replicates are not finite and sorted")
         if hashlib.sha256(words).hexdigest() != meta["sha256"]:
             raise ValueError("replicates do not match the header's sha256 digest")
-        table = NullTable(
-            statistic_kind=meta["statistic_kind"],
-            generator_name=meta["generator_name"],
-            sample_sizes=tuple(int(s) for s in meta["sample_sizes"].split(",")),
-            replicates=replicates,
-            seed=int(meta["seed"]),
-            weights=None if meta["weights"] == "-" else tuple(float(w) for w in meta["weights"].split(",")),
-        )
+        weights = None if meta["weights"] == "-" else tuple(float(w) for w in meta["weights"].split(","))
+        table = NullTable(meta["statistic_kind"], meta["generator_name"],
+                          tuple(int(s) for s in meta["sample_sizes"].split(",")), replicates, int(meta["seed"]),
+                          weights, meta.get("ties") or None)
     except KeyError as exc:
         raise ConvexGofError(f"null table file '{path}' lacks metadata key {exc}") from None
     except ValueError as exc:

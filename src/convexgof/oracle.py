@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import EnumerationTooLargeError, InvalidParameterError
 from .generators import CHUNK_ELEMENTS, _check_int, _name_token, _tanh_sinh, eval_on_array, parse_generator_spec
-from .nulldist import _check_seed, _table_values
+from .nulldist import RIGHT_CONTINUOUS, _check_seed, _table_values, _tie_pattern
 from .statistics import WeightVector, _check_kind_and_generator
 
 POP_TOL = 1e-9
@@ -252,20 +252,21 @@ def _label_units(sizes, stop=None):
             for first in range(0, stop, step) for lo in range(0, len(rest), rows)]
 
 
-def enumerate_null(kind, generator, sizes, weights=None) -> ExactNullDistribution:
+def enumerate_null(kind, generator, sizes, weights=None, ties=None, convention=RIGHT_CONTINUOUS) -> ExactNullDistribution:
     """Exact null distribution by enumerating all rank interleavings.
 
-    Under the null with a continuous common distribution every interleaving
-    of the pooled sample is equally likely.  Work units of interleavings go
-    through the table executor that simulation and permutation use.  At two
-    equal sizes a label swap exchanges the two pair integrals, each summed from
-    the same terms, and p_0 p_1 = p_1 p_0 and a + b = b + a are exact in IEEE
-    arithmetic: only the C(N - 1, n - 1) rows in which group 0 holds rank 0, the
-    first in lexicographic order, are scored, each atom's count doubled.  Otherwise
-    a group permutation reorders a sum of more than two terms, which is not exact,
-    and every interleaving is scored.  ``ENUMERATION_BUDGET`` counts configurations.
+    Every interleaving is equally likely under the null, given the tie pattern
+    (``ties`` and ``convention`` as in ``simulate_null``, whose tables sample this
+    law); work units of them go through the table executor.  At two equal sizes a
+    label swap exchanges the two pair integrals, each summed from the same terms (tie
+    blocks belong to positions), and p_0 p_1 = p_1 p_0 and a + b = b + a are exact in
+    IEEE arithmetic: only the C(N - 1, n - 1) rows in which group 0 holds rank 0, the first
+    in lexicographic order, are scored, each atom's count doubled.  Otherwise a group
+    permutation reorders a sum of more than two terms, which is not exact, and every
+    interleaving is scored.  ``ENUMERATION_BUDGET`` counts configurations.
     """
     sizes, weights = _check_kind_and_generator(kind, generator, sizes, weights)
+    blocks = _tie_pattern(ties, sum(sizes), convention)[0]
     count = _configurations(sizes)
     if count > ENUMERATION_BUDGET:
         raise EnumerationTooLargeError(
@@ -274,7 +275,7 @@ def enumerate_null(kind, generator, sizes, weights=None) -> ExactNullDistributio
         )
     half = len(sizes) == 2 and sizes[0] == sizes[1]  # the rows holding rank 0, each twice
     units = _label_units(sizes, math.comb(sum(sizes) - 1, sizes[0] - 1) if half else None)
-    values, counts = np.unique(_table_values(generator, sizes, weights, units), return_counts=True)
+    values, counts = np.unique(_table_values(generator, sizes, weights, units, blocks, convention), return_counts=True)
     return ExactNullDistribution(kind, generator.name, sizes, values, counts * (1 + half) / count)
 
 

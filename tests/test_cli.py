@@ -1,3 +1,4 @@
+import contextlib
 import datetime
 import io
 import json
@@ -100,13 +101,16 @@ class TestTest2Command:
         assert code == 0
         assert json.loads(out)["convention"] == "mid"
 
-    def test_permutation_method(self, data_files):
-        _, x, y, _ = data_files
-        code, out, _ = run_cli(["test2", "--h", "power:2", "--x", x, "--y", y,
-                                "--B", "99", "--seed", "1", "--method", "permutation",
-                                "--deterministic"])
-        assert code == 0
-        assert json.loads(out)["method"] == "permutation"
+    def test_method_flag_is_accepted_and_changes_nothing(self, data_files):
+        # every test takes the permutation null of its data's ties; "method" says whether there were any
+        tmp, x, y, _ = data_files
+        tied = tmp / "tied.csv"
+        tied.write_text("2.0\n3.0\n3.0\n")
+        for other, method in ((y, "simulation"), (str(tied), "permutation")):
+            argv = ["test2", "--h", "power:2", "--x", x, "--y", other, "--B", "99", "--seed", "1", "--deterministic"]
+            runs = [run_cli(argv + extra) for extra in ([], ["--method", "permutation"], ["--method", "simulation"])]
+            assert runs[0][0] == 0 and runs == [runs[0]] * 3
+            assert json.loads(runs[0][1])["method"] == method
 
 
 class TestErrorPaths:
@@ -301,6 +305,83 @@ class TestErrorPaths:
             "csv_dir_missing": ("--csv", tmp / "absent" / "battery.csv"),
         }[case]
         assert f"{flag} '{path}'" in err
+
+
+# Random command lines: the real subcommands and flags with small values (B <= 99, sizes <= 20), files
+# named by placeholders that the test maps under its own directory, and some arbitrary tokens.  Flags
+# come with their values, so an arbitrary token never names a file to write.
+_FILES = ["<x>", "<y>", "<tied>", "<z>", "<empty>", "<text>", "<nan>", "<missing>", "<dir>"]
+_FLAG_VALUES = {
+    "--h": ["power:2", "power:3", "poly:0,1,1", "bernstein:power:2:4", "expsq:1", "power:1", "poly:0,1e308",
+            "expsq:800", "bogus", ""],
+    "--xi": ["expsq:1", "expsq:0.5", "power:2", "expsq:-1"],
+    "--generator": ["power:2", "poly:0,1,1", "expsq:1", "bernstein:power:2:3", "power:x"],
+    "--x": _FILES, "--y": _FILES,
+    "--weights": ["0.5,0.5", "0.2,0.3,0.5", "0.25,0.25,0.25,0.25", "1,1", "-1,2", "x", ""],
+    "--B": ["-1", "0", "1", "9", "99", "x"], "--B-null": ["0", "9", "99"], "--B-power": ["0", "1", "3"],
+    "--seed": ["-1", "0", "7", str(2**64 - 1), str(2**64)],
+    "--levels": ["0.05", "0.05,0.01", "0", "1.5", "x", "0.5,0.5"],
+    "--convention": ["mid", "right-continuous", "left"], "--method": ["simulation", "permutation", "bogus"],
+    "--format": ["json", "csv", "xml"], "--kind": ["two_sample", "k_sample", "tau", "bogus"],
+    "--sizes": ["3,4", "1,1", "20,20", "2,3,4", "0,3", "a", "", "5"],
+    "--alternative": ["shift:0.3", "scale:2", "lehmann:2", "lehmann:1e300", "shift:x", "scale:-1", "bogus:1"],
+    "--cache-dir": ["<cache>", "<x>"], "--out": ["<out>", "<dir>", "<missing>/t.csv"],
+    "--csv": ["<battery>", "<missing>/b.csv"],
+}
+_SWITCHES = ["--deterministic", "--no-cache", "--help", "--version"]
+_COMMANDS = ["test2", "testk", "tau", "null-table", "power", "verify", "bogus"]
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(_COMMANDS))
+    argv = [command] + {"power": ["--B-null", "9", "--B-power", "2"], "verify": []}.get(command, ["--B", "9"])
+    for _ in range(draw(st.integers(0, 9))):
+        choice = draw(st.integers(0, 9))
+        if choice < 6:
+            flag = draw(st.sampled_from(sorted(_FLAG_VALUES)))
+            argv += [flag, draw(st.sampled_from(_FLAG_VALUES[flag]))]
+        elif choice < 7:
+            argv += ["--inputs"] + draw(st.lists(st.sampled_from(_FILES), min_size=1, max_size=4))
+        elif choice < 8:
+            argv.append(draw(st.sampled_from(_SWITCHES)))
+        else:  # an arbitrary token: a positional, or one of a few dashed ones
+            argv.append(draw(st.text(max_size=6).filter(lambda t: not t.startswith("-"))
+                             | st.sampled_from(["--", "-", "-1", "--bogus", "-x", "two\nlines"])))
+    return argv
+
+
+class TestRandomArgv:
+    @settings(max_examples=120, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])  # the files are only read
+    @given(_argv())
+    def test_nothing_raises_and_every_failure_is_one_line(self, random_argv_files, argv):
+        argv = [random_argv_files.get(token, token) for token in argv]
+        argv = [token.replace("<missing>", random_argv_files["<missing>"]) for token in argv]
+        out, err, stray = io.StringIO(), io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stray):
+            code = cli.run(argv, out=out, err=err)
+        assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DATA, cli.EXIT_NUMERICAL), (argv, code)
+        if code != cli.EXIT_OK:
+            assert stray.getvalue() == "", argv
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, (argv, err.getvalue())
+
+
+@pytest.fixture
+def random_argv_files(tmp_path, monkeypatch):
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path / "default-cache"))
+    monkeypatch.chdir(tmp_path)
+    contents = {"x": "0.3\n1.2\n2.5\n-0.7\n4.0\n", "y": "1.1\n0.2\n3.3\n2.2\n-1.5\n0.9\n",
+                "tied": "1.2\n1.2\n0.3\n5.0\n", "z": "7\n8\n", "empty": "", "text": "abc\n", "nan": "nan\n"}
+    files = {}
+    for name, text in contents.items():
+        (tmp_path / f"{name}.txt").write_text(text)
+        files[f"<{name}>"] = str(tmp_path / f"{name}.txt")
+    (tmp_path / "dir").mkdir()
+    files.update({"<missing>": str(tmp_path / "missing"), "<dir>": str(tmp_path / "dir"),
+                  "<cache>": str(tmp_path / "cache"), "<out>": str(tmp_path / "out.csv"),
+                  "<battery>": str(tmp_path / "battery.csv")})
+    return files
 
 
 class TestTauAndKSample:
@@ -576,6 +657,49 @@ class TestCacheFiles:
         code, warm, err = run_cli(argv)
         assert code == 0 and warm == cold and err == ""
         assert path.stat().st_mtime_ns == stamp
+
+    def test_tie_free_requests_keep_their_cache_file_names(self, data_files):
+        # the names format-8 caches already hold: a tie-free identity carries no tie key
+        tmp, x, y, z = data_files
+        common = ["--B", "149", "--seed", "9", "--deterministic"]
+        for argv, name in (
+                (["test2", "--h", "power:2", "--x", x, "--y", y, "--convention", "mid"],
+                 "c1a8207846f20b3176e735283af8382fd683c534bdb035dd4c315f602a7e64ce"),
+                (["tau", "--xi", "expsq:1", "--x", x, "--y", z],
+                 "61641fb47b9a2ba8903d9ef9c336e3acbd77c734facc28221872f119857e52fe"),
+                (["testk", "--h", "power:2", "--inputs", x, y, z, "--weights", "0.2,0.3,0.5"],
+                 "1c97d92e1fe0e6a317c4ee593d5f5935a7416b3d5cf2792f0cae20557d69c536")):
+            assert run_cli(argv + common)[0] == 0
+            assert (tmp / "cache" / f"{name}.csv").is_file()
+            assert "ties" not in (tmp / "cache" / f"{name}.csv").read_text()
+        assert len(list((tmp / "cache").iterdir())) == 3
+
+    def test_tied_data_share_a_cache_file_by_tie_pattern(self, data_files):
+        # the second pair is the first times 10 plus 3: other values, the same tie-block lengths
+        tmp = data_files[0]
+        pairs = []
+        for scale, shift in ((1.0, 0.0), (10.0, 3.0)):
+            files = [tmp / f"tied-{g}-{shift:g}.csv" for g in "xy"]
+            for path, values in zip(files, ([0.5, 1.0, 1.0, 2.0, 3.5], [1.0, 2.0, 2.5, 4.0])):
+                path.write_text("".join(f"{v * scale + shift!r}\n" for v in values))
+            pairs.append(["test2", "--h", "power:2", "--x", str(files[0]), "--y", str(files[1]),
+                          "--B", "199", "--seed", "3", "--deterministic"])
+        reports = []
+        for argv in pairs:
+            code, out, err = run_cli(argv)
+            assert code == 0 and err == ""
+            reports.append(json.loads(out))
+        (path,) = (tmp / "cache").glob("*.csv")
+        assert reports[0]["method"] == "permutation" and reports[0]["statistic"]["tie_count"] == 3
+        for key in ("null_table", "p_value", "critical_values", "statistic"):
+            assert reports[0][key] == reports[1][key]
+        table = load_table(path)
+        assert table.ties.startswith("right-continuous:") and table.identity[6] == table.ties
+        assert f"# ties={table.ties}\n# sha256=" in path.read_text()
+        code, out, err = run_cli(pairs[1] + ["--no-cache"])
+        assert code == 0 and json.loads(out) == reports[1]
+        assert run_cli(pairs[0] + ["--convention", "mid"])[0] == 0
+        assert len(list((tmp / "cache").glob("*.csv"))) == 2
 
     def test_default_and_explicit_uniform_weights_share_a_cache_file(self, data_files):
         tmp, x, y, _ = data_files

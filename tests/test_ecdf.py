@@ -69,8 +69,7 @@ class TestEmpiricalCdf:
             lambda: two_sample_statistic(SQUARE, x, y, "left"),
             lambda: k_sample_statistic(SQUARE, [x, y], convention="left"),
             lambda: tau_statistic(exp_sq_generator(1.0), x, y, "left"),
-            lambda: run_test(TWO_SAMPLE, SQUARE, [x, y], B=9, convention="left",
-                             method="permutation"),
+            lambda: run_test(TWO_SAMPLE, SQUARE, [x, y], B=9, convention="left"),
         )
         for call in calls:
             with pytest.raises(InvalidParameterError, match="convention"):

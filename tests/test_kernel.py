@@ -186,9 +186,9 @@ def test_equal_two_group_enumerations_score_the_rows_holding_rank_0(kind, spec, 
     weights = _check_kind_and_generator(kind, gen, sizes, None if weights is None else WeightVector(weights))[1]
     rows = []
 
-    def counting(generator, sizes, weights, units):
+    def counting(generator, sizes, weights, units, *tie_pattern):
         rows.append(sum(len(unit()) for unit in units))
-        return nulldist._table_values(generator, sizes, weights, units)
+        return nulldist._table_values(generator, sizes, weights, units, *tie_pattern)
 
     monkeypatch.setattr(oracle, "_table_values", counting)
     dist = enumerate_null(kind, gen, sizes, weights)
@@ -198,6 +198,23 @@ def test_equal_two_group_enumerations_score_the_rows_holding_rank_0(kind, spec, 
     assert rows == [scored] and len(labels) == dist.configurations
     assert dist.values.tobytes() == values.tobytes()
     assert dist.probabilities.tobytes() == (counts / len(labels)).tobytes()
+
+
+@pytest.mark.parametrize("convention", [RIGHT_CONTINUOUS, MID])
+@pytest.mark.parametrize("kind, spec", [(TWO_SAMPLE, "power:2"), (TAU, "expsq:1"), (K_SAMPLE, "poly:0,1,1"),
+                                        (TWO_SAMPLE, "bernstein:power:2:8")])
+def test_equal_size_halving_holds_with_ties(kind, spec, convention):
+    # tie blocks belong to positions, not groups, so a label swap still scores the same bit for bit:
+    # the halved pmf is the one scored from every interleaving
+    gen, sizes = parse_generator_spec(spec), (6, 6)
+    weights = _check_kind_and_generator(kind, gen, sizes, None)[1]
+    for ties in ((3, 1, 2, 1, 1, 4), (2,) * 6, (12,), (1,) * 10 + (2,), (5, 1, 1, 5)):
+        dist = enumerate_null(kind, gen, sizes, ties=ties, convention=convention)
+        blocks = nulldist._tie_pattern(ties, 12, convention)[0]
+        values, counts = np.unique(nulldist._table_values(gen, sizes, weights, _label_units(sizes), blocks, convention),
+                                   return_counts=True)
+        assert dist.values.tobytes() == values.tobytes()
+        assert dist.probabilities.tobytes() == (counts / dist.configurations).tobytes()
 
 
 def _hand_labels(sizes, seed, chunk, rows):
@@ -272,8 +289,7 @@ def test_permutation_table_digests(kind, convention):
         TAU: ("expsq:1", [x, y], None),
     }[kind]
     gen, sizes = parse_generator_spec(spec), tuple(len(s) for s in samples)
-    table = run_test(kind, gen, samples, weights=weights, B=300, seed=11, convention=convention,
-                     method="permutation").table
+    table = run_test(kind, gen, samples, weights=weights, B=300, seed=11, convention=convention).table
     # one chunk; row r of its label block assigns the sorted pooled values to groups
     assert _chunk_rows(sum(sizes)) >= 300
     pooled = np.sort(np.concatenate(samples))
@@ -290,8 +306,7 @@ def test_permutation_chunks_match_streams():
     rng = np.random.default_rng(3)
     samples = [Sample(np.round(rng.normal(0.0, 1.0, 12), 1)) for _ in range(2)]
     gen, sizes = power_generator(2), (12, 12)
-    table = run_test(TWO_SAMPLE, gen, samples, B=2 * CHUNK + 5, seed=4, convention=MID,
-                     method="permutation").table
+    table = run_test(TWO_SAMPLE, gen, samples, B=2 * CHUNK + 5, seed=4, convention=MID).table
     ties = _tie_blocks(np.sort(np.concatenate([s.values for s in samples])))
     assert ties is not None
     values = np.concatenate([
@@ -405,13 +420,19 @@ def test_tables_follow_the_format_3_law(sizes, B):
     (TAU, "expsq:1", (6, 4), None),
 ])
 def test_permutation_null_of_tie_free_data_is_the_simulated_table(kind, spec, sizes, weights):
-    # both draw the same label rows; without ties the kernel sees the same input
+    # tie blocks of one (or none) under either convention: the kernel sees the simulated table's input,
+    # and the table keeps the tie-free identity, so its cache key and file are the simulated table's
     gen, B = parse_generator_spec(spec), 2 * CHUNK + 5
     pooled = np.random.default_rng(5).permutation(sum(sizes)).astype(float)
     samples = np.split(pooled, np.cumsum(sizes)[:-1])
-    permuted = run_test(kind, gen, samples, weights=weights, B=B, seed=6, method="permutation").table
     simulated = simulate_null(kind, gen, sizes, B=B, seed=6, weights=weights)
-    assert np.array_equal(permuted.replicates, simulated.replicates)
+    for convention in (RIGHT_CONTINUOUS, MID):
+        for table in (run_test(kind, gen, samples, weights=weights, B=B, seed=6, convention=convention).table,
+                      simulate_null(kind, gen, sizes, B=B, seed=6, weights=weights, convention=convention),
+                      simulate_null(kind, gen, sizes, B=B, seed=6, weights=weights, ties=[1] * sum(sizes),
+                                    convention=convention)):
+            assert table.replicates.tobytes() == simulated.replicates.tobytes()
+            assert table.ties is None and table.identity == simulated.identity
 
 
 @pytest.mark.parametrize("path", ["observed", "simulation", "permutation", "enumeration", "slabs"])
@@ -421,8 +442,8 @@ def test_non_finite_statistic_raises(path):
     build = {
         "observed": lambda: two_sample_statistic(huge, x, y),
         "simulation": lambda: simulate_null(TWO_SAMPLE, huge, (3, 3), B=99, seed=0),
-        "permutation": lambda: run_test(TWO_SAMPLE, huge, [x, y], B=99, convention=MID,
-                                        method="permutation"),
+        "permutation": lambda: simulate_null(TWO_SAMPLE, huge, (3, 3), B=99, seed=0, ties=(2, 1, 3),
+                                             convention=MID),
         "enumeration": lambda: enumerate_null(TWO_SAMPLE, huge, (3, 3)),
         "slabs": lambda: simulate_null(TWO_SAMPLE, huge, (150, 150), B=2 * CHUNK + 5, seed=0),
     }[path]
@@ -494,8 +515,8 @@ def _null_arrays(case):
         return (simulate_null(kind, gen, sizes, B=2 * CHUNK + 5, seed=51, weights=weights).replicates,)
     rng = np.random.default_rng(52)  # tied data: values on a grid of 0.1
     samples = [np.round(rng.normal(0.0, 1.0, n), 1) for n in sizes]
-    return (run_test(kind, gen, samples, weights=weights, B=2 * CHUNK + 5, seed=53, convention=MID,
-                     method="permutation").table.replicates,)
+    return (run_test(kind, gen, samples, weights=weights, B=2 * CHUNK + 5, seed=53,
+                     convention=MID).table.replicates,)
 
 
 @pytest.mark.parametrize("case", [

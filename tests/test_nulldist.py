@@ -143,8 +143,7 @@ class TestSimulateNull:
 
         def build(gen):
             return [simulate_null(TAU, gen, (150, 120), B=2 * CHUNK + 5, seed=5),
-                    run_test(TAU, gen, [x, y], B=2 * CHUNK + 5, seed=5, convention="mid",
-                             method="permutation").table]
+                    run_test(TAU, gen, [x, y], B=2 * CHUNK + 5, seed=5, convention="mid").table]
 
         x, y = (np.round(np.random.default_rng(g).normal(0.0, 1.0, n), 1) for g, n in ((1, 150), (2, 120)))
         reference = build(xi)
@@ -558,14 +557,20 @@ class TestRunTest:
         assert twice.warnings == once.warnings
         assert twice.critical_values == once.critical_values
 
-    def test_permutation_method(self):
+    def test_tied_data_use_the_permutation_null_of_their_tie_pattern(self):
         x = Sample([1.0, 2.0, 2.0, 4.0])
         y = Sample([2.0, 3.0, 5.0, 6.0])
-        a = run_test(TWO_SAMPLE, SQUARE, [x, y], B=199, seed=4, method="permutation")
-        b = run_test(TWO_SAMPLE, SQUARE, [x, y], B=199, seed=4, method="permutation")
-        assert a.p_value == b.p_value
+        a = run_test(TWO_SAMPLE, SQUARE, [x, y], B=199, seed=4)
+        b = run_test(TWO_SAMPLE, SQUARE, [Sample(x.values * 10 + 3), Sample(y.values * 10 + 3)], B=199, seed=4)
+        assert a.p_value == b.p_value and a.table.identity == b.table.identity
         assert np.array_equal(a.table.replicates, b.table.replicates)
-        assert a.method == "permutation"
+        ties = simulate_null(TWO_SAMPLE, SQUARE, (4, 4), B=199, seed=4, ties=(1, 3, 1, 1, 1, 1))
+        assert ties.identity == a.table.identity and ties.replicates.tobytes() == a.table.replicates.tobytes()
+        assert a.method == "permutation" and a.table.ties.startswith("right-continuous:")
+        mid = run_test(TWO_SAMPLE, SQUARE, [x, y], B=199, seed=4, convention="mid")
+        assert mid.method == "permutation" and mid.table.identity[:6] == a.table.identity[:6]
+        assert mid.table.ties == "mid:" + a.table.ties.partition(":")[2]
+        assert run_test(TWO_SAMPLE, SQUARE, [Sample([1.0, 3.0]), Sample([2.0, 4.0])], B=9).method == "simulation"
 
     def test_prebuilt_table_reused(self):
         x, y = Sample([1.0, 3.0]), Sample([2.0, 4.0])
@@ -573,11 +578,15 @@ class TestRunTest:
         report = run_test(TWO_SAMPLE, SQUARE, [x, y], table=table)
         assert report.table is table
 
-    def test_prebuilt_table_cannot_answer_permutation(self):
-        table = simulate_null(TWO_SAMPLE, SQUARE, (3, 3), B=99, seed=1)
+    def test_prebuilt_table_must_have_the_data_tie_pattern(self):
         tied = [Sample([1.0, 1.0, 5.0]), Sample([1.0, 4.0, 6.0])]
-        with pytest.raises(InvalidParameterError, match="permutation"):
-            run_test(TWO_SAMPLE, SQUARE, tied, method="permutation", table=table)
+        for ties, convention in ((None, "right-continuous"), ((2, 1, 1, 1, 1), "right-continuous"),
+                                 ((3, 1, 1, 1), "mid")):
+            table = simulate_null(TWO_SAMPLE, SQUARE, (3, 3), B=99, seed=1, ties=ties, convention=convention)
+            with pytest.raises(InvalidParameterError, match="the data needs .*'right-continuous:[0-9a-f]{64}'"):
+                run_test(TWO_SAMPLE, SQUARE, tied, table=table)
+        table = simulate_null(TWO_SAMPLE, SQUARE, (3, 3), B=99, seed=1, ties=(3, 1, 1, 1))
+        assert run_test(TWO_SAMPLE, SQUARE, tied, table=table).table is table
 
     def test_prebuilt_table_size_mismatch_rejected(self):
         table = simulate_null(TWO_SAMPLE, SQUARE, (3, 3), B=99, seed=1)
@@ -601,15 +610,29 @@ class TestRunTest:
         report = run_test(K_SAMPLE, SQUARE, groups, weights=(0.2, 0.3, 0.5), table=table)
         assert report.table is table
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(InvalidParameterError, match="unknown method 'bogus'"):
-            run_test(TWO_SAMPLE, SQUARE, [Sample([0.1, 0.4]), Sample([0.2, 0.3])], B=9, method="bogus")
+    @pytest.mark.parametrize("ties", [(2, 2), (2, 4), (2, 0, 3), (2.0, 3), (True,) * 5, [[2, 3]], ()])
+    def test_bad_tie_pattern_rejected(self, ties):
+        with pytest.raises(InvalidParameterError, match="integers >= 1 that sum to the 5 pooled values"):
+            simulate_null(TWO_SAMPLE, SQUARE, (2, 3), B=9, seed=0, ties=ties)
 
     def test_k_sample_end_to_end(self):
         rng = np.random.default_rng(2)
         groups = [Sample(rng.random(8)) for _ in range(3)]
         report = run_test(K_SAMPLE, SQUARE, groups, B=199, seed=3)
         assert 0.0 < report.p_value <= 1.0
+
+
+@pytest.mark.parametrize("convention", ["right-continuous", "mid"])
+def test_tied_null_data_are_rejected_at_the_nominal_rate(convention):
+    # 400 null data sets of 30/30 on 5 levels: calibrated by the tie-free table, they were rejected at
+    # alpha = 0.05 with rate about 1.000 (right-continuous) or 0.0075 (mid)
+    rng, trials, alpha = np.random.default_rng(37), 400, 0.05
+    rejected = 0
+    for trial in range(trials):
+        x, y = rng.choice(5, size=(2, 30), p=(0.1, 0.2, 0.4, 0.2, 0.1)).astype(float)
+        report = run_test(TWO_SAMPLE, SQUARE, [x, y], B=199, seed=trial, levels=(alpha,), convention=convention)
+        rejected += report.p_value <= alpha
+    assert abs(rejected / trials - alpha) <= 3.5 * np.sqrt(alpha * (1.0 - alpha) / trials), rejected
 
 
 class TestPowerStudy:

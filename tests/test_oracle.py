@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from convexgof import (
+    MID,
+    RIGHT_CONTINUOUS,
     ConvexGenerator,
     EnumerationTooLargeError,
     InvalidParameterError,
@@ -26,6 +28,7 @@ from convexgof import (
     power_cdf,
     power_generator,
     run_battery,
+    simulate_null,
     two_sample_statistic,
     uniform_cdf,
 )
@@ -33,7 +36,7 @@ from convexgof import generators, oracle
 from convexgof.generators import adaptive_quad, parse_generator_spec
 from convexgof.oracle import battery_cdf_pairs, battery_generators, battery_to_csv
 
-from oracle_helpers import LIBM_KERNELS, expsq_square_integral
+from oracle_helpers import LIBM_KERNELS, expsq_square_integral, label_batches, reference_statistic
 
 UNIFORM = uniform_cdf()
 SQUARE_CDF = power_cdf(2)
@@ -372,6 +375,55 @@ class TestEnumerateNull:
         dist = enumerate_null(TWO_SAMPLE, SQUARE, (2, 2))
         observed = two_sample_statistic(SQUARE, Sample([1.0, 3.0]), Sample([2.0, 4.0])).value
         assert np.any(np.isclose(dist.values, observed, atol=1e-12))
+
+    # fixed tie patterns: tie-block lengths of the sorted pooled data
+    TIED_CASES = [
+        (TWO_SAMPLE, "power:2", (6, 6), None, (2, 1, 3, 1, 1, 2, 2)),
+        (TAU, "expsq:1", (5, 4), None, (1, 3, 2, 1, 2)),
+        (K_SAMPLE, "poly:0,1,1", (3, 3, 3), (0.2, 0.3, 0.5), (2, 1, 3, 1, 2)),
+    ]
+
+    @pytest.mark.parametrize("convention", [RIGHT_CONTINUOUS, MID])
+    @pytest.mark.parametrize("kind, spec, sizes, weights, ties", TIED_CASES, ids=["6x6", "tau_5x4", "3x3x3"])
+    def test_tied_enumeration_scores_every_assignment_of_the_pooled_data(self, kind, spec, sizes, weights,
+                                                                        ties, convention):
+        # the exact conditional null: each assignment of the tied pooled values to the groups, scored
+        # by the reference statistic of the values themselves, in itertools order
+        gen = parse_generator_spec(spec)
+        pooled = np.repeat(np.arange(len(ties), dtype=float), ties)
+        labels = np.concatenate(list(label_batches(sizes, 4096)))
+        values, counts = np.unique([reference_statistic(kind, gen, [pooled[row == g] for g in range(len(sizes))],
+                                                        weights, convention) for row in labels],
+                                   return_counts=True)
+        dist = enumerate_null(kind, gen, sizes, None if weights is None else WeightVector(weights),
+                              ties=ties, convention=convention)
+        assert dist.configurations == len(labels)
+        assert dist.values.tobytes() == values.tobytes()
+        assert dist.probabilities.tobytes() == (counts / len(labels)).tobytes()
+
+    @pytest.mark.parametrize("convention", [RIGHT_CONTINUOUS, MID])
+    @pytest.mark.parametrize("kind, spec, sizes, weights, ties", [TIED_CASES[0], TIED_CASES[2]],
+                             ids=["6x6", "3x3x3"])
+    def test_tied_table_agrees_in_law_with_the_enumeration(self, kind, spec, sizes, weights, ties, convention):
+        # every replicate is an enumerated atom, bit for bit, and tail frequencies stay within a
+        # binomial bound of the exact tail probabilities
+        gen, B = parse_generator_spec(spec), 4000
+        weights = None if weights is None else WeightVector(weights)
+        dist = enumerate_null(kind, gen, sizes, weights, ties=ties, convention=convention)
+        table = simulate_null(kind, gen, sizes, B=B, seed=37, weights=weights, ties=ties, convention=convention)
+        assert np.isin(table.replicates, dist.values).all()
+        tail = np.cumsum(dist.probabilities[::-1])[::-1]  # P(T >= value) at each atom
+        for level in (0.5, 0.2, 0.1, 0.05):
+            at = np.flatnonzero(tail >= level)[-1]  # the largest atom whose tail reaches the level
+            exact, seen = tail[at], np.mean(table.replicates >= dist.values[at])
+            assert abs(seen - exact) <= 4.5 * np.sqrt(exact * (1.0 - exact) / B), (level, seen, exact)
+
+    def test_tie_blocks_of_one_are_the_tie_free_enumeration(self):
+        plain = enumerate_null(TWO_SAMPLE, SQUARE, (4, 5))
+        for convention in (RIGHT_CONTINUOUS, MID):
+            dist = enumerate_null(TWO_SAMPLE, SQUARE, (4, 5), ties=[1] * 9, convention=convention)
+            assert dist.values.tobytes() == plain.values.tobytes()
+            assert dist.probabilities.tobytes() == plain.probabilities.tobytes()
 
 
 class TestEmpiricalToPopulationConsistency:
