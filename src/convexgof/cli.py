@@ -36,8 +36,8 @@ from .nulldist import (
     KINDS,
     TAU,
     TWO_SAMPLE,
+    _pooled_ties,
     _request_identity,
-    _tie_lengths,
     load_table,
     power_study,
     run_test,
@@ -285,7 +285,7 @@ def _cmd_test(args, out, err):
     levels = _parse_levels(args.levels)
     # cache hits are bit-identical to regeneration, so reports are too
     table = _table_via_cache(args, kind, generator, tuple(s.n for s in samples), weights, err,
-                             _tie_lengths(samples), args.convention)[0]
+                             _pooled_ties(samples), args.convention)[0]
     report = run_test(kind, generator, samples, weights=weights, levels=levels, convention=args.convention, table=table)
     _emit(args, out, _report_dict(args, kind, report, paths), _report_csv)
     return EXIT_OK

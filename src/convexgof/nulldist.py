@@ -12,7 +12,7 @@ is the same whatever thread runs which chunk.  The calling thread runs chunk 0,
 which leaves the generator grids in the memo of ``generators``, and then takes
 the other chunks from a shared index, beside the pool's threads where N > 256.
 Every table is the permutation null of a tie pattern: the rows go to the count-indexed
-kernel (``statistics``) with the pooled data's tie blocks and ECDF convention, which act
+kernel (``statistics``) with the pooled data's tie-block lengths and ECDF convention, which act
 only on ties; a tied table's identity carries both as its tie key.
 """
 
@@ -45,7 +45,7 @@ from .statistics import (
     _group_labels,
     _rank_statistic,
     _scratch,
-    _tie_blocks,
+    _tie_lengths,
     k_sample_statistic,
     tau_statistic,
     two_sample_statistic,
@@ -80,15 +80,17 @@ class NullTable:
 
 
 def _tie_pattern(ties, total, convention):
-    """The kernel's tie blocks (each pooled position's block start and end) and the tie key '<convention>:<sha256 of
-    the lengths as little-endian int64>' of the tie-block lengths ``ties`` in pooled order; (None, None) without ties."""
+    """The checked tie-block lengths ``ties`` in pooled order, as the kernel takes them, and their tie key
+    '<convention>:<sha256 of the lengths as little-endian int64>'; (None, None) without ties (blocks of one)."""
     if ties is None:
         return None, None
     lengths = np.asarray(ties)
     if lengths.ndim != 1 or lengths.dtype.kind not in "iu" or not np.all(lengths >= 1) or lengths.sum() != total:
         raise InvalidParameterError(f"tie-block lengths must be integers >= 1 that sum to the {total} pooled values")
-    blocks = _tie_blocks(np.repeat(np.arange(lengths.size), lengths))  # of sorted values with these blocks
-    return blocks, blocks and f"{convention}:{hashlib.sha256(lengths.astype('<i8').tobytes()).hexdigest()}"
+    if lengths.size == total:  # blocks of one
+        return None, None
+    lengths = lengths.astype("<i8", copy=False)
+    return lengths, f"{convention}:{hashlib.sha256(lengths.tobytes()).hexdigest()}"
 
 
 def _request_identity(kind, generator, sizes, weights, B, seed, ties, convention) -> tuple:
@@ -98,9 +100,8 @@ def _request_identity(kind, generator, sizes, weights, B, seed, ties, convention
     return (kind, generator.name, sizes, None if weights is None else weights.weights, B, seed) + ((key,) if key else ())
 
 
-def _tie_lengths(samples):  # the tie-block lengths of the pooled samples, None without ties: the ``ties`` of their null
-    blocks = _tie_blocks(np.sort(np.concatenate([s.values for s in samples])))
-    return None if blocks is None else (blocks[1] - blocks[0])[blocks[0] == np.arange(blocks[0].size)]
+def _pooled_ties(samples):  # the tie-block lengths of the pooled samples, None without ties: the ``ties`` of their null
+    return _tie_lengths(np.sort(np.concatenate([s.values for s in samples])))
 
 
 @dataclass(frozen=True)
@@ -112,7 +113,7 @@ class TestReport:
     critical_values: dict
     table: NullTable
     warnings: tuple
-    method: str = "simulation"  # "permutation" where the data are tied, and their tie pattern keys the table
+    method = property(lambda self: "permutation" if self.table.ties else "simulation")  # as the table's tie key says
 
 
 def replicate_stream(seed: int, index: int) -> np.random.Generator:
@@ -245,16 +246,17 @@ def simulate_null(kind, generator, sizes, B: int, seed: int, weights=None, ties=
 
     Assigns the pooled ranks to the groups B times at random and returns the
     sorted statistics.  ``ties`` lists the pooled data's tie-block lengths in
-    sorted order (``np.unique(pooled, return_counts=True)[1]``), counted by the
-    ``convention``; without ties neither matters, and the table is that of
-    ranked uniforms.  ``transform`` maps each chunk's uniforms, which are then
+    sorted order (``np.unique(pooled, return_counts=True)[1]``), which go checked
+    but unexpanded to the kernel, counted by the ``convention``; without ties
+    (None, or blocks of one) neither matters, and the table is that of ranked
+    uniforms.  ``transform`` maps each chunk's uniforms, which are then
     argsorted (the reference path); a strictly increasing map must give the
     table drawn without it, the checkable form of distribution-freeness.
     """
     sizes, weights = _check_kind_and_generator(kind, generator, sizes, weights)
     seed = _check_seed(seed)
-    blocks, key = _tie_pattern(ties, sum(sizes), convention)
-    values = _table_values(generator, sizes, weights, _label_blocks(sizes, B, seed, transform), blocks, convention)
+    ties, key = _tie_pattern(ties, sum(sizes), convention)
+    values = _table_values(generator, sizes, weights, _label_blocks(sizes, B, seed, transform), ties, convention)
     return NullTable(kind, generator.name, sizes, values, seed,
                      None if weights is None else weights.weights, key)
 
@@ -319,7 +321,7 @@ def run_test(kind, generator, samples, weights=None, B: int = DEFAULT_B, seed: i
         observed = k_sample_statistic(generator, samples, weights, convention)
     else:
         observed = (tau_statistic if kind == TAU else two_sample_statistic)(generator, *samples, convention)
-    ties = _tie_lengths(samples)
+    ties = _pooled_ties(samples)
     if table is None:
         table = simulate_null(kind, generator, sizes, B, seed, weights, ties, convention)
     elif table.identity != (wanted := _request_identity(kind, generator, sizes, weights, table.B, table.seed,
@@ -340,7 +342,7 @@ def run_test(kind, generator, samples, weights=None, B: int = DEFAULT_B, seed: i
             notes.append(f"null table too small for level {alpha:g}; critical value clamped")
         cvs[float(alpha)] = value
     return TestReport(statistic=observed, p_value=p_value(table, observed), critical_values=cvs,
-                      table=table, warnings=tuple(notes), method="permutation" if table.ties else "simulation")
+                      table=table, warnings=tuple(notes))
 
 
 ALTERNATIVES = ("shift", "scale", "lehmann")

@@ -256,7 +256,7 @@ def enumerate_null(kind, generator, sizes, weights=None, ties=None, convention=R
     """Exact null distribution by enumerating all rank interleavings.
 
     Every interleaving is equally likely under the null, given the tie pattern
-    (``ties`` and ``convention`` as in ``simulate_null``, whose tables sample this
+    (tie-block lengths ``ties`` and ``convention`` as in ``simulate_null``, whose tables sample this
     law); work units of them go through the table executor.  At two equal sizes a
     label swap exchanges the two pair integrals, each summed from the same terms (tie
     blocks belong to positions), and p_0 p_1 = p_1 p_0 and a + b = b + a are exact in
@@ -266,7 +266,7 @@ def enumerate_null(kind, generator, sizes, weights=None, ties=None, convention=R
     interleaving is scored.  ``ENUMERATION_BUDGET`` counts configurations.
     """
     sizes, weights = _check_kind_and_generator(kind, generator, sizes, weights)
-    blocks = _tie_pattern(ties, sum(sizes), convention)[0]
+    ties = _tie_pattern(ties, sum(sizes), convention)[0]
     count = _configurations(sizes)
     if count > ENUMERATION_BUDGET:
         raise EnumerationTooLargeError(
@@ -275,7 +275,7 @@ def enumerate_null(kind, generator, sizes, weights=None, ties=None, convention=R
         )
     half = len(sizes) == 2 and sizes[0] == sizes[1]  # the rows holding rank 0, each twice
     units = _label_units(sizes, math.comb(sum(sizes) - 1, sizes[0] - 1) if half else None)
-    values, counts = np.unique(_table_values(generator, sizes, weights, units, blocks, convention), return_counts=True)
+    values, counts = np.unique(_table_values(generator, sizes, weights, units, ties, convention), return_counts=True)
     return ExactNullDistribution(kind, generator.name, sizes, values, counts * (1 + half) / count)
 
 

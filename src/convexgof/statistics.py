@@ -5,13 +5,13 @@ j != l of p_j p_l times the integral of h(F_j) dF_l, minus its value when all F_
 coincide; the two-group kinds take p_j = 1, and a log-convex generator selects tau,
 which integrates xi(F_j) dXi(F_l).  No finite-n bias correction is applied: calibration absorbs it.
 
-Every ECDF value the functionals need is a member count over a sample size,
-so one count-indexed kernel, :func:`_rank_statistic`, computes the raw
-functional for observed data, simulated tables, permutations and exact
-enumeration alike, from generator grids memoised per ``eval`` and size.  Its
-counts come from column arithmetic in tie-free rows of two groups, and from
-prefix sums of bit-packed counts otherwise.  Every integral, tau's included,
-has one term per member of the integrating group.
+Every ECDF value the functionals need is a member count over a sample size, so one count-indexed
+kernel, :func:`_rank_statistic`, computes the raw functional for observed data, simulated tables,
+permutations and exact enumeration alike, from generator grids memoised per ``eval`` and size.  Its
+counts come from column arithmetic in tie-free rows of two groups, and from prefix sums of bit-packed
+counts otherwise.  Every integral, tau's included, has one term per member of the integrating group.
+A tie pattern has one form, the pooled data's tie-block lengths in sorted order (:func:`_tie_lengths`,
+None without ties), which only the kernel expands to each position's block bounds.
 """
 
 from __future__ import annotations
@@ -118,13 +118,10 @@ def _group_labels(sizes) -> np.ndarray:
     return np.repeat(np.arange(len(sizes), dtype=np.min_scalar_type(len(sizes))), sizes)
 
 
-def _tie_blocks(sorted_values):
-    """Start and end (exclusive) of each position's tie block; None without ties."""
-    if not np.any(sorted_values[1:] == sorted_values[:-1]):
-        return None
-    lo = np.searchsorted(sorted_values, sorted_values, side="left")
-    hi = np.searchsorted(sorted_values, sorted_values, side="right")
-    return lo, hi
+def _tie_lengths(sorted_values):
+    """Lengths of the tie blocks of sorted values, ``np.unique(values, return_counts=True)[1]``; None without ties."""
+    edges = np.flatnonzero(np.concatenate(([True], sorted_values[1:] != sorted_values[:-1], [True])))  # starts, N
+    return None if edges.size > sorted_values.size else edges[1:] - edges[:-1]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite result raises below
@@ -134,18 +131,17 @@ def _rank_statistic(generator, sizes, weights, labels, ties=None,
     pairs of groups, in (j, l) order from 0.0, of p_j p_l times the integral of group j's ECDF
     over group l's values, with p_j = 1 where ``weights`` is None (the two-group kinds).
 
-    ``labels[r, p]`` is the group of replicate r's p-th smallest pooled value,
-    so each ECDF value is a member count and each functional a sum of lookups
-    into the grid h(i/n), i = 0..n.  ``ties`` holds each position's tie-block
-    start and end, or None; only with ties does ``mid`` change a count, to the
-    sum of those below and through its block, looked up in h(i/2n).  Each
-    integral sums one term per member of the integrating group l in sorted
-    order, one ordered pair of groups at a time.  A log-convex generator selects tau:
-    each term is weighted by its member's jump Xi((i+1)/n_l) - Xi(i/n_l), the difference
-    of ``antiderivative_grid(n_l)``; a tie block's members share one count of the other
-    group, so their jumps add up to the block's jump.  Every grid comes from one call of
-    ``generators._memo_grids`` before any count, so a call whose grids are all kept there
-    runs no generator code.
+    ``labels[r, p]`` is the group of replicate r's p-th smallest pooled value, so each ECDF value is a
+    member count and each functional a sum of lookups into the grid h(i/n), i = 0..n.  ``ties`` holds
+    the pooled data's tie-block lengths in sorted order (:func:`_tie_lengths`), or None; this kernel
+    alone expands them, once per call, to each position's block start and end.  Only with ties does
+    ``mid`` change a count, to the sum of those below and through its block, looked up in h(i/2n).
+    Each integral sums one term per member of the integrating group l in sorted order, one ordered
+    pair of groups at a time.  A log-convex generator selects tau: each term is weighted by its
+    member's jump Xi((i+1)/n_l) - Xi(i/n_l), the difference of ``antiderivative_grid(n_l)``; a tie
+    block's members share one count of the other group, so their jumps add up to the block's jump.
+    Every grid comes from one call of ``generators._memo_grids`` before any count, so a call whose
+    grids are all kept there runs no generator code.
     Each member's flat index r * width + c, from ``np.flatnonzero``, becomes the index a path needs by one
     subtract or add of a shared read-only ``_offsets`` array.  In tie-free rows of two groups the other group's
     count before a member is its column c less its index in its own group.  Otherwise every group's running
@@ -158,6 +154,8 @@ def _rank_statistic(generator, sizes, weights, labels, ties=None,
         raise InvalidParameterError(f"unknown CDF convention '{convention}'; expected one of {CONVENTIONS}")
     nrep, width = labels.shape
     k, mid = len(sizes), convention != RIGHT_CONTINUOUS and ties is not None
+    if ties is not None:  # each position's block start and end (exclusive)
+        ties = np.repeat((ends := np.cumsum(ties)) - ties, ties), np.repeat(ends, ties)
     fn, integrals, tau = generator.eval, {}, isinstance(generator, LogConvexGenerator)
     grids = _memo_grids(fn, [(n, "values", lambda n=n: eval_on_array(fn, np.arange(n + 1) / n))
                              for n in (2 * s if mid else s for s in sizes)]  # h(i/n) for group j's ECDF
@@ -258,14 +256,13 @@ def _observed_statistic(kind, generator, samples, weights, convention) -> Statis
     pooled = np.concatenate([s.values for s in samples])
     order = np.argsort(pooled, kind="stable")
     labels = _group_labels(sizes)[order][None, :]
-    ties = _tie_blocks(pooled[order])
+    ties = _tie_lengths(pooled[order])
     raw = float(_rank_statistic(generator, sizes, weights, labels, ties, convention)[0])
     centering = _centering(generator, weights)
     tie_count = 0
     if ties is not None:  # a tie block of n values, c_g in group g, has (n^2 - sum c_g^2) / 2 cross pairs
-        lo, hi = ties
-        per_group = np.unique(lo * len(sizes) + labels[0], return_counts=True)[1]
-        tie_count = int(np.sum(hi - lo) - np.sum(per_group * per_group)) // 2
+        per_group = np.bincount(np.repeat(np.arange(ties.size) * len(sizes), ties) + labels[0])
+        tie_count = int(ties @ ties - per_group @ per_group) // 2
     return StatisticValue(raw - centering, raw, centering, tie_count, generator.name)
 
 

@@ -32,7 +32,7 @@ from convexgof import (
 from convexgof import nulldist, oracle, statistics
 from convexgof.nulldist import CHUNK, CHUNK_ELEMENTS, _chunk_rows, _label_blocks, replicate_stream
 from convexgof.statistics import (_SCRATCH, _centering, _check_kind_and_generator, _group_labels, _offsets,
-                                  _rank_statistic, _tie_blocks)
+                                  _rank_statistic, _tie_lengths)
 from convexgof.oracle import _label_units
 
 from oracle_helpers import LIBM_KERNELS, hand_keys, label_batches, reference_statistic
@@ -80,15 +80,35 @@ def test_kernel_equals_reference_bit_for_bit(case):
         w = None if weights is None else weights.weights
         expected.append(reference_statistic(kind, gen, groups, w, convention))
     got = _rank_statistic(gen, sizes, weights, np.array(labels),
-                          _tie_blocks(pooled[order]), convention) - _centering(gen, weights)
+                          _tie_lengths(pooled[order]), convention) - _centering(gen, weights)
     assert list(got) == expected
 
 
-def test_tie_blocks():
-    lo, hi = _tie_blocks(np.array([1.0, 2.0, 2.0, 2.0, 5.0, 7.0, 7.0]))
-    assert list(lo) == [0, 1, 1, 1, 4, 5, 5]
-    assert list(hi) == [1, 4, 4, 4, 5, 7, 7]
-    assert _tie_blocks(np.array([1.0, 2.0, 3.0])) is None
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from((-2.5, -0.0, 0.0, 1.0, 3.0)), min_size=1, max_size=30))
+def test_tie_lengths_are_the_unique_counts(values):
+    # drawn from a few levels, -0.0 and 0.0 among them, which compare equal and so share a block
+    v = np.sort(np.array(values))
+    counts = np.unique(v, return_counts=True)[1]
+    lengths = _tie_lengths(v)
+    if np.all(counts == 1):
+        assert lengths is None
+    else:
+        assert lengths.dtype == np.intp and list(lengths) == list(counts)
+
+
+@pytest.mark.parametrize("values, lengths", [
+    ([-0.0, 0.0], [2]),  # signed zeros are one block
+    ([0.0, -0.0, 0.0, 1.0], [3, 1]),
+    ([4.0] * 5, [5]),  # one block of every value
+    ([1.0, 1.0, 2.0, 5.0, 7.0, 7.0, 7.0], [2, 1, 1, 3]),  # tied blocks at both ends
+    ([1.0, 2.0, 2.0, 2.0, 5.0, 7.0, 7.0], [1, 3, 1, 2]),
+    ([1.0, 2.0, 3.0], None),
+    ([3.0], None),  # N = 1
+])
+def test_tie_lengths_edge_cases(values, lengths):
+    got = _tie_lengths(np.array(values))
+    assert (got if got is None else list(got)) == lengths
 
 
 @pytest.mark.parametrize("sizes", [(3, 4), (2, 2, 3), (1, 1, 4, 7)])
@@ -210,8 +230,8 @@ def test_equal_size_halving_holds_with_ties(kind, spec, convention):
     weights = _check_kind_and_generator(kind, gen, sizes, None)[1]
     for ties in ((3, 1, 2, 1, 1, 4), (2,) * 6, (12,), (1,) * 10 + (2,), (5, 1, 1, 5)):
         dist = enumerate_null(kind, gen, sizes, ties=ties, convention=convention)
-        blocks = nulldist._tie_pattern(ties, 12, convention)[0]
-        values, counts = np.unique(nulldist._table_values(gen, sizes, weights, _label_units(sizes), blocks, convention),
+        lengths = nulldist._tie_pattern(ties, 12, convention)[0]
+        values, counts = np.unique(nulldist._table_values(gen, sizes, weights, _label_units(sizes), lengths, convention),
                                    return_counts=True)
         assert dist.values.tobytes() == values.tobytes()
         assert dist.probabilities.tobytes() == (counts / dist.configurations).tobytes()
@@ -307,7 +327,7 @@ def test_permutation_chunks_match_streams():
     samples = [Sample(np.round(rng.normal(0.0, 1.0, 12), 1)) for _ in range(2)]
     gen, sizes = power_generator(2), (12, 12)
     table = run_test(TWO_SAMPLE, gen, samples, B=2 * CHUNK + 5, seed=4, convention=MID).table
-    ties = _tie_blocks(np.sort(np.concatenate([s.values for s in samples])))
+    ties = _tie_lengths(np.sort(np.concatenate([s.values for s in samples])))
     assert ties is not None
     values = np.concatenate([
         _rank_statistic(gen, sizes, None, _hand_labels(sizes, 4, c, rows), ties, MID)
@@ -650,7 +670,7 @@ def test_offset_memo_keeps_every_kernel_call_equal_to_the_reference(monkeypatch)
         pooled = np.sort(np.random.default_rng(sum(sizes)).normal(0.0, 1.0, sum(sizes)))
         pooled = np.round(pooled, 1) if tied else pooled
         labels = _hand_labels(sizes, 25, 0, rows)
-        calls.append((gen, sizes, weights, labels, _tie_blocks(pooled), convention))
+        calls.append((gen, sizes, weights, labels, _tie_lengths(pooled), convention))
         expected.append([reference_statistic(kind, gen, [pooled[row == g] for g in range(len(sizes))],
                                               None if weights is None else weights.weights, convention)
                          for row in labels])
@@ -728,7 +748,7 @@ def test_packed_word_width_boundary_matches_reference(n, itemsize, kind, tied, c
 
     monkeypatch.setattr(statistics, "_scratch", recorded)
     _SCRATCH.__dict__.clear()
-    got = _rank_statistic(gen, sizes, weights, labels, _tie_blocks(pooled), convention)
+    got = _rank_statistic(gen, sizes, weights, labels, _tie_lengths(pooled), convention)
     assert _SCRATCH.__dict__["words"].nbytes == 3 * (sum(sizes) + 1) * itemsize
     assert asked["words"].kind == kind and asked["words"].itemsize == itemsize
     expected = [reference_statistic(K_SAMPLE, gen, [pooled[row == g] for g in range(len(sizes))],
@@ -745,7 +765,7 @@ def test_two_packed_words_match_reference(tied, convention):
     if tied:
         pooled = np.round(pooled, 1)
     labels = _hand_labels(sizes, 13, 0, 3)
-    got = _rank_statistic(gen, sizes, weights, labels, _tie_blocks(pooled), convention)
+    got = _rank_statistic(gen, sizes, weights, labels, _tie_lengths(pooled), convention)
     expected = [reference_statistic(K_SAMPLE, gen, [pooled[row == g] for g in range(len(sizes))],
                                     weights.weights, convention) for row in labels]
     assert list(got - _centering(gen, weights)) == expected
@@ -762,9 +782,8 @@ def test_tie_free_counts_equal_singleton_tie_blocks(kind, spec, convention):
     sizes, weights = (((300, 400, 500), WeightVector((0.2, 0.3, 0.5))) if kind == K_SAMPLE
                       else ((1000, 1000), None))
     labels = _hand_labels(sizes, 14, 0, _chunk_rows(sum(sizes)))
-    lo = np.arange(sum(sizes))
     tie_free = _rank_statistic(gen, sizes, weights, labels, None, convention)
-    singleton = _rank_statistic(gen, sizes, weights, labels, (lo, lo + 1), convention)
+    singleton = _rank_statistic(gen, sizes, weights, labels, np.ones(sum(sizes), int), convention)
     assert np.array_equal(tie_free, singleton)
     right = _rank_statistic(gen, sizes, weights, labels, None, RIGHT_CONTINUOUS)
     assert np.array_equal(tie_free, right)

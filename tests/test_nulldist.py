@@ -610,6 +610,22 @@ class TestRunTest:
         report = run_test(K_SAMPLE, SQUARE, groups, weights=(0.2, 0.3, 0.5), table=table)
         assert report.table is table
 
+    def test_tie_key_is_pinned(self):
+        # the key names a tied request's cache file: a change to it would turn every cached tied table into a miss
+        key = "right-continuous:fa7c63f601691b958793c6d5ebe2ec4456e1a35b2b448b4f3e55cd1f86787673"
+        for ties in ([2, 2], (2, 2), np.array([2, 2], np.uint8), np.array([2, 2], np.int64)):
+            table = simulate_null(TWO_SAMPLE, SQUARE, (2, 2), B=9, seed=1, ties=ties)
+            assert table.ties == key and table.identity[-1] == key
+        table = simulate_null(TWO_SAMPLE, SQUARE, (2, 2), B=9, seed=1, ties=(1, 3))
+        assert table.ties == "right-continuous:8e8f6841378f772c40db2f07e876776d50c481ed7329ebcab75312e3b1fa7807"
+        tie_free = simulate_null(TWO_SAMPLE, SQUARE, (2, 2), B=9, seed=1)
+        table = simulate_null(TWO_SAMPLE, SQUARE, (2, 2), B=9, seed=1, ties=[1, 1, 1, 1])
+        assert table.ties is None and table.identity == tie_free.identity
+        assert table.replicates.tobytes() == tie_free.replicates.tobytes()
+        for ties in ([[2, 2]], np.array([], int), np.array([2, 2], object), [2, 3]):
+            with pytest.raises(InvalidParameterError, match="integers >= 1 that sum to the 4 pooled values"):
+                simulate_null(TWO_SAMPLE, SQUARE, (2, 2), B=9, seed=1, ties=ties)
+
     @pytest.mark.parametrize("ties", [(2, 2), (2, 4), (2, 0, 3), (2.0, 3), (True,) * 5, [[2, 3]], ()])
     def test_bad_tie_pattern_rejected(self, ties):
         with pytest.raises(InvalidParameterError, match="integers >= 1 that sum to the 5 pooled values"):
