@@ -52,7 +52,8 @@ from .statistics import (
 )
 
 DEFAULT_B = 9999
-TABLE_FORMAT_VERSION = 8
+TABLE_FORMAT_VERSION = 9
+_BODY_MARKER = b"replicate_f8le\n"  # ends a table file's header; the body follows
 MAX_SEED = 2**64
 
 
@@ -431,19 +432,19 @@ def power_study(kind, generator, alternative, sizes, B_null: int, B_power: int,
 
 
 def save_table(table: NullTable, path) -> None:
-    """Write a null table as a versioned CSV cache file.
+    """Write a null table as a versioned cache file.
 
-    The file is a header block of ``# key=value`` lines, a ``replicate_hex``
-    line, and a body of one replicate per line, the 16 hex digits of its
-    big-endian IEEE-754 bits, so loading is bit-identical to regeneration.
-    The header's last key, ``sha256``, is the digest of those bits; a tied
-    table's tie key comes before it, as ``ties``.
-    It is written beside ``path`` and renamed into place, so readers never
-    see a partial table.  A header value that :func:`load_table` would not
-    read back as written (one with a line break, or leading or trailing
-    whitespace) raises ``InvalidParameterError`` before anything is written.
+    The file is a header block of ``# key=value`` lines, a ``replicate_f8le``
+    line, and a body of exactly ``8·B`` bytes, the replicates as little-endian
+    IEEE-754 binary64, so loading is bit-identical to regeneration.  The
+    header's last key, ``sha256``, is the digest of those body bytes; a tied
+    table's tie key comes before it, as ``ties``.  Header and body go out in
+    one binary write to a file beside ``path`` that is renamed into place, so
+    readers never see a partial table.  A header value that :func:`load_table`
+    would not read back as written (one with a line break, or leading or
+    trailing whitespace) raises ``InvalidParameterError`` before anything is written.
     """
-    words = table.replicates.astype(">f8").tobytes()
+    words = np.ascontiguousarray(table.replicates, dtype="<f8").tobytes()
     header = {
         "format_version": TABLE_FORMAT_VERSION,
         "statistic_kind": table.statistic_kind,
@@ -459,11 +460,11 @@ def save_table(table: NullTable, path) -> None:
         text = str(value)
         if text != text.strip() or "\n" in text or "\r" in text:
             raise InvalidParameterError(f"null table {key} {text!r} would not load back as written")
+    head = "".join(f"# {key}={value}\n" for key, value in header.items()).encode("utf-8")
     tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(f"# {key}={value}\n" for key, value in header.items())
-            fh.write("replicate_hex\n" + words.hex("\n", 8) + "\n" * bool(table.B))
+        with open(tmp, "wb") as fh:
+            fh.write(head + _BODY_MARKER + words)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -473,42 +474,36 @@ def save_table(table: NullTable, path) -> None:
 def load_table(path) -> NullTable:
     """Load a table written by :func:`save_table`.
 
-    Its first line that is exactly ``replicate_hex`` ends the ``# key=value``
-    header.  A cut-off file, any other header line, a repeated, missing or bad key,
-    a body that is not ``B`` lines of 16 hex digits (the first bad line is named),
-    non-finite or unsorted replicates, or a body whose bits do not have the header's
-    ``sha256`` digest raise :class:`ConvexGofError` naming the file.
+    The ``# key=value`` lines are read first, and a ``format_version`` other
+    than :data:`TABLE_FORMAT_VERSION` is rejected before anything else.  A
+    header that does not end in a ``replicate_f8le`` line, a repeated, missing
+    or bad key, a body that is not exactly ``8·B`` bytes (checked before it is
+    read), non-finite or unsorted replicates, or body bytes without the
+    header's ``sha256`` digest raise :class:`ConvexGofError` naming the file.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        if not text.endswith("\n"):
-            raise ValueError("its last line is cut off")
-        head, found, body = ("\n" + text).partition("\nreplicate_hex\n")  # the marker may be line 1
-        if not found:
-            raise ValueError("it has no 'replicate_hex' line")
-        meta = {}
-        for line in head.split("\n")[1:]:
-            key, eq, value = line[1:].partition("=")
-            if not (line.startswith("#") and eq):
-                raise ValueError(f"header line {line!r} is not '# key=value'")
-            if key.strip() in meta:
-                raise ValueError(f"header key {key.strip()!r} is repeated")
-            meta[key.strip()] = value.strip()
-        version = meta.get("format_version")
-        if version != str(TABLE_FORMAT_VERSION):
-            raise ConvexGofError(f"null table file '{path}' has format version {version!r}, "
-                                 f"expected {TABLE_FORMAT_VERSION}")
-        count = int(meta["B"])
-        try:  # fromhex skips whitespace, so every line must first be 16 characters
-            if len(body) != 17 * count or body[16::17] != "\n" * count:
-                raise ValueError
-            words = bytes.fromhex(body)
-            replicates = np.frombuffer(words, ">f8", count).astype(float)
-        except ValueError:
-            bad = [(i, w) for i, w in enumerate(body.split("\n")[:-1], 1) if len(w) != 16 or w.strip("0123456789abcdef")]
-            raise ValueError(f"body line {bad[0][0]} {bad[0][1]!r} is not 16 lowercase hex digits" if bad
-                             else "replicate count mismatch") from None
+        with open(path, "rb") as fh:
+            meta, line = {}, fh.readline()
+            while line.startswith(b"#"):
+                text = line.decode("utf-8").rstrip("\n")
+                key, eq, value = text[1:].partition("=")
+                if not eq:
+                    raise ValueError(f"header line {text!r} is not '# key=value'")
+                if key.strip() in meta:
+                    raise ValueError(f"header key {key.strip()!r} is repeated")
+                meta[key.strip()] = value.strip()
+                line = fh.readline()
+            version = meta.get("format_version")
+            if version != str(TABLE_FORMAT_VERSION):
+                raise ConvexGofError(f"null table file '{path}' has format version {version!r}, "
+                                     f"expected {TABLE_FORMAT_VERSION}")
+            if line != _BODY_MARKER:
+                raise ValueError("its header does not end in a 'replicate_f8le' line")
+            count = int(meta["B"])
+            if os.fstat(fh.fileno()).st_size - fh.tell() != 8 * count:
+                raise ValueError("replicate count mismatch")
+            words = fh.read()
+        replicates = np.frombuffer(words, "<f8", count).astype(float, copy=False)
         if not np.all(np.isfinite(replicates)) or np.any(replicates[1:] < replicates[:-1]):
             raise ValueError("replicates are not finite and sorted")
         if hashlib.sha256(words).hexdigest() != meta["sha256"]:

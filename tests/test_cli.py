@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 import textwrap
@@ -534,37 +535,40 @@ class TestNullTableCommand:
 
 
 class TestCacheFiles:
-    @pytest.mark.parametrize("damage", [
-        lambda text: text[:-7],            # cut inside the last hex word
-        lambda text: "not a table\n",      # garbage
-        # the first replicate as a format-6 hex float out of float range: not a 16-digit word
-        lambda text: re.sub("replicate_hex\n.*\n", "replicate_hex\n0x1p99999\n", text),
-    ], ids=["truncated", "garbage", "out_of_range"])
-    def test_damaged_cache_file_is_rebuilt(self, data_files, damage):
+    @pytest.mark.parametrize("damage, named", [
+        (lambda data: data[:-7], "is corrupt: "),  # cut inside the last word
+        (lambda data: b"not a table\n", "has format version None"),  # garbage: no header names a version
+        # the first replicate as format 8 wrote it, a hex word, in place of its 8 bytes
+        (lambda data: data[:-8 * 149] + data[-8 * 149:-8 * 148][::-1].hex().encode() + b"\n" + data[-8 * 148:],
+         "is corrupt: "),
+    ], ids=["truncated", "garbage", "hex_word"])
+    def test_damaged_cache_file_is_rebuilt(self, data_files, damage, named):
         tmp, x, y, _ = data_files
         argv = ["test2", "--h", "power:2", "--x", x, "--y", y, "--B", "149",
                 "--seed", "9", "--deterministic"]
         _, cold, _ = run_cli(argv)
         (path,) = (tmp / "cache").glob("*.csv")
-        intact = path.read_text()
-        path.write_text(damage(intact))
+        intact = path.read_bytes()
+        path.write_bytes(damage(intact))
         code, rebuilt, err = run_cli(argv)
         assert code == 0 and rebuilt == cold == run_cli(argv + ["--no-cache"])[1]
-        assert err.startswith("warning:") and f"'{path}' is corrupt: " in err and err.count("\n") == 1
-        assert path.read_text() == intact
+        assert err.startswith("warning:") and f"'{path}' {named}" in err and err.count("\n") == 1
+        assert path.read_bytes() == intact
         code, warm, err = run_cli(argv)
         assert code == 0 and warm == cold and err == ""
 
     # a damaged table file: any bytes, or a header of keys in order, each with a value of this request,
-    # of another, a bad one or none, then maybe the marker and pieces of a body: hex words, line
-    # breaks, a byte order mark, NUL and bytes that are not UTF-8
-    _HEADER_VALUES = {"format_version": ("8", "7", "x"), "statistic_kind": ("two_sample", "tau"),
+    # of another, a bad one or none, then maybe a marker and pieces of a body: the bytes of 0.5, -0.5
+    # and +inf, 0.5 big-endian and as a format-8 hex word, line breaks, a byte order mark, NUL and
+    # bytes that are not UTF-8
+    _HEADER_VALUES = {"format_version": ("9", "8", "x"), "statistic_kind": ("two_sample", "tau"),
                       "generator_name": ("power:2", "power:3"), "sample_sizes": ("5,5", "4,6", "0", "5;5"),
                       "weights": ("-", "0.5,0.5", "x"), "seed": ("9", "10", "-9"), "B": ("99", "1", "0", "-1", "1e9"),
                       "sha256": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "x")}
     _HEADERS = st.tuples(*(st.sampled_from([f"# {key}={value}\n".encode() for value in values] + [b""])
                            for key, values in _HEADER_VALUES.items())).map(b"".join)
-    _WORDS = [b"3fe0000000000000\n", b"bfe0000000000000\n", b"7ff0000000000000\n", b"3FE0000000000000\n"]
+    _WORDS = [struct.pack("<d", 0.5), struct.pack("<d", -0.5), struct.pack("<d", float("inf")),
+              struct.pack(">d", 0.5), b"3fe0000000000000\n"]
     _BODIES = (st.lists(st.sampled_from(_WORDS), max_size=3)
                | st.lists(st.sampled_from(_WORDS + [b"0x1p-3\n", b"\n", b"\r\n", b"#", b"=", b"\xef\xbb\xbf",
                                                    b"\x00", b"\xff", b"\xc2\x85"]), max_size=12)).map(b"".join)
@@ -573,9 +577,10 @@ class TestCacheFiles:
               suppress_health_check=[HealthCheck.function_scoped_fixture])  # one cache directory for all
     @given(st.binary(max_size=64)
            | st.builds(lambda head, marker, body: head + marker + body, _HEADERS,
-                       st.sampled_from([b"replicate_hex\n", b"", b"replicate_hex"]), _BODIES))
+                       st.sampled_from([b"replicate_f8le\n", b"", b"replicate_f8le", b"replicate_hex\n"]),
+                       _BODIES))
     def test_any_cache_file_bytes_are_rebuilt_with_one_warning(self, data_files, content):
-        # no example is a well-formed table of this request, which needs 99 body lines with the header's
+        # no example is a well-formed table of this request, which needs 8·99 body bytes with the header's
         # sha256 digest; a file of other replicates that has both is the one that would be a hit
         tmp = data_files[0]
         for name, values in (("x5", "0.1 0.2 0.3 2.4 0.5"), ("y5", "2.1 0.25 2.3 2.5 2.9")):
@@ -590,7 +595,7 @@ class TestCacheFiles:
         assert err.startswith("warning: ") and err.count("\n") == 1, err
 
     def test_cache_file_of_copied_replicates_is_rebuilt(self, data_files):
-        # 99 copies of the first replicate keep the file sorted, finite and of B lines; only the header's
+        # 99 copies of the first replicate keep the file sorted, finite and of 8·B bytes; only the header's
         # sha256 digest tells it from the request's table, which gives p = 0.15 (the copies would give 0.01)
         tmp = data_files[0]
         for name, values in (("x5", "0.1 0.2 0.3 2.4 0.5"), ("y5", "2.1 0.25 2.3 2.5 2.9")):
@@ -599,8 +604,8 @@ class TestCacheFiles:
                 "--B", "99", "--seed", "9", "--deterministic"]
         code, cold, _ = run_cli(argv)
         (path,) = (tmp / "cache").glob("*.csv")
-        head, marker, body = path.read_text().partition("replicate_hex\n")
-        path.write_text(head + marker + body[:17] * 99)
+        head, marker, body = path.read_bytes().partition(b"\nreplicate_f8le\n")
+        path.write_bytes(head + marker + body[:8] * 99)
         code, out, err = run_cli(argv)
         assert code == 0 and out == cold and json.loads(out)["p_value"] == 0.15
         assert err.startswith("warning:") and "sha256" in err and err.count("\n") == 1, err
@@ -617,24 +622,24 @@ class TestCacheFiles:
 
         _, cold, _ = run_cli(argv())
         (path,) = (tmp / "cache").glob("*.csv")
-        intact = path.read_text()
+        intact = path.read_bytes()
         assert run_cli(argv(y=x) if changed == "sizes" else argv(seed="10"))[0] == 0
         (foreign,) = set((tmp / "cache").glob("*.csv")) - {path}
-        path.write_text(foreign.read_text())
+        path.write_bytes(foreign.read_bytes())
         code, rebuilt, err = run_cli(argv())
         assert code == 0 and rebuilt == cold
         assert err.startswith("warning:") and str(path) in err and err.count("\n") == 1
-        assert path.read_text() == intact
+        assert path.read_bytes() == intact
 
     def test_format_bump_rewrites_the_request_file_in_place(self, data_files, monkeypatch):
-        # the file name hashes the request alone: a bump to format 9 and back rejects the other
+        # the file name hashes the request alone: a bump to format 10 and back rejects the other
         # format's file each time and rebuilds it under the same name, so one file stays per request
         tmp = data_files[0]
         argv = ["null-table", "--kind", "two_sample", "--generator", "power:2", "--sizes", "4,4",
                 "--B", "50", "--seed", "2", "--deterministic"]
         code, _, err = run_cli(argv)
         assert code == 0 and err == ""
-        for version, old in ((9, 8), (8, 9)):
+        for version, old in ((10, 9), (9, 10)):
             monkeypatch.setattr(nulldist, "TABLE_FORMAT_VERSION", version)
             monkeypatch.setattr(cli, "TABLE_FORMAT_VERSION", version, raising=False)
             code, out, err = run_cli(argv)
@@ -642,7 +647,30 @@ class TestCacheFiles:
             assert err.startswith("warning:") and f"format version '{old}'" in err and err.count("\n") == 1, err
             assert len(list((tmp / "cache").iterdir())) == 1
         (path,) = (tmp / "cache").iterdir()
-        assert path.read_text().split("\n", 1)[0] == f"# format_version={nulldist.TABLE_FORMAT_VERSION}"
+        assert path.read_bytes().split(b"\n", 1)[0] == f"# format_version={nulldist.TABLE_FORMAT_VERSION}".encode()
+        code, out, err = run_cli(argv)
+        assert code == 0 and json.loads(out)["cache_hit"] is True and err == ""
+
+    def test_format_8_cache_file_is_rewritten_in_place(self, data_files):
+        # the file format 8 wrote for this request keeps its name: one warning, then the name holds the
+        # same table in format 9, and the next request is a hit
+        tmp = data_files[0]
+        argv = ["null-table", "--kind", "two_sample", "--generator", "power:2", "--sizes", "4,4",
+                "--B", "5", "--seed", "2", "--deterministic"]
+        words = ["3faaaaaaaaaaaab0"] * 3 + ["3fb5555555555558"] * 2
+        path = tmp / "cache" / "7db7bcfc5162195df841c4156e8e1e6f92f5ca287d06a891bf6eff07d3344ba3.csv"
+        path.parent.mkdir()
+        path.write_text("# format_version=8\n# statistic_kind=two_sample\n# generator_name=power:2\n"
+                        "# sample_sizes=4,4\n# weights=-\n# seed=2\n# B=5\n"
+                        "# sha256=f267ef97d7c9c4028050af6398fc5b853e465d1307323835105ec359eb06473f\n"
+                        "replicate_hex\n" + "".join(f"{w}\n" for w in words))
+        code, out, err = run_cli(argv)
+        assert code == 0 and json.loads(out)["cache_hit"] is False and json.loads(out)["path"] == str(path)
+        assert err == (f"warning: null table file '{path}' has format version '8', "
+                       f"expected {nulldist.TABLE_FORMAT_VERSION}; rebuilding it\n")
+        assert os.listdir(path.parent) == [path.name]
+        assert path.read_bytes().startswith(b"# format_version=9\n")
+        assert load_table(path).replicates.tobytes() == b"".join(bytes.fromhex(w)[::-1] for w in words)
         code, out, err = run_cli(argv)
         assert code == 0 and json.loads(out)["cache_hit"] is True and err == ""
 
@@ -671,7 +699,7 @@ class TestCacheFiles:
                  "1c97d92e1fe0e6a317c4ee593d5f5935a7416b3d5cf2792f0cae20557d69c536")):
             assert run_cli(argv + common)[0] == 0
             assert (tmp / "cache" / f"{name}.csv").is_file()
-            assert "ties" not in (tmp / "cache" / f"{name}.csv").read_text()
+            assert b"# ties=" not in (tmp / "cache" / f"{name}.csv").read_bytes().partition(b"\nreplicate_f8le\n")[0]
         assert len(list((tmp / "cache").iterdir())) == 3
 
     def test_tied_data_share_a_cache_file_by_tie_pattern(self, data_files):
@@ -695,7 +723,7 @@ class TestCacheFiles:
             assert reports[0][key] == reports[1][key]
         table = load_table(path)
         assert table.ties.startswith("right-continuous:") and table.identity[6] == table.ties
-        assert f"# ties={table.ties}\n# sha256=" in path.read_text()
+        assert f"# ties={table.ties}\n# sha256=".encode() in path.read_bytes()
         code, out, err = run_cli(pairs[1] + ["--no-cache"])
         assert code == 0 and json.loads(out) == reports[1]
         assert run_cli(pairs[0] + ["--convention", "mid"])[0] == 0

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import io
+import math
 import os
 import re
 import struct
@@ -47,15 +49,35 @@ from convexgof.nulldist import CHUNK, TABLE_FORMAT_VERSION, parse_alternative
 from oracle_helpers import hand_uniforms
 
 SQUARE = power_generator(2)
-# tokens a damaged table file may hold: format-6 hex floats (one out of float range), format-7 words
-# (0.5, -0.0, +inf, NaN, uppercase, a digit short or long, halves, an inner space, a non-hex digit,
-# two on one line), and header lines
-_TOKENS = ["0x1p99999", "-0x1p99999", "nan", "inf", "-0x0p+0", "0x1.8p-1", "", "replicate_hex", "# B=10",
-           "# seed=0", "# B=", "# format_version=5", "#", "# =", "1e999",
-           "3fe0000000000000", "8000000000000000", "7ff0000000000000", "7ff8000000000000", "3FE0000000000000",
-           "3fe000000000000", "3fe00000000000000", "3fe00000", "00000000", "3fe00000 0000000", "3fe000000000000g",
-           "3fe0000000000000 3fe0000000000000",
-           "# format_version=6", "# format_version=7"]
+# pieces a damaged table file may hold: header lines (of this format, of format 8, bad ones), body
+# markers, the bytes of 0.5, -0.0, +inf and a NaN, 0.5 big-endian and as a format-8 hex word, a line
+# break, NUL, a byte that is not UTF-8 and a byte order mark
+_PIECES = [b"", b"\n", b"#", b"# =", b"# B=10\n", b"# B=\n", b"# seed=0\n", b"# format_version=8\n",
+           b"# format_version=9\n", b"replicate_f8le\n", b"replicate_hex\n", b"3fe0000000000000\n",
+           struct.pack("<d", 0.5), struct.pack("<d", -0.0), struct.pack("<d", math.inf),
+           struct.pack("<d", math.nan), struct.pack(">d", 0.5), b"\x00", b"\xff", b"\xef\xbb\xbf"]
+# toy_table([-0.0, 5e-324, 0.5]) as format 8 wrote it: the digest of big-endian bits, hex words
+_FORMAT_8_TOY = ("# format_version=8\n# statistic_kind=two_sample\n# generator_name=power:2\n"
+                 "# sample_sizes=2,2\n# weights=-\n# seed=0\n# B=3\n"
+                 "# sha256=c0482f71c670716da96f52c763cec3970c76c57f4b9736ff7dce56aed0758e06\n"
+                 "replicate_hex\n8000000000000000\n0000000000000001\n3fe0000000000000\n")
+
+
+def _table_parts(path):
+    """A table file's header through its marker line, and its body."""
+    head, marker, body = path.read_bytes().partition(b"\nreplicate_f8le\n")
+    return head + marker, body
+
+
+def _hex_words(body):
+    """A body's replicates as format 8 wrote them: the hex digits of their big-endian bits, one per line."""
+    return np.frombuffer(body, "<f8").astype(">f8").tobytes().hex("\n", 8).encode() + b"\n"
+
+
+def _signed(head, body):
+    """``head`` with its sha256 line set to the digest of ``body``, then ``body``: only another check rejects it."""
+    digest = hashlib.sha256(body).hexdigest().encode()
+    return re.sub(rb"# sha256=[0-9a-f]*\n", b"# sha256=" + digest + b"\n", head) + body
 
 
 def toy_table(values, **meta):
@@ -755,83 +777,89 @@ class TestTableSerialization:
         table = simulate_null(TWO_SAMPLE, SQUARE, (3, 3), B=10, seed=0)
         path = tmp_path / "table.csv"
         save_table(table, path)
-        intact = path.read_text()
-        from convexgof import ConvexGofError
-
-        for version in (1, 2, 3, 4, 5, 6, 99):  # files from older contracts, and a future one
-            path.write_text(intact.replace(f"format_version={TABLE_FORMAT_VERSION}",
-                                           f"format_version={version}"))
-            with pytest.raises(ConvexGofError, match="format version"):
+        intact = path.read_bytes()
+        for version in (1, 2, 3, 4, 5, 6, 7, 8, 99):  # files from older contracts, and a future one
+            path.write_bytes(intact.replace(f"format_version={TABLE_FORMAT_VERSION}".encode(),
+                                            f"format_version={version}".encode()))
+            with pytest.raises(ConvexGofError, match=f"format version '{version}'"):
                 load_table(path)
 
-    def test_truncated_file_rejected_at_every_cut(self, tmp_path):
-        from convexgof import ConvexGofError
+    def test_format_8_file_is_a_version_miss(self, tmp_path):
+        # the version is read before the marker, so a format-8 file is another format, not a corrupt one
+        path = tmp_path / "table.csv"
+        path.write_text(_FORMAT_8_TOY)
+        with pytest.raises(ConvexGofError, match=re.escape(
+                f"table.csv' has format version '8', expected {TABLE_FORMAT_VERSION}")):
+            load_table(path)
 
+    def test_truncated_file_rejected_at_every_cut(self, tmp_path):
         path = tmp_path / "table.csv"
         save_table(simulate_null(TWO_SAMPLE, SQUARE, (3, 3), B=10, seed=0), path)
-        text = path.read_text()
-        for cut in range(1, 3 * len(text.splitlines()[-1])):
-            path.write_text(text[:-cut])
+        data = path.read_bytes()
+        for cut in range(len(data)):  # the empty file through one byte short
+            path.write_bytes(data[:cut])
             with pytest.raises(ConvexGofError, match="table.csv"):
                 load_table(path)
 
     @pytest.mark.parametrize("damage", [
-        lambda lines: lines[:-1] + ["0x1.zz"],             # not a hex float
-        lambda lines: [l for l in lines if not l.startswith("# seed=")],  # missing key
-        lambda lines: lines[:-1],                          # count mismatch
-        lambda lines: lines[:-2] + lines[-1:] + lines[-2:-1],  # unsorted
-        lambda lines: lines[:-1] + ["inf"],                # non-finite
-        lambda lines: ["garbage"] * 5,
-        # metadata among the replicates must not relabel the table
-        lambda lines: lines[:-3] + ["# seed=12345", "# generator_name=power:3"] + lines[-3:],
+        lambda head, body: head + body[:-1],                          # a byte missing
+        lambda head, body: head + body + b"\x00",                     # a byte extra
+        lambda head, body: head + body[:-8],                          # a word missing
+        lambda head, body: head + body + body[-8:],                   # a word repeated
+        lambda head, body: head.replace(b"# seed=0\n", b"") + body,   # missing key
+        lambda head, body: head + body[:-16] + body[-8:] + body[-16:-8],  # unsorted
+        lambda head, body: head + body[:-8] + struct.pack("<d", math.inf),  # the bits of +inf
+        lambda head, body: head + body[:-8] + struct.pack("<d", math.nan),  # the bits of a NaN
+        lambda head, body: b"garbage\n" * 5,
+        # metadata in the body must not relabel the table, in a word's place or after the body
+        lambda head, body: head + body[:-16] + b"# seed=12345678\n",
+        lambda head, body: head + body + b"# seed=12345\n# generator_name=power:3\n",
         # nor may a second header line for a key (here just before '# B=')
-        lambda lines: lines[:6] + ["# seed=12345"] + lines[6:],
-        lambda lines: lines[:-1] + ["0x1p99999"],          # a format-6 hex float, out of float range
-        lambda lines: lines[:-1] + ["7ff0000000000000"],   # the bits of +inf
-        lambda lines: lines[:-1] + ["7ff8000000000000"],   # the bits of a NaN
-        lambda lines: lines[:-1] + [lines[-1][:15]],       # one digit short
-        lambda lines: lines[:-1] + [lines[-1][:8], lines[-1][8:]],  # split into two halves
-        lambda lines: lines[:-1] + [lines[-1][:8] + " " + lines[-1][9:]],  # 16 characters, one a space
-        lambda lines: lines[:-1] + [lines[-1][:15] + "g"],  # 16 characters, one not a hex digit
-        lambda lines: lines[:-2] + [lines[-2] + " " + lines[-1]],  # two words on one line of 33 characters
-        # the replicates as format 6 wrote them, under a current header
-        lambda lines: lines[:9] + [struct.unpack(">d", bytes.fromhex(word))[0].hex() for word in lines[9:]],
-        # every replicate a copy of the first: sorted, finite and B lines, but not the header's sha256 digest
-        lambda lines: lines[:-10] + lines[-10:-9] * 10,
-        lambda lines: [l for l in lines if not l.startswith("# sha256=")],  # a format-7 file under a version-8 header
-    ], ids=["token", "key", "count", "unsorted", "non_finite", "garbage", "header_in_body", "repeated_key",
-            "out_of_range", "inf_bits", "nan_bits", "short_word", "split_word", "inner_space", "non_hex_digit",
-            "joined_words", "format6_body", "copied_first", "no_digest"])
+        lambda head, body: head.replace(b"# B=", b"# seed=12345\n# B=") + body,
+        # the replicates as format 8 wrote them, hex words, and their big-endian bytes, under a current header
+        lambda head, body: head + _hex_words(body),
+        lambda head, body: head + np.frombuffer(body, "<f8").astype(">f8").tobytes(),
+        # every replicate a copy of the first: sorted, finite and 8·B bytes, but not the header's sha256 digest
+        lambda head, body: head + body[:8] * 10,
+        lambda head, body: re.sub(rb"# sha256=.*\n", b"", head) + body,  # no digest
+        lambda head, body: head.replace(b"replicate_f8le\n", b"") + body,  # no marker
+        lambda head, body: head.replace(b"replicate_f8le\n", b"replicate_hex\n") + body,  # format 8's marker
+        lambda head, body: head.replace(b"replicate_f8le\n", b"replicate_f8le\r\n") + body,
+        lambda head, body: head.replace(b"# B=10\n", b"# B=1000000000000000\n") + body,  # 10**15 claimed
+        lambda head, body: head.replace(b"power:2", b"power:\xff") + body,  # a header that is not UTF-8
+    ], ids=["missing_byte", "extra_byte", "missing_word", "extra_word", "key", "unsorted", "inf_bits",
+            "nan_bits", "garbage", "header_in_word", "header_after_body", "repeated_key", "hex_body",
+            "big_endian_body", "copied_first", "no_digest", "no_marker", "format8_marker", "crlf_marker",
+            "huge_count", "not_utf8"])
     def test_damaged_file_rejected(self, tmp_path, damage):
-        from convexgof import ConvexGofError
-
         path = tmp_path / "table.csv"
         save_table(simulate_null(TWO_SAMPLE, SQUARE, (3, 3), B=10, seed=0), path)
-        path.write_text("\n".join(damage(path.read_text().splitlines())) + "\n")
+        path.write_bytes(damage(*_table_parts(path)))
         with pytest.raises(ConvexGofError, match="table.csv"):
             load_table(path)
 
     @settings(max_examples=300, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])  # the file is rewritten per example
     @given(st.lists(st.tuples(st.sampled_from(["cut", "drop", "duplicate", "edit", "insert"]),
-                              st.integers(0, 10**6), st.sampled_from(_TOKENS) | st.text(max_size=12)),
+                              st.integers(-10**6, 10**6), st.integers(1, 16),
+                              st.sampled_from(_PIECES) | st.binary(max_size=12)),
                     max_size=4))
-    @example([("edit", 17, "0x1p99999")])  # the last replicate as a format-6 hex float out of float range
-    @example([("edit", 17, "3fe00000\n00000000")])  # the last replicate split into halves
+    @example([("edit", -8, 8, struct.pack("<d", math.inf))])  # the last replicate's bits made +inf
+    @example([("duplicate", -8, 8, b"")])  # the last replicate twice
     def test_mutated_file_loads_or_is_rejected(self, tmp_path, mutations):
-        # a valid file cut, with lines dropped, duplicated, edited or inserted: a table or ConvexGofError
+        # a valid file cut, with bytes dropped, duplicated, overwritten or inserted: a table or ConvexGofError
         path = tmp_path / "table.csv"
         save_table(simulate_null(TWO_SAMPLE, SQUARE, (3, 3), B=10, seed=0), path)
-        text = path.read_text()
-        for op, at, token in mutations:
+        data = path.read_bytes()
+        for op, at, width, piece in mutations:
             if op == "cut":
-                text = text[:at % (len(text) + 1)]
+                data = data[:at % (len(data) + 1)]
                 continue
-            lines = text.split("\n")
-            i = at % len(lines)
-            lines[i:i + 1] = {"drop": [], "duplicate": [lines[i]] * 2, "edit": [token]}.get(op, [token, lines[i]])
-            text = "\n".join(lines)
-        path.write_bytes(text.encode("utf-8", "surrogatepass"))
+            i = at % (len(data) or 1)
+            span = data[i:i + width]
+            data = data[:i] + {"drop": b"", "duplicate": span * 2, "edit": piece}.get(op, piece + span) + \
+                data[i + (len(piece) if op == "edit" else width):]
+        path.write_bytes(data)
         try:
             table = load_table(path)
         except ConvexGofError as exc:
@@ -855,35 +883,49 @@ class TestTableSerialization:
         assert loaded.identity == table.identity
         assert loaded.replicates.tobytes() == table.replicates.tobytes()  # -0.0 and subnormals included
 
-    def test_body_is_one_ieee754_hex_word_per_line(self, tmp_path):
+    def test_body_is_little_endian_binary64(self, tmp_path):
         path = tmp_path / "table.csv"
         save_table(toy_table([-0.0, 5e-324, 0.5]), path)
-        body = path.read_text().partition("replicate_hex\n")[2]
-        assert body == "8000000000000000\n0000000000000001\n3fe0000000000000\n"  # -0.0, 5e-324, 0.5
+        head, body = _table_parts(path)
+        assert body == struct.pack("<3d", -0.0, 5e-324, 0.5)
+        assert head.endswith(f"# B=3\n# sha256={hashlib.sha256(body).hexdigest()}\nreplicate_f8le\n".encode())
         assert load_table(path).replicates.tobytes() == np.array([-0.0, 5e-324, 0.5]).tobytes()
         save_table(toy_table([]), path)
         empty = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"  # sha256 of no bytes
-        assert path.read_text().endswith(f"# B=0\n# sha256={empty}\nreplicate_hex\n") and load_table(path).B == 0
+        assert path.read_bytes().endswith(f"# B=0\n# sha256={empty}\nreplicate_f8le\n".encode())
+        assert load_table(path).B == 0
 
     @pytest.mark.parametrize("damage, named", [
-        (lambda w: [w[:8], w[8:]], lambda w: f"body line 10 {w[:8]!r} is not 16 lowercase hex digits"),
-        (lambda w: [w[:15]], lambda w: f"body line 10 {w[:15]!r} is not 16 lowercase hex digits"),
-        (lambda w: ["3fe0000000000000", w[1:] + "z"], lambda w: "body line 11 "),
-        (lambda w: [w, w], lambda w: "replicate count mismatch"),
-        (lambda w: ["7ff8000000000000"], lambda w: "replicates are not finite and sorted"),
-    ], ids=["split_word", "short_word", "later_non_hex", "extra_word", "nan_bits"])
-    def test_corrupt_message_names_the_first_bad_body_line(self, tmp_path, damage, named):
-        from convexgof import ConvexGofError
-
+        (lambda head, body: head + body[:-1], "replicate count mismatch"),
+        (lambda head, body: head + body + b"\n", "replicate count mismatch"),
+        (lambda head, body: head.replace(b"# B=10\n", b"# B=1000000000000000\n") + body,
+         "replicate count mismatch"),
+        (lambda head, body: head + _hex_words(body), "replicate count mismatch"),
+        (lambda head, body: _signed(head, body[:-8] + struct.pack("<d", math.nan)),
+         "replicates are not finite and sorted"),
+        (lambda head, body: _signed(head, struct.pack("<d", -math.inf) + body[8:]),
+         "replicates are not finite and sorted"),
+        (lambda head, body: _signed(head, body[:-16] + body[-8:] + body[-16:-8]),
+         "replicates are not finite and sorted"),
+        (lambda head, body: head + body[:8] * 10, "replicates do not match the header's sha256 digest"),
+        (lambda head, body: head.replace(b"replicate_f8le\n", b"") + body,
+         "its header does not end in a 'replicate_f8le' line"),
+        (lambda head, body: head.replace(b"# B=", b"# seed=12345\n# B=") + body, "header key 'seed' is repeated"),
+        (lambda head, body: head.replace(b"# seed=0\n", b"#seed 0\n") + body,
+         "header line '#seed 0' is not '# key=value'"),
+    ], ids=["missing_byte", "extra_byte", "huge_count", "hex_body", "nan_bits", "minus_inf_bits", "unsorted",
+            "copied_first", "no_marker", "repeated_key", "bad_header_line"])
+    def test_corrupt_message_names_the_damage(self, tmp_path, damage, named):
+        # each damage is caught by its own check: the finite-and-sorted ones carry a matching digest
         path = tmp_path / "table.csv"
         save_table(simulate_null(TWO_SAMPLE, SQUARE, (3, 3), B=10, seed=0), path)
-        *lines, last = path.read_text().splitlines()
-        path.write_text("\n".join(lines + damage(last)) + "\n")
-        with pytest.raises(ConvexGofError, match=re.escape(f"table.csv' is corrupt: {named(last)}")):
+        path.write_bytes(damage(*_table_parts(path)))
+        with pytest.raises(ConvexGofError, match=re.escape(f"table.csv' is corrupt: {named}")):
             load_table(path)
 
-    def test_generator_named_like_the_body_marker_round_trips(self, tmp_path):
-        table = toy_table([0.125, 0.5, 1.0 / 3.0], generator_name="replicate_hex", seed=5)
+    @pytest.mark.parametrize("name", ["replicate_f8le", "replicate_hex"])
+    def test_generator_named_like_a_body_marker_round_trips(self, tmp_path, name):
+        table = toy_table([0.125, 0.5, 1.0 / 3.0], generator_name=name, seed=5)
         path = tmp_path / "table.csv"
         save_table(table, path)
         loaded = load_table(path)
